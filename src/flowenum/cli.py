@@ -9,10 +9,11 @@ by one summary object; diagnostics go to stderr.  Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from itertools import islice
 from pathlib import Path
 
 from .bruteforce import (
@@ -43,6 +44,16 @@ from .treebounds import (
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
 
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="flowenum",
@@ -57,7 +68,7 @@ def _build_parser() -> argparse.ArgumentParser:
     enumerate_ = commands.add_parser("enumerate", help="list every optimal integer flow")
     enumerate_.add_argument("file")
     enumerate_.add_argument(
-        "--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT,
+        "--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
         help="stop after this many flows (default %(default)s)",
     )
 
@@ -70,7 +81,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     bounds.add_argument("file")
     bounds.add_argument("--exact", action="store_true", help="also enumerate the exact count")
-    bounds.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
+    bounds.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
 
     oracle = commands.add_parser("oracle", help="brute-force reference enumeration")
     oracle.add_argument("file")
@@ -83,32 +94,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", help="diff the optimal-flow enumeration against the brute-force oracle"
     )
     verify.add_argument("file")
-    verify.add_argument("--limit", type=int, default=DEFAULT_ENUMERATION_LIMIT)
+    verify.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
     verify.add_argument("--max-states", type=int, default=EnumerationBudget.max_states)
     verify.add_argument("--max-flows", type=int, default=EnumerationBudget.max_flows)
 
     return parser
-
-
-@dataclass
-class RunReport:
-    """One summary line: instance stats, result counts, bounds, timing, flags."""
-
-    command: str
-    nodes: int
-    arcs: int
-    elapsed_ms: float
-    details: dict = field(default_factory=dict)
-
-    def as_payload(self) -> dict:
-        payload = {
-            "command": self.command,
-            "nodes": self.nodes,
-            "arcs": self.arcs,
-            "elapsed_ms": self.elapsed_ms,
-        }
-        payload.update(self.details)
-        return payload
 
 
 def _emit(out, payload) -> None:
@@ -120,14 +110,14 @@ def _emit_flow(out, net: Network, flow) -> None:
 
 
 def _summary(out, command: str, net: Network, started: float, **extra) -> None:
-    report = RunReport(
-        command,
-        net.node_count,
-        net.arc_count,
-        round((time.perf_counter() - started) * 1000.0, 3),
-        extra,
-    )
-    _emit(out, report.as_payload())
+    """One summary line: instance size, timing, then the command's own fields."""
+    _emit(out, {
+        "command": command,
+        "nodes": net.node_count,
+        "arcs": net.arc_count,
+        "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
+        **extra,
+    })
 
 
 def _cmd_solve(args, net, out, started) -> int:
@@ -140,7 +130,9 @@ def _cmd_solve(args, net, out, started) -> int:
 def _cmd_enumerate(args, net, out, started) -> int:
     emitted = 0
     best_cost = None
-    for flow in iter_optimal_flows(net, limit=args.limit):
+    # One flow past the limit tells whether the limit really cut the run short.
+    flows = iter_optimal_flows(net, limit=args.limit + 1)
+    for flow in islice(flows, args.limit):
         if best_cost is None:
             best_cost = flow_cost(net, flow)
         _emit_flow(out, net, flow)
@@ -148,7 +140,7 @@ def _cmd_enumerate(args, net, out, started) -> int:
     _summary(
         out, "enumerate", net, started,
         count=emitted, optimal_cost=best_cost,
-        limit=args.limit, limit_reached=emitted == args.limit,
+        limit=args.limit, limit_reached=next(flows, None) is not None,
     )
     return 0
 
@@ -184,9 +176,9 @@ def _cmd_bounds(args, net, out, started) -> int:
         "zero_cost_arcs": list(zero_arcs),
     }
     if args.exact:
-        exact = sum(1 for _ in iter_optimal_flows(net, limit=args.limit))
-        extra["exact_count"] = exact
-        extra["limit_reached"] = exact == args.limit
+        exact = sum(1 for _ in iter_optimal_flows(net, limit=args.limit + 1))
+        extra["exact_count"] = min(exact, args.limit)
+        extra["limit_reached"] = exact > args.limit
     _summary(out, "bounds", net, started, **extra)
     return 0
 
@@ -239,7 +231,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        with contextlib.redirect_stderr(err):
+            args = parser.parse_args(argv)
     except SystemExit as exit_:  # argparse already printed its diagnostics
         code = exit_.code if isinstance(exit_.code, int) else 2
         return code
@@ -259,10 +252,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
     try:
         return _HANDLERS[args.command](args, net, out, started)
-    except _UsageError as exc:
-        print(f"flowenum: {exc}", file=err)
-        return 2
-    except ValueError as exc:
+    except (_UsageError, ValueError) as exc:
         print(f"flowenum: {exc}", file=err)
         return 2
     except InfeasibleError as exc:

@@ -1,18 +1,18 @@
 """Depth-first forests over residual graphs and proper-cycle search.
 
 The forest classifies every residual arc as tree, forward, backward (short
-or long), or cross, keeps per-node SBAlow values (the shallowest dfs number
-reachable through short backward arcs alone), and answers lowest-common-
-ancestor queries in constant time from an Euler tour.  Scanning the
-classified arcs then either produces a proper cycle or proves none exists.
+or long), or cross, and keeps per-node SBAlow values (the shallowest dfs
+number reachable through short backward arcs alone).  Scanning the
+classified arcs then either produces a proper cycle or proves none exists;
+only cross arcs need a lowest common ancestor, found by walking parent links.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Cycle, Flow, Network, ResidualGraph, augment, build_residual, check_feasible
-from .errors import DifferentTreesError, InfeasibleFlowError
+from .core import Cycle, Flow, Network, ResidualGraph, augment, build_residual
+from .errors import DifferentTreesError
 
 TREE = "tree"
 FORWARD = "forward"
@@ -23,7 +23,7 @@ CROSS = "cross"
 
 @dataclass(frozen=True)
 class DfsForest:
-    """DFS numbering, arc classification, SBAlow values, and an LCA index."""
+    """DFS numbering, tree links, arc classification, and SBAlow values."""
 
     graph: ResidualGraph
     order: tuple[int, ...]                      # discovery numbers, 1-based
@@ -35,33 +35,12 @@ class DfsForest:
     arc_class: tuple[str, ...]
     short_back_arcs: tuple[tuple[int, ...], ...]
     sbalow: tuple[int, ...]
-    euler_nodes: tuple[int, ...]
-    euler_first: tuple[int, ...]
-    euler_table: tuple[tuple[int, ...], ...]
 
     def is_ancestor(self, node: int, descendant: int) -> bool:
         return (
             self.order[node] <= self.order[descendant]
             and self.finish[descendant] <= self.finish[node]
         )
-
-
-def _sparse_minima(euler_nodes: list[int], depth: list[int]) -> tuple[tuple[int, ...], ...]:
-    size = len(euler_nodes)
-    if size == 0:
-        return ()
-    rows = [tuple(range(size))]
-    width = 1
-    while width * 2 <= size:
-        previous = rows[-1]
-        row = []
-        for i in range(size - width * 2 + 1):
-            left = previous[i]
-            right = previous[i + width]
-            row.append(left if depth[euler_nodes[left]] <= depth[euler_nodes[right]] else right)
-        rows.append(tuple(row))
-        width *= 2
-    return tuple(rows)
 
 
 def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
@@ -76,8 +55,6 @@ def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
     arc_class = [""] * len(rg.arcs)
     short_back: list[tuple[int, ...]] = [()] * n
     sbalow = [0] * n
-    euler_nodes: list[int] = []
-    euler_first = [0] * n
 
     clock = 0
     finish_clock = 0
@@ -88,8 +65,6 @@ def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
         order[root] = clock
         tree_root[root] = root
         sbalow[root] = clock
-        euler_first[root] = len(euler_nodes)
-        euler_nodes.append(root)
         stack = [(root, 0)]
         while stack:
             node, cursor = stack[-1]
@@ -111,15 +86,11 @@ def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
                 )
                 short_back[child] = to_parent
                 sbalow[child] = sbalow[node] if to_parent else clock
-                euler_first[child] = len(euler_nodes)
-                euler_nodes.append(child)
                 stack.append((child, 0))
             else:
                 stack.pop()
                 finish_clock += 1
                 finish[node] = finish_clock
-                if stack:
-                    euler_nodes.append(stack[-1][0])
 
     for index, res in enumerate(rg.arcs):
         if arc_class[index]:
@@ -143,28 +114,21 @@ def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
         tuple(arc_class),
         tuple(short_back),
         tuple(sbalow),
-        tuple(euler_nodes),
-        tuple(euler_first),
-        _sparse_minima(euler_nodes, depth),
     )
 
 
 def lca(forest: DfsForest, a: int, b: int) -> int:
-    """Lowest common ancestor in O(1) from the Euler-tour sparse table."""
+    """Lowest common ancestor, walking parent links up from the deeper node."""
     if forest.tree_root[a] != forest.tree_root[b]:
         raise DifferentTreesError(f"nodes {a} and {b} are in different DFS trees")
-    lo = forest.euler_first[a]
-    hi = forest.euler_first[b]
-    if lo > hi:
-        lo, hi = hi, lo
-    level = (hi - lo + 1).bit_length() - 1
-    row = forest.euler_table[level]
-    nodes = forest.euler_nodes
-    depth = forest.depth
-    left = row[lo]
-    right = row[hi - (1 << level) + 1]
-    best = left if depth[nodes[left]] <= depth[nodes[right]] else right
-    return nodes[best]
+    depth, parent = forest.depth, forest.parent_node
+    while depth[a] > depth[b]:
+        a = parent[a]
+    while depth[b] > depth[a]:
+        b = parent[b]
+    while a != b:
+        a, b = parent[a], parent[b]
+    return a
 
 
 def _tree_path_arcs(forest: DfsForest, top: int, bottom: int) -> list:
@@ -248,9 +212,10 @@ def find_proper_cycle(rg: ResidualGraph, forest: DfsForest | None = None) -> Cyc
 
 
 def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:
-    """A feasible flow different from the input, or None if it is unique."""
-    if not check_feasible(net, flow):
-        raise InfeasibleFlowError("input flow is not feasible")
+    """A feasible flow different from the input, or None if it is unique.
+
+    Raises InfeasibleFlowError, through build_residual, on an infeasible input.
+    """
     cycle = find_proper_cycle(build_residual(net, flow))
     if cycle is None:
         return None

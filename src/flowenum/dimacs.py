@@ -51,6 +51,8 @@ def parse_dimacs(text: str) -> Network:
     balance_seen: set[int] = set()
     arcs: list[Arc] = []
 
+    # int() also takes "1_0" and non-ASCII digits; fields must be [+-]?[0-9]+.
+    loose = not text.isascii() or "_" in text
     for line_no, raw in enumerate(text.splitlines(), start=1):
         fields = raw.split()
         if not fields:
@@ -58,6 +60,13 @@ def parse_dimacs(text: str) -> Network:
         kind = fields[0]
         if kind == "c":
             continue
+        if loose:
+            for token in fields[1:]:
+                if not token.isascii() or "_" in token:
+                    raise DimacsSyntaxError(
+                        f"expected an integer of ASCII digits, got {token!r}",
+                        line=line_no, column=_column(raw, token),
+                    )
         if kind == "p":
             if node_count is not None:
                 raise DuplicateProblemLineError("second problem line", line=line_no)

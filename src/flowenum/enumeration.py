@@ -5,35 +5,19 @@ the initial optimum and dropped, balances absorb their flow, and every
 feasible flow of what remains extends to an optimal flow of the original
 network.  Each discovered flow then splits its search region into two
 disjoint halves on the first arc where it differs from the region's
-witness, so no flow is ever produced twice.
+witness, so no flow is ever produced twice.  A region is simply the reduced
+network with some capacity bounds tightened.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import Flow, Network, validate_network
 from .dfs import find_another_feasible_flow
 from .errors import IdenticalFlowsError
 from .solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
-
-
-@dataclass(frozen=True)
-class BoundOverride:
-    """Replace one side of one arc's capacity interval."""
-
-    arc: int
-    which: str  # "lower" or "upper"
-    value: int
-
-
-@dataclass(frozen=True)
-class Subproblem:
-    """Search region: an override chain plus a witness flow living inside it."""
-
-    overrides: tuple | None  # linked (BoundOverride, parent) pairs, shared tails
-    witness: Flow
 
 
 @dataclass
@@ -84,35 +68,22 @@ def find_another_optimal_flow(net: Network, flow: Flow, reduced_costs) -> Flow |
     return splice_flow(reduced, flow, other)
 
 
-def partition_solution_space(flow: Flow, other: Flow) -> tuple[BoundOverride, BoundOverride]:
-    """Split on the first differing arc; first override keeps `flow`, second `other`."""
+def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Network, Network]:
+    """Split on the first differing arc; the first half keeps `flow`, the second `other`.
+
+    Each half is `net` with that one arc's bound tightened; every other arc
+    object is shared with `net`.
+    """
     for arc_id, (mine, theirs) in enumerate(zip(flow.values, other.values)):
         if mine != theirs:
+            arc = net.arcs[arc_id]
             if mine < theirs:
-                return (
-                    BoundOverride(arc_id, "upper", mine),
-                    BoundOverride(arc_id, "lower", mine + 1),
-                )
-            return (
-                BoundOverride(arc_id, "lower", mine),
-                BoundOverride(arc_id, "upper", mine - 1),
-            )
+                halves = (replace(arc, upper=mine), replace(arc, lower=mine + 1))
+            else:
+                halves = (replace(arc, lower=mine), replace(arc, upper=mine - 1))
+            head, tail = net.arcs[:arc_id], net.arcs[arc_id + 1:]
+            return tuple(replace(net, arcs=head + (half,) + tail) for half in halves)
     raise IdenticalFlowsError("cannot partition on two identical flows")
-
-
-def apply_overrides(net: Network, chain: tuple | None) -> Network:
-    """Network with the chain's bound overrides applied (latest override wins)."""
-    if chain is None:
-        return net
-    tightest: dict[tuple[int, str], int] = {}
-    node = chain
-    while node is not None:
-        override, node = node
-        tightest.setdefault((override.arc, override.which), override.value)
-    arcs = list(net.arcs)
-    for (arc_id, which), value in tightest.items():
-        arcs[arc_id] = replace(arcs[arc_id], **{which: value})
-    return Network(net.node_count, tuple(arcs), net.balances)
 
 
 def iter_optimal_flows(
@@ -132,34 +103,19 @@ def iter_optimal_flows(
     emitted = 1
     if limit is not None and emitted >= limit:
         return
-    pending = [Subproblem(None, restrict_flow(reduced, first))]
+    # Each pending region is a narrowed network plus a witness flow inside it.
+    pending = [(reduced.network, restrict_flow(reduced, first))]
     while pending:
-        region = pending.pop()
+        region, witness = pending.pop()
         if stats is not None:
             stats.another_flow_calls += 1
-        constrained = apply_overrides(reduced.network, region.overrides)
-        other = find_another_feasible_flow(constrained, region.witness)
+        other = find_another_feasible_flow(region, witness)
         if other is None:
             continue
         yield splice_flow(reduced, first, other)
         emitted += 1
         if limit is not None and emitted >= limit:
             return
-        keep_here, move_there = partition_solution_space(region.witness, other)
-        pending.append(Subproblem((move_there, region.overrides), other))
-        pending.append(Subproblem((keep_here, region.overrides), region.witness))
-
-
-def enumerate_all_optimal(
-    net: Network,
-    sink: Callable[[Flow], None] | None = None,
-    limit: int | None = None,
-    stats: EnumerationStats | None = None,
-) -> int:
-    """Feed every optimal flow to the sink; returns how many were emitted."""
-    emitted = 0
-    for flow in iter_optimal_flows(net, limit=limit, stats=stats):
-        if sink is not None:
-            sink(flow)
-        emitted += 1
-    return emitted
+        keep_here, move_there = partition_solution_space(region, witness, other)
+        pending.append((move_there, other))
+        pending.append((keep_here, witness))

@@ -65,6 +65,10 @@ class IdenticalFlowsError(FlowError):
     """Partitioning needs two flows that differ somewhere."""
 
 
+class InvariantError(FlowError):
+    """An internal invariant failed: a bug in this package, not in the input."""
+
+
 class BudgetExceededError(FlowError):
     """Brute-force enumeration outgrew its budget."""
 

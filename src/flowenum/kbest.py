@@ -12,11 +12,11 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from itertools import count
-from typing import Callable, Iterator
+from typing import Iterator
 
 from .core import Cycle, Flow, Network, ResidualGraph, augment, build_residual, flow_cost, validate_network
-from .enumeration import apply_overrides, find_another_optimal_flow, partition_solution_space
-from .errors import NegativeReducedCostError
+from .enumeration import find_another_optimal_flow, partition_solution_space
+from .errors import InvariantError, NegativeReducedCostError
 from .solver import (
     compute_node_potentials,
     compute_reduced_costs,
@@ -126,18 +126,9 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     res = rg.arcs[best_arc]
     path = shortest_path_arcs(table, rg, res.dst, res.src)
     cycle = Cycle((res, *(rg.arcs[i] for i in path)))
-    assert cycle.is_proper()
+    if not cycle.is_proper():
+        raise InvariantError("cheapest cycle uses an arc in both directions")
     return augment(flow, cycle, 1)
-
-
-@dataclass(frozen=True)
-class RankedCandidate:
-    """Heap entry: a region's best flow, its challenger, and the region itself."""
-
-    parent: Flow
-    challenger: Flow
-    overrides: tuple | None
-    key: int
 
 
 def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
@@ -151,32 +142,20 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
         return
     emitted = 1
     ticket = count()
-    heap: list = []
+    heap: list = []  # (challenger cost, ticket, region, region's best flow, challenger)
 
-    def offer(region_best: Flow, overrides) -> None:
-        constrained = apply_overrides(net, overrides)
-        challenger = find_second_best_flow(constrained, region_best)
+    def offer(region: Network, region_best: Flow) -> None:
+        challenger = find_second_best_flow(region, region_best)
         if challenger is not None:
-            entry = RankedCandidate(region_best, challenger, overrides, flow_cost(net, challenger))
-            heapq.heappush(heap, (entry.key, next(ticket), entry))
+            heapq.heappush(heap, (flow_cost(net, challenger), next(ticket), region, region_best, challenger))
 
-    offer(best, None)
+    offer(net, best)
     while heap and emitted < k:
-        _, _, entry = heapq.heappop(heap)
-        yield entry.challenger
+        _, _, region, parent, challenger = heapq.heappop(heap)
+        yield challenger
         emitted += 1
         if emitted == k:
             return
-        stay, move = partition_solution_space(entry.parent, entry.challenger)
-        offer(entry.parent, (stay, entry.overrides))
-        offer(entry.challenger, (move, entry.overrides))
-
-
-def find_k_best_flows(net: Network, k: int, sink: Callable[[Flow], None] | None = None) -> int:
-    """Feed up to k best flows to the sink; returns how many were emitted."""
-    emitted = 0
-    for flow in iter_k_best_flows(net, k):
-        if sink is not None:
-            sink(flow)
-        emitted += 1
-    return emitted
+        stay, move = partition_solution_space(region, parent, challenger)
+        offer(stay, parent)
+        offer(move, challenger)

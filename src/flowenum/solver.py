@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from itertools import count
 
 from .core import Flow, Network, ResidualGraph, check_feasible, validate_network
-from .errors import InfeasibleError, InfeasibleFlowError, NegativeCycleError
+from .errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
 
 
 @dataclass(frozen=True)
@@ -82,7 +82,8 @@ def solve_min_cost_flow(net: Network) -> Flow:
         imbalance[target] += amount
 
     result = Flow(tuple(arc.lower + extra[index] for index, arc in enumerate(arcs)))
-    assert check_feasible(net, result)
+    if not check_feasible(net, result):
+        raise InvariantError("successive shortest paths ended on an infeasible flow")
     return result
 
 
@@ -101,7 +102,8 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source):
             if extra[index] < span[index]:
                 arc = net.arcs[index]
                 weight = arc.cost + potential[node] - potential[arc.dst]
-                assert weight >= 0
+                if weight < 0:
+                    raise InvariantError(f"negative reduced cost on arc {index}")
                 candidate = reached + weight
                 if dist[arc.dst] is None or candidate < dist[arc.dst]:
                     dist[arc.dst] = candidate
@@ -111,7 +113,8 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source):
             if extra[index] > 0:
                 arc = net.arcs[index]
                 weight = -arc.cost + potential[node] - potential[arc.src]
-                assert weight >= 0
+                if weight < 0:
+                    raise InvariantError(f"negative reduced cost on the reverse of arc {index}")
                 candidate = reached + weight
                 if dist[arc.src] is None or candidate < dist[arc.src]:
                     dist[arc.src] = candidate

@@ -17,6 +17,7 @@ from .errors import (
     CycleEntirelyInTreeError,
     DimensionMismatchError,
     InfeasibleFlowError,
+    InvariantError,
 )
 
 COUNT_CAP = 2**63 - 1
@@ -100,7 +101,8 @@ def _tree_tables(net: Network, tree_arcs, root: int = 0):
             else:
                 potentials[neighbor] = potentials[node] - arc.cost
             stack.append(neighbor)
-    assert all(seen), "tree arcs must span the network"
+    if not all(seen):
+        raise InvariantError("tree arcs must span the network")
     return parent_node, parent_arc, depth, potentials
 
 
@@ -208,8 +210,8 @@ def _initial_tree(net: Network, values) -> list[int]:
     ]
     tree = []
     for arc_id in free:
-        merged = union(net.arcs[arc_id].src, net.arcs[arc_id].dst)
-        assert merged, "free arcs form a forest after cancellation"
+        if not union(net.arcs[arc_id].src, net.arcs[arc_id].dst):
+            raise InvariantError("free arcs must form a forest after cancellation")
         tree.append(arc_id)
     free_set = set(free)
     rest = sorted(
@@ -357,17 +359,7 @@ def count_lower_bound(ts: TreeStructure, zero_arcs, flow: Flow, reading: str = "
 def feasible_count_bounds(ts: TreeStructure, flow: Flow) -> tuple[int, int]:
     """Same bound formulas taken over every non-tree arc."""
     nontree = tuple(sorted(ts.lower_set | ts.upper_set))
-    lower = max(
-        1,
-        sum(induced_cycle_capacity(ts, flow, induced_cycle(ts, a)) for a in nontree),
-    )
-    upper = 1
-    for arc_id in nontree:
-        upper *= ts.network.arcs[arc_id].span + 1
-        if upper > COUNT_CAP:
-            upper = COUNT_CAP
-            break
-    return lower, max(1, upper)
+    return count_lower_bound(ts, nontree, flow), count_upper_bound(ts, nontree)
 
 
 def decompose_cycle(ts: TreeStructure, walk: Sequence[tuple[int, int]]) -> list[InducedCycle]:

@@ -73,6 +73,37 @@ class TestEnumerate:
         assert len(flows) == 4
         assert summary["limit_reached"] is True
 
+    def test_limit_equal_to_the_count_is_not_reached(self, tmp_path, chain3_network):
+        # chain3 (the README's demo.min) has exactly one optimum.
+        path = write_instance(tmp_path, chain3_network)
+        code, lines, _ = invoke(["enumerate", path, "--limit", "1"])
+        assert code == 0
+        flows, summary = flows_and_summary(lines)
+        assert len(flows) == 1
+        assert summary["limit_reached"] is False
+        code, lines, _ = invoke(["bounds", path, "--exact", "--limit", "1"])
+        assert code == 0
+        assert lines[-1]["exact_count"] == 1
+        assert lines[-1]["limit_reached"] is False
+
+    def test_bounds_limit_below_the_count_is_reached(self, tmp_path, eleven_optima_network):
+        code, lines, _ = invoke(
+            ["bounds", write_instance(tmp_path, eleven_optima_network), "--exact", "--limit", "4"]
+        )
+        assert code == 0
+        assert lines[-1]["exact_count"] == 4
+        assert lines[-1]["limit_reached"] is True
+
+    def test_nonpositive_limit_is_usage_error(self, tmp_path, chain3_network):
+        path = write_instance(tmp_path, chain3_network)
+        for argv in (["enumerate", path, "--limit", "0"],
+                     ["enumerate", path, "--limit", "-3"],
+                     ["bounds", path, "--exact", "--limit", "0"],
+                     ["verify", path, "--limit", "-3"]):
+            code, lines, err = invoke(argv)
+            assert code == 2 and lines == []
+            assert "positive integer" in err
+
 
 class TestKBest:
     def test_chain3_two_best(self, tmp_path, chain3_network):

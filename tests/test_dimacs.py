@@ -82,6 +82,18 @@ class TestParse:
         assert caught.value.line == 2
         assert caught.value.column == 9
 
+    @pytest.mark.parametrize("token", ["1_0", "\u0661\u0660"])
+    def test_only_ascii_decimal_integers(self, token):
+        with pytest.raises(DimacsSyntaxError) as caught:
+            parse_dimacs(f"p min 2 1\na 1 2 0 {token} 0\n")
+        assert caught.value.line == 2
+        assert caught.value.column == 9
+
+    def test_signed_integers_still_parse(self):
+        net = parse_dimacs("p min 2 1\nn 1 +1\nn 2 -1\na 1 2 0 +1 -3\n")
+        assert net.balances == (1, -1)
+        assert net.arcs[0].cost == -3
+
     def test_unknown_record(self):
         with pytest.raises(DimacsSyntaxError):
             parse_dimacs("p min 1 0\nq whatever\n")

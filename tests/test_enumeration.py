@@ -5,10 +5,7 @@ import pytest
 from flowenum.bruteforce import enumerate_all_optimal_bruteforce
 from flowenum.core import Flow, check_feasible, flow_cost
 from flowenum.enumeration import (
-    BoundOverride,
     EnumerationStats,
-    apply_overrides,
-    enumerate_all_optimal,
     find_another_optimal_flow,
     iter_optimal_flows,
     partition_solution_space,
@@ -63,34 +60,40 @@ class TestFindAnotherOptimalFlow:
         ) is None
 
 
+def bounds_of(net, arc_id):
+    return net.arcs[arc_id].lower, net.arcs[arc_id].upper
+
+
 class TestPartition:
-    def test_eleven_optima_branch_bounds(self, eleven_optima_flow):
+    def test_eleven_optima_branch_bounds(self, eleven_optima_network, eleven_optima_flow):
         other = Flow((0, 0, 0, 5, 1, 11, 3))
-        keep, move = partition_solution_space(eleven_optima_flow, other)
-        assert keep == BoundOverride(4, "upper", 0)
-        assert move == BoundOverride(4, "lower", 1)
+        keep, move = partition_solution_space(eleven_optima_network, eleven_optima_flow, other)
+        assert bounds_of(eleven_optima_network, 4) == (0, 10)
+        assert bounds_of(keep, 4) == (0, 0)
+        assert bounds_of(move, 4) == (1, 10)
 
     def test_mirrored_case(self):
-        keep, move = partition_solution_space(Flow((3,)), Flow((1,)))
-        assert keep == BoundOverride(0, "lower", 3)
-        assert move == BoundOverride(0, "upper", 2)
+        net = make_network(2, [(0, 1, 0, 5, 0)], (0, 0))
+        keep, move = partition_solution_space(net, Flow((3,)), Flow((1,)))
+        assert bounds_of(keep, 0) == (3, 5)
+        assert bounds_of(move, 0) == (0, 2)
 
-    def test_identical_flows_raise(self):
+    def test_identical_flows_raise(self, twocycle_network):
         with pytest.raises(IdenticalFlowsError):
-            partition_solution_space(Flow((1, 2)), Flow((1, 2)))
+            partition_solution_space(twocycle_network, Flow((1, 2)), Flow((1, 2)))
 
     def test_single_difference_partitions_cleanly(self, twocycle_network):
         low, high = Flow((0, 0)), Flow((2, 2))
-        keep, move = partition_solution_space(low, high)
-        narrowed_keep = apply_overrides(twocycle_network, (keep, None))
-        narrowed_move = apply_overrides(twocycle_network, (move, None))
-        assert check_feasible(narrowed_keep, low) and not check_feasible(narrowed_keep, high)
-        assert check_feasible(narrowed_move, high) and not check_feasible(narrowed_move, low)
+        keep, move = partition_solution_space(twocycle_network, low, high)
+        assert check_feasible(keep, low) and not check_feasible(keep, high)
+        assert check_feasible(move, high) and not check_feasible(move, low)
 
-    def test_override_chain_latest_wins(self, twocycle_network):
-        chain = (BoundOverride(0, "upper", 0), (BoundOverride(0, "upper", 1), None))
-        narrowed = apply_overrides(twocycle_network, chain)
-        assert narrowed.arcs[0].upper == 0
+    def test_only_the_split_arc_changes(self, eleven_optima_network, eleven_optima_flow):
+        other = Flow((0, 0, 0, 5, 1, 11, 3))
+        for half in partition_solution_space(eleven_optima_network, eleven_optima_flow, other):
+            assert half.balances == eleven_optima_network.balances
+            for arc_id, (mine, base) in enumerate(zip(half.arcs, eleven_optima_network.arcs)):
+                assert (mine is base) == (arc_id != 4)
 
 
 class TestEnumerateAllOptimal:
@@ -104,10 +107,7 @@ class TestEnumerateAllOptimal:
         assert list(iter_optimal_flows(blocked_cycle_network)) == [blocked_cycle_flow]
 
     def test_unique_flow_network(self, forced_network):
-        seen = []
-        count = enumerate_all_optimal(forced_network, sink=seen.append)
-        assert count == 1
-        assert seen == [solve_min_cost_flow(forced_network)]
+        assert list(iter_optimal_flows(forced_network)) == [solve_min_cost_flow(forced_network)]
 
     def test_initial_flow_comes_first(self, eleven_optima_network):
         flows = list(iter_optimal_flows(eleven_optima_network))

@@ -9,7 +9,6 @@ from flowenum.kbest import (
     INF,
     candidate_arc_set,
     distance_table,
-    find_k_best_flows,
     find_second_best_flow,
     iter_k_best_flows,
     shortest_path_arcs,
@@ -133,9 +132,7 @@ class TestKBest:
         assert [flow_cost(eleven_optima_network, flow) for flow in flows] == [0] * 11
 
     def test_stops_when_flows_run_out(self, forced_network):
-        collected = []
-        assert find_k_best_flows(forced_network, 5, collected.append) == 1
-        assert len(collected) == 1
+        assert list(iter_k_best_flows(forced_network, 5)) == [solve_min_cost_flow(forced_network)]
 
     def test_invalid_k(self, chain3_network):
         with pytest.raises(ValueError):
