@@ -1,131 +1,28 @@
 """Minimum-cost integer flows: one optimum, every optimum, the K best, and
 bounds on how many solutions exist, with a brute-force oracle for
 cross-checking on small instances.
+
+The package root exports the names the README's Library section documents;
+everything else is imported from its submodule.
 """
 
-from .bruteforce import (
-    EnumerationBudget,
-    enumerate_all_feasible_bruteforce,
-    enumerate_all_optimal_bruteforce,
-    k_best_bruteforce,
-)
-from .core import (
-    Arc,
-    Cycle,
-    Flow,
-    Network,
-    ResidualArc,
-    ResidualGraph,
-    augment,
-    build_residual,
-    check_feasible,
-    cycle_cost,
-    flow_cost,
-    validate_network,
-)
-from .dfs import (
-    DfsForest,
-    build_dfs_forest,
-    find_another_feasible_flow,
-    find_proper_cycle,
-    lca,
-)
-from .dimacs import parse_dimacs, serialize_dimacs
-from .enumeration import (
-    EnumerationStats,
-    ReducedNetwork,
-    find_another_optimal_flow,
-    iter_optimal_flows,
-    partition_solution_space,
-    reduce_network,
-    restrict_flow,
-    splice_flow,
-)
-from .kbest import (
-    DistanceTable,
-    candidate_arc_set,
-    distance_table,
-    find_second_best_flow,
-    iter_k_best_flows,
-    shortest_path_arcs,
-)
-from .solver import (
-    NodePotential,
-    compute_node_potentials,
-    compute_reduced_costs,
-    residual_reduced_costs,
-    solve_min_cost_flow,
-)
-from .treebounds import (
-    InducedCycle,
-    TreeStructure,
-    count_lower_bound,
-    count_upper_bound,
-    decompose_cycle,
-    express_in_cycle_basis,
-    feasible_count_bounds,
-    incidence_sum_check,
-    induced_cycle,
-    induced_cycle_capacity,
-    to_tree_solution,
-    zero_cost_nontree_set,
-)
+from .core import Arc, Flow, Network
+from .enumeration import iter_optimal_flows
+from .kbest import iter_k_best_flows
+from .solver import solve_min_cost_flow
+from .treebounds import count_lower_bound, count_upper_bound, to_tree_solution, zero_cost_nontree_set
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Arc",
-    "Cycle",
-    "DfsForest",
-    "DistanceTable",
-    "EnumerationBudget",
-    "EnumerationStats",
     "Flow",
-    "InducedCycle",
     "Network",
-    "NodePotential",
-    "ReducedNetwork",
-    "ResidualArc",
-    "ResidualGraph",
-    "TreeStructure",
-    "augment",
-    "build_dfs_forest",
-    "build_residual",
-    "candidate_arc_set",
-    "check_feasible",
-    "compute_node_potentials",
-    "compute_reduced_costs",
     "count_lower_bound",
     "count_upper_bound",
-    "cycle_cost",
-    "decompose_cycle",
-    "distance_table",
-    "enumerate_all_feasible_bruteforce",
-    "enumerate_all_optimal_bruteforce",
-    "express_in_cycle_basis",
-    "feasible_count_bounds",
-    "find_another_feasible_flow",
-    "find_another_optimal_flow",
-    "find_proper_cycle",
-    "find_second_best_flow",
-    "flow_cost",
-    "incidence_sum_check",
-    "induced_cycle",
-    "induced_cycle_capacity",
     "iter_k_best_flows",
     "iter_optimal_flows",
-    "k_best_bruteforce",
-    "lca",
-    "parse_dimacs",
-    "partition_solution_space",
-    "reduce_network",
-    "residual_reduced_costs",
-    "restrict_flow",
-    "serialize_dimacs",
-    "shortest_path_arcs",
     "solve_min_cost_flow",
-    "splice_flow",
     "to_tree_solution",
-    "validate_network",
     "zero_cost_nontree_set",
 ]

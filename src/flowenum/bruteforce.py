@@ -76,7 +76,12 @@ def enumerate_all_feasible_bruteforce(net: Network, budget: EnumerationBudget | 
         high[arc.dst] -= arc.lower
 
     if all(fits(node) for node in range(net.node_count)):
-        place(0)
+        try:
+            place(0)
+        except RecursionError:
+            raise BudgetExceededError(
+                f"{arc_count} arcs nest deeper than the interpreter's recursion limit"
+            ) from None
     return flows
 
 

@@ -161,7 +161,10 @@ def _cmd_kbest(args, net, out, started) -> int:
 
 
 def _cmd_bounds(args, net, out, started) -> int:
-    flow = solve_min_cost_flow(net)
+    # The enumeration's first flow is the solver's optimum, so --exact
+    # counts on from it instead of solving the instance a second time.
+    flows = iter_optimal_flows(net, limit=args.limit + 1)
+    flow = next(flows)
     tree_flow, structure = to_tree_solution(net, flow)
     zero_arcs = zero_cost_nontree_set(structure)
     feasible_lower, feasible_upper = feasible_count_bounds(structure, tree_flow)
@@ -176,7 +179,7 @@ def _cmd_bounds(args, net, out, started) -> int:
         "zero_cost_arcs": list(zero_arcs),
     }
     if args.exact:
-        exact = sum(1 for _ in iter_optimal_flows(net, limit=args.limit + 1))
+        exact = 1 + sum(1 for _ in flows)
         extra["exact_count"] = min(exact, args.limit)
         extra["limit_reached"] = exact > args.limit
     _summary(out, "bounds", net, started, **extra)

@@ -96,13 +96,13 @@ def iter_optimal_flows(
     if limit is not None and limit <= 0:
         return
     first = solve_min_cost_flow(net)
-    potential = compute_node_potentials(net, first)
-    reduced_costs = compute_reduced_costs(net, potential)
-    reduced = reduce_network(net, first, reduced_costs)
     yield first
     emitted = 1
     if limit is not None and emitted >= limit:
         return
+    potential = compute_node_potentials(net, first)
+    reduced_costs = compute_reduced_costs(net, potential)
+    reduced = reduce_network(net, first, reduced_costs)
     # Each pending region is a narrowed network plus a witness flow inside it.
     pending = [(reduced.network, restrict_flow(reduced, first))]
     while pending:

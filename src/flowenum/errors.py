@@ -45,10 +45,6 @@ class NegativeCycleError(FlowError):
     """A negative residual cycle turned up where optimality was assumed."""
 
 
-class NegativeReducedCostError(FlowError):
-    """Residual reduced costs must be nonnegative to build a distance table."""
-
-
 class DifferentTreesError(FlowError):
     """LCA queries need both nodes in the same DFS tree."""
 

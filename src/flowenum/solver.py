@@ -11,7 +11,7 @@ import heapq
 from dataclasses import dataclass
 from itertools import count
 
-from .core import Flow, Network, ResidualGraph, check_feasible, validate_network
+from .core import Flow, Network, check_feasible, validate_network
 from .errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
 
 
@@ -43,12 +43,7 @@ def solve_min_cost_flow(net: Network) -> Flow:
             imbalance[arc.src] -= span[index]
             imbalance[arc.dst] += span[index]
 
-    out_arcs: list[list[int]] = [[] for _ in range(n)]
-    in_arcs: list[list[int]] = [[] for _ in range(n)]
-    for index, arc in enumerate(arcs):
-        out_arcs[arc.src].append(index)
-        in_arcs[arc.dst].append(index)
-
+    out_arcs, in_arcs = _incidence(net)
     potential = [0] * n
     while True:
         source = next((i for i in range(n) if imbalance[i] > 0), None)
@@ -87,7 +82,22 @@ def solve_min_cost_flow(net: Network) -> Flow:
     return result
 
 
+def _incidence(net: Network) -> tuple[list[list[int]], list[list[int]]]:
+    """Per node, the ids of the arcs leaving it and of the arcs entering it."""
+    out_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
+    in_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
+    for index, arc in enumerate(net.arcs):
+        out_arcs[arc.src].append(index)
+        in_arcs[arc.dst].append(index)
+    return out_arcs, in_arcs
+
+
 def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source):
+    """Shortest residual reduced-cost distances from source, plus (arc, forward) preds.
+
+    `extra` is the flow above each arc's lower bound; a residual arc whose
+    reduced cost is negative raises InvariantError.
+    """
     n = net.node_count
     dist: list[int | None] = [None] * n
     pred: list[tuple[int, bool] | None] = [None] * n
@@ -166,10 +176,3 @@ def compute_reduced_costs(net: Network, potential: NodePotential) -> tuple[int, 
     values = potential.values
     return tuple(arc.cost + values[arc.src] - values[arc.dst] for arc in net.arcs)
 
-
-def residual_reduced_costs(rg: ResidualGraph, reduced_costs) -> tuple[int, ...]:
-    """Per residual arc: the origin's reduced cost, negated on backward arcs."""
-    return tuple(
-        reduced_costs[res.origin_arc] if res.forward else -reduced_costs[res.origin_arc]
-        for res in rg.arcs
-    )

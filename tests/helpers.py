@@ -13,13 +13,13 @@ def make_network(node_count, specs, balances) -> Network:
 
 
 def random_feasible_network(rng: random.Random, max_nodes=6, max_arcs=10,
-                            max_span=3, max_cost=3):
+                            max_span=3, max_cost=3, min_nodes=2):
     """Connected instance plus a witness flow it was built around.
 
     Balances are derived from the witness, so feasibility is guaranteed.
     Parallel and anti-parallel arcs arise naturally from the random pairs.
     """
-    n = rng.randint(2, max_nodes)
+    n = rng.randint(min_nodes, max_nodes)
     specs = []
     for node in range(1, n):
         other = rng.randrange(node)
@@ -43,6 +43,30 @@ def random_feasible_network(rng: random.Random, max_nodes=6, max_arcs=10,
         balances[arc.src] += value
         balances[arc.dst] -= value
     return Network(n, tuple(arcs), tuple(balances)), Flow(tuple(witness))
+
+
+def random_grid_network(rng: random.Random, rows, cols, min_cost=-20, max_cost=50,
+                        max_span=3) -> Network:
+    """rows x cols grid, one arc of random direction per grid edge.
+
+    Balances come from a random witness flow, so the instance is feasible.
+    """
+    arcs = []
+    balances = [0] * (rows * cols)
+    for node in range(rows * cols):
+        right = node + 1 if (node + 1) % cols else None
+        down = node + cols if node + cols < rows * cols else None
+        for other in (right, down):
+            if other is None:
+                continue
+            src, dst = (node, other) if rng.random() < 0.5 else (other, node)
+            lower = rng.randint(0, 1)
+            upper = lower + rng.randint(1, max_span)
+            witness = rng.randint(lower, upper)
+            balances[src] += witness
+            balances[dst] -= witness
+            arcs.append(Arc(src, dst, lower, upper, rng.randint(min_cost, max_cost)))
+    return Network(rows * cols, tuple(arcs), tuple(balances))
 
 
 def synthetic_digraph(rng: random.Random, max_nodes=30) -> ResidualGraph:

@@ -142,6 +142,26 @@ class TestBounds:
         assert summary["exact_count"] == 11
         assert summary["feasible_upper_bound"] == 44
 
+    def test_exact_count_solves_once(self, tmp_path, monkeypatch, eleven_optima_network):
+        import flowenum.cli
+        import flowenum.enumeration
+
+        calls = []
+        solve = flowenum.enumeration.solve_min_cost_flow
+
+        def counted(net):
+            calls.append(net)
+            return solve(net)
+
+        monkeypatch.setattr(flowenum.cli, "solve_min_cost_flow", counted)
+        monkeypatch.setattr(flowenum.enumeration, "solve_min_cost_flow", counted)
+        path = write_instance(tmp_path, eleven_optima_network)
+        for argv in (["bounds", path, "--exact"], ["bounds", path]):
+            calls.clear()
+            code, _, _ = invoke(argv)
+            assert code == 0
+            assert len(calls) == 1
+
 
 class TestOracle:
     def test_feasible_mode(self, tmp_path, chain3_network):
@@ -175,6 +195,18 @@ class TestOracle:
              "--max-states", "3"]
         )
         assert code == 3 and err
+
+    def test_long_chain_exits_three_without_traceback(self, tmp_path):
+        # One fixed arc per link: the oracle's search nests once per arc.
+        links = 1500
+        lines = [f"p min {links + 1} {links}", "n 1 1", f"n {links + 1} -1"]
+        lines += [f"a {node} {node + 1} 1 1 0" for node in range(1, links + 1)]
+        path = tmp_path / "chain.min"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        code, lines, err = invoke(["oracle", str(path), "--mode", "feasible"])
+        assert code == 3
+        assert lines == []
+        assert "1500 arcs" in err and "Traceback" not in err
 
 
 class TestVerify:

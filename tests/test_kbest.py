@@ -1,84 +1,48 @@
 import random
+from dataclasses import replace
 
 import pytest
 
 from flowenum.bruteforce import enumerate_all_feasible_bruteforce, k_best_bruteforce
-from flowenum.core import Flow, ResidualArc, ResidualGraph, build_residual, flow_cost
-from flowenum.errors import NegativeReducedCostError
-from flowenum.kbest import (
-    INF,
-    candidate_arc_set,
-    distance_table,
-    find_second_best_flow,
-    iter_k_best_flows,
-    shortest_path_arcs,
-)
-from flowenum.solver import solve_min_cost_flow
+from flowenum.core import Flow, check_feasible, flow_cost
+from flowenum.errors import InfeasibleError, InvariantError
+from flowenum.kbest import find_second_best_flow, iter_k_best_flows
+from flowenum.solver import _dijkstra, _incidence, solve_min_cost_flow
 
-from helpers import make_network, random_feasible_network
+from helpers import make_network, random_feasible_network, random_grid_network
 
 
-def graph_of(arc_specs, node_count):
-    arcs = tuple(ResidualArc(src, dst, 1, cost, index, True)
-                 for index, (src, dst, cost) in enumerate(arc_specs))
-    out_lists = [[] for _ in range(node_count)]
-    for index, res in enumerate(arcs):
-        out_lists[res.src].append(index)
-    return ResidualGraph(node_count, arcs, tuple(tuple(lst) for lst in out_lists))
+def dijkstra_from(net, flow, potential, source):
+    """The solver's residual Dijkstra, set up the way find_second_best_flow sets it up."""
+    span = [arc.span for arc in net.arcs]
+    extra = [value - arc.lower for arc, value in zip(net.arcs, flow.values)]
+    out_arcs, in_arcs = _incidence(net)
+    return _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source)
 
 
-class TestDistanceTable:
-    def test_diagonal_is_zero(self):
-        rg = graph_of([(0, 1, 5)], 3)
-        table = distance_table(rg, (5,))
-        assert all(table.dist[i][i] == 0 for i in range(3))
+class TestResidualDijkstra:
+    def test_source_distance_is_zero(self):
+        net = make_network(3, [(0, 1, 0, 1, 5)], (0, 0, 0))
+        for source in range(3):
+            dist, pred = dijkstra_from(net, Flow((0,)), (0, 0, 0), source)
+            assert dist[source] == 0 and pred[source] is None
 
     def test_single_arc(self):
-        rg = graph_of([(0, 1, 5)], 2)
-        table = distance_table(rg, (5,))
-        assert table.dist[0][1] == 5
-        assert table.dist[1][0] == INF
+        net = make_network(2, [(0, 1, 0, 1, 5)], (0, 0))
+        dist, pred = dijkstra_from(net, Flow((0,)), (0, 0), 0)
+        assert dist == [0, 5]
+        assert pred[1] == (0, True)
 
-    def test_zero_cost_detour_beats_direct_arc(self):
-        rg = graph_of([(0, 1, 0), (1, 2, 0), (0, 2, 1)], 3)
-        table = distance_table(rg, (0, 0, 1))
-        assert table.dist[0][2] == 0
-        assert shortest_path_arcs(table, rg, 0, 2) == [0, 1]
+    def test_unreachable_node_is_none(self):
+        net = make_network(2, [(0, 1, 0, 1, 5)], (0, 0))
+        dist, pred = dijkstra_from(net, Flow((0,)), (0, 0), 1)
+        assert dist == [None, 0]
+        assert pred == [None, None]
 
-    def test_negative_cost_rejected(self):
-        rg = graph_of([(0, 1, -1)], 2)
-        with pytest.raises(NegativeReducedCostError):
-            distance_table(rg, (-1,))
-
-    def test_unreachable_path_is_none(self):
-        rg = graph_of([(0, 1, 5)], 2)
-        table = distance_table(rg, (5,))
-        assert shortest_path_arcs(table, rg, 1, 0) is None
-
-
-class TestCandidateArcSet:
-    def test_interior_arc_contributes_nothing(self):
-        net = make_network(2, [(0, 1, 0, 4, 1)], (2, -2))
-        flow = Flow((2,))
-        rg = build_residual(net, flow)
-        assert candidate_arc_set(net, flow, rg) == ()
-
-    def test_eleven_optima_members(self, eleven_optima_network, eleven_optima_flow):
-        rg = build_residual(eleven_optima_network, eleven_optima_flow)
-        chosen = candidate_arc_set(eleven_optima_network, eleven_optima_flow, rg)
-        picked = {(rg.arcs[i].src, rg.arcs[i].dst, rg.arcs[i].forward) for i in chosen}
-        assert (2, 3, True) in picked      # (c,d) forward: c->d sits at its lower bound
-        assert (3, 1, False) in picked     # (d,b) backward: b->d sits at its upper bound
-
-    def test_no_antiparallel_partner_in_residual_graph(self):
-        rng = random.Random(5150)
-        for _ in range(60):
-            net, flow = random_feasible_network(rng)
-            rg = build_residual(net, flow)
-            live = {(res.origin_arc, res.forward) for res in rg.arcs}
-            for index in candidate_arc_set(net, flow, rg):
-                res = rg.arcs[index]
-                assert (res.origin_arc, not res.forward) not in live
+    def test_negative_reduced_cost_raises(self):
+        net = make_network(2, [(0, 1, 0, 1, -1)], (0, 0))
+        with pytest.raises(InvariantError):
+            dijkstra_from(net, Flow((0,)), (0, 0), 0)
 
 
 class TestFindSecondBest:
@@ -95,6 +59,41 @@ class TestFindSecondBest:
 
     def test_unique_flow_network_has_none(self, forced_network):
         assert find_second_best_flow(forced_network, Flow((2, 2))) is None
+
+    def test_interior_arc_gives_no_cycle(self):
+        # Strictly inside its bounds, the arc has residual arcs both ways,
+        # and a cycle of the two would use it in both directions.
+        net = make_network(2, [(0, 1, 0, 4, 1)], (2, -2))
+        assert find_second_best_flow(net, Flow((2,))) is None
+
+    def test_cheapest_cycle_takes_zero_cost_detour(self):
+        # The optimum uses arc 0 (0->2); undoing it, the way back from 0 to
+        # 2 costs 0 in reduced costs through 0->1->2 and 1 along arc 1.
+        net = make_network(
+            3,
+            [(0, 2, 0, 1, 1), (0, 2, 0, 1, 3), (0, 1, 0, 1, 1), (1, 2, 0, 1, 1)],
+            (1, 0, -1),
+        )
+        best = solve_min_cost_flow(net)
+        assert best == Flow((1, 0, 0, 0))
+        second = find_second_best_flow(net, best)
+        assert second == Flow((0, 0, 1, 1))
+        assert flow_cost(net, second) == 2
+
+    def test_step_is_one_unit_around_a_proper_cycle(self):
+        rng = random.Random(5150)
+        moved = 0
+        for _ in range(120):
+            net, _ = random_feasible_network(rng)
+            best = solve_min_cost_flow(net)
+            second = find_second_best_flow(net, best)
+            if second is None or flow_cost(net, second) == flow_cost(net, best):
+                continue
+            moved += 1
+            assert check_feasible(net, second)
+            changes = [b - a for a, b in zip(best.values, second.values)]
+            assert set(changes) <= {-1, 0, 1} and any(changes)
+        assert moved > 20
 
     def test_matches_bruteforce_second_cost(self):
         rng = random.Random(616)
@@ -150,3 +149,39 @@ class TestKBest:
             assert mine_costs == [flow_cost(net, flow) for flow in reference]
             assert mine_costs == sorted(mine_costs)
             assert len({flow.values for flow in mine}) == len(mine)
+
+
+def single_arc_restrictions(net, best):
+    """Every flow other than `best` lies in one of these networks."""
+    for index, arc in enumerate(net.arcs):
+        value = best.values[index]
+        halves = []
+        if value > arc.lower:
+            halves.append(replace(arc, upper=value - 1))
+        if value < arc.upper:
+            halves.append(replace(arc, lower=value + 1))
+        for half in halves:
+            yield replace(net, arcs=net.arcs[:index] + (half,) + net.arcs[index + 1:])
+
+
+class TestSecondBestOnGrids:
+    def test_matches_the_cheapest_single_arc_restriction(self):
+        # Grids far too large for the oracle: the second-best cost must be
+        # the cheapest optimum over the networks that exclude `best`.
+        rng = random.Random(7)
+        for side in [6] * 17 + [7, 7, 8]:
+            net = random_grid_network(rng, side, side)
+            best = solve_min_cost_flow(net)
+            reference = None
+            for restricted in single_arc_restrictions(net, best):
+                try:
+                    cost = flow_cost(restricted, solve_min_cost_flow(restricted))
+                except InfeasibleError:
+                    continue
+                reference = cost if reference is None else min(reference, cost)
+            second = find_second_best_flow(net, best)
+            if reference is None:
+                assert second is None
+            else:
+                assert check_feasible(net, second)
+                assert flow_cost(net, second) == reference
