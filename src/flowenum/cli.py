@@ -74,7 +74,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     kbest = commands.add_parser("kbest", help="list the K cheapest integer flows")
     kbest.add_argument("file")
-    kbest.add_argument("k", type=int)
+    kbest.add_argument("k", type=_positive_int)
 
     bounds = commands.add_parser(
         "bounds", help="bounds on the number of optimal and feasible flows"
@@ -86,17 +86,17 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle = commands.add_parser("oracle", help="brute-force reference enumeration")
     oracle.add_argument("file")
     oracle.add_argument("--mode", choices=("feasible", "optimal", "kbest"), required=True)
-    oracle.add_argument("--k", type=int, help="prefix length for --mode kbest")
-    oracle.add_argument("--max-states", type=int, default=EnumerationBudget.max_states)
-    oracle.add_argument("--max-flows", type=int, default=EnumerationBudget.max_flows)
+    oracle.add_argument("--k", type=_positive_int, help="prefix length for --mode kbest")
+    oracle.add_argument("--max-states", type=_positive_int, default=EnumerationBudget.max_states)
+    oracle.add_argument("--max-flows", type=_positive_int, default=EnumerationBudget.max_flows)
 
     verify = commands.add_parser(
         "verify", help="diff the optimal-flow enumeration against the brute-force oracle"
     )
     verify.add_argument("file")
     verify.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
-    verify.add_argument("--max-states", type=int, default=EnumerationBudget.max_states)
-    verify.add_argument("--max-flows", type=int, default=EnumerationBudget.max_flows)
+    verify.add_argument("--max-states", type=_positive_int, default=EnumerationBudget.max_states)
+    verify.add_argument("--max-flows", type=_positive_int, default=EnumerationBudget.max_flows)
 
     return parser
 
@@ -131,7 +131,7 @@ def _cmd_enumerate(args, net, out, started) -> int:
     emitted = 0
     best_cost = None
     # One flow past the limit tells whether the limit really cut the run short.
-    flows = iter_optimal_flows(net, limit=args.limit + 1)
+    flows = iter_optimal_flows(net)
     for flow in islice(flows, args.limit):
         if best_cost is None:
             best_cost = flow_cost(net, flow)
@@ -163,7 +163,7 @@ def _cmd_kbest(args, net, out, started) -> int:
 def _cmd_bounds(args, net, out, started) -> int:
     # The enumeration's first flow is the solver's optimum, so --exact
     # counts on from it instead of solving the instance a second time.
-    flows = iter_optimal_flows(net, limit=args.limit + 1)
+    flows = islice(iter_optimal_flows(net), args.limit + 1)
     flow = next(flows)
     tree_flow, structure = to_tree_solution(net, flow)
     zero_arcs = zero_cost_nontree_set(structure)
@@ -193,8 +193,8 @@ def _cmd_oracle(args, net, out, started) -> int:
     elif args.mode == "optimal":
         flows = enumerate_all_optimal_bruteforce(net, budget)
     else:
-        if args.k is None or args.k < 1:
-            raise _UsageError("--mode kbest needs --k with a positive value")
+        if args.k is None:
+            raise _UsageError("--mode kbest needs --k")
         flows = k_best_bruteforce(net, args.k, budget)
     for flow in flows:
         _emit_flow(out, net, flow)
@@ -204,7 +204,7 @@ def _cmd_oracle(args, net, out, started) -> int:
 
 def _cmd_verify(args, net, out, started) -> int:
     budget = EnumerationBudget(args.max_states, args.max_flows)
-    enumerated = {flow.values for flow in iter_optimal_flows(net, limit=args.limit)}
+    enumerated = {flow.values for flow in islice(iter_optimal_flows(net), args.limit)}
     reference = {flow.values for flow in enumerate_all_optimal_bruteforce(net, budget)}
     match = enumerated == reference
     _summary(
@@ -243,7 +243,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     started = time.perf_counter()
     try:
         text = Path(args.file).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         print(f"flowenum: cannot read {args.file}: {exc}", file=err)
         return 2
     try:
@@ -255,7 +255,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
     try:
         return _HANDLERS[args.command](args, net, out, started)
-    except (_UsageError, ValueError) as exc:
+    except _UsageError as exc:
         print(f"flowenum: {exc}", file=err)
         return 2
     except InfeasibleError as exc:

@@ -1,12 +1,12 @@
 """All-optimal-flow enumeration by binary partition of the solution space.
 
-The network is reduced once: arcs with nonzero reduced cost are frozen at
-the initial optimum and dropped, balances absorb their flow, and every
-feasible flow of what remains extends to an optimal flow of the original
-network.  Each discovered flow then splits its search region into two
-disjoint halves on the first arc where it differs from the region's
-witness, so no flow is ever produced twice.  A region is simply the reduced
-network with some capacity bounds tightened.
+The optimal face is found once: every arc with nonzero reduced cost is
+pinned at its value in the initial optimum, so the feasible flows of what
+remains are exactly the optimal flows of the original network.  Each
+discovered flow then splits its search region into two disjoint halves on
+the first arc where it differs from the region's witness, so no flow is
+ever produced twice.  A region is simply the network with some capacity
+bounds tightened, and its flows index the original arcs.
 """
 
 from __future__ import annotations
@@ -25,47 +25,22 @@ class EnumerationStats:
     another_flow_calls: int = 0
 
 
-@dataclass(frozen=True)
-class ReducedNetwork:
-    base: Network
-    kept_arcs: tuple[int, ...]
-    removed_arcs: tuple[int, ...]
-    balances: tuple[int, ...]
-    network: Network
+def optimal_face(net: Network, flow: Flow, reduced_costs) -> Network:
+    """`net` with every nonzero-reduced-cost arc pinned at its value in `flow`.
 
-
-def reduce_network(net: Network, flow: Flow, reduced_costs) -> ReducedNetwork:
-    """Restrict to zero-reduced-cost arcs; balances absorb the frozen flow."""
-    kept = tuple(a for a in range(net.arc_count) if reduced_costs[a] == 0)
-    removed = tuple(a for a in range(net.arc_count) if reduced_costs[a] != 0)
-    balances = list(net.balances)
-    for index in removed:
-        arc = net.arcs[index]
-        balances[arc.src] -= flow.values[index]
-        balances[arc.dst] += flow.values[index]
-    inner = Network(net.node_count, tuple(net.arcs[a] for a in kept), tuple(balances))
-    return ReducedNetwork(net, kept, removed, tuple(balances), inner)
-
-
-def restrict_flow(reduced: ReducedNetwork, flow: Flow) -> Flow:
-    return Flow(tuple(flow.values[a] for a in reduced.kept_arcs))
-
-
-def splice_flow(reduced: ReducedNetwork, base_flow: Flow, inner_flow: Flow) -> Flow:
-    """Inner flow on the kept arcs, the frozen base flow everywhere else."""
-    values = list(base_flow.values)
-    for position, arc_id in enumerate(reduced.kept_arcs):
-        values[arc_id] = inner_flow.values[position]
-    return Flow(tuple(values))
-
-
-def find_another_optimal_flow(net: Network, flow: Flow, reduced_costs) -> Flow | None:
-    """An optimal flow different from the input one, or None if it is unique."""
-    reduced = reduce_network(net, flow, reduced_costs)
-    other = find_another_feasible_flow(reduced.network, restrict_flow(reduced, flow))
-    if other is None:
-        return None
-    return splice_flow(reduced, flow, other)
+    `flow` is optimal and `reduced_costs` come from optimal potentials.  By
+    complementary slackness every optimal flow holds an arc of positive
+    reduced cost at its lower bound and one of negative reduced cost at its
+    upper bound, which is where `flow` holds it; a flow that agrees with
+    `flow` on those arcs has the same cost.  So the feasible flows of the
+    face are exactly the optimal flows of `net`.  Every arc that is not
+    pinned is the same object as in `net`.
+    """
+    arcs = tuple(
+        replace(arc, lower=value, upper=value) if reduced and arc.span else arc
+        for arc, value, reduced in zip(net.arcs, flow.values, reduced_costs)
+    )
+    return replace(net, arcs=arcs)
 
 
 def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Network, Network]:
@@ -86,25 +61,18 @@ def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Net
     raise IdenticalFlowsError("cannot partition on two identical flows")
 
 
-def iter_optimal_flows(
-    net: Network,
-    limit: int | None = None,
-    stats: EnumerationStats | None = None,
-) -> Iterator[Flow]:
-    """Every optimal integer flow exactly once, the solver's optimum first."""
+def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> Iterator[Flow]:
+    """Every optimal integer flow exactly once, the solver's optimum first.
+
+    The count can be exponential; stop the generator when enough flows have
+    come, e.g. with `itertools.islice`.
+    """
     validate_network(net)
-    if limit is not None and limit <= 0:
-        return
     first = solve_min_cost_flow(net)
     yield first
-    emitted = 1
-    if limit is not None and emitted >= limit:
-        return
-    potential = compute_node_potentials(net, first)
-    reduced_costs = compute_reduced_costs(net, potential)
-    reduced = reduce_network(net, first, reduced_costs)
+    reduced_costs = compute_reduced_costs(net, compute_node_potentials(net, first))
     # Each pending region is a narrowed network plus a witness flow inside it.
-    pending = [(reduced.network, restrict_flow(reduced, first))]
+    pending = [(optimal_face(net, first, reduced_costs), first)]
     while pending:
         region, witness = pending.pop()
         if stats is not None:
@@ -112,10 +80,7 @@ def iter_optimal_flows(
         other = find_another_feasible_flow(region, witness)
         if other is None:
             continue
-        yield splice_flow(reduced, first, other)
-        emitted += 1
-        if limit is not None and emitted >= limit:
-            return
+        yield other
         keep_here, move_there = partition_solution_space(region, witness, other)
         pending.append((move_there, other))
         pending.append((keep_here, witness))

@@ -1,11 +1,11 @@
 """Ranked flow enumeration: K distinct flows in nondecreasing cost order.
 
-A second-best flow is either another optimum (found through the reduced
-network) or one unit pushed around the cheapest proper cycle.  That cycle
-is an arc sitting at one of its bounds plus the shortest way back from its
-head to its tail, found with the solver's Dijkstra over residual reduced
-costs.  Regions of the solution space are then split exactly as in the
-all-optimal search and ranked on a heap keyed by challenger cost.
+A second-best flow is either another optimum (another feasible flow of the
+optimal face) or one unit pushed around the cheapest proper cycle.  That
+cycle is an arc sitting at one of its bounds plus the shortest way back
+from its head to its tail, found with the solver's Dijkstra over residual
+reduced costs.  Regions of the solution space are then split exactly as
+in the all-optimal search and ranked on a heap keyed by challenger cost.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ from itertools import count
 from typing import Iterator
 
 from .core import Flow, Network, flow_cost, validate_network
-from .enumeration import find_another_optimal_flow, partition_solution_space
+from .dfs import find_another_feasible_flow
+from .enumeration import optimal_face, partition_solution_space
 from .errors import InvariantError
 from .solver import (
     _dijkstra,
@@ -30,7 +31,7 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     """The cheapest flow different from an optimal one; ties come first."""
     potential = compute_node_potentials(net, flow)
     reduced_costs = compute_reduced_costs(net, potential)
-    tied = find_another_optimal_flow(net, flow, reduced_costs)
+    tied = find_another_feasible_flow(optimal_face(net, flow, reduced_costs), flow)
     if tied is not None:
         return tied
     # The flow is the unique optimum, so the next flow is one unit around the
@@ -53,7 +54,7 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
         else:
             continue
         if head not in searches:
-            searches[head] = _dijkstra(net, span, extra, potential.values, out_arcs, in_arcs, head)
+            searches[head] = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, head)
         back = searches[head][0][tail]
         if back is not None and (best_total is None or weight + back < best_total):
             best_total = weight + back

@@ -8,19 +8,10 @@ cost nonnegative), and each augmentation runs Dijkstra with potentials.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from itertools import count
 
 from .core import Flow, Network, check_feasible, validate_network
 from .errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
-
-
-@dataclass(frozen=True)
-class NodePotential:
-    """Per-node potentials making every residual reduced cost nonnegative."""
-
-    values: tuple[int, ...]
-    root: int
 
 
 def solve_min_cost_flow(net: Network) -> Flow:
@@ -133,10 +124,10 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source):
     return dist, pred
 
 
-def compute_node_potentials(net: Network, flow: Flow, root: int = 0) -> NodePotential:
-    """Shortest-path distances from the root across the residual graph.
+def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
+    """Shortest-path distances from node 0 across the residual graph.
 
-    Nodes the root cannot reach are seeded as if an artificial arc of cost
+    Nodes that node 0 cannot reach are seeded as if an artificial arc of cost
     1 + sum(|cost| * max(1, upper)) led there, which is too expensive to
     shadow any real path.  Raises NegativeCycleError when the residual graph
     has a negative cycle, i.e. the flow was not optimal.
@@ -146,7 +137,7 @@ def compute_node_potentials(net: Network, flow: Flow, root: int = 0) -> NodePote
     n = net.node_count
     big = 1 + sum(abs(arc.cost) * max(1, arc.upper) for arc in net.arcs)
     dist = [big] * n
-    dist[root] = 0
+    dist[0] = 0
     edges = []
     for arc, value in zip(net.arcs, flow.values):
         if value < arc.upper:
@@ -168,11 +159,10 @@ def compute_node_potentials(net: Network, flow: Flow, root: int = 0) -> NodePote
                 raise NegativeCycleError(
                     "residual graph has a negative cycle; the flow is not optimal"
                 )
-    return NodePotential(tuple(dist), root)
+    return tuple(dist)
 
 
-def compute_reduced_costs(net: Network, potential: NodePotential) -> tuple[int, ...]:
+def compute_reduced_costs(net: Network, potential) -> tuple[int, ...]:
     """Per original arc: cost + potential(src) - potential(dst)."""
-    values = potential.values
-    return tuple(arc.cost + values[arc.src] - values[arc.dst] for arc in net.arcs)
+    return tuple(arc.cost + potential[arc.src] - potential[arc.dst] for arc in net.arcs)
 

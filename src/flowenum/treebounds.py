@@ -33,7 +33,6 @@ class TreeStructure:
     lower_set: frozenset[int]
     upper_set: frozenset[int]
     potentials: tuple[int, ...]
-    root: int
     parent_node: tuple[int, ...]
     parent_arc: tuple[int, ...]
     depth: tuple[int, ...]
@@ -73,7 +72,8 @@ def _headroom(net: Network, values, arc_id: int, sign: int) -> int:
     return arc.upper - values[arc_id] if sign > 0 else values[arc_id] - arc.lower
 
 
-def _tree_tables(net: Network, tree_arcs, root: int = 0):
+def _tree_tables(net: Network, tree_arcs):
+    """Parent links, depths and potentials of the tree, rooted at node 0."""
     parent_node = [-1] * net.node_count
     parent_arc = [-1] * net.node_count
     depth = [0] * net.node_count
@@ -84,8 +84,8 @@ def _tree_tables(net: Network, tree_arcs, root: int = 0):
         adjacency[arc.src].append((arc.dst, arc_id))
         adjacency[arc.dst].append((arc.src, arc_id))
     seen = [False] * net.node_count
-    seen[root] = True
-    stack = [root]
+    seen[0] = True
+    stack = [0]
     while stack:
         node = stack.pop()
         for neighbor, arc_id in adjacency[node]:
@@ -265,7 +265,7 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]) -> list[int]:
         ]
         leaving = min(blocking)
         tree = sorted([t for t in tree if t != leaving] + [entering])
-    raise RuntimeError("tree pivoting did not terminate")
+    raise InvariantError("tree pivoting did not terminate")
 
 
 def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
@@ -299,7 +299,6 @@ def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
         lower_set,
         upper_set,
         tuple(potentials),
-        0,
         tuple(parent_node),
         tuple(parent_arc),
         tuple(depth),

@@ -1,8 +1,17 @@
 import io
 import json
+import random
+from dataclasses import replace
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import flowenum.cli
 from flowenum.cli import run
 from flowenum.dimacs import serialize_dimacs
+
+from helpers import random_feasible_network
 
 
 def invoke(argv):
@@ -114,9 +123,9 @@ class TestKBest:
         assert summary["count"] == 2 and summary["requested"] == 2
 
     def test_bad_k_is_usage_error(self, tmp_path, chain3_network):
-        code, _, err = invoke(["kbest", write_instance(tmp_path, chain3_network), "0"])
-        assert code == 2
-        assert err
+        code, lines, err = invoke(["kbest", write_instance(tmp_path, chain3_network), "0"])
+        assert code == 2 and lines == []
+        assert "positive integer" in err
 
 
 class TestBounds:
@@ -189,6 +198,16 @@ class TestOracle:
         flows, _ = flows_and_summary(lines)
         assert [flow["cost"] for flow in flows] == [1, 2]
 
+    def test_nonpositive_budget_is_usage_error(self, tmp_path, chain3_network):
+        path = write_instance(tmp_path, chain3_network)
+        for argv in (["oracle", path, "--mode", "feasible", "--max-states", "0"],
+                     ["oracle", path, "--mode", "optimal", "--max-flows", "-1"],
+                     ["oracle", path, "--mode", "kbest", "--k", "0"],
+                     ["verify", path, "--max-states", "0"]):
+            code, lines, err = invoke(argv)
+            assert code == 2 and lines == []
+            assert "positive integer" in err
+
     def test_budget_exceeded_exits_three(self, tmp_path, eleven_optima_network):
         code, _, err = invoke(
             ["oracle", write_instance(tmp_path, eleven_optima_network), "--mode", "feasible",
@@ -235,6 +254,22 @@ class TestErrorPaths:
         code, _, err = invoke(["solve", str(path)])
         assert code == 2 and err
 
+    def test_undecodable_file(self, tmp_path):
+        path = tmp_path / "binary.min"
+        path.write_bytes(b"p min 2 1\n\xff\xfe\n")
+        code, lines, err = invoke(["solve", str(path)])
+        assert code == 2 and lines == []
+        assert "cannot read" in err
+
+    def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, chain3_network):
+        def broken(args, net, out, started):
+            raise ValueError("a bug, not bad input")
+
+        monkeypatch.setitem(flowenum.cli._HANDLERS, "solve", broken)
+        with pytest.raises(ValueError, match="a bug"):
+            run(["solve", write_instance(tmp_path, chain3_network)],
+                stdout=io.StringIO(), stderr=io.StringIO())
+
     def test_unknown_command(self):
         code, _, _ = invoke(["frobnicate", "x"])
         assert code == 2
@@ -245,3 +280,60 @@ class TestErrorPaths:
         assert code == 0
         for line in out.getvalue().splitlines():
             json.loads(line)
+
+
+# Every command the property drives, with the instance path spliced in at
+# index 1; verify's limit and budget keep corrupted capacities cheap.
+FUZZED_COMMANDS = (
+    ["solve"],
+    ["enumerate", "--limit", "5"],
+    ["kbest", "3"],
+    ["bounds", "--exact", "--limit", "5"],
+    ["verify", "--limit", "50", "--max-states", "20000"],
+)
+
+# Byte edits: digits grow or change numbers, the rest break records and
+# encodings.  At most three edits keep any declared count below 10**4.
+EDIT_BYTES = b"09- \na_\xff"
+
+
+@st.composite
+def instance_bytes(draw):
+    """A small seeded network in DIMACS form, sometimes shifted or corrupted."""
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    net, _ = random_feasible_network(rng, max_nodes=5, max_arcs=7, max_span=2)
+    if draw(st.booleans()):
+        # Still balanced, but one unit of supply moves, so it may be infeasible.
+        balances = list(net.balances)
+        balances[0] += 1
+        balances[-1] -= 1
+        net = replace(net, balances=tuple(balances))
+    data = bytearray(serialize_dimacs(net).encode("ascii"))
+    edits = draw(st.integers(1, 3)) if draw(st.booleans()) else 0
+    for _ in range(edits):
+        at = draw(st.integers(0, len(data)))
+        byte = draw(st.sampled_from(EDIT_BYTES))
+        kind = draw(st.sampled_from(("insert", "delete", "replace")))
+        if kind == "insert" or at == len(data):
+            data.insert(at, byte)
+        elif kind == "delete":
+            del data[at]
+        else:
+            data[at] = byte
+    return bytes(data)
+
+
+class TestRunProperty:
+    @settings(max_examples=60, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(data=instance_bytes())
+    def test_exit_codes_and_stdout_stay_well_formed(self, tmp_path, data):
+        path = tmp_path / "fuzzed.min"
+        path.write_bytes(data)
+        for words in FUZZED_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            code = run([words[0], str(path), *words[1:]], stdout=out, stderr=err)
+            assert code in (0, 1, 2, 3), (words, code, err.getvalue())
+            lines = [json.loads(line) for line in out.getvalue().splitlines()]
+            if code == 0:
+                assert lines[-1]["command"] == words[0]

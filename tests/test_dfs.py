@@ -202,14 +202,13 @@ class TestFindAnotherFeasibleFlow:
         assert find_another_feasible_flow(forced_network, only) is None
 
     def test_reduced_blocked_instance_has_no_other_flow(self, blocked_cycle_network, blocked_cycle_flow):
-        from flowenum.enumeration import reduce_network, restrict_flow
+        from flowenum.enumeration import optimal_face
         from flowenum.solver import compute_node_potentials, compute_reduced_costs
 
         potential = compute_node_potentials(blocked_cycle_network, blocked_cycle_flow)
         reduced_costs = compute_reduced_costs(blocked_cycle_network, potential)
-        reduced = reduce_network(blocked_cycle_network, blocked_cycle_flow, reduced_costs)
-        inner = restrict_flow(reduced, blocked_cycle_flow)
-        assert find_another_feasible_flow(reduced.network, inner) is None
+        face = optimal_face(blocked_cycle_network, blocked_cycle_flow, reduced_costs)
+        assert find_another_feasible_flow(face, blocked_cycle_flow) is None
 
     def test_infeasible_input_rejected(self, zerocycle_network):
         with pytest.raises(InfeasibleFlowError):

@@ -1,15 +1,16 @@
 import random
+from itertools import islice
 
 import pytest
 
 from flowenum.bruteforce import enumerate_all_optimal_bruteforce
 from flowenum.core import Flow, check_feasible, flow_cost
+from flowenum.dfs import find_another_feasible_flow
 from flowenum.enumeration import (
     EnumerationStats,
-    find_another_optimal_flow,
     iter_optimal_flows,
+    optimal_face,
     partition_solution_space,
-    reduce_network,
 )
 from flowenum.errors import IdenticalFlowsError, InfeasibleError
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
@@ -21,47 +22,50 @@ def reduced_costs_of(net, flow):
     return compute_reduced_costs(net, compute_node_potentials(net, flow))
 
 
-class TestReduceNetwork:
-    def test_eleven_optima_drops_the_expensive_arcs(self, eleven_optima_network, eleven_optima_flow):
-        reduced = reduce_network(eleven_optima_network, eleven_optima_flow, reduced_costs_of(eleven_optima_network, eleven_optima_flow))
-        assert reduced.removed_arcs == (0, 1)
-        assert reduced.kept_arcs == (2, 3, 4, 5, 6)
-        assert reduced.balances == eleven_optima_network.balances  # removed arcs carry no flow
+def face_of(net, flow):
+    return optimal_face(net, flow, reduced_costs_of(net, flow))
 
-    def test_all_zero_reduced_costs_keep_everything(self, twocycle_network):
-        reduced = reduce_network(twocycle_network, Flow((0, 0)), (0, 0))
-        assert reduced.kept_arcs == (0, 1)
-        assert reduced.network == twocycle_network
 
-    def test_saturated_removed_arc_shifts_balances(self):
+def bounds_of(net, arc_id):
+    return net.arcs[arc_id].lower, net.arcs[arc_id].upper
+
+
+class TestOptimalFace:
+    def test_eleven_optima_pins_the_expensive_arcs(self, eleven_optima_network, eleven_optima_flow):
+        face = face_of(eleven_optima_network, eleven_optima_flow)
+        assert bounds_of(face, 0) == bounds_of(face, 1) == (0, 0)
+        assert face.balances == eleven_optima_network.balances
+        for arc_id in range(2, 7):
+            assert face.arcs[arc_id] is eleven_optima_network.arcs[arc_id]
+
+    def test_all_zero_reduced_costs_change_nothing(self, twocycle_network):
+        face = optimal_face(twocycle_network, Flow((0, 0)), (0, 0))
+        assert face == twocycle_network
+        assert all(mine is base for mine, base in zip(face.arcs, twocycle_network.arcs))
+
+    def test_saturated_costly_arc_is_pinned_at_its_value(self):
         net = make_network(2, [(0, 1, 0, 1, 5)], (1, -1))
-        reduced = reduce_network(net, Flow((1,)), (5,))
-        assert reduced.kept_arcs == ()
-        assert reduced.balances == (0, 0)
+        face = optimal_face(net, Flow((1,)), (5,))
+        assert bounds_of(face, 0) == (1, 1)
+        assert face.balances == (1, -1)
 
 
 class TestFindAnotherOptimalFlow:
     def test_eleven_optima(self, eleven_optima_network, eleven_optima_flow):
-        other = find_another_optimal_flow(
-            eleven_optima_network, eleven_optima_flow, reduced_costs_of(eleven_optima_network, eleven_optima_flow)
+        other = find_another_feasible_flow(
+            face_of(eleven_optima_network, eleven_optima_flow), eleven_optima_flow
         )
         assert other == Flow((0, 0, 0, 5, 1, 11, 3))
         assert flow_cost(eleven_optima_network, other) == 0
 
     def test_blocked_instance_is_unique(self, blocked_cycle_network, blocked_cycle_flow):
-        assert find_another_optimal_flow(
-            blocked_cycle_network, blocked_cycle_flow, reduced_costs_of(blocked_cycle_network, blocked_cycle_flow)
+        assert find_another_feasible_flow(
+            face_of(blocked_cycle_network, blocked_cycle_flow), blocked_cycle_flow
         ) is None
 
     def test_forced_network_is_unique(self, forced_network):
         flow = Flow((2, 2))
-        assert find_another_optimal_flow(
-            forced_network, flow, reduced_costs_of(forced_network, flow)
-        ) is None
-
-
-def bounds_of(net, arc_id):
-    return net.arcs[arc_id].lower, net.arcs[arc_id].upper
+        assert find_another_feasible_flow(face_of(forced_network, flow), flow) is None
 
 
 class TestPartition:
@@ -114,8 +118,8 @@ class TestEnumerateAllOptimal:
         assert flows[0] == solve_min_cost_flow(eleven_optima_network)
 
     def test_limit_stops_early(self, eleven_optima_network):
-        assert len(list(iter_optimal_flows(eleven_optima_network, limit=5))) == 5
-        assert list(iter_optimal_flows(eleven_optima_network, limit=0)) == []
+        assert len(list(islice(iter_optimal_flows(eleven_optima_network), 5))) == 5
+        assert list(islice(iter_optimal_flows(eleven_optima_network), 0)) == []
 
     def test_infeasible_network_raises(self):
         net = make_network(2, [(0, 1, 0, 0, 1)], (1, -1))

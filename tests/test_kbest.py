@@ -52,7 +52,7 @@ class TestFindSecondBest:
         assert second == Flow((0, 0, 1))
         assert flow_cost(chain3_network, second) == 2
 
-    def test_ties_are_served_before_the_distance_table(self, eleven_optima_network, eleven_optima_flow):
+    def test_ties_are_served_before_the_cheapest_cycle(self, eleven_optima_network, eleven_optima_flow):
         second = find_second_best_flow(eleven_optima_network, eleven_optima_flow)
         assert second is not None and second != eleven_optima_flow
         assert flow_cost(eleven_optima_network, second) == 0

@@ -5,7 +5,8 @@ import pytest
 from flowenum.bruteforce import enumerate_all_feasible_bruteforce
 from flowenum.core import Flow, build_residual, check_feasible, flow_cost
 from flowenum.enumeration import iter_optimal_flows
-from flowenum.errors import ArcInTreeError, CycleEntirelyInTreeError
+from flowenum import treebounds
+from flowenum.errors import ArcInTreeError, CycleEntirelyInTreeError, InvariantError
 from flowenum.solver import solve_min_cost_flow
 from flowenum.treebounds import (
     COUNT_CAP,
@@ -79,6 +80,11 @@ class TestToTreeSolution:
             for arc_id in ts.upper_set:
                 if net.arcs[arc_id].span:
                     assert ts.reduced_cost(arc_id) <= 0
+
+    def test_pivot_cap_is_an_invariant_error(self, monkeypatch, eleven_optima_network, eleven_optima_flow):
+        monkeypatch.setattr(treebounds, "_PIVOT_CAP", 0)
+        with pytest.raises(InvariantError, match="did not terminate"):
+            to_tree_solution(eleven_optima_network, eleven_optima_flow)
 
 
 class TestInducedCycle:
