@@ -4,8 +4,12 @@ A second-best flow is either another optimum (another feasible flow of the
 optimal face) or one unit pushed around the cheapest proper cycle.  That
 cycle is an arc sitting at one of its bounds plus the shortest way back
 from its head to its tail, found with the solver's Dijkstra over residual
-reduced costs.  Regions of the solution space are then split exactly as
-in the all-optimal search and ranked on a heap keyed by challenger cost.
+reduced costs.  Heads are searched best first, in order of their cheapest
+candidate arc, and each search is bounded: it stops at the radius past
+which it cannot beat the best cycle found so far, or once every candidate
+tail of its head is settled.  Regions of the solution space are then split
+exactly as in the all-optimal search and ranked on a heap keyed by
+challenger cost.
 """
 
 from __future__ import annotations
@@ -41,29 +45,43 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     arcs = net.arcs
     span = [arc.span for arc in arcs]
     extra = [value - arc.lower for arc, value in zip(arcs, flow.values)]
-    out_arcs, in_arcs = _incidence(net)
-    searches: dict[int, tuple] = {}  # head -> (dist, pred) of one full Dijkstra
-    best_total = best = None
+    # Pruned searches scan only part of the residual graph, so its reduced
+    # costs are all checked here; this also makes every candidate weight >= 0.
+    for index, reduced in enumerate(reduced_costs):
+        if (reduced < 0 and extra[index] < span[index]) or (reduced > 0 and extra[index] > 0):
+            raise InvariantError(f"negative residual reduced cost on arc {index}")
+    groups: dict[int, list] = {}  # head -> candidates (weight, index, forward, tail)
     for index, arc in enumerate(arcs):
         if span[index] == 0:
             continue
         if extra[index] == 0:
-            head, tail, weight = arc.dst, arc.src, reduced_costs[index]
+            groups.setdefault(arc.dst, []).append((reduced_costs[index], index, True, arc.src))
         elif extra[index] == span[index]:
-            head, tail, weight = arc.src, arc.dst, -reduced_costs[index]
-        else:
-            continue
-        if head not in searches:
-            searches[head] = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, head)
-        back = searches[head][0][tail]
-        if back is not None and (best_total is None or weight + back < best_total):
-            best_total = weight + back
-            best = (index, extra[index] == 0, head, tail)
+            groups.setdefault(arc.src, []).append((-reduced_costs[index], index, False, arc.dst))
+    # The answer is the least (weight + dist[tail], index).  Heads are searched
+    # cheapest candidate first, and each search stops at the radius beyond
+    # which none of its candidates can reach that key (ties included, since a
+    # smaller index still wins) or once all of its tails are settled.
+    out_arcs, in_arcs = _incidence(net)
+    best_key = best = None
+    for least, head in sorted((min(group)[0], head) for head, group in groups.items()):
+        if best_key is not None and least > best_key[0]:
+            break
+        group = groups[head]
+        dist, pred = _dijkstra(
+            net, span, extra, potential, out_arcs, in_arcs, head,
+            radius=None if best_key is None else best_key[0] - least,
+            targets={tail for *_, tail in group},
+        )
+        for weight, index, forward, tail in group:
+            back = dist[tail]
+            if back is not None and (best_key is None or (weight + back, index) < best_key):
+                best_key = (weight + back, index)
+                best = (index, forward, head, tail, pred)
     if best is None:
         return None
-    index, forward, head, tail = best
+    index, forward, head, tail, pred = best
     steps = {index: forward}
-    pred = searches[head][1]
     node = tail
     while node != head:
         index, forward = pred[node]

@@ -36,9 +36,13 @@ def solve_min_cost_flow(net: Network) -> Flow:
 
     out_arcs, in_arcs = _incidence(net)
     potential = [0] * n
+    # Sources only lose supply and targets stay at or below zero, so the
+    # lowest node with supply left never moves back.
+    source = 0
     while True:
-        source = next((i for i in range(n) if imbalance[i] > 0), None)
-        if source is None:
+        while source < n and imbalance[source] <= 0:
+            source += 1
+        if source == n:
             break
         dist, pred = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source)
         target = None
@@ -83,11 +87,17 @@ def _incidence(net: Network) -> tuple[list[list[int]], list[list[int]]]:
     return out_arcs, in_arcs
 
 
-def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source):
+def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
+              radius=None, targets=frozenset()):
     """Shortest residual reduced-cost distances from source, plus (arc, forward) preds.
 
     `extra` is the flow above each arc's lower bound; a residual arc whose
-    reduced cost is negative raises InvariantError.
+    reduced cost is negative raises InvariantError.  With a `radius` the
+    search settles only nodes at distance <= radius; with `targets` it stops
+    once every target is settled.  Nodes left unsettled read None; settled
+    ones get the dist and pred of the full search, because the pops before
+    the stop are the same and a relaxation replaces only a strictly longer
+    distance.
     """
     n = net.node_count
     dist: list[int | None] = [None] * n
@@ -95,10 +105,20 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source):
     dist[source] = 0
     tick = count()
     heap = [(0, next(tick), source)]
+    bounded = radius is not None or bool(targets)
+    waiting = len(targets)
     while heap:
         reached, _, node = heapq.heappop(heap)
         if reached > dist[node]:
             continue
+        if bounded:
+            if radius is not None and reached > radius:
+                dist[node] = pred[node] = None
+                break
+            if node in targets:
+                waiting -= 1
+                if not waiting:
+                    break
         for index in out_arcs[node]:
             if extra[index] < span[index]:
                 arc = net.arcs[index]
@@ -121,6 +141,11 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source):
                     dist[arc.src] = candidate
                     pred[arc.src] = (index, False)
                     heapq.heappush(heap, (candidate, next(tick), arc.src))
+    if bounded:
+        # An unsettled node holds exactly one heap entry at its tentative dist.
+        for reached, _, node in heap:
+            if dist[node] == reached:
+                dist[node] = pred[node] = None
     return dist, pred
 
 

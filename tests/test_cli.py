@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import random
@@ -11,7 +12,7 @@ import flowenum.cli
 from flowenum.cli import run
 from flowenum.dimacs import serialize_dimacs
 
-from helpers import random_feasible_network
+from helpers import random_feasible_network, random_grid_network
 
 
 def invoke(argv):
@@ -114,7 +115,28 @@ class TestEnumerate:
             assert "positive integer" in err
 
 
+# sha256 of `kbest 10` stdout, elapsed_ms removed, on random_grid_network(
+# random.Random(seed), 8, 8).  Recorded before the K-best searches were
+# pruned; any change to K-best flow order or tie choice shows here.
+KBEST_GOLDEN = {
+    1: "6bc9aaaba1364afa4f7f5ede2572a4b3bc8319fde0cbcf07ad07d2f4ad2fadaf",
+    2: "406f53b61b2f2f07b7ae60ee923a56c524ad0f4f3c652d49401c77caddedac5c",
+    3: "8704fa1b52e93db3a051ceabc8a8f3978312af4b2eecc3114248927f18a5d3cb",
+    4: "8d9f5cf92a5d2d7e7a9de99e0b68e8782fb6159eceaea84f03fa07cffec31bf5",
+    5: "8256ac0ce3d74163d509fcbf1a17ff6748e9d1797779145eaaf3da545ee3f5fc",
+}
+
+
 class TestKBest:
+    @pytest.mark.parametrize("seed", sorted(KBEST_GOLDEN))
+    def test_flow_order_on_grids_is_pinned(self, tmp_path, seed):
+        net = random_grid_network(random.Random(seed), 8, 8)
+        code, lines, _ = invoke(["kbest", write_instance(tmp_path, net), "10"])
+        assert code == 0
+        lines[-1].pop("elapsed_ms")
+        text = "\n".join(json.dumps(line) for line in lines)
+        assert hashlib.sha256(text.encode()).hexdigest() == KBEST_GOLDEN[seed]
+
     def test_chain3_two_best(self, tmp_path, chain3_network):
         code, lines, _ = invoke(["kbest", write_instance(tmp_path, chain3_network), "2"])
         assert code == 0

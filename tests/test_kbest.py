@@ -3,21 +3,89 @@ from dataclasses import replace
 
 import pytest
 
+import flowenum.kbest
 from flowenum.bruteforce import enumerate_all_feasible_bruteforce, k_best_bruteforce
 from flowenum.core import Flow, check_feasible, flow_cost
+from flowenum.dfs import find_another_feasible_flow
+from flowenum.enumeration import optimal_face
 from flowenum.errors import InfeasibleError, InvariantError
 from flowenum.kbest import find_second_best_flow, iter_k_best_flows
-from flowenum.solver import _dijkstra, _incidence, solve_min_cost_flow
+from flowenum.solver import (
+    _dijkstra,
+    _incidence,
+    compute_node_potentials,
+    compute_reduced_costs,
+    solve_min_cost_flow,
+)
 
 from helpers import make_network, random_feasible_network, random_grid_network
 
 
-def dijkstra_from(net, flow, potential, source):
+def dijkstra_from(net, flow, potential, source, **stop):
     """The solver's residual Dijkstra, set up the way find_second_best_flow sets it up."""
     span = [arc.span for arc in net.arcs]
     extra = [value - arc.lower for arc, value in zip(net.arcs, flow.values)]
     out_arcs, in_arcs = _incidence(net)
-    return _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source)
+    return _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, **stop)
+
+
+def unpruned_second_best(net, flow):
+    """Reference: one full search per distinct head, first strictly cheapest arc in id order."""
+    potential = compute_node_potentials(net, flow)
+    reduced_costs = compute_reduced_costs(net, potential)
+    tied = find_another_feasible_flow(optimal_face(net, flow, reduced_costs), flow)
+    if tied is not None:
+        return tied
+    arcs = net.arcs
+    span = [arc.span for arc in arcs]
+    extra = [value - arc.lower for arc, value in zip(arcs, flow.values)]
+    out_arcs, in_arcs = _incidence(net)
+    searches = {}
+    best_total = best = None
+    for index, arc in enumerate(arcs):
+        if span[index] == 0:
+            continue
+        if extra[index] == 0:
+            head, tail, weight = arc.dst, arc.src, reduced_costs[index]
+        elif extra[index] == span[index]:
+            head, tail, weight = arc.src, arc.dst, -reduced_costs[index]
+        else:
+            continue
+        if head not in searches:
+            searches[head] = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, head)
+        back = searches[head][0][tail]
+        if back is not None and (best_total is None or weight + back < best_total):
+            best_total = weight + back
+            best = (index, extra[index] == 0, head, tail)
+    if best is None:
+        return None
+    index, forward, head, tail = best
+    values = list(flow.values)
+    values[index] += 1 if forward else -1
+    pred = searches[head][1]
+    node = tail
+    while node != head:
+        index, forward = pred[node]
+        values[index] += 1 if forward else -1
+        node = arcs[index].src if forward else arcs[index].dst
+    return Flow(tuple(values))
+
+
+def candidate_heads(net, flow):
+    """Distinct heads of the arcs at a bound, the candidate cycles' start nodes."""
+    heads = set()
+    for arc, value in zip(net.arcs, flow.values):
+        if arc.span and value == arc.lower:
+            heads.add(arc.dst)
+        elif arc.span and value == arc.upper:
+            heads.add(arc.src)
+    return heads
+
+
+def chain_network(costs):
+    """0 -> 1 -> ... with one unit of room on each arc and the given costs."""
+    specs = [(node, node + 1, 0, 1, cost) for node, cost in enumerate(costs)]
+    return make_network(len(costs) + 1, specs, (0,) * (len(costs) + 1))
 
 
 class TestResidualDijkstra:
@@ -43,6 +111,54 @@ class TestResidualDijkstra:
         net = make_network(2, [(0, 1, 0, 1, -1)], (0, 0))
         with pytest.raises(InvariantError):
             dijkstra_from(net, Flow((0,)), (0, 0), 0)
+
+    def test_nodes_past_the_radius_read_none(self):
+        net = chain_network([1, 1, 0, 1])
+        zero = (0,) * 5
+        flow = Flow((0,) * 4)
+        assert dijkstra_from(net, flow, zero, 0, radius=1)[0] == [0, 1, None, None, None]
+        # Ties at the radius are settled too.
+        dist, pred = dijkstra_from(net, flow, zero, 0, radius=2)
+        assert dist == [0, 1, 2, 2, None]
+        assert pred == [None, (0, True), (1, True), (2, True), None]
+
+    def test_search_stops_once_its_targets_are_settled(self):
+        net = chain_network([1, 1, 1, 1])
+        zero = (0,) * 5
+        flow = Flow((0,) * 4)
+        dist, pred = dijkstra_from(net, flow, zero, 0, targets={2, 1})
+        assert dist == [0, 1, 2, None, None]
+        assert pred[3] is None
+        # A target beyond the radius does not hold the search open.
+        assert dijkstra_from(net, flow, zero, 0, radius=1, targets={4})[0] == [0, 1, None, None, None]
+
+    def test_settled_nodes_match_the_full_search(self):
+        rng = random.Random(99)
+        checked = 0
+        for side in (5, 6, 7):
+            net = random_grid_network(rng, side, side)
+            best = solve_min_cost_flow(net)
+            potential = compute_node_potentials(net, best)
+            for source in rng.sample(range(net.node_count), 4):
+                full_dist, full_pred = dijkstra_from(net, best, potential, source)
+                reached = sorted(d for d in full_dist if d is not None)
+                for radius in (0, reached[len(reached) // 3], reached[len(reached) // 2]):
+                    targets = set(rng.sample(range(net.node_count), 3))
+                    for stop in ({"radius": radius}, {"targets": targets},
+                                 {"radius": radius, "targets": targets}):
+                        dist, pred = dijkstra_from(net, best, potential, source, **stop)
+                        for node, d in enumerate(dist):
+                            if d is not None:
+                                assert (d, pred[node]) == (full_dist[node], full_pred[node])
+                                checked += 1
+                            elif "targets" not in stop:
+                                assert full_dist[node] is None or full_dist[node] > radius
+                        if "radius" not in stop:
+                            assert all(dist[t] == full_dist[t] for t in targets)
+                        else:
+                            assert all(dist[t] == full_dist[t] for t in targets
+                                       if full_dist[t] is not None and full_dist[t] <= radius)
+        assert checked > 500
 
 
 class TestFindSecondBest:
@@ -94,6 +210,68 @@ class TestFindSecondBest:
             changes = [b - a for a, b in zip(best.values, second.values)]
             assert set(changes) <= {-1, 0, 1} and any(changes)
         assert moved > 20
+
+    def test_matches_the_unpruned_reference(self):
+        rng = random.Random(2718)
+        instances = [random_grid_network(rng, side, side) for side in (6, 6, 7, 7, 8, 8, 8, 8)]
+        instances += [random_feasible_network(rng, max_nodes=8, max_arcs=14)[0] for _ in range(150)]
+        moved = 0
+        for net in instances:
+            best = solve_min_cost_flow(net)
+            second = find_second_best_flow(net, best)
+            assert second == unpruned_second_best(net, best)
+            if second is not None and flow_cost(net, second) > flow_cost(net, best):
+                moved += 1
+        assert moved > 60
+
+    def test_tied_totals_go_to_the_smaller_arc_index(self):
+        # Two separate swaps each cost one more than the optimum.  The swap
+        # of arcs 2 and 3 is found first (head 1 has a zero-weight candidate),
+        # but arc 0 of the other swap has the smaller index and must win.
+        net = make_network(
+            4,
+            [(2, 3, 0, 1, 1), (2, 3, 0, 1, 2), (0, 1, 0, 1, 1), (0, 1, 0, 1, 2), (1, 2, 0, 0, 0)],
+            (1, -1, 1, -1),
+        )
+        best = solve_min_cost_flow(net)
+        assert best == Flow((1, 0, 1, 0, 0))
+        second = find_second_best_flow(net, best)
+        assert second == Flow((0, 1, 1, 0, 0))
+        assert second == unpruned_second_best(net, best)
+
+    def test_searches_are_pruned(self, monkeypatch):
+        # Fewer searches than heads, and fewer nodes settled than full searches would.
+        settled = []
+
+        def counted(*args, **stop):
+            result = _dijkstra(*args, **stop)
+            full = _dijkstra(*args)[0]
+            settled.append((sum(d is not None for d in result[0]), sum(d is not None for d in full)))
+            return result
+
+        monkeypatch.setattr(flowenum.kbest, "_dijkstra", counted)
+        net = random_grid_network(random.Random(8), 8, 8)
+        best = solve_min_cost_flow(net)
+        second = find_second_best_flow(net, best)
+        assert flow_cost(net, second) > flow_cost(net, best)
+        assert 0 < len(settled) < len(candidate_heads(net, best))
+        assert sum(bounded for bounded, _ in settled) < sum(full for _, full in settled)
+
+    def test_invariant_is_checked_where_no_search_goes(self, monkeypatch):
+        # Arc 0 is used, arc 1 is the cheap alternative, and arc 2 leads to
+        # a separate pair whose interior arc 3 gets a negative reduced cost
+        # from the bad potentials.  The search from node 0 stops once node 1
+        # is settled and never scans arc 3, and head 2 is too costly to search.
+        net = make_network(
+            4,
+            [(0, 1, 0, 1, 1), (0, 1, 0, 1, 2), (1, 2, 0, 1, 50), (2, 3, 0, 2, 100)],
+            (1, -1, 1, -1),
+        )
+        best = Flow((1, 0, 0, 1))
+        assert best == solve_min_cost_flow(net)
+        monkeypatch.setattr(flowenum.kbest, "compute_node_potentials", lambda net, flow: (0, 1, 0, 200))
+        with pytest.raises(InvariantError):
+            find_second_best_flow(net, best)
 
     def test_matches_bruteforce_second_cost(self):
         rng = random.Random(616)
