@@ -1,12 +1,14 @@
 """Exhaustive ground truth for small instances.
 
 Backtracks over arcs in id order, pruning on per-node balance intervals.
-Deliberately simple, so the clever algorithms have something independent
-to answer to.
+The search keeps an explicit stack, so its depth is not bounded by the
+interpreter's recursion limit.  Deliberately simple, so the clever
+algorithms have something independent to answer to.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 from .core import Flow, Network, flow_cost
@@ -42,46 +44,62 @@ def enumerate_all_feasible_bruteforce(net: Network, budget: EnumerationBudget | 
     assigned = [0] * arc_count
     flows: list[Flow] = []
     states = 0
+    # The search stack: one iterator over the values still to try per open
+    # arc, in id order.  Every open arc but the last has its value applied.
+    untried: list[Iterator[int]] = []
 
     def fits(node: int) -> bool:
         gap = balances[node] - fixed[node]
         return low[node] <= gap <= high[node]
 
-    def place(position: int) -> None:
-        nonlocal states
-        if position == arc_count:
-            if len(flows) >= budget.max_flows:
-                raise BudgetExceededError(f"more than {budget.max_flows} flows")
-            flows.append(Flow(tuple(assigned)))
-            return
+    def record() -> None:
+        if len(flows) >= budget.max_flows:
+            raise BudgetExceededError(f"more than {budget.max_flows} flows")
+        flows.append(Flow(tuple(assigned)))
+
+    def open_arc(position: int) -> None:
         arc = arcs[position]
         low[arc.src] -= arc.lower
         high[arc.src] -= arc.upper
         low[arc.dst] += arc.upper
         high[arc.dst] += arc.lower
-        for value in range(arc.lower, arc.upper + 1):
-            states += 1
-            if states > budget.max_states:
-                raise BudgetExceededError(f"more than {budget.max_states} search states")
-            assigned[position] = value
-            fixed[arc.src] += value
-            fixed[arc.dst] -= value
-            if fits(arc.src) and fits(arc.dst):
-                place(position + 1)
-            fixed[arc.src] -= value
-            fixed[arc.dst] += value
-        low[arc.src] += arc.lower
-        high[arc.src] += arc.upper
-        low[arc.dst] -= arc.upper
-        high[arc.dst] -= arc.lower
+        untried.append(iter(range(arc.lower, arc.upper + 1)))
+
+    def unassign(position: int) -> None:
+        arc = arcs[position]
+        fixed[arc.src] -= assigned[position]
+        fixed[arc.dst] += assigned[position]
 
     if all(fits(node) for node in range(net.node_count)):
-        try:
-            place(0)
-        except RecursionError:
-            raise BudgetExceededError(
-                f"{arc_count} arcs nest deeper than the interpreter's recursion limit"
-            ) from None
+        if arc_count:
+            open_arc(0)
+        else:
+            record()
+    while untried:
+        position = len(untried) - 1
+        arc = arcs[position]
+        value = next(untried[-1], None)
+        if value is None:
+            low[arc.src] += arc.lower
+            high[arc.src] += arc.upper
+            low[arc.dst] -= arc.upper
+            high[arc.dst] -= arc.lower
+            untried.pop()
+            if position:
+                unassign(position - 1)
+            continue
+        states += 1
+        if states > budget.max_states:
+            raise BudgetExceededError(f"more than {budget.max_states} search states")
+        assigned[position] = value
+        fixed[arc.src] += value
+        fixed[arc.dst] -= value
+        if fits(arc.src) and fits(arc.dst):
+            if position + 1 < arc_count:
+                open_arc(position + 1)
+                continue
+            record()
+        unassign(position)
     return flows
 
 

@@ -3,6 +3,14 @@
 The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
 cost nonnegative), and each augmentation runs Dijkstra with potentials.
+
+Each Dijkstra stops at the nearest deficit: once it settles a node with
+negative imbalance, at distance reach, it settles the other nodes at reach
+and stops.  The target is the lowest-index deficit among them, the same
+node a full search would choose, so the choice never depends on the order
+in which the heap pops ties.  Only the settled nodes' potentials move, by
+dist - reach; a full search would add reach to that on every node, which
+leaves every reduced cost, and so every path and flow, the same.
 """
 
 from __future__ import annotations
@@ -44,18 +52,16 @@ def solve_min_cost_flow(net: Network) -> Flow:
             source += 1
         if source == n:
             break
-        dist, pred = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source)
-        target = None
-        for node in range(n):
-            if imbalance[node] < 0 and dist[node] is not None:
-                if target is None or dist[node] < dist[target]:
-                    target = node
-        if target is None:
+        settled: list[int] = []
+        dist, pred = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
+                               imbalance=imbalance, settled=settled)
+        deficits = [node for node in settled if imbalance[node] < 0]
+        if not deficits:
             raise InfeasibleError("supply cannot reach demand in the residual graph")
+        target = min(deficits)
         reach = dist[target]
-        for node in range(n):
-            here = dist[node]
-            potential[node] += reach if here is None or here > reach else here
+        for node in settled:
+            potential[node] += dist[node] - reach
         amount = min(imbalance[source], -imbalance[target])
         node = target
         while node != source:
@@ -88,16 +94,19 @@ def _incidence(net: Network) -> tuple[list[list[int]], list[list[int]]]:
 
 
 def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
-              radius=None, targets=frozenset()):
+              radius=None, targets=frozenset(), imbalance=None, settled=None):
     """Shortest residual reduced-cost distances from source, plus (arc, forward) preds.
 
     `extra` is the flow above each arc's lower bound; a residual arc whose
     reduced cost is negative raises InvariantError.  With a `radius` the
     search settles only nodes at distance <= radius; with `targets` it stops
-    once every target is settled.  Nodes left unsettled read None; settled
-    ones get the dist and pred of the full search, because the pops before
-    the stop are the same and a relaxation replaces only a strictly longer
-    distance.
+    once every target is settled.  With `imbalance`, the first settled node
+    whose imbalance is negative sets the radius to its distance, so the
+    search still settles every deficit tied with it and the caller can break
+    the tie by node index.  Nodes left unsettled read None; settled ones get
+    the dist and pred of the full search, because the pops before the stop
+    are the same and a relaxation replaces only a strictly longer distance.
+    A `settled` list gets the settled nodes appended in the order they pop.
     """
     n = net.node_count
     dist: list[int | None] = [None] * n
@@ -105,20 +114,22 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
     dist[source] = 0
     tick = count()
     heap = [(0, next(tick), source)]
-    bounded = radius is not None or bool(targets)
     waiting = len(targets)
     while heap:
         reached, _, node = heapq.heappop(heap)
         if reached > dist[node]:
             continue
-        if bounded:
-            if radius is not None and reached > radius:
-                dist[node] = pred[node] = None
+        if radius is not None and reached > radius:
+            dist[node] = pred[node] = None
+            break
+        if settled is not None:
+            settled.append(node)
+        if imbalance is not None and imbalance[node] < 0:
+            radius = reached
+        if waiting and node in targets:
+            waiting -= 1
+            if not waiting:
                 break
-            if node in targets:
-                waiting -= 1
-                if not waiting:
-                    break
         for index in out_arcs[node]:
             if extra[index] < span[index]:
                 arc = net.arcs[index]
@@ -141,11 +152,11 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
                     dist[arc.src] = candidate
                     pred[arc.src] = (index, False)
                     heapq.heappush(heap, (candidate, next(tick), arc.src))
-    if bounded:
-        # An unsettled node holds exactly one heap entry at its tentative dist.
-        for reached, _, node in heap:
-            if dist[node] == reached:
-                dist[node] = pred[node] = None
+    # A search that stopped early leaves each unsettled node exactly one heap
+    # entry at its tentative dist; a full search leaves the heap empty.
+    for reached, _, node in heap:
+        if dist[node] == reached:
+            dist[node] = pred[node] = None
     return dist, pred
 
 

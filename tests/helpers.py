@@ -46,9 +46,10 @@ def random_feasible_network(rng: random.Random, max_nodes=6, max_arcs=10,
 
 
 def random_grid_network(rng: random.Random, rows, cols, min_cost=-20, max_cost=50,
-                        max_span=3) -> Network:
+                        max_span=3, both_ways=False) -> Network:
     """rows x cols grid, one arc of random direction per grid edge.
 
+    With `both_ways`, each grid edge gets an arc in each direction instead.
     Balances come from a random witness flow, so the instance is feasible.
     """
     arcs = []
@@ -59,13 +60,17 @@ def random_grid_network(rng: random.Random, rows, cols, min_cost=-20, max_cost=5
         for other in (right, down):
             if other is None:
                 continue
-            src, dst = (node, other) if rng.random() < 0.5 else (other, node)
-            lower = rng.randint(0, 1)
-            upper = lower + rng.randint(1, max_span)
-            witness = rng.randint(lower, upper)
-            balances[src] += witness
-            balances[dst] -= witness
-            arcs.append(Arc(src, dst, lower, upper, rng.randint(min_cost, max_cost)))
+            if both_ways:
+                ends = ((node, other), (other, node))
+            else:
+                ends = ((node, other) if rng.random() < 0.5 else (other, node),)
+            for src, dst in ends:
+                lower = rng.randint(0, 1)
+                upper = lower + rng.randint(1, max_span)
+                witness = rng.randint(lower, upper)
+                balances[src] += witness
+                balances[dst] -= witness
+                arcs.append(Arc(src, dst, lower, upper, rng.randint(min_cost, max_cost)))
     return Network(rows * cols, tuple(arcs), tuple(balances))
 
 

@@ -2,20 +2,83 @@ import random
 
 import pytest
 
-from flowenum.core import Flow, build_residual, check_feasible, flow_cost
-from flowenum.errors import InfeasibleError, NegativeCycleError
+import flowenum.solver
+from flowenum.core import Flow, build_residual, check_feasible, flow_cost, validate_network
+from flowenum.errors import InfeasibleError, InvariantError, NegativeCycleError
 from flowenum.solver import (
+    _dijkstra,
+    _incidence,
     compute_node_potentials,
     compute_reduced_costs,
     solve_min_cost_flow,
 )
 
-from helpers import make_network, random_feasible_network
+from helpers import make_network, random_feasible_network, random_grid_network
 
 
 def residual_weights(rg, reduced_costs):
     """Per residual arc: the origin's reduced cost, negated on backward arcs."""
     return [reduced_costs[res.origin_arc] * (1 if res.forward else -1) for res in rg.arcs]
+
+
+def full_search_solve(net):
+    """Reference: successive shortest paths with a full Dijkstra per augmentation."""
+    validate_network(net)
+    n = net.node_count
+    arcs = net.arcs
+    span = [arc.span for arc in arcs]
+    extra = [0] * len(arcs)
+    imbalance = list(net.balances)
+    for arc in arcs:
+        imbalance[arc.src] -= arc.lower
+        imbalance[arc.dst] += arc.lower
+    for index, arc in enumerate(arcs):
+        if arc.cost < 0:
+            extra[index] = span[index]
+            imbalance[arc.src] -= span[index]
+            imbalance[arc.dst] += span[index]
+    out_arcs, in_arcs = _incidence(net)
+    potential = [0] * n
+    source = 0
+    while True:
+        while source < n and imbalance[source] <= 0:
+            source += 1
+        if source == n:
+            break
+        dist, pred = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source)
+        target = None
+        for node in range(n):
+            if imbalance[node] < 0 and dist[node] is not None:
+                if target is None or dist[node] < dist[target]:
+                    target = node
+        if target is None:
+            raise InfeasibleError("supply cannot reach demand in the residual graph")
+        reach = dist[target]
+        for node in range(n):
+            here = dist[node]
+            potential[node] += reach if here is None or here > reach else here
+        amount = min(imbalance[source], -imbalance[target])
+        node = target
+        while node != source:
+            index, forward = pred[node]
+            headroom = span[index] - extra[index] if forward else extra[index]
+            amount = min(amount, headroom)
+            node = arcs[index].src if forward else arcs[index].dst
+        node = target
+        while node != source:
+            index, forward = pred[node]
+            extra[index] += amount if forward else -amount
+            node = arcs[index].src if forward else arcs[index].dst
+        imbalance[source] -= amount
+        imbalance[target] += amount
+    result = Flow(tuple(arc.lower + extra[index] for index, arc in enumerate(arcs)))
+    if not check_feasible(net, result):
+        raise InvariantError("successive shortest paths ended on an infeasible flow")
+    return result
+
+
+def two_way_grid(seed, size=12, **kwargs):
+    return random_grid_network(random.Random(seed), size, size, both_ways=True, **kwargs)
 
 
 class TestSolve:
@@ -62,6 +125,86 @@ class TestSolve:
             assert flow_cost(net, flow) == best
 
 
+class TestStoppedSearch:
+    """Each augmentation's Dijkstra stops once the nearest deficits are settled."""
+
+    def test_settled_nodes_match_the_full_search(self, monkeypatch):
+        # Every search of a solve, checked against a full search from the same state.
+        checked = []
+
+        def compared(*args, **stop):
+            dist, pred = _dijkstra(*args, **stop)
+            full_dist, full_pred = _dijkstra(*args)
+            imbalance = stop["imbalance"]
+            reach = min(d for node, d in enumerate(full_dist)
+                        if d is not None and imbalance[node] < 0)
+            for node, here in enumerate(full_dist):
+                if here is not None and here <= reach:
+                    assert (dist[node], pred[node]) == (here, full_pred[node])
+                else:
+                    assert dist[node] is None and pred[node] is None
+            assert sorted(stop["settled"]) == [node for node, d in enumerate(dist) if d is not None]
+            checked.append(reach)
+            return dist, pred
+
+        monkeypatch.setattr(flowenum.solver, "_dijkstra", compared)
+        for seed in (1, 2, 3):
+            solve_min_cost_flow(two_way_grid(seed))
+        assert len(checked) > 100
+        assert any(checked)
+
+    def test_tied_deficits_go_to_the_lower_index(self):
+        # Nodes 1 and 2 are both one unit away from node 0, and node 2 is
+        # pushed, and so popped, first.  Node 1 must take node 0's unit.
+        net = make_network(
+            4,
+            [(0, 2, 0, 1, 1), (0, 1, 0, 1, 1), (3, 1, 0, 1, 5), (3, 2, 0, 1, 5)],
+            (1, -1, -1, 1),
+        )
+        assert solve_min_cost_flow(net) == Flow((0, 1, 0, 1))
+        assert full_search_solve(net) == Flow((0, 1, 0, 1))
+
+    def test_searches_settle_fewer_nodes(self, monkeypatch):
+        settled = []
+
+        def counted(*args, **stop):
+            dist, pred = _dijkstra(*args, **stop)
+            settled.append(sum(d is not None for d in dist))
+            return dist, pred
+
+        monkeypatch.setattr(flowenum.solver, "_dijkstra", counted)
+        net = two_way_grid(5)
+        solve_min_cost_flow(net)
+        assert len(settled) > 50
+        assert sum(settled) < net.node_count * len(settled) // 4
+
+    def test_second_augmentation_without_reachable_demand_is_infeasible(self, monkeypatch):
+        # The first unit goes 0 -> 1; then no residual arc leaves node 0,
+        # and node 2 (which only feeds node 0) keeps its demand.
+        searches = []
+
+        def counted(*args, **stop):
+            searches.append(args[6])
+            return _dijkstra(*args, **stop)
+
+        monkeypatch.setattr(flowenum.solver, "_dijkstra", counted)
+        net = make_network(3, [(0, 1, 0, 1, 1), (2, 0, 0, 1, 1)], (2, -1, -1))
+        with pytest.raises(InfeasibleError):
+            solve_min_cost_flow(net)
+        assert searches == [0, 0]
+
+    def test_matches_the_full_search_reference(self):
+        for seed in range(1, 7):
+            net = two_way_grid(seed, size=8 if seed % 2 else 12)
+            assert solve_min_cost_flow(net) == full_search_solve(net)
+            net = random_grid_network(random.Random(seed), 10, 10)
+            assert solve_min_cost_flow(net) == full_search_solve(net)
+        rng = random.Random(606)
+        for _ in range(200):
+            net, _ = random_feasible_network(rng, max_nodes=12, max_arcs=30, max_span=5, max_cost=6)
+            assert solve_min_cost_flow(net) == full_search_solve(net)
+
+
 class TestPotentials:
     def test_root_potential_is_zero(self, eleven_optima_network, eleven_optima_flow):
         potential = compute_node_potentials(eleven_optima_network, eleven_optima_flow)
@@ -102,24 +245,37 @@ class TestPotentials:
                     assert partner == -weight
 
 
+def network_simplex_cost(nx, net):
+    """networkx's optimal cost for net; lower bounds are substituted away for it."""
+    graph = nx.MultiDiGraph()
+    demand = [-balance for balance in net.balances]
+    offset = 0
+    for index, arc in enumerate(net.arcs):
+        demand[arc.src] += arc.lower
+        demand[arc.dst] -= arc.lower
+        offset += arc.lower * arc.cost
+        graph.add_edge(arc.src, arc.dst, key=index, capacity=arc.span, weight=arc.cost)
+    for node, value in enumerate(demand):
+        graph.add_node(node, demand=value)
+    reference, _ = nx.network_simplex(graph)
+    return reference + offset
+
+
 class TestAgainstNetworkx:
     def test_optimal_cost_matches_network_simplex(self):
         # Instances far past the oracle's reach, checked against an
-        # independent solver; lower bounds are substituted away for it.
+        # independent solver.
         nx = pytest.importorskip("networkx")
         rng = random.Random(4242)
         for _ in range(40):
             net, _ = random_feasible_network(rng, min_nodes=50, max_nodes=200, max_arcs=600,
                                              max_span=6, max_cost=40)
-            graph = nx.MultiDiGraph()
-            demand = [-balance for balance in net.balances]
-            offset = 0
-            for index, arc in enumerate(net.arcs):
-                demand[arc.src] += arc.lower
-                demand[arc.dst] -= arc.lower
-                offset += arc.lower * arc.cost
-                graph.add_edge(arc.src, arc.dst, key=index, capacity=arc.span, weight=arc.cost)
-            for node, value in enumerate(demand):
-                graph.add_node(node, demand=value)
-            reference, _ = nx.network_simplex(graph)
-            assert flow_cost(net, solve_min_cost_flow(net)) == reference + offset
+            assert flow_cost(net, solve_min_cost_flow(net)) == network_simplex_cost(nx, net)
+
+    def test_wide_span_grids_match_network_simplex(self):
+        # Spans up to 10**6 make hundreds of augmentations, each stopped at
+        # its nearest deficit; this is where the stopped searches save most.
+        nx = pytest.importorskip("networkx")
+        for seed in (1, 2, 3):
+            net = two_way_grid(seed, size=20, max_span=10**6)
+            assert flow_cost(net, solve_min_cost_flow(net)) == network_simplex_cost(nx, net)
