@@ -5,16 +5,19 @@ optimal face) or one unit pushed around the cheapest proper cycle.  That
 cycle is an arc sitting at one of its bounds plus the shortest way back
 from its head to its tail, found with the solver's Dijkstra over residual
 reduced costs.  Heads are searched best first, in order of their cheapest
-candidate arc, and each search is bounded: it stops at the radius past
-which it cannot beat the best cycle found so far, or once every candidate
-tail of its head is settled.  Regions of the solution space are then split
-exactly as in the all-optimal search and ranked on a heap keyed by
-challenger cost.
+candidate arc, and each search is bounded: the Dijkstra yields nodes as
+they settle, and this module stops reading it at the first node past the
+radius beyond which the search cannot beat the best cycle found so far, or
+once every candidate tail of its head has settled.  Only the distances of
+tails seen to settle are read, since those are final.  Regions of the
+solution space are then split exactly as in the all-optimal search and
+ranked on a heap keyed by challenger cost.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from itertools import count
 from typing import Iterator
 
@@ -59,24 +62,28 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
         elif extra[index] == span[index]:
             groups.setdefault(arc.src, []).append((-reduced_costs[index], index, False, arc.dst))
     # The answer is the least (weight + dist[tail], index).  Heads are searched
-    # cheapest candidate first, and each search stops at the radius beyond
+    # cheapest candidate first, and each search stops past the radius beyond
     # which none of its candidates can reach that key (ties included, since a
     # smaller index still wins) or once all of its tails are settled.
     out_arcs, in_arcs = _incidence(net)
+    n = net.node_count
     best_key = best = None
     for least, head in sorted((min(group)[0], head) for head, group in groups.items()):
         if best_key is not None and least > best_key[0]:
             break
         group = groups[head]
-        dist, pred = _dijkstra(
-            net, span, extra, potential, out_arcs, in_arcs, head,
-            radius=None if best_key is None else best_key[0] - least,
-            targets={tail for *_, tail in group},
-        )
+        radius = math.inf if best_key is None else best_key[0] - least
+        waiting = {tail for *_, tail in group}
+        dist, pred = [None] * n, [None] * n
+        for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, head, dist, pred):
+            if dist[node] > radius:
+                break
+            waiting.discard(node)
+            if not waiting:
+                break
         for weight, index, forward, tail in group:
-            back = dist[tail]
-            if back is not None and (best_key is None or (weight + back, index) < best_key):
-                best_key = (weight + back, index)
+            if tail not in waiting and (best_key is None or (weight + dist[tail], index) < best_key):
+                best_key = (weight + dist[tail], index)
                 best = (index, forward, head, tail, pred)
     if best is None:
         return None

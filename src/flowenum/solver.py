@@ -4,13 +4,15 @@ The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
 cost nonnegative), and each augmentation runs Dijkstra with potentials.
 
-Each Dijkstra stops at the nearest deficit: once it settles a node with
-negative imbalance, at distance reach, it settles the other nodes at reach
-and stops.  The target is the lowest-index deficit among them, the same
-node a full search would choose, so the choice never depends on the order
-in which the heap pops ties.  Only the settled nodes' potentials move, by
-dist - reach; a full search would add reach to that on every node, which
-leaves every reduced cost, and so every path and flow, the same.
+The Dijkstra is a generator that yields nodes as they settle, and each
+caller decides when to stop reading it.  The solver stops at the nearest
+deficit: once a node with negative imbalance settles, at distance reach, it
+reads on through the other nodes at reach and leaves at the first node past
+it.  The target is the lowest-index deficit among the settled nodes, the
+same node a full search would choose, so the choice never depends on the
+order in which the heap pops ties.  Only the settled nodes' potentials
+move, by dist - reach; a full search would add reach to that on every node,
+which leaves every reduced cost, and so every path and flow, the same.
 """
 
 from __future__ import annotations
@@ -52,14 +54,19 @@ def solve_min_cost_flow(net: Network) -> Flow:
             source += 1
         if source == n:
             break
+        dist: list[int | None] = [None] * n
+        pred: list[tuple[int, bool] | None] = [None] * n
         settled: list[int] = []
-        dist, pred = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
-                               imbalance=imbalance, settled=settled)
-        deficits = [node for node in settled if imbalance[node] < 0]
-        if not deficits:
+        reach = None
+        for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+            if reach is not None and dist[node] > reach:
+                break
+            settled.append(node)
+            if reach is None and imbalance[node] < 0:
+                reach = dist[node]
+        if reach is None:
             raise InfeasibleError("supply cannot reach demand in the residual graph")
-        target = min(deficits)
-        reach = dist[target]
+        target = min(node for node in settled if imbalance[node] < 0)
         for node in settled:
             potential[node] += dist[node] - reach
         amount = min(imbalance[source], -imbalance[target])
@@ -93,43 +100,26 @@ def _incidence(net: Network) -> tuple[list[list[int]], list[list[int]]]:
     return out_arcs, in_arcs
 
 
-def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
-              radius=None, targets=frozenset(), imbalance=None, settled=None):
-    """Shortest residual reduced-cost distances from source, plus (arc, forward) preds.
+def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+    """Yield the nodes reachable from source over residual reduced costs, nearest first.
 
     `extra` is the flow above each arc's lower bound; a residual arc whose
-    reduced cost is negative raises InvariantError.  With a `radius` the
-    search settles only nodes at distance <= radius; with `targets` it stops
-    once every target is settled.  With `imbalance`, the first settled node
-    whose imbalance is negative sets the radius to its distance, so the
-    search still settles every deficit tied with it and the caller can break
-    the tie by node index.  Nodes left unsettled read None; settled ones get
-    the dist and pred of the full search, because the pops before the stop
-    are the same and a relaxation replaces only a strictly longer distance.
-    A `settled` list gets the settled nodes appended in the order they pop.
+    reduced cost is negative raises InvariantError.  `dist` and `pred` must
+    read None everywhere; they are filled in place with distances and
+    (arc, forward) preds.  A node's entries are final when it is yielded,
+    because a relaxation replaces only a strictly longer distance and every
+    node popped later is at least as far.  Entries of nodes not yet yielded
+    are tentative.  The caller stops the search by no longer reading it, and
+    a node's own arcs are scanned only when the caller reads past it.
     """
-    n = net.node_count
-    dist: list[int | None] = [None] * n
-    pred: list[tuple[int, bool] | None] = [None] * n
     dist[source] = 0
     tick = count()
     heap = [(0, next(tick), source)]
-    waiting = len(targets)
     while heap:
         reached, _, node = heapq.heappop(heap)
         if reached > dist[node]:
             continue
-        if radius is not None and reached > radius:
-            dist[node] = pred[node] = None
-            break
-        if settled is not None:
-            settled.append(node)
-        if imbalance is not None and imbalance[node] < 0:
-            radius = reached
-        if waiting and node in targets:
-            waiting -= 1
-            if not waiting:
-                break
+        yield node
         for index in out_arcs[node]:
             if extra[index] < span[index]:
                 arc = net.arcs[index]
@@ -152,12 +142,6 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
                     dist[arc.src] = candidate
                     pred[arc.src] = (index, False)
                     heapq.heappush(heap, (candidate, next(tick), arc.src))
-    # A search that stopped early leaves each unsettled node exactly one heap
-    # entry at its tentative dist; a full search leaves the heap empty.
-    for reached, _, node in heap:
-        if dist[node] == reached:
-            dist[node] = pred[node] = None
-    return dist, pred
 
 
 def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:

@@ -224,16 +224,16 @@ def _initial_tree(net: Network, values) -> list[int]:
     return sorted(tree)
 
 
-def _pivot_to_optimal(net: Network, values, tree: list[int]) -> list[int]:
+def _pivot_to_optimal(net: Network, values, tree: list[int]):
     """Degenerate simplex pivots (Bland's rule) until no sign condition fails.
 
     Only zero-headroom swaps happen, so the flow never changes; a violating
     arc whose cycle still has headroom means the flow was not optimal, and
-    those are left alone.
+    those are left alone.  Returns the final tree and its `_tree_tables`.
     """
     for _ in range(_PIVOT_CAP):
         in_tree = set(tree)
-        parent_node, parent_arc, depth, potentials = _tree_tables(net, tree)
+        tables = parent_node, parent_arc, depth, potentials = _tree_tables(net, tree)
         swap = None
         for arc_id in range(net.arc_count):
             if arc_id in in_tree:
@@ -257,7 +257,7 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]) -> list[int]:
             swap = (arc_id, members)
             break
         if swap is None:
-            return tree
+            return tree, tables
         entering, members = swap
         blocking = [
             e for e, s in members
@@ -282,8 +282,7 @@ def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
     values = list(flow.values)
     _cancel_free_cycles(net, values)
     tree = _initial_tree(net, values)
-    tree = _pivot_to_optimal(net, values, tree)
-    parent_node, parent_arc, depth, potentials = _tree_tables(net, tree)
+    tree, (parent_node, parent_arc, depth, potentials) = _pivot_to_optimal(net, values, tree)
     in_tree = set(tree)
     lower_set = frozenset(
         a for a in range(net.arc_count)

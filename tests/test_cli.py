@@ -292,6 +292,33 @@ class TestVerify:
         summary = lines[-1]
         assert summary["match"] is True
         assert summary["enumerated"] == summary["reference"] == 11
+        assert summary["limit_reached"] is False
+
+    def test_limit_below_the_count_still_matches(self, tmp_path, eleven_optima_network):
+        path = write_instance(tmp_path, eleven_optima_network)
+        code, lines, _ = invoke(["verify", path, "--limit", "2"])
+        assert code == 0
+        summary = lines[-1]
+        assert summary["match"] is True and summary["limit_reached"] is True
+        assert (summary["count"], summary["enumerated"], summary["reference"]) == (2, 2, 11)
+        code, lines, _ = invoke(["verify", path, "--limit", "11"])
+        assert code == 0 and lines[-1]["limit_reached"] is False
+
+    @pytest.mark.parametrize("limit", ["2", "11", "20"])
+    def test_repeated_flow_fails(self, tmp_path, monkeypatch, eleven_optima_network, limit):
+        real = flowenum.cli.iter_optimal_flows
+
+        def repeating(net):
+            flows = real(net)
+            first = next(flows)
+            yield first
+            yield first
+            yield from flows
+
+        monkeypatch.setattr(flowenum.cli, "iter_optimal_flows", repeating)
+        code, lines, _ = invoke(["verify", write_instance(tmp_path, eleven_optima_network), "--limit", limit])
+        assert code == 1
+        assert lines[-1]["match"] is False
 
 
 class TestErrorPaths:

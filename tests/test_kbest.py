@@ -1,3 +1,4 @@
+import hashlib
 import random
 from dataclasses import replace
 
@@ -21,12 +22,36 @@ from flowenum.solver import (
 from helpers import make_network, random_feasible_network, random_grid_network
 
 
-def dijkstra_from(net, flow, potential, source, **stop):
-    """The solver's residual Dijkstra, set up the way find_second_best_flow sets it up."""
+def dijkstra_from(net, flow, potential, source):
+    """A full run of the solver's residual Dijkstra, set up the way find_second_best_flow sets it up.
+
+    Returns the yield order and the dist/pred entries each node had when it
+    was yielded, plus the final dist and pred lists.
+    """
     span = [arc.span for arc in net.arcs]
     extra = [value - arc.lower for arc, value in zip(net.arcs, flow.values)]
     out_arcs, in_arcs = _incidence(net)
-    return _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, **stop)
+    dist, pred = [None] * net.node_count, [None] * net.node_count
+    seen = [(node, dist[node], pred[node])
+            for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred)]
+    return seen, dist, pred
+
+
+def watch_searches(monkeypatch):
+    """Wrap kbest's Dijkstra; per search, log (source, nodes read, nodes a full run yields)."""
+    log = []
+
+    def watched(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+        full = sum(1 for _ in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
+                                        [None] * net.node_count, [None] * net.node_count))
+        read = []
+        log.append((source, read, full))
+        for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+            read.append(node)
+            yield node
+
+    monkeypatch.setattr(flowenum.kbest, "_dijkstra", watched)
+    return log
 
 
 def unpruned_second_best(net, flow):
@@ -52,7 +77,9 @@ def unpruned_second_best(net, flow):
         else:
             continue
         if head not in searches:
-            searches[head] = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, head)
+            searches[head] = ([None] * net.node_count, [None] * net.node_count)
+            for _ in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, head, *searches[head]):
+                pass
         back = searches[head][0][tail]
         if back is not None and (best_total is None or weight + back < best_total):
             best_total = weight + back
@@ -71,15 +98,15 @@ def unpruned_second_best(net, flow):
     return Flow(tuple(values))
 
 
-def candidate_heads(net, flow):
-    """Distinct heads of the arcs at a bound, the candidate cycles' start nodes."""
-    heads = set()
+def candidate_tails(net, flow):
+    """Per head of an arc at a bound (a candidate cycle's start), the cycles' tails."""
+    tails = {}
     for arc, value in zip(net.arcs, flow.values):
         if arc.span and value == arc.lower:
-            heads.add(arc.dst)
+            tails.setdefault(arc.dst, set()).add(arc.src)
         elif arc.span and value == arc.upper:
-            heads.add(arc.src)
-    return heads
+            tails.setdefault(arc.src, set()).add(arc.dst)
+    return tails
 
 
 def chain_network(costs):
@@ -88,22 +115,40 @@ def chain_network(costs):
     return make_network(len(costs) + 1, specs, (0,) * (len(costs) + 1))
 
 
+# sha256 of repr((dist, pred)) for a full search from every node of the
+# three grids in TestResidualDijkstra, computed with the search that
+# returned dist and pred lists instead of yielding nodes.
+FULL_SEARCH_DIGEST = "488a9d08fbcd21872682019d29a103aedbf94c21f29e1a6a471deaa44bba9d56"
+
+
+def grid_searches():
+    """Per grid: the network, its optimal flow and optimal potentials."""
+    rng = random.Random(99)
+    for side in (5, 6, 7):
+        net = random_grid_network(rng, side, side)
+        best = solve_min_cost_flow(net)
+        yield net, best, compute_node_potentials(net, best)
+
+
 class TestResidualDijkstra:
     def test_source_distance_is_zero(self):
         net = make_network(3, [(0, 1, 0, 1, 5)], (0, 0, 0))
         for source in range(3):
-            dist, pred = dijkstra_from(net, Flow((0,)), (0, 0, 0), source)
+            seen, dist, pred = dijkstra_from(net, Flow((0,)), (0, 0, 0), source)
+            assert seen[0] == (source, 0, None)
             assert dist[source] == 0 and pred[source] is None
 
     def test_single_arc(self):
         net = make_network(2, [(0, 1, 0, 1, 5)], (0, 0))
-        dist, pred = dijkstra_from(net, Flow((0,)), (0, 0), 0)
+        seen, dist, pred = dijkstra_from(net, Flow((0,)), (0, 0), 0)
+        assert seen == [(0, 0, None), (1, 5, (0, True))]
         assert dist == [0, 5]
-        assert pred[1] == (0, True)
 
     def test_unreachable_node_is_none(self):
+        # It is never yielded, and never given even a tentative distance.
         net = make_network(2, [(0, 1, 0, 1, 5)], (0, 0))
-        dist, pred = dijkstra_from(net, Flow((0,)), (0, 0), 1)
+        seen, dist, pred = dijkstra_from(net, Flow((0,)), (0, 0), 1)
+        assert seen == [(1, 0, None)]
         assert dist == [None, 0]
         assert pred == [None, None]
 
@@ -112,53 +157,33 @@ class TestResidualDijkstra:
         with pytest.raises(InvariantError):
             dijkstra_from(net, Flow((0,)), (0, 0), 0)
 
-    def test_nodes_past_the_radius_read_none(self):
+    def test_nodes_are_yielded_nearest_first(self):
         net = chain_network([1, 1, 0, 1])
-        zero = (0,) * 5
-        flow = Flow((0,) * 4)
-        assert dijkstra_from(net, flow, zero, 0, radius=1)[0] == [0, 1, None, None, None]
-        # Ties at the radius are settled too.
-        dist, pred = dijkstra_from(net, flow, zero, 0, radius=2)
-        assert dist == [0, 1, 2, 2, None]
-        assert pred == [None, (0, True), (1, True), (2, True), None]
-
-    def test_search_stops_once_its_targets_are_settled(self):
-        net = chain_network([1, 1, 1, 1])
-        zero = (0,) * 5
-        flow = Flow((0,) * 4)
-        dist, pred = dijkstra_from(net, flow, zero, 0, targets={2, 1})
-        assert dist == [0, 1, 2, None, None]
-        assert pred[3] is None
-        # A target beyond the radius does not hold the search open.
-        assert dijkstra_from(net, flow, zero, 0, radius=1, targets={4})[0] == [0, 1, None, None, None]
+        seen, dist, _ = dijkstra_from(net, Flow((0,) * 4), (0,) * 5, 0)
+        assert [node for node, *_ in seen] == [0, 1, 2, 3, 4]
+        assert dist == [0, 1, 2, 2, 3]
 
     def test_settled_nodes_match_the_full_search(self):
-        rng = random.Random(99)
+        # Each node is yielded once, nearest first, with the entries the
+        # full run ends with; the unreached ones are never yielded.
         checked = 0
-        for side in (5, 6, 7):
-            net = random_grid_network(rng, side, side)
-            best = solve_min_cost_flow(net)
-            potential = compute_node_potentials(net, best)
-            for source in rng.sample(range(net.node_count), 4):
-                full_dist, full_pred = dijkstra_from(net, best, potential, source)
-                reached = sorted(d for d in full_dist if d is not None)
-                for radius in (0, reached[len(reached) // 3], reached[len(reached) // 2]):
-                    targets = set(rng.sample(range(net.node_count), 3))
-                    for stop in ({"radius": radius}, {"targets": targets},
-                                 {"radius": radius, "targets": targets}):
-                        dist, pred = dijkstra_from(net, best, potential, source, **stop)
-                        for node, d in enumerate(dist):
-                            if d is not None:
-                                assert (d, pred[node]) == (full_dist[node], full_pred[node])
-                                checked += 1
-                            elif "targets" not in stop:
-                                assert full_dist[node] is None or full_dist[node] > radius
-                        if "radius" not in stop:
-                            assert all(dist[t] == full_dist[t] for t in targets)
-                        else:
-                            assert all(dist[t] == full_dist[t] for t in targets
-                                       if full_dist[t] is not None and full_dist[t] <= radius)
-        assert checked > 500
+        for net, best, potential in grid_searches():
+            for source in range(net.node_count):
+                seen, dist, pred = dijkstra_from(net, best, potential, source)
+                assert sorted(node for node, *_ in seen) == [
+                    node for node, d in enumerate(dist) if d is not None]
+                assert [d for _, d, _ in seen] == sorted(d for _, d, _ in seen)
+                assert all((d, p) == (dist[node], pred[node]) for node, d, p in seen)
+                checked += len(seen)
+        assert checked > 2000
+
+    def test_full_searches_are_pinned(self):
+        digest = hashlib.sha256()
+        for net, best, potential in grid_searches():
+            for source in range(net.node_count):
+                _, dist, pred = dijkstra_from(net, best, potential, source)
+                digest.update(repr((dist, pred)).encode())
+        assert digest.hexdigest() == FULL_SEARCH_DIGEST
 
 
 class TestFindSecondBest:
@@ -228,6 +253,8 @@ class TestFindSecondBest:
         # Two separate swaps each cost one more than the optimum.  The swap
         # of arcs 2 and 3 is found first (head 1 has a zero-weight candidate),
         # but arc 0 of the other swap has the smaller index and must win.
+        # That search's radius is exactly its tail's distance, so this also
+        # checks that nodes tied at the radius are still settled.
         net = make_network(
             4,
             [(2, 3, 0, 1, 1), (2, 3, 0, 1, 2), (0, 1, 0, 1, 1), (0, 1, 0, 1, 2), (1, 2, 0, 0, 0)],
@@ -240,22 +267,27 @@ class TestFindSecondBest:
         assert second == unpruned_second_best(net, best)
 
     def test_searches_are_pruned(self, monkeypatch):
-        # Fewer searches than heads, and fewer nodes settled than full searches would.
-        settled = []
-
-        def counted(*args, **stop):
-            result = _dijkstra(*args, **stop)
-            full = _dijkstra(*args)[0]
-            settled.append((sum(d is not None for d in result[0]), sum(d is not None for d in full)))
-            return result
-
-        monkeypatch.setattr(flowenum.kbest, "_dijkstra", counted)
+        # Fewer searches than heads, and fewer nodes read than full searches
+        # yield; some searches stop at their radius before all their tails.
+        searches = watch_searches(monkeypatch)
         net = random_grid_network(random.Random(8), 8, 8)
         best = solve_min_cost_flow(net)
         second = find_second_best_flow(net, best)
         assert flow_cost(net, second) > flow_cost(net, best)
-        assert 0 < len(settled) < len(candidate_heads(net, best))
-        assert sum(bounded for bounded, _ in settled) < sum(full for _, full in settled)
+        tails = candidate_tails(net, best)
+        assert 0 < len(searches) < len(tails)
+        assert sum(len(read) for _, read, _ in searches) < sum(full for *_, full in searches)
+        assert any(len(read) < full and not tails[head] <= set(read) for head, read, full in searches)
+
+    def test_search_stops_once_its_tails_are_settled(self, monkeypatch):
+        # The first search has no best cycle to bound it, so only its tails stop it.
+        searches = watch_searches(monkeypatch)
+        for seed in (2, 5, 8):
+            searches.clear()
+            net = random_grid_network(random.Random(seed), 8, 8)
+            find_second_best_flow(net, solve_min_cost_flow(net))
+            _, read, full = searches[0]
+            assert len(read) < full
 
     def test_invariant_is_checked_where_no_search_goes(self, monkeypatch):
         # Arc 0 is used, arc 1 is the cheap alternative, and arc 2 leads to

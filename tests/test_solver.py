@@ -45,7 +45,9 @@ def full_search_solve(net):
             source += 1
         if source == n:
             break
-        dist, pred = _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source)
+        dist, pred = [None] * n, [None] * n
+        for _ in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+            pass
         target = None
         for node in range(n):
             if imbalance[node] < 0 and dist[node] is not None:
@@ -75,6 +77,33 @@ def full_search_solve(net):
     if not check_feasible(net, result):
         raise InvariantError("successive shortest paths ended on an infeasible flow")
     return result
+
+
+def watch_searches(monkeypatch):
+    """Wrap the solver's Dijkstra; log each search against a full run from the same state.
+
+    Per search: the source, the potentials and imbalances it started from,
+    the full run's dist and pred, and each node read with its entries when yielded.
+    """
+    log = []
+
+    def watched(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+        full_dist, full_pred = [None] * net.node_count, [None] * net.node_count
+        for _ in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, full_dist, full_pred):
+            pass
+        imbalance = list(net.balances)
+        for arc, more in zip(net.arcs, extra):
+            imbalance[arc.src] -= arc.lower + more
+            imbalance[arc.dst] += arc.lower + more
+        search = {"source": source, "potential": list(potential), "imbalance": imbalance,
+                  "full_dist": full_dist, "full_pred": full_pred, "read": []}
+        log.append(search)
+        for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+            search["read"].append((node, dist[node], pred[node]))
+            yield node
+
+    monkeypatch.setattr(flowenum.solver, "_dijkstra", watched)
+    return log
 
 
 def two_way_grid(seed, size=12, **kwargs):
@@ -129,29 +158,31 @@ class TestStoppedSearch:
     """Each augmentation's Dijkstra stops once the nearest deficits are settled."""
 
     def test_settled_nodes_match_the_full_search(self, monkeypatch):
-        # Every search of a solve, checked against a full search from the same state.
-        checked = []
-
-        def compared(*args, **stop):
-            dist, pred = _dijkstra(*args, **stop)
-            full_dist, full_pred = _dijkstra(*args)
-            imbalance = stop["imbalance"]
-            reach = min(d for node, d in enumerate(full_dist)
-                        if d is not None and imbalance[node] < 0)
-            for node, here in enumerate(full_dist):
-                if here is not None and here <= reach:
-                    assert (dist[node], pred[node]) == (here, full_pred[node])
-                else:
-                    assert dist[node] is None and pred[node] is None
-            assert sorted(stop["settled"]) == [node for node, d in enumerate(dist) if d is not None]
-            checked.append(reach)
-            return dist, pred
-
-        monkeypatch.setattr(flowenum.solver, "_dijkstra", compared)
+        # Every search of a solve settles exactly the nodes a full search
+        # puts within reach, reads at most one node past them, and moves
+        # only their potentials, by dist - reach.
+        searches = watch_searches(monkeypatch)
+        reaches = []
         for seed in (1, 2, 3):
+            searches.clear()
             solve_min_cost_flow(two_way_grid(seed))
-        assert len(checked) > 100
-        assert any(checked)
+            for search, after in zip(searches, searches[1:] + [None]):
+                full_dist, imbalance = search["full_dist"], search["imbalance"]
+                reach = min(d for node, d in enumerate(full_dist)
+                            if d is not None and imbalance[node] < 0)
+                within = {node for node, d in enumerate(full_dist) if d is not None and d <= reach}
+                read = search["read"]
+                assert {node for node, *_ in read[:len(within)]} == within
+                assert len(read) == len(within) or (len(read) == len(within) + 1
+                                                    and read[-1][1] > reach)
+                assert all((d, p) == (full_dist[node], search["full_pred"][node]) for node, d, p in read)
+                if after is not None:
+                    assert after["potential"] == [
+                        p + (full_dist[node] - reach if node in within else 0)
+                        for node, p in enumerate(search["potential"])]
+                reaches.append(reach)
+        assert len(reaches) > 100
+        assert any(reaches)
 
     def test_tied_deficits_go_to_the_lower_index(self):
         # Nodes 1 and 2 are both one unit away from node 0, and node 2 is
@@ -165,33 +196,20 @@ class TestStoppedSearch:
         assert full_search_solve(net) == Flow((0, 1, 0, 1))
 
     def test_searches_settle_fewer_nodes(self, monkeypatch):
-        settled = []
-
-        def counted(*args, **stop):
-            dist, pred = _dijkstra(*args, **stop)
-            settled.append(sum(d is not None for d in dist))
-            return dist, pred
-
-        monkeypatch.setattr(flowenum.solver, "_dijkstra", counted)
+        searches = watch_searches(monkeypatch)
         net = two_way_grid(5)
         solve_min_cost_flow(net)
-        assert len(settled) > 50
-        assert sum(settled) < net.node_count * len(settled) // 4
+        assert len(searches) > 50
+        assert sum(len(search["read"]) for search in searches) < net.node_count * len(searches) // 4
 
     def test_second_augmentation_without_reachable_demand_is_infeasible(self, monkeypatch):
         # The first unit goes 0 -> 1; then no residual arc leaves node 0,
         # and node 2 (which only feeds node 0) keeps its demand.
-        searches = []
-
-        def counted(*args, **stop):
-            searches.append(args[6])
-            return _dijkstra(*args, **stop)
-
-        monkeypatch.setattr(flowenum.solver, "_dijkstra", counted)
+        searches = watch_searches(monkeypatch)
         net = make_network(3, [(0, 1, 0, 1, 1), (2, 0, 0, 1, 1)], (2, -1, -1))
         with pytest.raises(InfeasibleError):
             solve_min_cost_flow(net)
-        assert searches == [0, 0]
+        assert [search["source"] for search in searches] == [0, 0]
 
     def test_matches_the_full_search_reference(self):
         for seed in range(1, 7):
