@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator
 
-from .core import Flow, Network, validate_network
+from .core import Flow, Network
 from .dfs import find_another_feasible_flow
 from .errors import IdenticalFlowsError
 from .solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
@@ -67,7 +67,6 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
     The count can be exponential; stop the generator when enough flows have
     come, e.g. with `itertools.islice`.
     """
-    validate_network(net)
     first = solve_min_cost_flow(net)
     yield first
     reduced_costs = compute_reduced_costs(net, compute_node_potentials(net, first))

@@ -21,7 +21,7 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import Flow, Network, flow_cost, validate_network
+from .core import Flow, Network, flow_cost
 from .dfs import find_another_feasible_flow
 from .enumeration import optimal_face, partition_solution_space
 from .errors import InvariantError
@@ -105,7 +105,6 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
     """Up to k distinct flows, cheapest first; stops early if fewer exist."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    validate_network(net)
     best = solve_min_cost_flow(net)
     yield best
     if k == 1:

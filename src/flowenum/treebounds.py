@@ -4,6 +4,10 @@ A tree solution pins every non-tree arc at one of its capacity bounds; each
 non-tree arc then induces exactly one cycle through the tree.  The induced
 cycles with zero reduced cost form a basis for all optimal flows, which is
 what the count bounds and the coordinate extraction below exploit.
+
+One undirected depth-first walk, `_walk`, finds the free cycles to cancel,
+roots the first tree at node 0, and after each pivot re-roots only the part
+the leaving arc cut off (Ahuja, Magnanti and Orlin, Network Flows, ch. 11).
 """
 
 from __future__ import annotations
@@ -72,38 +76,43 @@ def _headroom(net: Network, values, arc_id: int, sign: int) -> int:
     return arc.upper - values[arc_id] if sign > 0 else values[arc_id] - arc.lower
 
 
-def _tree_tables(net: Network, tree_arcs):
-    """Parent links, depths and potentials of the tree, rooted at node 0."""
-    parent_node = [-1] * net.node_count
-    parent_arc = [-1] * net.node_count
-    depth = [0] * net.node_count
-    potentials = [0] * net.node_count
+def _adjacency(net: Network, arcs):
+    """Undirected incidence lists: adjacency[node] holds (neighbor, arc id)."""
     adjacency: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
-    for arc_id in tree_arcs:
+    for arc_id in arcs:
         arc = net.arcs[arc_id]
         adjacency[arc.src].append((arc.dst, arc_id))
         adjacency[arc.dst].append((arc.src, arc_id))
-    seen = [False] * net.node_count
-    seen[0] = True
-    stack = [0]
+    return adjacency
+
+
+def _walk(net: Network, adjacency, tables, node: int, parent: int = -1, via: int = -1):
+    """Depth-first walk from `node`, entered from `parent` by arc `via`.
+
+    Every node reached without crossing `via` gets its parent link, depth
+    and potential in `tables`; others keep theirs.  Neighbours are taken in
+    adjacency order.  Returns the first arc that closes a cycle, or None
+    when the part reached is a tree.
+    """
+    parent_node, parent_arc, depth, potentials = tables
+    seen = set()
+    stack = [(node, parent, via)]
     while stack:
-        node = stack.pop()
-        for neighbor, arc_id in adjacency[node]:
-            if seen[neighbor]:
-                continue
-            seen[neighbor] = True
-            parent_node[neighbor] = node
-            parent_arc[neighbor] = arc_id
-            depth[neighbor] = depth[node] + 1
-            arc = net.arcs[arc_id]
-            if arc.src == node:
-                potentials[neighbor] = potentials[node] + arc.cost
-            else:
-                potentials[neighbor] = potentials[node] - arc.cost
-            stack.append(neighbor)
-    if not all(seen):
-        raise InvariantError("tree arcs must span the network")
-    return parent_node, parent_arc, depth, potentials
+        node, parent, via = stack.pop()
+        if node in seen:
+            return via
+        seen.add(node)
+        parent_node[node] = parent
+        parent_arc[node] = via
+        if parent < 0:
+            depth[node] = potentials[node] = 0
+        else:
+            arc = net.arcs[via]
+            depth[node] = depth[parent] + 1
+            potentials[node] = potentials[parent] + (arc.cost if arc.src == parent else -arc.cost)
+        # Reversed, so neighbours pop in adjacency order.
+        stack.extend((other, node, a) for other, a in reversed(adjacency[node]) if a != via)
+    return None
 
 
 def _tree_path(parent_node, parent_arc, depth, net: Network, start: int, goal: int):
@@ -131,46 +140,23 @@ def _tree_path(parent_node, parent_arc, depth, net: Network, start: int, goal: i
 
 def _find_free_cycle(net: Network, free):
     """Signed closed walk through arcs that sit strictly between their bounds."""
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
-    for arc_id in free:
-        arc = net.arcs[arc_id]
-        adjacency[arc.src].append((arc.dst, arc_id))
-        adjacency[arc.dst].append((arc.src, arc_id))
-    discovered = [False] * net.node_count
-    parent_edge = [-1] * net.node_count
-    parent_node = [-1] * net.node_count
-    for start in range(net.node_count):
-        if discovered[start]:
+    adjacency = _adjacency(net, free)
+    tables = parent_node, parent_arc, depth, _ = [[-1] * net.node_count for _ in range(4)]
+    for root in range(net.node_count):
+        if depth[root] >= 0:
             continue
-        discovered[start] = True
-        stack = [(start, 0)]
-        while stack:
-            node, cursor = stack[-1]
-            if cursor >= len(adjacency[node]):
-                stack.pop()
-                continue
-            stack[-1] = (node, cursor + 1)
-            neighbor, arc_id = adjacency[node][cursor]
-            if arc_id == parent_edge[node]:
-                continue
-            if discovered[neighbor]:
-                # Undirected DFS: any non-parent edge leads to an ancestor.
-                walk = []
-                x = node
-                while x != neighbor:
-                    edge = parent_edge[x]
-                    walk.append((edge, 1 if net.arcs[edge].src == x else -1))
-                    x = parent_node[x]
-                walk.append((arc_id, 1 if net.arcs[arc_id].src == neighbor else -1))
-                return walk
-            discovered[neighbor] = True
-            parent_edge[neighbor] = arc_id
-            parent_node[neighbor] = node
-            stack.append((neighbor, 0))
+        closing = _walk(net, adjacency, tables, root)
+        if closing is not None:
+            # The closing arc leads back to an ancestor of its deeper end.
+            arc = net.arcs[closing]
+            deep, top = sorted((arc.src, arc.dst), key=depth.__getitem__, reverse=True)
+            walk = _tree_path(parent_node, parent_arc, depth, net, deep, top)
+            return walk + [(closing, 1 if arc.src == top else -1)]
     return None
 
 
-def _cancel_free_cycles(net: Network, values) -> None:
+def _cancel_free_cycles(net: Network, values) -> list[int]:
+    """Cancel free cycles in place; returns the free arcs left, a forest."""
     while True:
         free = [
             a for a in range(net.arc_count)
@@ -178,7 +164,7 @@ def _cancel_free_cycles(net: Network, values) -> None:
         ]
         walk = _find_free_cycle(net, free)
         if walk is None:
-            return
+            return free
         walk_cost = sum(sign * net.arcs[arc_id].cost for arc_id, sign in walk)
         if walk_cost > 0:
             walk = [(arc_id, -sign) for arc_id, sign in walk]
@@ -187,7 +173,7 @@ def _cancel_free_cycles(net: Network, values) -> None:
             values[arc_id] += sign * room
 
 
-def _initial_tree(net: Network, values) -> list[int]:
+def _initial_tree(net: Network, free: list[int]) -> list[int]:
     """Free arcs first, then tight arcs by (span, id), merged Kruskal-style."""
     leader = list(range(net.node_count))
 
@@ -204,10 +190,6 @@ def _initial_tree(net: Network, values) -> list[int]:
         leader[x] = y
         return True
 
-    free = [
-        a for a in range(net.arc_count)
-        if net.arcs[a].lower < values[a] < net.arcs[a].upper
-    ]
     tree = []
     for arc_id in free:
         if not union(net.arcs[arc_id].src, net.arcs[arc_id].dst):
@@ -221,7 +203,7 @@ def _initial_tree(net: Network, values) -> list[int]:
     for arc_id in rest:
         if union(net.arcs[arc_id].src, net.arcs[arc_id].dst):
             tree.append(arc_id)
-    return sorted(tree)
+    return tree
 
 
 def _pivot_to_optimal(net: Network, values, tree: list[int]):
@@ -229,14 +211,22 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
 
     Only zero-headroom swaps happen, so the flow never changes; a violating
     arc whose cycle still has headroom means the flow was not optimal, and
-    those are left alone.  Returns the final tree and its `_tree_tables`.
+    those are left alone.  Each swap walks again only the part of the tree
+    that the leaving arc cut off.  Returns tree membership by arc id and
+    the tree's parent links, depths and potentials, rooted at node 0.
     """
+    adjacency = _adjacency(net, tree)
+    tables = parent_node, parent_arc, depth, potentials = [[-1] * net.node_count for _ in range(4)]
+    _walk(net, adjacency, tables, 0)
+    if -1 in depth:
+        raise InvariantError("tree arcs must span the network")
+    in_tree = [False] * net.arc_count
+    for arc_id in tree:
+        in_tree[arc_id] = True
     for _ in range(_PIVOT_CAP):
-        in_tree = set(tree)
-        tables = parent_node, parent_arc, depth, potentials = _tree_tables(net, tree)
         swap = None
         for arc_id in range(net.arc_count):
-            if arc_id in in_tree:
+            if in_tree[arc_id]:
                 continue
             arc = net.arcs[arc_id]
             if arc.lower == arc.upper:
@@ -257,14 +247,23 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
             swap = (arc_id, members)
             break
         if swap is None:
-            return tree, tables
+            return in_tree, tables
         entering, members = swap
-        blocking = [
-            e for e, s in members
-            if e != entering and _headroom(net, values, e, s) == 0
-        ]
-        leaving = min(blocking)
-        tree = sorted([t for t in tree if t != leaving] + [entering])
+        leaving = min(e for e, s in members if e != entering and _headroom(net, values, e, s) == 0)
+        out, arc = net.arcs[leaving], net.arcs[entering]
+        # The leaving arc cuts off the subtree below its deeper end; the
+        # entering arc has exactly one end inside it.
+        cut = out.src if depth[out.src] > depth[out.dst] else out.dst
+        x = arc.src
+        while depth[x] > depth[cut]:
+            x = parent_node[x]
+        inside, outside = (arc.src, arc.dst) if x == cut else (arc.dst, arc.src)
+        adjacency[out.src].remove((out.dst, leaving))
+        adjacency[out.dst].remove((out.src, leaving))
+        adjacency[arc.src].append((arc.dst, entering))
+        adjacency[arc.dst].append((arc.src, entering))
+        in_tree[leaving], in_tree[entering] = False, True
+        _walk(net, adjacency, tables, inside, outside, entering)
     raise InvariantError("tree pivoting did not terminate")
 
 
@@ -280,21 +279,19 @@ def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("tree solutions exist for feasible flows only")
     values = list(flow.values)
-    _cancel_free_cycles(net, values)
-    tree = _initial_tree(net, values)
-    tree, (parent_node, parent_arc, depth, potentials) = _pivot_to_optimal(net, values, tree)
-    in_tree = set(tree)
+    tree = _initial_tree(net, _cancel_free_cycles(net, values))
+    in_tree, (parent_node, parent_arc, depth, potentials) = _pivot_to_optimal(net, values, tree)
     lower_set = frozenset(
         a for a in range(net.arc_count)
-        if a not in in_tree and values[a] == net.arcs[a].lower
+        if not in_tree[a] and values[a] == net.arcs[a].lower
     )
     upper_set = frozenset(
         a for a in range(net.arc_count)
-        if a not in in_tree and a not in lower_set
+        if not in_tree[a] and a not in lower_set
     )
     structure = TreeStructure(
         net,
-        tuple(tree),
+        tuple(a for a in range(net.arc_count) if in_tree[a]),
         lower_set,
         upper_set,
         tuple(potentials),

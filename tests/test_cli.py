@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import flowenum.cli
+import flowenum.treebounds
 from flowenum.cli import run
 from flowenum.dimacs import serialize_dimacs
 
@@ -142,6 +143,18 @@ BOUNDS_GOLDEN = {
     3: "2431859472ff8ef3e232b5d902eeff712b118c16d412974c0694b671a797417a",
 }
 
+# sha256 of `bounds` stdout, elapsed_ms removed, and the number of free
+# cycles canceled before the first tree, on the zero-cost grids
+# random_grid_network(random.Random(seed), 6, 6, min_cost=0, max_cost=0,
+# both_ways=True).  Recorded while the free-cycle search had a DFS of its
+# own; a change to which cycle is found first shows here.  These grids have
+# too many optima for --exact.
+FREE_CYCLE_GOLDEN = {
+    1: ("39f239096d9f6a17530fe9e48ae086ed07518da051ee563693e132bd99109022", 5),
+    2: ("eb23df173b9e0d7e97d7ff694ab57eebe8c350f6af1ddd385873108c953f62df", 1),
+    3: ("8fb78b3c935e06da81e0ba8aa6227d74376ba963dce00a0a82509129cf780d23", 2),
+}
+
 
 def stdout_digest(tmp_path, net, words):
     """sha256 of the command's stdout on net, with elapsed_ms removed."""
@@ -162,6 +175,23 @@ class TestPinnedOutput:
     def test_bounds_on_two_way_grids_is_pinned(self, tmp_path, seed):
         net = random_grid_network(random.Random(seed), 12, 12, both_ways=True)
         assert stdout_digest(tmp_path, net, ["bounds", "--exact"]) == BOUNDS_GOLDEN[seed]
+
+    @pytest.mark.parametrize("seed", sorted(FREE_CYCLE_GOLDEN))
+    def test_bounds_after_free_cycles_is_pinned(self, tmp_path, monkeypatch, seed):
+        found = []
+        find = flowenum.treebounds._find_free_cycle
+
+        def counted(net, free):
+            walk = find(net, free)
+            if walk is not None:
+                found.append(walk)
+            return walk
+
+        monkeypatch.setattr(flowenum.treebounds, "_find_free_cycle", counted)
+        net = random_grid_network(random.Random(seed), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+        digest, canceled = FREE_CYCLE_GOLDEN[seed]
+        assert stdout_digest(tmp_path, net, ["bounds"]) == digest
+        assert len(found) == canceled
 
 
 class TestKBest:

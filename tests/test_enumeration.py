@@ -12,7 +12,12 @@ from flowenum.enumeration import (
     optimal_face,
     partition_solution_space,
 )
-from flowenum.errors import IdenticalFlowsError, InfeasibleError
+from flowenum.errors import (
+    DisconnectedError,
+    IdenticalFlowsError,
+    InfeasibleError,
+    UnbalancedSupplyError,
+)
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 from helpers import make_network, random_feasible_network
@@ -125,6 +130,12 @@ class TestEnumerateAllOptimal:
         net = make_network(2, [(0, 1, 0, 0, 1)], (1, -1))
         with pytest.raises(InfeasibleError):
             list(iter_optimal_flows(net))
+
+    def test_invalid_networks_raise(self):
+        with pytest.raises(UnbalancedSupplyError):
+            list(iter_optimal_flows(make_network(2, [(0, 1, 0, 1, 0)], (1, 0))))
+        with pytest.raises(DisconnectedError):
+            list(iter_optimal_flows(make_network(2, [], (1, -1))))
 
     def test_emission_is_deterministic(self, eleven_optima_network):
         first = [flow.values for flow in iter_optimal_flows(eleven_optima_network)]

@@ -9,7 +9,7 @@ from flowenum.bruteforce import enumerate_all_feasible_bruteforce, k_best_brutef
 from flowenum.core import Flow, check_feasible, flow_cost
 from flowenum.dfs import find_another_feasible_flow
 from flowenum.enumeration import optimal_face
-from flowenum.errors import InfeasibleError, InvariantError
+from flowenum.errors import InfeasibleError, InvariantError, UnbalancedSupplyError
 from flowenum.kbest import find_second_best_flow, iter_k_best_flows
 from flowenum.solver import (
     _dijkstra,
@@ -346,6 +346,13 @@ class TestKBest:
     def test_invalid_k(self, chain3_network):
         with pytest.raises(ValueError):
             list(iter_k_best_flows(chain3_network, 0))
+
+    def test_k_is_checked_before_the_network(self):
+        unbalanced = make_network(2, [(0, 1, 0, 1, 0)], (1, 0))
+        with pytest.raises(ValueError, match="k must be positive"):
+            list(iter_k_best_flows(unbalanced, 0))
+        with pytest.raises(UnbalancedSupplyError):
+            list(iter_k_best_flows(unbalanced, 1))
 
     def test_prefix_matches_bruteforce(self):
         rng = random.Random(321)

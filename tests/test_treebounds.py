@@ -22,7 +22,7 @@ from flowenum.treebounds import (
     zero_cost_nontree_set,
 )
 
-from helpers import make_network, random_feasible_network, random_residual_cycle
+from helpers import make_network, random_feasible_network, random_grid_network, random_residual_cycle
 
 
 def members_by_arc(cycle):
@@ -85,6 +85,59 @@ class TestToTreeSolution:
         monkeypatch.setattr(treebounds, "_PIVOT_CAP", 0)
         with pytest.raises(InvariantError, match="did not terminate"):
             to_tree_solution(eleven_optima_network, eleven_optima_flow)
+
+    def test_unspanning_tree_is_an_invariant_error(self, monkeypatch, eleven_optima_network, eleven_optima_flow):
+        initial_tree = treebounds._initial_tree
+        monkeypatch.setattr(treebounds, "_initial_tree", lambda net, free: initial_tree(net, free)[1:])
+        with pytest.raises(InvariantError, match="must span the network"):
+            to_tree_solution(eleven_optima_network, eleven_optima_flow)
+
+    def test_uncanceled_free_cycle_is_an_invariant_error(self, monkeypatch):
+        net = make_network(
+            3, [(0, 1, 0, 2, 1), (1, 2, 0, 2, 1), (2, 0, 0, 2, -2)], (0, 0, 0)
+        )
+        monkeypatch.setattr(treebounds, "_find_free_cycle", lambda net, free: None)
+        with pytest.raises(InvariantError, match="must form a forest"):
+            to_tree_solution(net, Flow((1, 1, 1)))
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_tables_match_a_fresh_rooting_at_node_zero(self, monkeypatch, seed):
+        # Each pivot walks again only the part of the tree it cut off; the
+        # tables must still be the rooting of the final tree at node 0,
+        # found here by a breadth-first search.
+        net = random_grid_network(random.Random(seed), 12, 12, both_ways=True)
+        pivots = []
+        walk = treebounds._walk
+
+        def counted(net, adjacency, tables, node, parent=-1, via=-1):
+            if via >= 0:
+                pivots.append(via)
+            return walk(net, adjacency, tables, node, parent, via)
+
+        monkeypatch.setattr(treebounds, "_walk", counted)
+        _, ts = to_tree_solution(net, solve_min_cost_flow(net))
+        assert len(pivots) > 100
+        assert len(ts.tree_arcs) == net.node_count - 1
+        parent_node = [-1] * net.node_count
+        parent_arc = [-1] * net.node_count
+        depth = [0] * net.node_count
+        potentials = [0] * net.node_count
+        order = [0]
+        for node in order:
+            for arc_id in ts.tree_arcs:
+                arc = net.arcs[arc_id]
+                if node not in (arc.src, arc.dst) or arc_id == parent_arc[node]:
+                    continue
+                other = arc.dst if arc.src == node else arc.src
+                parent_node[other], parent_arc[other] = node, arc_id
+                depth[other] = depth[node] + 1
+                potentials[other] = potentials[node] + (arc.cost if arc.src == node else -arc.cost)
+                order.append(other)
+        assert sorted(order) == list(range(net.node_count))
+        assert ts.parent_node == tuple(parent_node)
+        assert ts.parent_arc == tuple(parent_arc)
+        assert ts.depth == tuple(depth)
+        assert ts.potentials == tuple(potentials)
 
 
 class TestInducedCycle:
