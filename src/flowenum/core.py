@@ -1,9 +1,12 @@
-"""Networks, integer flows, residual graphs, and cycle augmentation.
+"""Networks, integer flows, residual graphs, and cycles.
 
-Everything is exact integer arithmetic.  Residual arcs remember which
-original arc they came from, so graphs with parallel or anti-parallel arcs
-stay unambiguous: a cycle is "proper" exactly when it never uses both
-residual directions of one original arc.
+Everything is exact integer arithmetic.  Arc `a`'s residual arcs have ids
+`2a` (forward) and `2a + 1` (backward), so each remembers the original arc
+it came from, and graphs with parallel or anti-parallel arcs stay
+unambiguous: a cycle is "proper" exactly when it never uses both residual
+directions of one original arc.  `residual_ids` decides which residual arcs
+a flow has; `ResidualGraph` spells them out as objects for callers that
+want to inspect them.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from dataclasses import dataclass
 
 from .errors import (
     BadBoundsError,
-    CapacityExceededError,
     DimensionMismatchError,
     DisconnectedError,
     InfeasibleFlowError,
@@ -25,7 +27,7 @@ from .errors import (
 
 @dataclass(frozen=True)
 class Arc:
-    """Directed arc with integer capacity bounds and cost."""
+    """Directed arc with integer ends, capacity bounds and cost."""
 
     src: int
     dst: int
@@ -34,9 +36,11 @@ class Arc:
     cost: int
 
     def __post_init__(self) -> None:
-        for bound in (self.lower, self.upper):
-            if not isinstance(bound, int) or isinstance(bound, bool):
-                raise InfiniteCapacityError(f"capacities must be finite integers, got {bound!r}")
+        # `type(...) is int` also turns away bool, which is an int subclass.
+        if not type(self.lower) is type(self.upper) is int:
+            raise InfiniteCapacityError(f"capacities must be finite integers, got {self}")
+        if not type(self.src) is type(self.dst) is type(self.cost) is int:
+            raise NetworkValidationError(f"arc ends and costs must be integers, got {self}")
         if self.src == self.dst:
             raise NetworkValidationError(f"self-loop on node {self.src}")
         if not 0 <= self.lower <= self.upper:
@@ -158,16 +162,34 @@ class ResidualGraph:
     out_arcs: tuple[tuple[int, ...], ...]
 
 
-def build_residual(net: Network, flow: Flow) -> ResidualGraph:
-    """Residual graph of a feasible flow, ordered by (origin arc, forward first)."""
+def residual_ids(net: Network, flow: Flow) -> list[int]:
+    """Ascending ids of a feasible flow's residual arcs.
+
+    Arc `a` has its forward arc `2a` below its upper bound and its backward
+    arc `2a + 1` above its lower bound.  Raises InfeasibleFlowError unless
+    the flow is feasible.
+    """
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot build the residual graph of an infeasible flow")
-    arcs: list[ResidualArc] = []
+    ids = []
     for index, (arc, value) in enumerate(zip(net.arcs, flow.values)):
         if value < arc.upper:
-            arcs.append(ResidualArc(arc.src, arc.dst, arc.upper - value, arc.cost, index, True))
+            ids.append(2 * index)
         if value > arc.lower:
-            arcs.append(ResidualArc(arc.dst, arc.src, value - arc.lower, -arc.cost, index, False))
+            ids.append(2 * index + 1)
+    return ids
+
+
+def build_residual(net: Network, flow: Flow) -> ResidualGraph:
+    """Residual graph of a feasible flow, its arcs in `residual_ids` order."""
+    arcs: list[ResidualArc] = []
+    for index in residual_ids(net, flow):
+        origin = index >> 1
+        arc, value = net.arcs[origin], flow.values[origin]
+        if index & 1:
+            arcs.append(ResidualArc(arc.dst, arc.src, value - arc.lower, -arc.cost, origin, False))
+        else:
+            arcs.append(ResidualArc(arc.src, arc.dst, arc.upper - value, arc.cost, origin, True))
     out_lists: list[list[int]] = [[] for _ in range(net.node_count)]
     for index, res in enumerate(arcs):
         out_lists[res.src].append(index)
@@ -207,16 +229,3 @@ class Cycle:
 def cycle_cost(cycle: Cycle) -> int:
     """Sum of residual costs along the cycle."""
     return sum(res.cost for res in cycle.arcs)
-
-
-def augment(flow: Flow, cycle: Cycle, amount: int) -> Flow:
-    """Push `amount` units around the cycle; never exceeds residual capacity."""
-    if amount < 1:
-        raise ValueError(f"augmentation amount must be positive, got {amount}")
-    limit = min(res.residual_capacity for res in cycle.arcs)
-    if amount > limit:
-        raise CapacityExceededError(f"amount {amount} exceeds cycle capacity {limit}")
-    values = list(flow.values)
-    for res in cycle.arcs:
-        values[res.origin_arc] += amount if res.forward else -amount
-    return Flow(tuple(values))

@@ -1,120 +1,108 @@
 """Depth-first forests over residual graphs and proper-cycle search.
 
-The forest classifies every residual arc as tree, forward, backward (short
-or long), or cross, and keeps per-node SBAlow values (the shallowest dfs
-number reachable through short backward arcs alone).  Scanning the
-classified arcs then either produces a proper cycle or proves none exists;
-only cross arcs need a lowest common ancestor, found by walking parent links.
+One DFS works on plain integer lists: each node's out-list of residual arc
+ids, and per id the arc's head and the original arc it came from.  It
+classifies every residual arc as tree, forward, backward (short or long), or
+cross, and keeps per-node SBAlow values (the shallowest dfs number reachable
+through short backward arcs alone).  Scanning the classified arcs then either
+produces a proper cycle or proves none exists; only cross arcs need a lowest
+common ancestor, found by walking parent links.
+
+The lists have two readings.  `find_another_feasible_flow` reads a network
+and flow directly, with the ids of `core.residual_ids`; `build_dfs_forest`
+and `find_proper_cycle` read a `ResidualGraph`, whose ids are positions in
+its arcs.  Both list out-arcs by (origin arc, forward first), so they number
+the nodes alike and find the same cycle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .core import Cycle, Flow, Network, ResidualGraph, augment, build_residual
-from .errors import DifferentTreesError
+from .core import Cycle, Flow, Network, ResidualGraph, residual_ids
+from .errors import DifferentTreesError, InvariantError
 
-TREE = "tree"
-FORWARD = "forward"
-BACKWARD_SHORT = "backward_short"
-BACKWARD_LONG = "backward_long"
-CROSS = "cross"
+TREE, FORWARD, BACKWARD_SHORT, BACKWARD_LONG, CROSS = range(1, 6)
 
 
-@dataclass(frozen=True)
+@dataclass
 class DfsForest:
-    """DFS numbering, tree links, arc classification, and SBAlow values."""
+    """DFS numbering, tree links, arc classes, and SBAlow values.
 
-    graph: ResidualGraph
-    order: tuple[int, ...]                      # discovery numbers, 1-based
-    finish: tuple[int, ...]
-    parent_node: tuple[int, ...]                # -1 at roots
-    parent_arc: tuple[int, ...]                 # residual arc used for discovery
-    tree_root: tuple[int, ...]
-    depth: tuple[int, ...]
-    arc_class: tuple[str, ...]
-    short_back_arcs: tuple[tuple[int, ...], ...]
-    sbalow: tuple[int, ...]
+    Per-arc lists are indexed by residual id; ids with no arc read 0.
+    """
 
-    def is_ancestor(self, node: int, descendant: int) -> bool:
-        return (
-            self.order[node] <= self.order[descendant]
-            and self.finish[descendant] <= self.finish[node]
-        )
+    order: list[int]                    # discovery numbers, 1-based
+    discovery: list[int]                # nodes in discovery order
+    parent_node: list[int]              # -1 at roots
+    parent_arc: list[int]               # residual arc used for discovery
+    tree_root: list[int]
+    depth: list[int]
+    tail: list[int]
+    arc_class: list[int]
+    short_back_arcs: list[list[int]]
+    sbalow: list[int]
 
 
-def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
-    """Iterative DFS; roots by ascending node id, out-arcs in residual order."""
-    n = rg.node_count
+def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
+    """Iterative DFS; roots by ascending node id, each node's out-arcs in list order."""
+    n = len(out)
     order = [0] * n
-    finish = [0] * n
+    done = [False] * n
     parent_node = [-1] * n
     parent_arc = [-1] * n
     tree_root = [-1] * n
     depth = [0] * n
-    arc_class = [""] * len(rg.arcs)
-    short_back: list[tuple[int, ...]] = [()] * n
-    sbalow = [0] * n
+    tail = [0] * len(head)
+    arc_class = [0] * len(head)
+    short_back: list[list[int]] = [[] for _ in range(n)]
+    discovery: list[int] = []
 
-    clock = 0
-    finish_clock = 0
     for root in range(n):
         if order[root]:
             continue
-        clock += 1
-        order[root] = clock
+        discovery.append(root)
+        order[root] = len(discovery)
         tree_root[root] = root
-        sbalow[root] = clock
-        stack = [(root, 0)]
+        stack = [(root, iter(out[root]))]
         while stack:
-            node, cursor = stack[-1]
-            if cursor < len(rg.out_arcs[node]):
-                stack[-1] = (node, cursor + 1)
-                arc_index = rg.out_arcs[node][cursor]
-                child = rg.arcs[arc_index].dst
-                if order[child]:
-                    continue
-                arc_class[arc_index] = TREE
-                clock += 1
-                order[child] = clock
-                parent_node[child] = node
-                parent_arc[child] = arc_index
-                tree_root[child] = root
-                depth[child] = depth[node] + 1
-                to_parent = tuple(
-                    back for back in rg.out_arcs[child] if rg.arcs[back].dst == node
-                )
-                short_back[child] = to_parent
-                sbalow[child] = sbalow[node] if to_parent else clock
-                stack.append((child, 0))
+            node, arcs = stack[-1]
+            for index in arcs:
+                child = head[index]
+                tail[index] = node
+                if not order[child]:
+                    arc_class[index] = TREE
+                    discovery.append(child)
+                    order[child] = len(discovery)
+                    parent_node[child] = node
+                    parent_arc[child] = index
+                    tree_root[child] = root
+                    depth[child] = depth[node] + 1
+                    stack.append((child, iter(out[child])))
+                    break
+                if not done[child]:
+                    if child == parent_node[node]:
+                        arc_class[index] = BACKWARD_SHORT
+                        short_back[node].append(index)
+                    else:
+                        arc_class[index] = BACKWARD_LONG
+                else:
+                    arc_class[index] = FORWARD if order[node] < order[child] else CROSS
             else:
                 stack.pop()
-                finish_clock += 1
-                finish[node] = finish_clock
+                done[node] = True
 
-    for index, res in enumerate(rg.arcs):
-        if arc_class[index]:
-            continue
-        u, v = res.src, res.dst
-        if order[u] < order[v]:
-            arc_class[index] = FORWARD
-        elif finish[u] <= finish[v]:
-            arc_class[index] = BACKWARD_SHORT if parent_node[u] == v else BACKWARD_LONG
-        else:
-            arc_class[index] = CROSS
+    sbalow = [0] * n
+    for node in discovery:
+        sbalow[node] = sbalow[parent_node[node]] if short_back[node] else order[node]
+    return DfsForest(order, discovery, parent_node, parent_arc, tree_root, depth, tail,
+                     arc_class, short_back, sbalow)
 
-    return DfsForest(
-        rg,
-        tuple(order),
-        tuple(finish),
-        tuple(parent_node),
-        tuple(parent_arc),
-        tuple(tree_root),
-        tuple(depth),
-        tuple(arc_class),
-        tuple(short_back),
-        tuple(sbalow),
-    )
+
+def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
+    """DFS forest of a residual graph; roots by ascending node id, out-arcs in residual order."""
+    return _forest(rg.out_arcs, [res.dst for res in rg.arcs])
 
 
 def lca(forest: DfsForest, a: int, b: int) -> int:
@@ -131,92 +119,97 @@ def lca(forest: DfsForest, a: int, b: int) -> int:
     return a
 
 
-def _tree_path_arcs(forest: DfsForest, top: int, bottom: int) -> list:
+def _tree_path(forest: DfsForest, top: int, bottom: int) -> list[int]:
     """Tree arcs walked top -> ... -> bottom; top must be an ancestor."""
     arcs = []
     node = bottom
     while node != top:
-        arcs.append(forest.graph.arcs[forest.parent_arc[node]])
+        arcs.append(forest.parent_arc[node])
         node = forest.parent_node[node]
     arcs.reverse()
     return arcs
 
 
-def _short_backward_path(forest: DfsForest, start: int, goal: int, avoid_origin: int):
-    """Short-backward steps start -> goal that never reuse the defining origin."""
-    rg = forest.graph
+def _short_backward_path(forest: DfsForest, origin: list[int], start: int, goal: int, avoid: int):
+    """Short-backward steps start -> goal that never reuse the origin `avoid`."""
     arcs = []
     node = start
     while node != goal:
-        step = None
-        for index in forest.short_back_arcs[node]:
-            if rg.arcs[index].origin_arc != avoid_origin:
-                step = index
-                break
+        step = next((i for i in forest.short_back_arcs[node] if origin[i] != avoid), None)
         if step is None:
             return None
-        arcs.append(rg.arcs[step])
+        arcs.append(step)
         node = forest.parent_node[node]
     return arcs
 
 
-def find_proper_cycle(rg: ResidualGraph, forest: DfsForest | None = None) -> Cycle | None:
-    """One proper cycle of the residual graph, or None when there is none."""
-    if forest is None:
-        forest = build_dfs_forest(rg)
-    order = forest.order
-    classes = forest.arc_class
-    last = len(rg.arcs) - 1
+def _proper_cycle(forest: DfsForest, head: list[int], origin: list[int]) -> list[int] | None:
+    """Residual ids of one proper cycle, in walk order, or None when there is none."""
+    order, classes, tail, sbalow = forest.order, forest.arc_class, forest.tail, forest.sbalow
+    last = len(head) - 1
 
     for index in range(last, -1, -1):
-        if classes[index] != BACKWARD_LONG:
-            continue
-        res = rg.arcs[index]
-        return Cycle((res, *_tree_path_arcs(forest, res.dst, res.src)))
+        if classes[index] == BACKWARD_LONG:
+            return [index, *_tree_path(forest, head[index], tail[index])]
 
     for index in range(last, -1, -1):
-        if classes[index] != FORWARD:
+        if classes[index] != FORWARD or sbalow[head[index]] > order[tail[index]]:
             continue
-        res = rg.arcs[index]
-        if forest.sbalow[res.dst] > order[res.src]:
-            continue
-        path = _short_backward_path(forest, res.dst, res.src, res.origin_arc)
+        path = _short_backward_path(forest, origin, head[index], tail[index], origin[index])
         if path is not None:
-            return Cycle((res, *path))
+            return [index, *path]
 
     for index in range(last, -1, -1):
         if classes[index] != CROSS:
             continue
-        res = rg.arcs[index]
-        if forest.tree_root[res.src] != forest.tree_root[res.dst]:
+        u, v = tail[index], head[index]
+        if forest.tree_root[u] != forest.tree_root[v]:
             continue
-        meet = lca(forest, res.src, res.dst)
-        if forest.sbalow[res.dst] > order[meet]:
+        meet = lca(forest, u, v)
+        if sbalow[v] > order[meet]:
             continue
-        path = _short_backward_path(forest, res.dst, meet, res.origin_arc)
-        if path is None:
-            continue
-        return Cycle((res, *path, *_tree_path_arcs(forest, meet, res.src)))
+        path = _short_backward_path(forest, origin, v, meet, origin[index])
+        if path is not None:
+            return [index, *path, *_tree_path(forest, meet, u)]
 
     # Parallel arcs: a short backward arc against a different-origin tree arc
     # closes a proper two-arc cycle that the three scans above cannot see.
-    for node in sorted(range(rg.node_count), key=lambda v: -order[v]):
+    for node in reversed(forest.discovery):
         tree_arc = forest.parent_arc[node]
-        if tree_arc < 0:
-            continue
         for index in forest.short_back_arcs[node]:
-            if rg.arcs[index].origin_arc != rg.arcs[tree_arc].origin_arc:
-                return Cycle((rg.arcs[tree_arc], rg.arcs[index]))
-
+            if origin[index] != origin[tree_arc]:
+                return [tree_arc, index]
     return None
+
+
+def find_proper_cycle(rg: ResidualGraph, forest: DfsForest | None = None) -> Cycle | None:
+    """One proper cycle of the residual graph, or None when there is none."""
+    head = [res.dst for res in rg.arcs]
+    if forest is None:
+        forest = _forest(rg.out_arcs, head)
+    cycle = _proper_cycle(forest, head, [res.origin_arc for res in rg.arcs])
+    return None if cycle is None else Cycle(tuple(rg.arcs[index] for index in cycle))
 
 
 def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:
     """A feasible flow different from the input, or None if it is unique.
 
-    Raises InfeasibleFlowError, through build_residual, on an infeasible input.
+    The other flow is one unit pushed around the proper cycle that
+    `find_proper_cycle(build_residual(net, flow))` finds, without building
+    that graph.  Raises InfeasibleFlowError on an infeasible input.
     """
-    cycle = find_proper_cycle(build_residual(net, flow))
+    # Residual arc i runs from head[i ^ 1] to head[i].
+    head = [end for arc in net.arcs for end in (arc.dst, arc.src)]
+    out: list[list[int]] = [[] for _ in range(net.node_count)]
+    for index in residual_ids(net, flow):
+        out[head[index ^ 1]].append(index)
+    cycle = _proper_cycle(_forest(out, head), head, [index >> 1 for index in range(len(head))])
     if cycle is None:
         return None
-    return augment(flow, cycle, 1)
+    values = list(flow.values)
+    for index in cycle:
+        arc_id = index >> 1
+        values[arc_id] += -1 if index & 1 else 1
+        if not net.arcs[arc_id].lower <= values[arc_id] <= net.arcs[arc_id].upper:
+            raise InvariantError(f"the proper cycle pushes arc {arc_id} past its bounds")
+    return Flow(values)

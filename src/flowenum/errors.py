@@ -37,10 +37,6 @@ class InfeasibleError(FlowError):
     """The instance admits no feasible flow at all."""
 
 
-class CapacityExceededError(FlowError):
-    """An augmentation pushed past a residual capacity."""
-
-
 class NegativeCycleError(FlowError):
     """A negative residual cycle turned up where optimality was assumed."""
 

@@ -155,6 +155,31 @@ FREE_CYCLE_GOLDEN = {
     3: ("8fb78b3c935e06da81e0ba8aa6227d74376ba963dce00a0a82509129cf780d23", 2),
 }
 
+# sha256 of `enumerate --limit 150` stdout, elapsed_ms removed, keyed by
+# (family, seed), and of `kbest 10` on the zero-cost grids, where every offer
+# is answered by another optimum.  "grid" is the FREE_CYCLE_GOLDEN grid;
+# "parallel" is random_feasible_network(random.Random(seed), max_nodes=8,
+# max_arcs=30, max_cost=0), whose many parallel arcs reach the proper-cycle
+# search's pass over two-arc cycles.  Recorded while each search still built
+# a residual graph of objects; any change to the enumeration order shows here.
+ENUMERATE_GOLDEN = {
+    ("grid", 1): "a3b306e52e9027bb611131482233683f0149343a439e7cdff1c2b9b53aac9012",
+    ("grid", 2): "429f2ce7362fed9aa461a446907755d8f170fc5b8359f92f582c339a20c1ea7c",
+    ("grid", 3): "dcd8ff21aaa7ee60fc2baeae43bf3902eb4bffc7d8137bdd3ef27dea2a9f6e50",
+    ("parallel", 1): "17d3fd6e47592ddc68e7c5f9e561f4e0e5e0ea8cd787355004ab8a8ffcb483e5",
+    ("parallel", 2): "3d55a2e3a3da7986863ede30f176585ab80f691abd199fa1428790fa6df0ac6e",
+    ("parallel", 5): "0f3fa4c8dd1e0ee0e2c938be5dc91b6e16675b010802bebb15fcd5a04c626596",
+}
+TIED_KBEST_GOLDEN = {
+    1: "d0212cdfb7f78e357eb681230e18b2997320a16418576f8440724498d1caa134",
+    2: "45ef714b8cddd27b0aba501832634f975f46989177914b05e137e6b1bf2f0816",
+    3: "5b604acf22f8d78eaa0e747a75d3670d80d8d9a988172bc9677c86342f72d36c",
+}
+
+
+def zero_cost_grid(seed):
+    return random_grid_network(random.Random(seed), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+
 
 def stdout_digest(tmp_path, net, words):
     """sha256 of the command's stdout on net, with elapsed_ms removed."""
@@ -188,10 +213,24 @@ class TestPinnedOutput:
             return walk
 
         monkeypatch.setattr(flowenum.treebounds, "_find_free_cycle", counted)
-        net = random_grid_network(random.Random(seed), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+        net = zero_cost_grid(seed)
         digest, canceled = FREE_CYCLE_GOLDEN[seed]
         assert stdout_digest(tmp_path, net, ["bounds"]) == digest
         assert len(found) == canceled
+
+    @pytest.mark.parametrize("family, seed", sorted(ENUMERATE_GOLDEN))
+    def test_enumeration_order_is_pinned(self, tmp_path, family, seed):
+        if family == "grid":
+            net = zero_cost_grid(seed)
+        else:
+            net, _ = random_feasible_network(random.Random(seed), max_nodes=8, max_arcs=30, max_cost=0)
+        words = ["enumerate", "--limit", "150"]
+        assert stdout_digest(tmp_path, net, words) == ENUMERATE_GOLDEN[family, seed]
+
+    @pytest.mark.parametrize("seed", sorted(TIED_KBEST_GOLDEN))
+    def test_kbest_on_zero_cost_grids_is_pinned(self, tmp_path, seed):
+        net = zero_cost_grid(seed)
+        assert stdout_digest(tmp_path, net, ["kbest", "10"]) == TIED_KBEST_GOLDEN[seed]
 
 
 class TestKBest:

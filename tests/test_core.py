@@ -7,7 +7,6 @@ from flowenum.core import (
     Cycle,
     Flow,
     Network,
-    augment,
     build_residual,
     check_feasible,
     cycle_cost,
@@ -16,7 +15,6 @@ from flowenum.core import (
 )
 from flowenum.errors import (
     BadBoundsError,
-    CapacityExceededError,
     DimensionMismatchError,
     DisconnectedError,
     InfeasibleFlowError,
@@ -61,6 +59,15 @@ class TestValidateNetwork:
     def test_infinite_capacity_rejected(self):
         with pytest.raises(InfiniteCapacityError):
             Arc(0, 1, 0, float("inf"), 0)
+
+    @pytest.mark.parametrize("spec", [
+        (0, 1, 0, 2, 0.5),     # float cost; 1e300 and 1e300 + 1 would compare equal
+        (0.0, 1, 0, 2, 1),     # float endpoint
+        (True, 0, 0, 2, 1),    # bool endpoint
+    ])
+    def test_non_integer_ends_and_costs_rejected(self, spec):
+        with pytest.raises(NetworkValidationError, match="must be integers"):
+            Arc(*spec)
 
 
 class TestFeasibility:
@@ -122,6 +129,12 @@ class TestBuildResidual:
             build_residual(zerocycle_network, Flow((0, 0, 0, 0, 0, 0, 0)))
 
 
+def pushed(flow, cycle, amount):
+    """The flow with `amount` units pushed around the cycle."""
+    chi = cycle.incidence(len(flow.values))
+    return Flow(tuple(value + amount * sign for value, sign in zip(flow.values, chi)))
+
+
 def zero_cycle_of(zerocycle_network, zerocycle_flow):
     rg = build_residual(zerocycle_network, zerocycle_flow)
     wanted = [(2, 3, True), (3, 4, True), (4, 2, False)]
@@ -157,27 +170,15 @@ class TestCycles:
         with pytest.raises(ValueError):
             Cycle((rg.arcs[0], rg.arcs[1]))
 
-
-class TestAugment:
-    def test_zerocycle_unit_augmentation(self, zerocycle_network, zerocycle_flow, zerocycle_augmented_flow):
+    def test_reversed_cycle_undoes_the_push(self, zerocycle_network, zerocycle_flow,
+                                            zerocycle_augmented_flow):
         cycle = zero_cycle_of(zerocycle_network, zerocycle_flow)
-        assert augment(zerocycle_flow, cycle, 1) == zerocycle_augmented_flow
-
-    def test_zero_amount_rejected(self, zerocycle_network, zerocycle_flow):
-        with pytest.raises(ValueError):
-            augment(zerocycle_flow, zero_cycle_of(zerocycle_network, zerocycle_flow), 0)
-
-    def test_over_capacity_rejected(self, zerocycle_network, zerocycle_flow):
-        with pytest.raises(CapacityExceededError):
-            augment(zerocycle_flow, zero_cycle_of(zerocycle_network, zerocycle_flow), 2)
-
-    def test_augment_then_reverse_is_identity(self, zerocycle_network, zerocycle_flow):
-        cycle = zero_cycle_of(zerocycle_network, zerocycle_flow)
-        forward = augment(zerocycle_flow, cycle, 1)
+        forward = pushed(zerocycle_flow, cycle, 1)
+        assert forward == zerocycle_augmented_flow
         rg = build_residual(zerocycle_network, forward)
         lookup = {(res.src, res.dst, res.forward): res for res in rg.arcs}
         reverse = Cycle((lookup[(3, 2, False)], lookup[(2, 4, True)], lookup[(4, 3, False)]))
-        assert augment(forward, reverse, 1) == zerocycle_flow
+        assert pushed(forward, reverse, 1) == zerocycle_flow
 
 
 class TestRandomizedInvariants:
@@ -193,7 +194,7 @@ class TestRandomizedInvariants:
             checked += 1
             top = min(res.residual_capacity for res in cycle.arcs)
             for amount in (1, top):
-                bumped = augment(flow, cycle, amount)
+                bumped = pushed(flow, cycle, amount)
                 assert flow_cost(net, bumped) == flow_cost(net, flow) + amount * cycle_cost(cycle)
                 assert check_feasible(net, bumped)
                 rebuilt = build_residual(net, bumped)
@@ -203,7 +204,7 @@ class TestRandomizedInvariants:
                                 if res.forward else bumped.values[res.origin_arc] - arc.lower)
                     assert res.residual_capacity == expected
             if cycle.is_proper():
-                bumped = augment(flow, cycle, 1)
+                bumped = pushed(flow, cycle, 1)
                 for arc_id, sign in enumerate(cycle.incidence(net.arc_count)):
                     if sign != 0:
                         assert bumped.values[arc_id] != flow.values[arc_id]

@@ -1,6 +1,14 @@
+import hashlib
+import importlib
+import json
+import pkgutil
 import random
+from itertools import islice
 
 import pytest
+
+import flowenum
+from flowenum import iter_k_best_flows, iter_optimal_flows
 
 from flowenum.core import Flow, ResidualGraph, build_residual, check_feasible, flow_cost
 from flowenum.dfs import (
@@ -14,16 +22,26 @@ from flowenum.dfs import (
     find_proper_cycle,
     lca,
 )
-from flowenum.errors import DifferentTreesError, InfeasibleFlowError
+from flowenum.errors import DifferentTreesError, InfeasibleFlowError, InvariantError
 
 from helpers import (
     digraph_has_cycle,
     make_network,
     proper_cycle_exists_bruteforce,
     random_feasible_network,
+    random_grid_network,
     sbalow_bruteforce,
     synthetic_digraph,
 )
+
+
+def ancestors(forest, node):
+    """The node and every node above it, walking parent links."""
+    found = []
+    while node != -1:
+        found.append(node)
+        node = forest.parent_node[node]
+    return found
 
 
 def classes_by_endpoints(rg, forest):
@@ -71,11 +89,11 @@ class TestClassification:
                 if cls == CROSS:
                     assert forest.order[res.src] > forest.order[res.dst]
                 if cls in (BACKWARD_SHORT, BACKWARD_LONG):
-                    assert forest.is_ancestor(res.dst, res.src)
+                    assert res.dst in ancestors(forest, res.src)
                 if cls == BACKWARD_SHORT:
                     assert forest.parent_node[res.src] == res.dst
                 if cls == FORWARD:
-                    assert forest.is_ancestor(res.src, res.dst)
+                    assert res.src in ancestors(forest, res.dst)
             assert sum(counts.values()) == len(rg.arcs)
             assert sorted(forest.order) == list(range(1, rg.node_count + 1))
 
@@ -91,7 +109,7 @@ class TestSbalow:
         net = make_network(3, [(0, 1, 0, 2, 0), (1, 2, 0, 2, 0)], (1, 0, -1))
         rg = build_residual(net, Flow((1, 1)))
         forest = build_dfs_forest(rg)
-        assert forest.sbalow == (1, 1, 1)
+        assert forest.sbalow == [1, 1, 1]
 
     def test_long_backward_arc_does_not_help(self):
         # Arc 2->0 jumps to the grandparent: no short backward arcs anywhere.
@@ -133,13 +151,9 @@ class TestLca:
                 y = rng.randrange(rg.node_count)
                 if forest.tree_root[x] != forest.tree_root[y]:
                     continue
-                ancestors = set()
-                node = x
-                while node != -1:
-                    ancestors.add(node)
-                    node = forest.parent_node[node]
+                above_x = set(ancestors(forest, x))
                 node = y
-                while node not in ancestors:
+                while node not in above_x:
                     node = forest.parent_node[node]
                 assert lca(forest, x, y) == node
 
@@ -228,3 +242,57 @@ class TestFindAnotherFeasibleFlow:
                 assert count >= 2
                 assert other != flow
                 assert check_feasible(net, other)
+
+    def test_cycle_past_a_bound_is_an_invariant_error(self, monkeypatch, zerocycle_network,
+                                                      zerocycle_flow):
+        # The zero cycle c->d->e->c twice pushes two units where c->d has room for one.
+        monkeypatch.setattr(flowenum.dfs, "_proper_cycle", lambda *_: [8, 12, 11] * 2)
+        with pytest.raises(InvariantError):
+            find_another_feasible_flow(zerocycle_network, zerocycle_flow)
+
+    def test_matches_the_cycle_of_the_residual_graph(self):
+        rng = random.Random(13)
+        found = 0
+        for _ in range(600):
+            net, flow = random_feasible_network(rng, max_nodes=7, max_arcs=21, max_cost=0)
+            other = find_another_feasible_flow(net, flow)
+            cycle = find_proper_cycle(build_residual(net, flow))
+            if cycle is None:
+                assert other is None
+                continue
+            found += 1
+            chi = cycle.incidence(net.arc_count)
+            assert other == Flow(tuple(value + sign for value, sign in zip(flow.values, chi)))
+        assert found > 300
+
+
+# sha256 of the JSON list of flow values yielded, recorded while every
+# search still built a residual graph of objects.  On the eleven-optima
+# network both generators yield its eleven flows, the only feasible ones.
+HOT_PATH_GOLDEN = {
+    "eleven": "2f94e16387fec6e33c49d78a7e11b492d0087f2fd15cd6dd2758daa236b5fe7c",
+    "grid-enumerate": "f73886cfebbe5d31e2175d489c697da195ffca954d7ac57af4b2a0fd59b23e53",
+    "grid-kbest": "ed9f983f340671a77af31f749e2080bdd5e79fa7ec8355a855103fc970e33a7f",
+}
+
+
+def test_enumeration_and_kbest_build_no_residual_objects(monkeypatch, eleven_optima_network):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("residual objects built on the enumeration path")
+
+    for info in pkgutil.iter_modules(flowenum.__path__):
+        if info.name == "__main__":
+            continue
+        module = importlib.import_module(f"flowenum.{info.name}")
+        for name in ("build_residual", "ResidualArc", "Cycle"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, forbidden)
+
+    def digest(flows):
+        return hashlib.sha256(json.dumps([list(f.values) for f in flows]).encode()).hexdigest()
+
+    grid = random_grid_network(random.Random(1), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+    assert digest(iter_optimal_flows(eleven_optima_network)) == HOT_PATH_GOLDEN["eleven"]
+    assert digest(iter_k_best_flows(eleven_optima_network, 15)) == HOT_PATH_GOLDEN["eleven"]
+    assert digest(islice(iter_optimal_flows(grid), 150)) == HOT_PATH_GOLDEN["grid-enumerate"]
+    assert digest(iter_k_best_flows(grid, 10)) == HOT_PATH_GOLDEN["grid-kbest"]
