@@ -170,15 +170,19 @@ class TestCycles:
         with pytest.raises(ValueError):
             Cycle((rg.arcs[0], rg.arcs[1]))
 
-    def test_reversed_cycle_undoes_the_push(self, zerocycle_network, zerocycle_flow,
-                                            zerocycle_augmented_flow):
+    def test_reversed_cycle_undoes_the_push(self, zerocycle_network, zerocycle_flow):
         cycle = zero_cycle_of(zerocycle_network, zerocycle_flow)
         forward = pushed(zerocycle_flow, cycle, 1)
-        assert forward == zerocycle_augmented_flow
         rg = build_residual(zerocycle_network, forward)
         lookup = {(res.src, res.dst, res.forward): res for res in rg.arcs}
         reverse = Cycle((lookup[(3, 2, False)], lookup[(2, 4, True)], lookup[(4, 3, False)]))
         assert pushed(forward, reverse, 1) == zerocycle_flow
+
+
+class TestAugment:
+    def test_zerocycle_unit_augmentation(self, zerocycle_network, zerocycle_flow, zerocycle_augmented_flow):
+        cycle = zero_cycle_of(zerocycle_network, zerocycle_flow)
+        assert pushed(zerocycle_flow, cycle, 1) == zerocycle_augmented_flow
 
 
 class TestRandomizedInvariants:
