@@ -1,12 +1,13 @@
 """Networks, integer flows, residual graphs, and cycles.
 
 Everything is exact integer arithmetic.  Arc `a`'s residual arcs have ids
-`2a` (forward) and `2a + 1` (backward), so each remembers the original arc
-it came from, and graphs with parallel or anti-parallel arcs stay
+`2a` (forward) and `2a + 1` (backward), and id `r` reverses `r ^ 1`, so each
+remembers its original arc and parallel or anti-parallel arcs stay
 unambiguous: a cycle is "proper" exactly when it never uses both residual
-directions of one original arc.  `residual_ids` decides which residual arcs
-a flow has; `ResidualGraph` spells them out as objects for callers that
-want to inspect them.
+directions of one original arc.  Every layer reads the residual graph
+through these ids: `residual_heads`, `residual_costs` and `residual_room`
+are per-id views, `residual_ids` lists a flow's ids and `push_unit` moves
+one unit along ids; `ResidualGraph` spells them out as objects.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from .errors import (
     DisconnectedError,
     InfeasibleFlowError,
     InfiniteCapacityError,
+    InvariantError,
     NetworkValidationError,
     UnbalancedSupplyError,
 )
@@ -115,6 +117,9 @@ class Flow:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "values", tuple(self.values))
+        # Exact types, as in `Arc`: floats and bools are turned away.
+        if not set(map(type, self.values)) <= {int}:
+            raise InfeasibleFlowError(f"flow values must be integers, got {self.values}")
 
 
 def _require_dimensions(net: Network, flow: Flow) -> None:
@@ -162,15 +167,27 @@ class ResidualGraph:
     out_arcs: tuple[tuple[int, ...], ...]
 
 
-def residual_ids(net: Network, flow: Flow) -> list[int]:
-    """Ascending ids of a feasible flow's residual arcs.
+def residual_heads(net: Network) -> list[int]:
+    """Per residual id `r`, the node it enters; it leaves `head[r ^ 1]`."""
+    return [end for arc in net.arcs for end in (arc.dst, arc.src)]
 
-    Arc `a` has its forward arc `2a` below its upper bound and its backward
-    arc `2a + 1` above its lower bound.  Raises InfeasibleFlowError unless
-    the flow is feasible.
-    """
+
+def residual_costs(net: Network) -> list[int]:
+    """Per residual id, its arc's cost forward and the negated cost backward."""
+    return [cost for arc in net.arcs for cost in (arc.cost, -arc.cost)]
+
+
+def residual_room(net: Network, flow: Flow) -> list[int]:
+    """Per residual id, the flow's spare units: upper - value on 2a, value - lower on 2a + 1."""
+    return [spare for arc, value in zip(net.arcs, flow.values)
+            for spare in (arc.upper - value, value - arc.lower)]
+
+
+def residual_ids(net: Network, flow: Flow) -> list[int]:
+    """Ascending ids with room in a feasible flow; raises InfeasibleFlowError otherwise."""
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot build the residual graph of an infeasible flow")
+    # `residual_room`'s positive entries, without building it: this runs per region.
     ids = []
     for index, (arc, value) in enumerate(zip(net.arcs, flow.values)):
         if value < arc.upper:
@@ -180,16 +197,24 @@ def residual_ids(net: Network, flow: Flow) -> list[int]:
     return ids
 
 
+def push_unit(net: Network, flow: Flow, ids: list[int]) -> Flow:
+    """The flow plus one unit along residual ids, each original arc used once."""
+    if len({index >> 1 for index in ids}) < len(ids):
+        raise InvariantError(f"the cycle {ids} uses an arc twice")
+    values = list(flow.values)
+    for index in ids:
+        arc = net.arcs[index >> 1]
+        values[index >> 1] += -1 if index & 1 else 1
+        if not arc.lower <= values[index >> 1] <= arc.upper:
+            raise InvariantError(f"the cycle pushes arc {index >> 1} past its bounds")
+    return Flow(values)
+
+
 def build_residual(net: Network, flow: Flow) -> ResidualGraph:
     """Residual graph of a feasible flow, its arcs in `residual_ids` order."""
-    arcs: list[ResidualArc] = []
-    for index in residual_ids(net, flow):
-        origin = index >> 1
-        arc, value = net.arcs[origin], flow.values[origin]
-        if index & 1:
-            arcs.append(ResidualArc(arc.dst, arc.src, value - arc.lower, -arc.cost, origin, False))
-        else:
-            arcs.append(ResidualArc(arc.src, arc.dst, arc.upper - value, arc.cost, origin, True))
+    head, cost, room = residual_heads(net), residual_costs(net), residual_room(net, flow)
+    arcs = [ResidualArc(head[index ^ 1], head[index], room[index], cost[index], index >> 1,
+                        not index & 1) for index in residual_ids(net, flow)]
     out_lists: list[list[int]] = [[] for _ in range(net.node_count)]
     for index, res in enumerate(arcs):
         out_lists[res.src].append(index)

@@ -9,10 +9,11 @@ produces a proper cycle or proves none exists; only cross arcs need a lowest
 common ancestor, found by walking parent links.
 
 The lists have two readings.  `find_another_feasible_flow` reads a network
-and flow directly, with the ids of `core.residual_ids`; `build_dfs_forest`
-and `find_proper_cycle` read a `ResidualGraph`, whose ids are positions in
-its arcs.  Both list out-arcs by (origin arc, forward first), so they number
-the nodes alike and find the same cycle.
+and flow directly, with the residual ids `2a`/`2a + 1` of `core`, and pushes
+its cycle with `core.push_unit`; `build_dfs_forest` and `find_proper_cycle`
+read a `ResidualGraph`, whose ids are positions in its arcs.  Both list
+out-arcs by (origin arc, forward first), so they number the nodes alike and
+find the same cycle.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cycle, Flow, Network, ResidualGraph, residual_ids
-from .errors import DifferentTreesError, InvariantError
+from .core import Cycle, Flow, Network, ResidualGraph, push_unit, residual_heads, residual_ids
+from .errors import DifferentTreesError
 
 TREE, FORWARD, BACKWARD_SHORT, BACKWARD_LONG, CROSS = range(1, 6)
 
@@ -198,18 +199,9 @@ def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:
     `find_proper_cycle(build_residual(net, flow))` finds, without building
     that graph.  Raises InfeasibleFlowError on an infeasible input.
     """
-    # Residual arc i runs from head[i ^ 1] to head[i].
-    head = [end for arc in net.arcs for end in (arc.dst, arc.src)]
+    head = residual_heads(net)
     out: list[list[int]] = [[] for _ in range(net.node_count)]
     for index in residual_ids(net, flow):
         out[head[index ^ 1]].append(index)
     cycle = _proper_cycle(_forest(out, head), head, [index >> 1 for index in range(len(head))])
-    if cycle is None:
-        return None
-    values = list(flow.values)
-    for index in cycle:
-        arc_id = index >> 1
-        values[arc_id] += -1 if index & 1 else 1
-        if not net.arcs[arc_id].lower <= values[arc_id] <= net.arcs[arc_id].upper:
-            raise InvariantError(f"the proper cycle pushes arc {arc_id} past its bounds")
-    return Flow(values)
+    return None if cycle is None else push_unit(net, flow, cycle)

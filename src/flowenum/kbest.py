@@ -2,16 +2,16 @@
 
 A second-best flow is either another optimum (another feasible flow of the
 optimal face) or one unit pushed around the cheapest proper cycle.  That
-cycle is an arc sitting at one of its bounds plus the shortest way back
-from its head to its tail, found with the solver's Dijkstra over residual
-reduced costs.  Heads are searched best first, in order of their cheapest
-candidate arc, and each search is bounded: the Dijkstra yields nodes as
-they settle, and this module stops reading it at the first node past the
-radius beyond which the search cannot beat the best cycle found so far, or
-once every candidate tail of its head has settled.  Only the distances of
-tails seen to settle are read, since those are final.  Regions of the
-solution space are then split exactly as in the all-optimal search and
-ranked on a heap keyed by challenger cost.
+cycle is a residual id `r` whose reverse `r ^ 1` has no room (its arc sits
+at a bound) plus the shortest way back from its head to its tail, found
+with the solver's Dijkstra over the same ids' reduced costs.  Heads are
+searched best first, in order of their cheapest candidate, and each search
+is bounded: the Dijkstra yields nodes as they settle, and this module stops
+reading it at the first node past the radius beyond which the search cannot
+beat the best cycle found so far, or once every candidate tail of its head
+has settled.  Only the distances of tails seen to settle are read, since
+those are final.  Regions of the solution space are then split exactly as
+in the all-optimal search and ranked on a heap keyed by challenger cost.
 """
 
 from __future__ import annotations
@@ -21,13 +21,14 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import Flow, Network, flow_cost
+from .core import Flow, Network, flow_cost, push_unit, residual_costs, residual_heads, residual_room
 from .dfs import find_another_feasible_flow
 from .enumeration import optimal_face, partition_solution_space
 from .errors import InvariantError
 from .solver import (
     _dijkstra,
     _incidence,
+    _path,
     compute_node_potentials,
     compute_reduced_costs,
     solve_min_cost_flow,
@@ -42,63 +43,44 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     if tied is not None:
         return tied
     # The flow is the unique optimum, so the next flow is one unit around the
-    # cheapest proper cycle.  Only an arc at a bound lacks an anti-parallel
-    # residual partner, so each such arc, traversed away from its bound and
-    # closed by a shortest path back, is a candidate cycle.
-    arcs = net.arcs
-    span = [arc.span for arc in arcs]
-    extra = [value - arc.lower for arc, value in zip(arcs, flow.values)]
-    # Pruned searches scan only part of the residual graph, so its reduced
-    # costs are all checked here; this also makes every candidate weight >= 0.
-    for index, reduced in enumerate(reduced_costs):
-        if (reduced < 0 and extra[index] < span[index]) or (reduced > 0 and extra[index] > 0):
-            raise InvariantError(f"negative residual reduced cost on arc {index}")
-    groups: dict[int, list] = {}  # head -> candidates (weight, index, forward, tail)
-    for index, arc in enumerate(arcs):
-        if span[index] == 0:
-            continue
-        if extra[index] == 0:
-            groups.setdefault(arc.dst, []).append((reduced_costs[index], index, True, arc.src))
-        elif extra[index] == span[index]:
-            groups.setdefault(arc.src, []).append((-reduced_costs[index], index, False, arc.dst))
-    # The answer is the least (weight + dist[tail], index).  Heads are searched
+    # cheapest proper cycle.  Only a residual id whose reverse has no room
+    # lacks an anti-parallel partner, so each such id, closed by a shortest
+    # path back from its head to its tail, is a candidate cycle.
+    head, cost, incident = residual_heads(net), residual_costs(net), _incidence(net)
+    room = residual_room(net, flow)
+    groups: dict[int, list] = {}  # head -> candidates (weight, id, tail)
+    for index, spare in enumerate(room):
+        if spare:
+            # Pruned searches scan only part of the residual graph, so every
+            # reduced cost is checked here; this makes each weight >= 0.
+            weight = cost[index] + potential[head[index ^ 1]] - potential[head[index]]
+            if weight < 0:
+                raise InvariantError(f"negative residual reduced cost on arc {index >> 1}")
+            if not room[index ^ 1]:
+                groups.setdefault(head[index], []).append((weight, index, head[index ^ 1]))
+    # The answer is the least (weight + dist[tail], id).  Heads are searched
     # cheapest candidate first, and each search stops past the radius beyond
     # which none of its candidates can reach that key (ties included, since a
-    # smaller index still wins) or once all of its tails are settled.
-    out_arcs, in_arcs = _incidence(net)
-    n = net.node_count
-    best_key = best = None
-    for least, head in sorted((min(group)[0], head) for head, group in groups.items()):
+    # smaller id still wins) or once all of its tails are settled.
+    best_key = best_cycle = None
+    for least, start in sorted((min(group)[0], start) for start, group in groups.items()):
         if best_key is not None and least > best_key[0]:
             break
-        group = groups[head]
+        group = groups[start]
         radius = math.inf if best_key is None else best_key[0] - least
         waiting = {tail for *_, tail in group}
-        dist, pred = [None] * n, [None] * n
-        for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, head, dist, pred):
+        dist, pred = [None] * net.node_count, [None] * net.node_count
+        for node in _dijkstra(head, cost, room, potential, incident, start, dist, pred):
             if dist[node] > radius:
                 break
             waiting.discard(node)
             if not waiting:
                 break
-        for weight, index, forward, tail in group:
+        for weight, index, tail in group:
             if tail not in waiting and (best_key is None or (weight + dist[tail], index) < best_key):
                 best_key = (weight + dist[tail], index)
-                best = (index, forward, head, tail, pred)
-    if best is None:
-        return None
-    index, forward, head, tail, pred = best
-    steps = {index: forward}
-    node = tail
-    while node != head:
-        index, forward = pred[node]
-        if steps.setdefault(index, forward) != forward:
-            raise InvariantError("cheapest cycle uses an arc in both directions")
-        node = arcs[index].src if forward else arcs[index].dst
-    values = list(flow.values)
-    for index, forward in steps.items():
-        values[index] += 1 if forward else -1
-    return Flow(tuple(values))
+                best_cycle = [index, *_path(head, pred, start, tail)]
+    return None if best_cycle is None else push_unit(net, flow, best_cycle)
 
 
 def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:

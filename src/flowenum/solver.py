@@ -2,7 +2,8 @@
 
 The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
-cost nonnegative), and each augmentation runs Dijkstra with potentials.
+cost nonnegative), and each augmentation runs Dijkstra with potentials over
+`core`'s residual ids, as does the Bellman-Ford of `compute_node_potentials`.
 
 The Dijkstra is a generator that yields nodes as they settle, and each
 caller decides when to stop reading it.  The solver stops at the nearest
@@ -20,31 +21,33 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-from .core import Flow, Network, check_feasible, validate_network
-from .errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
+from .core import (
+    Flow,
+    Network,
+    check_feasible,
+    residual_costs,
+    residual_heads,
+    residual_ids,
+    validate_network,
+)
+from .errors import InfeasibleError, InvariantError, NegativeCycleError
 
 
 def solve_min_cost_flow(net: Network) -> Flow:
     """One optimal integer flow, or InfeasibleError when no b-flow exists."""
     validate_network(net)
     n = net.node_count
-    arcs = net.arcs
-    m = len(arcs)
 
-    # Work on the zero-lower-bound substitution; restore lowers at the end.
-    span = [arc.span for arc in arcs]
-    extra = [0] * m
+    # Work on the zero-lower-bound substitution, where room[2a + 1] is the
+    # flow above arc a's lower bound; restore lowers at the end.
+    room = [spare for arc in net.arcs
+            for spare in ((0, arc.span) if arc.cost < 0 else (arc.span, 0))]
     imbalance = list(net.balances)
-    for arc in arcs:
-        imbalance[arc.src] -= arc.lower
-        imbalance[arc.dst] += arc.lower
-    for index, arc in enumerate(arcs):
-        if arc.cost < 0:
-            extra[index] = span[index]
-            imbalance[arc.src] -= span[index]
-            imbalance[arc.dst] += span[index]
+    for index, arc in enumerate(net.arcs):
+        imbalance[arc.src] -= arc.lower + room[2 * index + 1]
+        imbalance[arc.dst] += arc.lower + room[2 * index + 1]
 
-    out_arcs, in_arcs = _incidence(net)
+    head, cost, incident = residual_heads(net), residual_costs(net), _incidence(net)
     potential = [0] * n
     # Sources only lose supply and targets stay at or below zero, so the
     # lowest node with supply left never moves back.
@@ -54,11 +57,10 @@ def solve_min_cost_flow(net: Network) -> Flow:
             source += 1
         if source == n:
             break
-        dist: list[int | None] = [None] * n
-        pred: list[tuple[int, bool] | None] = [None] * n
+        dist, pred = [None] * n, [None] * n  # pred[v]: the residual id that reached v
         settled: list[int] = []
         reach = None
-        for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+        for node in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
             if reach is not None and dist[node] > reach:
                 break
             settled.append(node)
@@ -69,44 +71,42 @@ def solve_min_cost_flow(net: Network) -> Flow:
         target = min(node for node in settled if imbalance[node] < 0)
         for node in settled:
             potential[node] += dist[node] - reach
-        amount = min(imbalance[source], -imbalance[target])
-        node = target
-        while node != source:
-            index, forward = pred[node]
-            headroom = span[index] - extra[index] if forward else extra[index]
-            amount = min(amount, headroom)
-            node = arcs[index].src if forward else arcs[index].dst
-        node = target
-        while node != source:
-            index, forward = pred[node]
-            extra[index] += amount if forward else -amount
-            node = arcs[index].src if forward else arcs[index].dst
+        path = _path(head, pred, source, target)
+        amount = min(imbalance[source], -imbalance[target], *(room[index] for index in path))
+        for index in path:
+            room[index] -= amount
+            room[index ^ 1] += amount
         imbalance[source] -= amount
         imbalance[target] += amount
 
-    result = Flow(tuple(arc.lower + extra[index] for index, arc in enumerate(arcs)))
+    result = Flow(tuple(arc.lower + room[2 * index + 1] for index, arc in enumerate(net.arcs)))
     if not check_feasible(net, result):
         raise InvariantError("successive shortest paths ended on an infeasible flow")
     return result
 
 
-def _incidence(net: Network) -> tuple[list[list[int]], list[list[int]]]:
-    """Per node, the ids of the arcs leaving it and of the arcs entering it."""
-    out_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
-    in_arcs: list[list[int]] = [[] for _ in range(net.node_count)]
+def _incidence(net: Network) -> list[list[int]]:
+    """Per node, the residual ids leaving it: out-arcs' forward ids, then in-arcs' backward ids.
+
+    Dijkstra keeps the first of equally short paths in this scan order, so
+    every tie-break, and with it every flow and golden output, depends on it.
+    """
+    incident: list[list[int]] = [[] for _ in range(net.node_count)]
     for index, arc in enumerate(net.arcs):
-        out_arcs[arc.src].append(index)
-        in_arcs[arc.dst].append(index)
-    return out_arcs, in_arcs
+        incident[arc.src].append(2 * index)
+    for index, arc in enumerate(net.arcs):
+        incident[arc.dst].append(2 * index + 1)
+    return incident
 
 
-def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+def _dijkstra(head, cost, room, potential, incident, source, dist, pred):
     """Yield the nodes reachable from source over residual reduced costs, nearest first.
 
-    `extra` is the flow above each arc's lower bound; a residual arc whose
-    reduced cost is negative raises InvariantError.  `dist` and `pred` must
-    read None everywhere; they are filled in place with distances and
-    (arc, forward) preds.  A node's entries are final when it is yielded,
+    Residual id `r` has `room[r]` units left and runs from `head[r ^ 1]` to
+    `head[r]` at `cost[r]`; one with room whose reduced cost is negative
+    raises InvariantError.  `dist` and `pred` must read None everywhere;
+    they are filled in place with distances and the residual id that
+    reached each node.  A node's entries are final when it is yielded,
     because a relaxation replaces only a strictly longer distance and every
     node popped later is at least as far.  Entries of nodes not yet yielded
     are tentative.  The caller stops the search by no longer reading it, and
@@ -120,28 +120,26 @@ def _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred
         if reached > dist[node]:
             continue
         yield node
-        for index in out_arcs[node]:
-            if extra[index] < span[index]:
-                arc = net.arcs[index]
-                weight = arc.cost + potential[node] - potential[arc.dst]
+        for index in incident[node]:
+            if room[index] > 0:
+                other = head[index]
+                weight = cost[index] + potential[node] - potential[other]
                 if weight < 0:
-                    raise InvariantError(f"negative reduced cost on arc {index}")
+                    raise InvariantError(f"negative reduced cost on residual arc {index}")
                 candidate = reached + weight
-                if dist[arc.dst] is None or candidate < dist[arc.dst]:
-                    dist[arc.dst] = candidate
-                    pred[arc.dst] = (index, True)
-                    heapq.heappush(heap, (candidate, next(tick), arc.dst))
-        for index in in_arcs[node]:
-            if extra[index] > 0:
-                arc = net.arcs[index]
-                weight = -arc.cost + potential[node] - potential[arc.src]
-                if weight < 0:
-                    raise InvariantError(f"negative reduced cost on the reverse of arc {index}")
-                candidate = reached + weight
-                if dist[arc.src] is None or candidate < dist[arc.src]:
-                    dist[arc.src] = candidate
-                    pred[arc.src] = (index, False)
-                    heapq.heappush(heap, (candidate, next(tick), arc.src))
+                if dist[other] is None or candidate < dist[other]:
+                    dist[other] = candidate
+                    pred[other] = index
+                    heapq.heappush(heap, (candidate, next(tick), other))
+
+
+def _path(head, pred, start, node):
+    """Residual ids of the Dijkstra pred path from start to node, last id first."""
+    path = []
+    while node != start:
+        path.append(pred[node])
+        node = head[pred[node] ^ 1]
+    return path
 
 
 def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
@@ -149,22 +147,16 @@ def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
 
     Nodes that node 0 cannot reach are seeded as if an artificial arc of cost
     1 + sum(|cost| * max(1, upper)) led there, which is too expensive to
-    shadow any real path.  Raises NegativeCycleError when the residual graph
-    has a negative cycle, i.e. the flow was not optimal.
+    shadow any real path.  Raises InfeasibleFlowError on an infeasible flow,
+    and NegativeCycleError when the residual graph has a negative cycle,
+    i.e. the flow was not optimal.
     """
-    if not check_feasible(net, flow):
-        raise InfeasibleFlowError("potentials are defined for feasible flows only")
-    n = net.node_count
+    head, cost = residual_heads(net), residual_costs(net)
+    edges = [(head[index ^ 1], head[index], cost[index]) for index in residual_ids(net, flow)]
     big = 1 + sum(abs(arc.cost) * max(1, arc.upper) for arc in net.arcs)
-    dist = [big] * n
+    dist = [big] * net.node_count
     dist[0] = 0
-    edges = []
-    for arc, value in zip(net.arcs, flow.values):
-        if value < arc.upper:
-            edges.append((arc.src, arc.dst, arc.cost))
-        if value > arc.lower:
-            edges.append((arc.dst, arc.src, -arc.cost))
-    for _ in range(max(0, n - 1)):
+    for _ in range(max(0, net.node_count - 1)):
         changed = False
         for src, dst, weight in edges:
             candidate = dist[src] + weight

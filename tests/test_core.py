@@ -11,6 +11,7 @@ from flowenum.core import (
     check_feasible,
     cycle_cost,
     flow_cost,
+    push_unit,
     validate_network,
 )
 from flowenum.errors import (
@@ -83,6 +84,15 @@ class TestFeasibility:
     def test_dimension_mismatch(self, zerocycle_network):
         with pytest.raises(DimensionMismatchError):
             check_feasible(zerocycle_network, Flow((0, 0)))
+
+    @pytest.mark.parametrize("values", [
+        (0.5, 0.5),     # a fractional circulation of a zero-cost 2-cycle
+        (True, True),   # bools are ints to isinstance, not to the flow
+        (1.0, 1.0),     # integral, but still a float
+    ])
+    def test_non_integer_values_rejected(self, values):
+        with pytest.raises(InfeasibleFlowError, match="must be integers"):
+            Flow(values)
 
 
 class TestFlowCost:
@@ -183,6 +193,11 @@ class TestAugment:
     def test_zerocycle_unit_augmentation(self, zerocycle_network, zerocycle_flow, zerocycle_augmented_flow):
         cycle = zero_cycle_of(zerocycle_network, zerocycle_flow)
         assert pushed(zerocycle_flow, cycle, 1) == zerocycle_augmented_flow
+
+    def test_push_unit_along_residual_ids(self, zerocycle_network, zerocycle_flow,
+                                          zerocycle_augmented_flow):
+        # c->d forward (id 8), d->e forward (id 12), e->c as the reverse of c->e (id 11).
+        assert push_unit(zerocycle_network, zerocycle_flow, [8, 12, 11]) == zerocycle_augmented_flow
 
 
 class TestRandomizedInvariants:

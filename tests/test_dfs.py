@@ -245,9 +245,19 @@ class TestFindAnotherFeasibleFlow:
 
     def test_cycle_past_a_bound_is_an_invariant_error(self, monkeypatch, zerocycle_network,
                                                       zerocycle_flow):
-        # The zero cycle c->d->e->c twice pushes two units where c->d has room for one.
-        monkeypatch.setattr(flowenum.dfs, "_proper_cycle", lambda *_: [8, 12, 11] * 2)
-        with pytest.raises(InvariantError):
+        # b->d forward, d->a backward, a->b forward uses each arc once, but
+        # b->d already carries its upper bound of five units.
+        monkeypatch.setattr(flowenum.dfs, "_proper_cycle", lambda *_: [6, 5, 0])
+        with pytest.raises(InvariantError, match="arc 3 past its bounds"):
+            find_another_feasible_flow(zerocycle_network, zerocycle_flow)
+
+    @pytest.mark.parametrize("cycle", [[8, 9], [8, 12, 11] * 2])
+    def test_cycle_reusing_an_arc_is_an_invariant_error(self, monkeypatch, zerocycle_network,
+                                                        zerocycle_flow, cycle):
+        # c->d both ways stays within its bounds; the zero cycle twice would
+        # also cross c->d's upper bound, but reuse is caught first.
+        monkeypatch.setattr(flowenum.dfs, "_proper_cycle", lambda *_: cycle)
+        with pytest.raises(InvariantError, match="uses an arc twice"):
             find_another_feasible_flow(zerocycle_network, zerocycle_flow)
 
     def test_matches_the_cycle_of_the_residual_graph(self):

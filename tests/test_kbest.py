@@ -6,7 +6,14 @@ import pytest
 
 import flowenum.kbest
 from flowenum.bruteforce import enumerate_all_feasible_bruteforce, k_best_bruteforce
-from flowenum.core import Flow, check_feasible, flow_cost
+from flowenum.core import (
+    Flow,
+    check_feasible,
+    flow_cost,
+    residual_costs,
+    residual_heads,
+    residual_room,
+)
 from flowenum.dfs import find_another_feasible_flow
 from flowenum.enumeration import optimal_face
 from flowenum.errors import InfeasibleError, InvariantError, UnbalancedSupplyError
@@ -22,31 +29,39 @@ from flowenum.solver import (
 from helpers import make_network, random_feasible_network, random_grid_network
 
 
+def search(net, room, potential, source, dist, pred):
+    """The solver's residual Dijkstra over the network's residual ids."""
+    return _dijkstra(residual_heads(net), residual_costs(net), room, potential, _incidence(net),
+                     source, dist, pred)
+
+
 def dijkstra_from(net, flow, potential, source):
     """A full run of the solver's residual Dijkstra, set up the way find_second_best_flow sets it up.
 
     Returns the yield order and the dist/pred entries each node had when it
-    was yielded, plus the final dist and pred lists.
+    was yielded, plus the final dist and pred lists, each pred residual id
+    `r` read as the pair (arc, forward) = (r >> 1, not r & 1).
     """
-    span = [arc.span for arc in net.arcs]
-    extra = [value - arc.lower for arc, value in zip(net.arcs, flow.values)]
-    out_arcs, in_arcs = _incidence(net)
+    def pair(index):
+        return None if index is None else (index >> 1, not index & 1)
+
     dist, pred = [None] * net.node_count, [None] * net.node_count
-    seen = [(node, dist[node], pred[node])
-            for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred)]
-    return seen, dist, pred
+    seen = [(node, dist[node], pair(pred[node]))
+            for node in search(net, residual_room(net, flow), potential, source, dist, pred)]
+    return seen, dist, [pair(index) for index in pred]
 
 
 def watch_searches(monkeypatch):
     """Wrap kbest's Dijkstra; per search, log (source, nodes read, nodes a full run yields)."""
     log = []
 
-    def watched(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
-        full = sum(1 for _ in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source,
-                                        [None] * net.node_count, [None] * net.node_count))
+    def watched(head, cost, room, potential, incident, source, dist, pred):
+        n = len(incident)
+        full = sum(1 for _ in _dijkstra(head, cost, room, potential, incident, source,
+                                        [None] * n, [None] * n))
         read = []
         log.append((source, read, full))
-        for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+        for node in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
             read.append(node)
             yield node
 
@@ -64,7 +79,8 @@ def unpruned_second_best(net, flow):
     arcs = net.arcs
     span = [arc.span for arc in arcs]
     extra = [value - arc.lower for arc, value in zip(arcs, flow.values)]
-    out_arcs, in_arcs = _incidence(net)
+    room = residual_room(net, flow)
+    heads = residual_heads(net)
     searches = {}
     best_total = best = None
     for index, arc in enumerate(arcs):
@@ -78,7 +94,7 @@ def unpruned_second_best(net, flow):
             continue
         if head not in searches:
             searches[head] = ([None] * net.node_count, [None] * net.node_count)
-            for _ in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, head, *searches[head]):
+            for _ in search(net, room, potential, head, *searches[head]):
                 pass
         back = searches[head][0][tail]
         if back is not None and (best_total is None or weight + back < best_total):
@@ -92,9 +108,8 @@ def unpruned_second_best(net, flow):
     pred = searches[head][1]
     node = tail
     while node != head:
-        index, forward = pred[node]
-        values[index] += 1 if forward else -1
-        node = arcs[index].src if forward else arcs[index].dst
+        values[pred[node] >> 1] += -1 if pred[node] & 1 else 1
+        node = heads[pred[node] ^ 1]
     return Flow(tuple(values))
 
 
@@ -304,6 +319,23 @@ class TestFindSecondBest:
         monkeypatch.setattr(flowenum.kbest, "compute_node_potentials", lambda net, flow: (0, 1, 0, 200))
         with pytest.raises(InvariantError):
             find_second_best_flow(net, best)
+
+    def test_cycle_using_an_arc_both_ways_is_an_invariant_error(self, monkeypatch):
+        # The cheapest cycle is arc 0 forward and arc 1 back.  Corrupting the
+        # search from node 1 so that node 0 seems reached by arc 0's backward
+        # id closes a cycle that uses arc 0 in both directions.
+        net = make_network(2, [(0, 1, 0, 1, 1), (1, 0, 0, 1, 1)], (0, 0))
+        assert find_second_best_flow(net, Flow((0, 0))) == Flow((1, 1))
+
+        def corrupted(head, cost, room, potential, incident, source, dist, pred):
+            for node in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
+                if (source, node) == (1, 0):
+                    pred[0] = 1
+                yield node
+
+        monkeypatch.setattr(flowenum.kbest, "_dijkstra", corrupted)
+        with pytest.raises(InvariantError, match="uses an arc twice"):
+            find_second_best_flow(net, Flow((0, 0)))
 
     def test_matches_bruteforce_second_cost(self):
         rng = random.Random(616)

@@ -3,7 +3,15 @@ import random
 import pytest
 
 import flowenum.solver
-from flowenum.core import Flow, build_residual, check_feasible, flow_cost, validate_network
+from flowenum.core import (
+    Flow,
+    build_residual,
+    check_feasible,
+    flow_cost,
+    residual_costs,
+    residual_heads,
+    validate_network,
+)
 from flowenum.errors import InfeasibleError, InvariantError, NegativeCycleError
 from flowenum.solver import (
     _dijkstra,
@@ -26,18 +34,18 @@ def full_search_solve(net):
     validate_network(net)
     n = net.node_count
     arcs = net.arcs
-    span = [arc.span for arc in arcs]
-    extra = [0] * len(arcs)
+    # room[2a] is the capacity left on arc a, room[2a + 1] its flow above lower.
+    room = [spare for arc in arcs for spare in (arc.span, 0)]
     imbalance = list(net.balances)
     for arc in arcs:
         imbalance[arc.src] -= arc.lower
         imbalance[arc.dst] += arc.lower
     for index, arc in enumerate(arcs):
         if arc.cost < 0:
-            extra[index] = span[index]
-            imbalance[arc.src] -= span[index]
-            imbalance[arc.dst] += span[index]
-    out_arcs, in_arcs = _incidence(net)
+            room[2 * index], room[2 * index + 1] = 0, arc.span
+            imbalance[arc.src] -= arc.span
+            imbalance[arc.dst] += arc.span
+    head, cost, incident = residual_heads(net), residual_costs(net), _incidence(net)
     potential = [0] * n
     source = 0
     while True:
@@ -46,7 +54,7 @@ def full_search_solve(net):
         if source == n:
             break
         dist, pred = [None] * n, [None] * n
-        for _ in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+        for _ in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
             pass
         target = None
         for node in range(n):
@@ -62,18 +70,16 @@ def full_search_solve(net):
         amount = min(imbalance[source], -imbalance[target])
         node = target
         while node != source:
-            index, forward = pred[node]
-            headroom = span[index] - extra[index] if forward else extra[index]
-            amount = min(amount, headroom)
-            node = arcs[index].src if forward else arcs[index].dst
+            amount = min(amount, room[pred[node]])
+            node = head[pred[node] ^ 1]
         node = target
         while node != source:
-            index, forward = pred[node]
-            extra[index] += amount if forward else -amount
-            node = arcs[index].src if forward else arcs[index].dst
+            room[pred[node]] -= amount
+            room[pred[node] ^ 1] += amount
+            node = head[pred[node] ^ 1]
         imbalance[source] -= amount
         imbalance[target] += amount
-    result = Flow(tuple(arc.lower + extra[index] for index, arc in enumerate(arcs)))
+    result = Flow(tuple(arc.lower + room[2 * index + 1] for index, arc in enumerate(arcs)))
     if not check_feasible(net, result):
         raise InvariantError("successive shortest paths ended on an infeasible flow")
     return result
@@ -83,25 +89,34 @@ def watch_searches(monkeypatch):
     """Wrap the solver's Dijkstra; log each search against a full run from the same state.
 
     Per search: the source, the potentials and imbalances it started from,
-    the full run's dist and pred, and each node read with its entries when yielded.
+    the full run's dist and pred, and each node read with its entries when
+    yielded.  The Dijkstra never sees the network, so the wrapped
+    `validate_network` hands it over for the imbalances.
     """
     log = []
+    solving = []
 
-    def watched(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+    def validated(net):
+        solving[:] = [net]
+        validate_network(net)
+
+    def watched(head, cost, room, potential, incident, source, dist, pred):
+        net = solving[0]
         full_dist, full_pred = [None] * net.node_count, [None] * net.node_count
-        for _ in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, full_dist, full_pred):
+        for _ in _dijkstra(head, cost, room, potential, incident, source, full_dist, full_pred):
             pass
         imbalance = list(net.balances)
-        for arc, more in zip(net.arcs, extra):
-            imbalance[arc.src] -= arc.lower + more
-            imbalance[arc.dst] += arc.lower + more
+        for index, arc in enumerate(net.arcs):
+            imbalance[arc.src] -= arc.lower + room[2 * index + 1]
+            imbalance[arc.dst] += arc.lower + room[2 * index + 1]
         search = {"source": source, "potential": list(potential), "imbalance": imbalance,
                   "full_dist": full_dist, "full_pred": full_pred, "read": []}
         log.append(search)
-        for node in _dijkstra(net, span, extra, potential, out_arcs, in_arcs, source, dist, pred):
+        for node in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
             search["read"].append((node, dist[node], pred[node]))
             yield node
 
+    monkeypatch.setattr(flowenum.solver, "validate_network", validated)
     monkeypatch.setattr(flowenum.solver, "_dijkstra", watched)
     return log
 
@@ -221,6 +236,19 @@ class TestStoppedSearch:
         for _ in range(200):
             net, _ = random_feasible_network(rng, max_nodes=12, max_arcs=30, max_span=5, max_cost=6)
             assert solve_min_cost_flow(net) == full_search_solve(net)
+
+
+class TestIncidence:
+    def test_out_arcs_forward_then_in_arcs_backward(self):
+        # Per node: forward ids of its out-arcs, then backward ids of its
+        # in-arcs, each in arc order, not ascending ids.  Dijkstra keeps the
+        # first of equally short paths, so every tie-break depends on it.
+        net = make_network(
+            3,
+            [(1, 0, 0, 1, 0), (0, 2, 0, 1, 0), (2, 0, 0, 1, 0), (0, 1, 0, 1, 0)],
+            (0, 0, 0),
+        )
+        assert _incidence(net) == [[2, 6, 1, 5], [0, 7], [4, 3]]
 
 
 class TestPotentials:
