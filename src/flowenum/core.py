@@ -6,8 +6,9 @@ remembers its original arc and parallel or anti-parallel arcs stay
 unambiguous: a cycle is "proper" exactly when it never uses both residual
 directions of one original arc.  Every layer reads the residual graph
 through these ids: `residual_heads`, `residual_costs` and `residual_room`
-are per-id views, `residual_ids` lists a flow's ids and `push_unit` moves
-one unit along ids; `ResidualGraph` spells them out as objects.
+are per-id views, `residual_ids` lists a flow's ids, `Frame` holds the views
+a search needs and `push_unit` moves one unit around a cycle of ids;
+`ResidualGraph` spells them out as objects.
 """
 
 from __future__ import annotations
@@ -187,26 +188,39 @@ def residual_ids(net: Network, flow: Flow) -> list[int]:
     """Ascending ids with room in a feasible flow; raises InfeasibleFlowError otherwise."""
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot build the residual graph of an infeasible flow")
-    # `residual_room`'s positive entries, without building it: this runs per region.
-    ids = []
-    for index, (arc, value) in enumerate(zip(net.arcs, flow.values)):
-        if value < arc.upper:
-            ids.append(2 * index)
-        if value > arc.lower:
-            ids.append(2 * index + 1)
-    return ids
+    return [index for index, spare in enumerate(residual_room(net, flow)) if spare]
 
 
-def push_unit(net: Network, flow: Flow, ids: list[int]) -> Flow:
-    """The flow plus one unit along residual ids, each original arc used once."""
-    if len({index >> 1 for index in ids}) < len(ids):
-        raise InvariantError(f"the cycle {ids} uses an arc twice")
-    values = list(flow.values)
-    for index in ids:
-        arc = net.arcs[index >> 1]
-        values[index >> 1] += -1 if index & 1 else 1
-        if not arc.lower <= values[index >> 1] <= arc.upper:
-            raise InvariantError(f"the cycle pushes arc {index >> 1} past its bounds")
+@dataclass
+class Frame:
+    """One instance's per-id views, built once, and per-arc bounds that callers narrow in place."""
+
+    node_count: int
+    head: list[int]      # residual_heads
+    origin: list[int]    # per residual id r, its arc r >> 1
+    lower: list[int]
+    upper: list[int]
+
+
+def frame_of(net: Network) -> Frame:
+    head = residual_heads(net)
+    return Frame(net.node_count, head, [index >> 1 for index in range(len(head))],
+                 [arc.lower for arc in net.arcs], [arc.upper for arc in net.arcs])
+
+
+def push_unit(frame: Frame, values, ids: list[int]) -> Flow:
+    """`values` plus one unit around a closed cycle of residual ids, each arc used once."""
+    head, lower, upper = frame.head, frame.lower, frame.upper
+    if not ids or len({index >> 1 for index in ids}) < len(ids):
+        raise InvariantError(f"the cycle {ids} is empty or uses an arc twice")
+    values = list(values)
+    for index, after in zip(ids, ids[1:] + ids[:1]):
+        if head[index] != head[after ^ 1]:
+            raise InvariantError(f"the cycle {ids} does not close after id {index}")
+        arc = index >> 1
+        values[arc] += -1 if index & 1 else 1
+        if not lower[arc] <= values[arc] <= upper[arc]:
+            raise InvariantError(f"the cycle pushes arc {arc} past its bounds")
     return Flow(values)
 
 

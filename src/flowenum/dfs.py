@@ -8,12 +8,11 @@ through short backward arcs alone).  Scanning the classified arcs then either
 produces a proper cycle or proves none exists; only cross arcs need a lowest
 common ancestor, found by walking parent links.
 
-The lists have two readings.  `find_another_feasible_flow` reads a network
-and flow directly, with the residual ids `2a`/`2a + 1` of `core`, and pushes
-its cycle with `core.push_unit`; `build_dfs_forest` and `find_proper_cycle`
-read a `ResidualGraph`, whose ids are positions in its arcs.  Both list
-out-arcs by (origin arc, forward first), so they number the nodes alike and
-find the same cycle.
+One kernel, `another_flow`, runs the search on a `core.Frame` and pushes one
+unit around the cycle it finds; `find_another_feasible_flow` runs it on a
+network's own frame.  `build_dfs_forest` and `find_proper_cycle` read a
+`ResidualGraph`, whose ids are positions in its arcs.  Both readings list
+out-arcs by (origin arc, forward first), so they find the same cycle.
 """
 
 from __future__ import annotations
@@ -21,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cycle, Flow, Network, ResidualGraph, push_unit, residual_heads, residual_ids
-from .errors import DifferentTreesError
+from .core import Cycle, Flow, Frame, Network, ResidualGraph, check_feasible, frame_of, push_unit
+from .errors import DifferentTreesError, InfeasibleFlowError
 
 TREE, FORWARD, BACKWARD_SHORT, BACKWARD_LONG, CROSS = range(1, 6)
 
@@ -192,16 +191,23 @@ def find_proper_cycle(rg: ResidualGraph, forest: DfsForest | None = None) -> Cyc
     return None if cycle is None else Cycle(tuple(rg.arcs[index] for index in cycle))
 
 
-def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:
-    """A feasible flow different from the input, or None if it is unique.
+def another_flow(frame: Frame, values: Sequence[int]) -> Flow | None:
+    """Another flow one unit from `values`, which must be feasible within the bounds, or None."""
+    head, lower, upper = frame.head, frame.lower, frame.upper
+    out: list[list[int]] = [[] for _ in range(frame.node_count)]
+    for index, value, lo, hi in zip(range(0, len(head), 2), values, lower, upper):
+        if value < hi:
+            out[head[index + 1]].append(index)
+        if value > lo:
+            out[head[index]].append(index + 1)
+    cycle = _proper_cycle(_forest(out, head), head, frame.origin)
+    return None if cycle is None else push_unit(frame, values, cycle)
 
-    The other flow is one unit pushed around the proper cycle that
-    `find_proper_cycle(build_residual(net, flow))` finds, without building
-    that graph.  Raises InfeasibleFlowError on an infeasible input.
-    """
-    head = residual_heads(net)
-    out: list[list[int]] = [[] for _ in range(net.node_count)]
-    for index in residual_ids(net, flow):
-        out[head[index ^ 1]].append(index)
-    cycle = _proper_cycle(_forest(out, head), head, [index >> 1 for index in range(len(head))])
-    return None if cycle is None else push_unit(net, flow, cycle)
+
+def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:
+    """A feasible flow one unit around `find_proper_cycle(build_residual(net, flow))`, or None.
+
+    Raises InfeasibleFlowError on an infeasible input."""
+    if not check_feasible(net, flow):
+        raise InfeasibleFlowError("cannot search from an infeasible flow")
+    return another_flow(frame_of(net), flow.values)

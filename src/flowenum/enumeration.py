@@ -1,22 +1,23 @@
 """All-optimal-flow enumeration by binary partition of the solution space.
 
-The optimal face is found once: every arc with nonzero reduced cost is
-pinned at its value in the initial optimum, so the feasible flows of what
-remains are exactly the optimal flows of the original network.  Each
-discovered flow then splits its search region into two disjoint halves on
-the first arc where it differs from the region's witness, so no flow is
-ever produced twice.  A region is simply the network with some capacity
-bounds tightened, and its flows index the original arcs.
+Each flow found splits its search region into two disjoint halves on the
+first arc where it differs from the region's witness, so no flow comes
+twice.  All regions of one instance share one `core.Frame`: a region is the
+optimal face's bounds with some arcs narrowed in place.  The search is depth
+first, so one stack is also the undo trail: a split pushes the arc's bounds
+to restore, the half that moves to the new flow, and on top the half that
+keeps the witness.  A region differs from its parent on the split arc alone,
+so the witness stays feasible if it lies within that arc's new bounds.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Iterator
+from typing import Iterator, Sequence
 
-from .core import Flow, Network
-from .dfs import find_another_feasible_flow
-from .errors import IdenticalFlowsError
+from .core import Flow, Frame, Network, frame_of
+from .dfs import another_flow
+from .errors import IdenticalFlowsError, InvariantError
 from .solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 
@@ -25,40 +26,36 @@ class EnumerationStats:
     another_flow_calls: int = 0
 
 
-def optimal_face(net: Network, flow: Flow, reduced_costs) -> Network:
-    """`net` with every nonzero-reduced-cost arc pinned at its value in `flow`.
+def optimal_face(frame: Frame, values, reduced_costs) -> Frame:
+    """`frame` with every nonzero-reduced-cost arc pinned at its value in the optimum `values`.
 
-    `flow` is optimal and `reduced_costs` come from optimal potentials.  By
-    complementary slackness every optimal flow holds an arc of positive
-    reduced cost at its lower bound and one of negative reduced cost at its
-    upper bound, which is where `flow` holds it; a flow that agrees with
-    `flow` on those arcs has the same cost.  So the feasible flows of the
-    face are exactly the optimal flows of `net`.  Every arc that is not
-    pinned is the same object as in `net`.
+    By complementary slackness every optimal flow holds such an arc where
+    `values` does (an arc whose bounds meet is held there anyway), and a flow
+    that agrees there costs the same: the face's feasible flows are exactly
+    the optimal flows.
     """
-    arcs = tuple(
-        replace(arc, lower=value, upper=value) if reduced and arc.span else arc
-        for arc, value, reduced in zip(net.arcs, flow.values, reduced_costs)
-    )
-    return replace(net, arcs=arcs)
+    lower = [value if cost else lo for value, cost, lo in zip(values, reduced_costs, frame.lower)]
+    upper = [value if cost else hi for value, cost, hi in zip(values, reduced_costs, frame.upper)]
+    return Frame(frame.node_count, frame.head, frame.origin, lower, upper)
+
+
+def _split(witness: Sequence[int], other: Sequence[int], lower, upper):
+    """The first arc where the flows differ, its bounds keeping `witness`, then holding `other`."""
+    for arc, (mine, theirs) in enumerate(zip(witness, other)):
+        if mine != theirs:
+            if mine < theirs:
+                return arc, (lower[arc], mine), (mine + 1, upper[arc])
+            return arc, (mine, upper[arc]), (lower[arc], mine - 1)
+    raise IdenticalFlowsError("cannot partition on two identical flows")
 
 
 def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Network, Network]:
-    """Split on the first differing arc; the first half keeps `flow`, the second `other`.
-
-    Each half is `net` with that one arc's bound tightened; every other arc
-    object is shared with `net`.
-    """
-    for arc_id, (mine, theirs) in enumerate(zip(flow.values, other.values)):
-        if mine != theirs:
-            arc = net.arcs[arc_id]
-            if mine < theirs:
-                halves = (replace(arc, upper=mine), replace(arc, lower=mine + 1))
-            else:
-                halves = (replace(arc, lower=mine), replace(arc, upper=mine - 1))
-            head, tail = net.arcs[:arc_id], net.arcs[arc_id + 1:]
-            return tuple(replace(net, arcs=head + (half,) + tail) for half in halves)
-    raise IdenticalFlowsError("cannot partition on two identical flows")
+    """`net` with the first differing arc narrowed: the half that keeps `flow`, then `other`'s."""
+    arcs = net.arcs
+    arc_id, *halves = _split(flow.values, other.values,
+                             [arc.lower for arc in arcs], [arc.upper for arc in arcs])
+    return tuple(replace(net, arcs=arcs[:arc_id] + (replace(arcs[arc_id], lower=lo, upper=hi),)
+                         + arcs[arc_id + 1:]) for lo, hi in halves)
 
 
 def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> Iterator[Flow]:
@@ -70,16 +67,24 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
     first = solve_min_cost_flow(net)
     yield first
     reduced_costs = compute_reduced_costs(net, compute_node_potentials(net, first))
-    # Each pending region is a narrowed network plus a witness flow inside it.
-    pending = [(optimal_face(net, first, reduced_costs), first)]
+    frame = optimal_face(frame_of(net), first.values, reduced_costs)
+    # (witness, arc, lo, hi) searches with the arc narrowed; no witness restores it.
+    pending: list = [(first.values, None, 0, 0)]
     while pending:
-        region, witness = pending.pop()
+        witness, arc, lo, hi = pending.pop()
+        if arc is not None:
+            frame.lower[arc], frame.upper[arc] = lo, hi
+            if witness is None:
+                continue
+            if not lo <= witness[arc] <= hi:
+                raise InvariantError(f"the witness leaves its region on arc {arc}")
         if stats is not None:
             stats.another_flow_calls += 1
-        other = find_another_feasible_flow(region, witness)
+        other = another_flow(frame, witness)
         if other is None:
             continue
         yield other
-        keep_here, move_there = partition_solution_space(region, witness, other)
-        pending.append((move_there, other))
-        pending.append((keep_here, witness))
+        arc, keep_here, move_there = _split(witness, other.values, frame.lower, frame.upper)
+        pending.append((None, arc, frame.lower[arc], frame.upper[arc]))
+        pending.append((other.values, arc, *move_there))
+        pending.append((witness, arc, *keep_here))

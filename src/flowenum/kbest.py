@@ -3,15 +3,15 @@
 A second-best flow is either another optimum (another feasible flow of the
 optimal face) or one unit pushed around the cheapest proper cycle.  That
 cycle is a residual id `r` whose reverse `r ^ 1` has no room (its arc sits
-at a bound) plus the shortest way back from its head to its tail, found
-with the solver's Dijkstra over the same ids' reduced costs.  Heads are
-searched best first, in order of their cheapest candidate, and each search
-is bounded: the Dijkstra yields nodes as they settle, and this module stops
+at a bound) plus the shortest way back from its head to its tail, found with
+the solver's Dijkstra over the same ids' reduced costs.  Heads are searched
+best first, in order of their cheapest candidate, and each search is
+bounded: the Dijkstra yields nodes as they settle, and this module stops
 reading it at the first node past the radius beyond which the search cannot
 beat the best cycle found so far, or once every candidate tail of its head
 has settled.  Only the distances of tails seen to settle are read, since
-those are final.  Regions of the solution space are then split exactly as
-in the all-optimal search and ranked on a heap keyed by challenger cost.
+those are final.  Regions of the solution space are then split exactly as in
+the all-optimal search and ranked on a heap keyed by challenger cost.
 """
 
 from __future__ import annotations
@@ -21,8 +21,8 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import Flow, Network, flow_cost, push_unit, residual_costs, residual_heads, residual_room
-from .dfs import find_another_feasible_flow
+from .core import Flow, Network, flow_cost, frame_of, push_unit, residual_costs, residual_room
+from .dfs import another_flow
 from .enumeration import optimal_face, partition_solution_space
 from .errors import InvariantError
 from .solver import (
@@ -39,14 +39,15 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     """The cheapest flow different from an optimal one; ties come first."""
     potential = compute_node_potentials(net, flow)
     reduced_costs = compute_reduced_costs(net, potential)
-    tied = find_another_feasible_flow(optimal_face(net, flow, reduced_costs), flow)
+    region = frame_of(net)
+    tied = another_flow(optimal_face(region, flow.values, reduced_costs), flow.values)
     if tied is not None:
         return tied
     # The flow is the unique optimum, so the next flow is one unit around the
     # cheapest proper cycle.  Only a residual id whose reverse has no room
     # lacks an anti-parallel partner, so each such id, closed by a shortest
     # path back from its head to its tail, is a candidate cycle.
-    head, cost, incident = residual_heads(net), residual_costs(net), _incidence(net)
+    head, cost, incident = region.head, residual_costs(net), _incidence(net)
     room = residual_room(net, flow)
     groups: dict[int, list] = {}  # head -> candidates (weight, id, tail)
     for index, spare in enumerate(room):
@@ -79,8 +80,8 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
         for weight, index, tail in group:
             if tail not in waiting and (best_key is None or (weight + dist[tail], index) < best_key):
                 best_key = (weight + dist[tail], index)
-                best_cycle = [index, *_path(head, pred, start, tail)]
-    return None if best_cycle is None else push_unit(net, flow, best_cycle)
+                best_cycle = [index, *reversed(_path(head, pred, start, tail))]
+    return None if best_cycle is None else push_unit(region, flow.values, best_cycle)
 
 
 def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:

@@ -4,12 +4,83 @@ from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import replace
 
-from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph
+from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, frame_of
+from flowenum.dfs import find_another_feasible_flow
+from flowenum.enumeration import optimal_face, partition_solution_space
+from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 
 def make_network(node_count, specs, balances) -> Network:
     return Network(node_count, tuple(Arc(*spec) for spec in specs), tuple(balances))
+
+
+def face_network(net: Network, flow: Flow) -> Network:
+    """The optimal face of `net` around the optimum `flow`, as a network."""
+    reduced_costs = compute_reduced_costs(net, compute_node_potentials(net, flow))
+    face = optimal_face(frame_of(net), flow.values, reduced_costs)
+    bounds = zip(net.arcs, face.lower, face.upper)
+    return replace(net, arcs=tuple(replace(arc, lower=lo, upper=hi) for arc, lo, hi in bounds))
+
+
+def reference_optimal_flows(net: Network):
+    """The optimal flows in the order of the search that kept one network per region.
+
+    A stack of (region, witness) pairs: each region is searched with the
+    public `find_another_feasible_flow`, and a found flow splits it with
+    `partition_solution_space`; the half that keeps the witness goes on top.
+    """
+    first = solve_min_cost_flow(net)
+    yield first
+    pending = [(face_network(net, first), first)]
+    while pending:
+        region, witness = pending.pop()
+        other = find_another_feasible_flow(region, witness)
+        if other is None:
+            continue
+        yield other
+        keep_here, move_there = partition_solution_space(region, witness, other)
+        pending.append((move_there, other))
+        pending.append((keep_here, witness))
+
+
+def linked_cycles(rng, k, span, unit_costs=None):
+    """k directed 3-cycles of arcs spanning [0, span], chained by pinned [1, 1] arcs.
+
+    The closed forms are in tests/test_closed_form.py; node labels and arc
+    order are shuffled by rng.
+
+    Cycle i's arcs cost 1, 2 and -3 + unit_costs[i] (0 when unit_costs is
+    None), in a random rotation.  Returns the network, per cycle the ids of
+    its three arcs and what one unit around it costs, and the pinned arcs'
+    total cost.
+    """
+    labels = list(range(3 * k))
+    rng.shuffle(labels)
+    specs = []  # (src, dst, lower, upper, cost, cycle or None)
+    hubs = []
+    for cycle in range(k):
+        nodes = labels[3 * cycle:3 * cycle + 3]
+        extra = 0 if unit_costs is None else unit_costs[cycle]
+        costs = [1, 2, -3 + extra]
+        rng.shuffle(costs)
+        for step in range(3):
+            specs.append((nodes[step], nodes[(step + 1) % 3], 0, span, costs[step], cycle))
+        hubs.append(rng.choice(nodes))
+    pinned_cost = 0
+    for here, there in zip(hubs, hubs[1:]):
+        cost = rng.randint(-5, 5)
+        pinned_cost += cost
+        specs.append((here, there, 1, 1, cost, None))
+    rng.shuffle(specs)
+    balances = [0] * (3 * k)
+    balances[hubs[0]] += 1
+    balances[hubs[-1]] -= 1
+    net = Network(3 * k, tuple(Arc(*spec[:5]) for spec in specs), tuple(balances))
+    members = [[index for index, spec in enumerate(specs) if spec[5] == cycle] for cycle in range(k)]
+    unit = [sum(net.arcs[index].cost for index in arcs) for arcs in members]
+    return net, members, unit, pinned_cost
 
 
 def random_feasible_network(rng: random.Random, max_nodes=6, max_arcs=10,

@@ -17,45 +17,12 @@ from itertools import product
 import pytest
 
 from flowenum.cli import run
-from flowenum.core import Arc, Flow, Network, check_feasible, flow_cost
+from flowenum.core import Flow, check_feasible, flow_cost
 from flowenum.dimacs import serialize_dimacs
 from flowenum.enumeration import iter_optimal_flows
 from flowenum.kbest import iter_k_best_flows
 
-
-def linked_cycles(rng, k, span, unit_costs=None):
-    """The chained 3-cycles, node labels and arc order shuffled by rng.
-
-    Cycle i's arcs cost 1, 2 and -3 + unit_costs[i] (0 when unit_costs is
-    None), in a random rotation.  Returns the network, per cycle the ids of
-    its three arcs and what one unit around it costs, and the pinned arcs'
-    total cost.
-    """
-    labels = list(range(3 * k))
-    rng.shuffle(labels)
-    specs = []  # (src, dst, lower, upper, cost, cycle or None)
-    hubs = []
-    for cycle in range(k):
-        nodes = labels[3 * cycle:3 * cycle + 3]
-        extra = 0 if unit_costs is None else unit_costs[cycle]
-        costs = [1, 2, -3 + extra]
-        rng.shuffle(costs)
-        for step in range(3):
-            specs.append((nodes[step], nodes[(step + 1) % 3], 0, span, costs[step], cycle))
-        hubs.append(rng.choice(nodes))
-    pinned_cost = 0
-    for here, there in zip(hubs, hubs[1:]):
-        cost = rng.randint(-5, 5)
-        pinned_cost += cost
-        specs.append((here, there, 1, 1, cost, None))
-    rng.shuffle(specs)
-    balances = [0] * (3 * k)
-    balances[hubs[0]] += 1
-    balances[hubs[-1]] -= 1
-    net = Network(3 * k, tuple(Arc(*spec[:5]) for spec in specs), tuple(balances))
-    members = [[index for index, spec in enumerate(specs) if spec[5] == cycle] for cycle in range(k)]
-    unit = [sum(net.arcs[index].cost for index in arcs) for arcs in members]
-    return net, members, unit, pinned_cost
+from helpers import linked_cycles
 
 
 def every_flow(net, members, span):

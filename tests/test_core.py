@@ -11,6 +11,7 @@ from flowenum.core import (
     check_feasible,
     cycle_cost,
     flow_cost,
+    frame_of,
     push_unit,
     validate_network,
 )
@@ -197,7 +198,8 @@ class TestAugment:
     def test_push_unit_along_residual_ids(self, zerocycle_network, zerocycle_flow,
                                           zerocycle_augmented_flow):
         # c->d forward (id 8), d->e forward (id 12), e->c as the reverse of c->e (id 11).
-        assert push_unit(zerocycle_network, zerocycle_flow, [8, 12, 11]) == zerocycle_augmented_flow
+        pushed = push_unit(frame_of(zerocycle_network), zerocycle_flow.values, [8, 12, 11])
+        assert pushed == zerocycle_augmented_flow
 
 
 class TestRandomizedInvariants:

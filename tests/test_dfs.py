@@ -26,6 +26,7 @@ from flowenum.errors import DifferentTreesError, InfeasibleFlowError, InvariantE
 
 from helpers import (
     digraph_has_cycle,
+    face_network,
     make_network,
     proper_cycle_exists_bruteforce,
     random_feasible_network,
@@ -216,12 +217,7 @@ class TestFindAnotherFeasibleFlow:
         assert find_another_feasible_flow(forced_network, only) is None
 
     def test_reduced_blocked_instance_has_no_other_flow(self, blocked_cycle_network, blocked_cycle_flow):
-        from flowenum.enumeration import optimal_face
-        from flowenum.solver import compute_node_potentials, compute_reduced_costs
-
-        potential = compute_node_potentials(blocked_cycle_network, blocked_cycle_flow)
-        reduced_costs = compute_reduced_costs(blocked_cycle_network, potential)
-        face = optimal_face(blocked_cycle_network, blocked_cycle_flow, reduced_costs)
+        face = face_network(blocked_cycle_network, blocked_cycle_flow)
         assert find_another_feasible_flow(face, blocked_cycle_flow) is None
 
     def test_infeasible_input_rejected(self, zerocycle_network):

@@ -1,10 +1,15 @@
+import dataclasses
+import importlib
+import pkgutil
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
 
+import flowenum
 from flowenum.bruteforce import enumerate_all_optimal_bruteforce
-from flowenum.core import Flow, check_feasible, flow_cost
+from flowenum.core import Arc, Flow, Network, check_feasible, flow_cost, frame_of
 from flowenum.dfs import find_another_feasible_flow
 from flowenum.enumeration import (
     EnumerationStats,
@@ -16,19 +21,23 @@ from flowenum.errors import (
     DisconnectedError,
     IdenticalFlowsError,
     InfeasibleError,
+    InvariantError,
     UnbalancedSupplyError,
 )
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
-from helpers import make_network, random_feasible_network
+from helpers import face_network as face_of
+from helpers import (
+    linked_cycles,
+    make_network,
+    random_feasible_network,
+    random_grid_network,
+    reference_optimal_flows,
+)
 
 
 def reduced_costs_of(net, flow):
     return compute_reduced_costs(net, compute_node_potentials(net, flow))
-
-
-def face_of(net, flow):
-    return optimal_face(net, flow, reduced_costs_of(net, flow))
 
 
 def bounds_of(net, arc_id):
@@ -37,22 +46,20 @@ def bounds_of(net, arc_id):
 
 class TestOptimalFace:
     def test_eleven_optima_pins_the_expensive_arcs(self, eleven_optima_network, eleven_optima_flow):
-        face = face_of(eleven_optima_network, eleven_optima_flow)
-        assert bounds_of(face, 0) == bounds_of(face, 1) == (0, 0)
-        assert face.balances == eleven_optima_network.balances
+        net, values = eleven_optima_network, eleven_optima_flow.values
+        face = optimal_face(frame_of(net), values, reduced_costs_of(net, eleven_optima_flow))
+        assert (face.lower[0], face.upper[0]) == (face.lower[1], face.upper[1]) == (0, 0)
         for arc_id in range(2, 7):
-            assert face.arcs[arc_id] is eleven_optima_network.arcs[arc_id]
+            assert (face.lower[arc_id], face.upper[arc_id]) == bounds_of(net, arc_id)
 
     def test_all_zero_reduced_costs_change_nothing(self, twocycle_network):
-        face = optimal_face(twocycle_network, Flow((0, 0)), (0, 0))
-        assert face == twocycle_network
-        assert all(mine is base for mine, base in zip(face.arcs, twocycle_network.arcs))
+        frame = frame_of(twocycle_network)
+        assert optimal_face(frame, (0, 0), (0, 0)) == frame
 
     def test_saturated_costly_arc_is_pinned_at_its_value(self):
         net = make_network(2, [(0, 1, 0, 1, 5)], (1, -1))
-        face = optimal_face(net, Flow((1,)), (5,))
-        assert bounds_of(face, 0) == (1, 1)
-        assert face.balances == (1, -1)
+        face = optimal_face(frame_of(net), (1,), (5,))
+        assert (face.lower, face.upper) == ([1], [1])
 
 
 class TestFindAnotherOptimalFlow:
@@ -155,3 +162,79 @@ class TestEnumerateAllOptimal:
             assert stats.another_flow_calls <= 3 * len(flows)
             best = flow_cost(net, flows[0])
             assert all(flow_cost(net, flow) == best for flow in flows)
+
+
+class TestFrameSearch:
+    """The in-place frame against the search that kept one network per region."""
+
+    @pytest.mark.parametrize("seed", range(10))
+    @pytest.mark.parametrize("max_cost", [0, 1])
+    def test_flow_order_matches_the_network_per_region_search(self, seed, max_cost):
+        grid = random_grid_network(random.Random(seed), 6, 6, min_cost=0, max_cost=max_cost,
+                                   both_ways=True)
+        mine = list(islice(iter_optimal_flows(grid), 400))
+        assert mine == list(islice(reference_optimal_flows(grid), 400))
+        assert len(mine) > 1
+
+    @pytest.mark.parametrize("seed, k, span", [(1, 4, 3), (2, 3, 4), (3, 5, 2)])
+    def test_flow_order_matches_on_chained_cycles(self, seed, k, span):
+        net, *_ = linked_cycles(random.Random(seed), k, span)
+        flows = list(iter_optimal_flows(net))
+        assert len(flows) == (span + 1) ** k
+        assert flows == list(reference_optimal_flows(net))
+
+    def test_no_network_copies_or_feasibility_scans_after_the_first_flow(self, monkeypatch):
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # Modules that imported a name hold their own binding; patch each.
+        modules = [importlib.import_module(f"flowenum.{info.name}")
+                   for info in pkgutil.iter_modules(flowenum.__path__) if info.name != "__main__"]
+        for module in [dataclasses, *modules]:
+            for name in ("check_feasible", "replace"):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
+        for cls in (Network, Arc):
+            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+
+        grid = random_grid_network(random.Random(2), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+        stats = EnumerationStats()
+        flows = iter_optimal_flows(grid, stats)
+        next(flows)
+        calls.clear()
+        assert len(list(islice(flows, 300))) == 300
+        # The one feasibility check is Bellman-Ford's, on the first flow,
+        # while the frame is set up; no region costs a check or a copy.
+        assert calls == {"check_feasible": 1}
+        assert stats.another_flow_calls > 300
+
+    def test_stats_count_every_region(self, eleven_optima_network):
+        for net in (eleven_optima_network, linked_cycles(random.Random(5), 3, 3)[0]):
+            stats = EnumerationStats()
+            flows = list(iter_optimal_flows(net, stats))
+            # The root plus two halves per flow found in a region.
+            assert stats.another_flow_calls == 2 * len(flows) - 1
+
+    def test_open_cycle_is_an_invariant_error(self, monkeypatch, eleven_optima_network):
+        # Arc 2's forward id alone leaves a node it never comes back to.
+        monkeypatch.setattr(flowenum.dfs, "_proper_cycle", lambda *_: [4])
+        with pytest.raises(InvariantError, match="does not close"):
+            list(iter_optimal_flows(eleven_optima_network))
+
+    def test_witness_outside_its_region_is_an_invariant_error(self, monkeypatch,
+                                                              eleven_optima_network):
+        # A split that gives the witness's half to the other flow instead.
+        real_split = flowenum.enumeration._split
+
+        def swapped(*args):
+            arc, keep_here, move_there = real_split(*args)
+            return arc, move_there, keep_here
+
+        monkeypatch.setattr(flowenum.enumeration, "_split", swapped)
+        with pytest.raises(InvariantError, match="leaves its region"):
+            list(iter_optimal_flows(eleven_optima_network))

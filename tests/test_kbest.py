@@ -15,7 +15,6 @@ from flowenum.core import (
     residual_room,
 )
 from flowenum.dfs import find_another_feasible_flow
-from flowenum.enumeration import optimal_face
 from flowenum.errors import InfeasibleError, InvariantError, UnbalancedSupplyError
 from flowenum.kbest import find_second_best_flow, iter_k_best_flows
 from flowenum.solver import (
@@ -26,7 +25,7 @@ from flowenum.solver import (
     solve_min_cost_flow,
 )
 
-from helpers import make_network, random_feasible_network, random_grid_network
+from helpers import face_network, make_network, random_feasible_network, random_grid_network
 
 
 def search(net, room, potential, source, dist, pred):
@@ -73,7 +72,7 @@ def unpruned_second_best(net, flow):
     """Reference: one full search per distinct head, first strictly cheapest arc in id order."""
     potential = compute_node_potentials(net, flow)
     reduced_costs = compute_reduced_costs(net, potential)
-    tied = find_another_feasible_flow(optimal_face(net, flow, reduced_costs), flow)
+    tied = find_another_feasible_flow(face_network(net, flow), flow)
     if tied is not None:
         return tied
     arcs = net.arcs
