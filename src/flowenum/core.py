@@ -5,10 +5,12 @@ Everything is exact integer arithmetic.  Arc `a`'s residual arcs have ids
 remembers its original arc and parallel or anti-parallel arcs stay
 unambiguous: a cycle is "proper" exactly when it never uses both residual
 directions of one original arc.  Every layer reads the residual graph
-through these ids: `residual_heads`, `residual_costs` and `residual_room`
-are per-id views, `residual_ids` lists a flow's ids, `Frame` holds the views
-a search needs and `push_unit` moves one unit around a cycle of ids;
-`ResidualGraph` spells them out as objects.
+through these ids and one `Frame` per instance, which `frame_of` builds
+once: per id its head, arc and cost, per node the ids leaving it, and per
+arc the bounds a search region narrows.  The solver, Bellman-Ford, the
+all-optimal search and every K-best region share it; `residual_room` reads
+a flow's spare units within its bounds and `push_unit` moves one unit around
+a cycle of ids.  `ResidualGraph` spells the same graph out as objects.
 """
 
 from __future__ import annotations
@@ -168,44 +170,38 @@ class ResidualGraph:
     out_arcs: tuple[tuple[int, ...], ...]
 
 
-def residual_heads(net: Network) -> list[int]:
-    """Per residual id `r`, the node it enters; it leaves `head[r ^ 1]`."""
-    return [end for arc in net.arcs for end in (arc.dst, arc.src)]
-
-
-def residual_costs(net: Network) -> list[int]:
-    """Per residual id, its arc's cost forward and the negated cost backward."""
-    return [cost for arc in net.arcs for cost in (arc.cost, -arc.cost)]
-
-
-def residual_room(net: Network, flow: Flow) -> list[int]:
-    """Per residual id, the flow's spare units: upper - value on 2a, value - lower on 2a + 1."""
-    return [spare for arc, value in zip(net.arcs, flow.values)
-            for spare in (arc.upper - value, value - arc.lower)]
-
-
-def residual_ids(net: Network, flow: Flow) -> list[int]:
-    """Ascending ids with room in a feasible flow; raises InfeasibleFlowError otherwise."""
-    if not check_feasible(net, flow):
-        raise InfeasibleFlowError("cannot build the residual graph of an infeasible flow")
-    return [index for index, spare in enumerate(residual_room(net, flow)) if spare]
-
-
 @dataclass
 class Frame:
-    """One instance's per-id views, built once, and per-arc bounds that callers narrow in place."""
+    """One instance's per-id views, built once, and per-arc bounds that callers narrow or swap."""
 
     node_count: int
-    head: list[int]      # residual_heads
-    origin: list[int]    # per residual id r, its arc r >> 1
+    head: list[int]            # per residual id r, the node it enters; it leaves head[r ^ 1]
+    origin: list[int]          # per residual id r, its arc r >> 1
+    cost: list[int]            # arc a's cost on 2a, negated on 2a + 1
+    incident: list[list[int]]  # per node, the residual ids leaving it
     lower: list[int]
     upper: list[int]
 
 
 def frame_of(net: Network) -> Frame:
-    head = residual_heads(net)
+    """`net`'s frame.  `incident` lists out-arcs' forward ids, then in-arcs' backward ids:
+    Dijkstra keeps the first of equally short paths, so every tie-break depends on this order."""
+    arcs = net.arcs
+    head = [end for arc in arcs for end in (arc.dst, arc.src)]
+    incident: list[list[int]] = [[] for _ in range(net.node_count)]
+    for index, arc in enumerate(arcs):
+        incident[arc.src].append(2 * index)
+    for index, arc in enumerate(arcs):
+        incident[arc.dst].append(2 * index + 1)
     return Frame(net.node_count, head, [index >> 1 for index in range(len(head))],
-                 [arc.lower for arc in net.arcs], [arc.upper for arc in net.arcs])
+                 [cost for arc in arcs for cost in (arc.cost, -arc.cost)], incident,
+                 [arc.lower for arc in arcs], [arc.upper for arc in arcs])
+
+
+def residual_room(frame: Frame, values) -> list[int]:
+    """Per residual id, `values`' spare units: upper - value on 2a, value - lower on 2a + 1."""
+    return [spare for value, lo, hi in zip(values, frame.lower, frame.upper)
+            for spare in (hi - value, value - lo)]
 
 
 def push_unit(frame: Frame, values, ids: list[int]) -> Flow:
@@ -225,10 +221,13 @@ def push_unit(frame: Frame, values, ids: list[int]) -> Flow:
 
 
 def build_residual(net: Network, flow: Flow) -> ResidualGraph:
-    """Residual graph of a feasible flow, its arcs in `residual_ids` order."""
-    head, cost, room = residual_heads(net), residual_costs(net), residual_room(net, flow)
-    arcs = [ResidualArc(head[index ^ 1], head[index], room[index], cost[index], index >> 1,
-                        not index & 1) for index in residual_ids(net, flow)]
+    """Residual graph of a feasible flow, its arcs in ascending residual id order."""
+    if not check_feasible(net, flow):
+        raise InfeasibleFlowError("cannot build the residual graph of an infeasible flow")
+    frame = frame_of(net)
+    head, cost, room = frame.head, frame.cost, residual_room(frame, flow.values)
+    arcs = [ResidualArc(head[index ^ 1], head[index], spare, cost[index], index >> 1,
+                        not index & 1) for index, spare in enumerate(room) if spare]
     out_lists: list[list[int]] = [[] for _ in range(net.node_count)]
     for index, res in enumerate(arcs):
         out_lists[res.src].append(index)

@@ -18,7 +18,7 @@ from typing import Iterator, Sequence
 from .core import Flow, Frame, Network, frame_of
 from .dfs import another_flow
 from .errors import IdenticalFlowsError, InvariantError
-from .solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
+from .solver import _potentials, compute_reduced_costs, solve_min_cost_flow
 
 
 @dataclass
@@ -36,7 +36,8 @@ def optimal_face(frame: Frame, values, reduced_costs) -> Frame:
     """
     lower = [value if cost else lo for value, cost, lo in zip(values, reduced_costs, frame.lower)]
     upper = [value if cost else hi for value, cost, hi in zip(values, reduced_costs, frame.upper)]
-    return Frame(frame.node_count, frame.head, frame.origin, lower, upper)
+    return Frame(frame.node_count, frame.head, frame.origin, frame.cost, frame.incident,
+                 lower, upper)
 
 
 def _split(witness: Sequence[int], other: Sequence[int], lower, upper):
@@ -50,7 +51,9 @@ def _split(witness: Sequence[int], other: Sequence[int], lower, upper):
 
 
 def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Network, Network]:
-    """`net` with the first differing arc narrowed: the half that keeps `flow`, then `other`'s."""
+    """`net` with the first differing arc narrowed: the half that keeps `flow`, then `other`'s.
+
+    The same split as `_split`, over whole networks; the searches split frame bounds."""
     arcs = net.arcs
     arc_id, *halves = _split(flow.values, other.values,
                              [arc.lower for arc in arcs], [arc.upper for arc in arcs])
@@ -66,8 +69,9 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
     """
     first = solve_min_cost_flow(net)
     yield first
-    reduced_costs = compute_reduced_costs(net, compute_node_potentials(net, first))
-    frame = optimal_face(frame_of(net), first.values, reduced_costs)
+    frame = frame_of(net)
+    reduced_costs = compute_reduced_costs(net, _potentials(frame, first.values))
+    frame = optimal_face(frame, first.values, reduced_costs)
     # (witness, arc, lo, hi) searches with the arc narrowed; no witness restores it.
     pending: list = [(first.values, None, 0, 0)]
     while pending:

@@ -10,8 +10,10 @@ bounded: the Dijkstra yields nodes as they settle, and this module stops
 reading it at the first node past the radius beyond which the search cannot
 beat the best cycle found so far, or once every candidate tail of its head
 has settled.  Only the distances of tails seen to settle are read, since
-those are final.  Regions of the solution space are then split exactly as in
-the all-optimal search and ranked on a heap keyed by challenger cost.
+those are final.  Regions of the solution space are split as in the
+all-optimal search and ranked on a heap keyed by challenger cost.  All
+regions share the instance's one `core.Frame`: a heap entry holds its own
+copies of the `lower` and `upper` lists, swapped into the frame to search.
 """
 
 from __future__ import annotations
@@ -21,34 +23,33 @@ import math
 from itertools import count
 from typing import Iterator
 
-from .core import Flow, Network, flow_cost, frame_of, push_unit, residual_costs, residual_room
+from .core import Flow, Frame, Network, check_feasible, flow_cost, frame_of, push_unit, residual_room
 from .dfs import another_flow
-from .enumeration import optimal_face, partition_solution_space
-from .errors import InvariantError
-from .solver import (
-    _dijkstra,
-    _incidence,
-    _path,
-    compute_node_potentials,
-    compute_reduced_costs,
-    solve_min_cost_flow,
-)
+from .enumeration import _split, optimal_face
+from .errors import InfeasibleFlowError, InvariantError
+from .solver import _dijkstra, _path, _potentials, compute_reduced_costs, solve_min_cost_flow
 
 
 def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
-    """The cheapest flow different from an optimal one; ties come first."""
-    potential = compute_node_potentials(net, flow)
+    """The cheapest flow other than the optimal `flow`, ties first; raises InfeasibleFlowError."""
+    if not check_feasible(net, flow):
+        raise InfeasibleFlowError("cannot search from an infeasible flow")
+    return _second_best(net, frame_of(net), flow.values)
+
+
+def _second_best(net: Network, region: Frame, values) -> Flow | None:
+    """`find_second_best_flow` within the region's bounds; `values` must be optimal there."""
+    potential = _potentials(region, values)
     reduced_costs = compute_reduced_costs(net, potential)
-    region = frame_of(net)
-    tied = another_flow(optimal_face(region, flow.values, reduced_costs), flow.values)
+    tied = another_flow(optimal_face(region, values, reduced_costs), values)
     if tied is not None:
         return tied
     # The flow is the unique optimum, so the next flow is one unit around the
     # cheapest proper cycle.  Only a residual id whose reverse has no room
     # lacks an anti-parallel partner, so each such id, closed by a shortest
     # path back from its head to its tail, is a candidate cycle.
-    head, cost, incident = region.head, residual_costs(net), _incidence(net)
-    room = residual_room(net, flow)
+    head, cost, incident = region.head, region.cost, region.incident
+    room = residual_room(region, values)
     groups: dict[int, list] = {}  # head -> candidates (weight, id, tail)
     for index, spare in enumerate(room):
         if spare:
@@ -81,33 +82,39 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
             if tail not in waiting and (best_key is None or (weight + dist[tail], index) < best_key):
                 best_key = (weight + dist[tail], index)
                 best_cycle = [index, *reversed(_path(head, pred, start, tail))]
-    return None if best_cycle is None else push_unit(region, flow.values, best_cycle)
+    return None if best_cycle is None else push_unit(region, values, best_cycle)
 
 
 def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
     """Up to k distinct flows, cheapest first; stops early if fewer exist."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
+    # `type(...) is int` turns away floats and bools, as `Arc` and `Flow` do.
+    if type(k) is not int or k < 1:
+        raise ValueError(f"k must be positive and an int, got {k!r}")
     best = solve_min_cost_flow(net)
     yield best
     if k == 1:
         return
     emitted = 1
+    frame = frame_of(net)
     ticket = count()
-    heap: list = []  # (challenger cost, ticket, region, region's best flow, challenger)
+    heap: list = []  # (challenger cost, ticket, region's lower, upper and best values, challenger)
 
-    def offer(region: Network, region_best: Flow) -> None:
-        challenger = find_second_best_flow(region, region_best)
+    def offer(lower: list[int], upper: list[int], region_best) -> None:
+        frame.lower, frame.upper = lower, upper
+        challenger = _second_best(net, frame, region_best)
         if challenger is not None:
-            heapq.heappush(heap, (flow_cost(net, challenger), next(ticket), region, region_best, challenger))
+            heapq.heappush(heap, (flow_cost(net, challenger), next(ticket), lower, upper,
+                                  region_best, challenger))
 
-    offer(net, best)
+    offer(frame.lower, frame.upper, best.values)
     while heap and emitted < k:
-        _, _, region, parent, challenger = heapq.heappop(heap)
+        _, _, lower, upper, parent, challenger = heapq.heappop(heap)
         yield challenger
         emitted += 1
         if emitted == k:
             return
-        stay, move = partition_solution_space(region, parent, challenger)
-        offer(stay, parent)
-        offer(move, challenger)
+        arc, *halves = _split(parent, challenger.values, lower, upper)
+        for (lo, hi), region_best in zip(halves, (parent, challenger.values)):
+            half_lower, half_upper = lower[:], upper[:]
+            half_lower[arc], half_upper[arc] = lo, hi
+            offer(half_lower, half_upper, region_best)

@@ -3,7 +3,8 @@
 The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
 cost nonnegative), and each augmentation runs Dijkstra with potentials over
-`core`'s residual ids, as does the Bellman-Ford of `compute_node_potentials`.
+the network's `core.Frame`.  `compute_node_potentials` checks feasibility
+and runs `_potentials`, the Bellman-Ford that the searches call on their frame.
 
 The Dijkstra is a generator that yields nodes as they settle, and each
 caller decides when to stop reading it.  The solver stops at the nearest
@@ -21,16 +22,8 @@ from __future__ import annotations
 import heapq
 from itertools import count
 
-from .core import (
-    Flow,
-    Network,
-    check_feasible,
-    residual_costs,
-    residual_heads,
-    residual_ids,
-    validate_network,
-)
-from .errors import InfeasibleError, InvariantError, NegativeCycleError
+from .core import Flow, Frame, Network, check_feasible, frame_of, residual_room, validate_network
+from .errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
 
 
 def solve_min_cost_flow(net: Network) -> Flow:
@@ -47,7 +40,8 @@ def solve_min_cost_flow(net: Network) -> Flow:
         imbalance[arc.src] -= arc.lower + room[2 * index + 1]
         imbalance[arc.dst] += arc.lower + room[2 * index + 1]
 
-    head, cost, incident = residual_heads(net), residual_costs(net), _incidence(net)
+    frame = frame_of(net)
+    head, cost, incident = frame.head, frame.cost, frame.incident
     potential = [0] * n
     # Sources only lose supply and targets stay at or below zero, so the
     # lowest node with supply left never moves back.
@@ -83,20 +77,6 @@ def solve_min_cost_flow(net: Network) -> Flow:
     if not check_feasible(net, result):
         raise InvariantError("successive shortest paths ended on an infeasible flow")
     return result
-
-
-def _incidence(net: Network) -> list[list[int]]:
-    """Per node, the residual ids leaving it: out-arcs' forward ids, then in-arcs' backward ids.
-
-    Dijkstra keeps the first of equally short paths in this scan order, so
-    every tie-break, and with it every flow and golden output, depends on it.
-    """
-    incident: list[list[int]] = [[] for _ in range(net.node_count)]
-    for index, arc in enumerate(net.arcs):
-        incident[arc.src].append(2 * index)
-    for index, arc in enumerate(net.arcs):
-        incident[arc.dst].append(2 * index + 1)
-    return incident
 
 
 def _dijkstra(head, cost, room, potential, incident, source, dist, pred):
@@ -151,12 +131,20 @@ def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
     and NegativeCycleError when the residual graph has a negative cycle,
     i.e. the flow was not optimal.
     """
-    head, cost = residual_heads(net), residual_costs(net)
-    edges = [(head[index ^ 1], head[index], cost[index]) for index in residual_ids(net, flow)]
-    big = 1 + sum(abs(arc.cost) * max(1, arc.upper) for arc in net.arcs)
-    dist = [big] * net.node_count
+    if not check_feasible(net, flow):
+        raise InfeasibleFlowError("cannot build the residual graph of an infeasible flow")
+    return _potentials(frame_of(net), flow.values)
+
+
+def _potentials(frame: Frame, values) -> tuple[int, ...]:
+    """`compute_node_potentials` for `values`, which must be feasible within the frame's bounds."""
+    head, cost = frame.head, frame.cost
+    edges = [(head[index ^ 1], head[index], cost[index])
+             for index, spare in enumerate(residual_room(frame, values)) if spare]
+    big = 1 + sum(abs(weight) * max(1, hi) for weight, hi in zip(cost[::2], frame.upper))
+    dist = [big] * frame.node_count
     dist[0] = 0
-    for _ in range(max(0, net.node_count - 1)):
+    for _ in range(max(0, frame.node_count - 1)):
         changed = False
         for src, dst, weight in edges:
             candidate = dist[src] + weight

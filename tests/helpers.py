@@ -2,13 +2,16 @@
 
 from __future__ import annotations
 
+import heapq
 import random
 from collections import deque
 from dataclasses import replace
+from itertools import count
 
-from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, frame_of
+from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, flow_cost, frame_of
 from flowenum.dfs import find_another_feasible_flow
 from flowenum.enumeration import optimal_face, partition_solution_space
+from flowenum.kbest import find_second_best_flow
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 
@@ -43,6 +46,38 @@ def reference_optimal_flows(net: Network):
         keep_here, move_there = partition_solution_space(region, witness, other)
         pending.append((move_there, other))
         pending.append((keep_here, witness))
+
+
+def reference_k_best_flows(net: Network, k: int):
+    """Up to k flows in the order of the K-best search that kept one network per heap region.
+
+    Each region is searched with the public `find_second_best_flow` and
+    ranked by (challenger cost, ticket); a popped region is split with
+    `partition_solution_space`, and the half that keeps its best flow is
+    offered first.
+    """
+    best = solve_min_cost_flow(net)
+    yield best
+    ticket = count()
+    heap = []  # (challenger cost, ticket, region, region's best, challenger)
+
+    def offer(region, region_best):
+        challenger = find_second_best_flow(region, region_best)
+        if challenger is not None:
+            heapq.heappush(heap, (flow_cost(net, challenger), next(ticket), region, region_best,
+                                  challenger))
+
+    if k > 1:
+        offer(net, best)
+    for emitted in range(2, k + 1):
+        if not heap:
+            return
+        _, _, region, parent, challenger = heapq.heappop(heap)
+        yield challenger
+        if emitted < k:
+            stay, move = partition_solution_space(region, parent, challenger)
+            offer(stay, parent)
+            offer(move, challenger)
 
 
 def linked_cycles(rng, k, span, unit_costs=None):

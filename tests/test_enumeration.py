@@ -24,6 +24,7 @@ from flowenum.errors import (
     InvariantError,
     UnbalancedSupplyError,
 )
+from flowenum.kbest import iter_k_best_flows
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 from helpers import face_network as face_of
@@ -196,21 +197,25 @@ class TestFrameSearch:
         modules = [importlib.import_module(f"flowenum.{info.name}")
                    for info in pkgutil.iter_modules(flowenum.__path__) if info.name != "__main__"]
         for module in [dataclasses, *modules]:
-            for name in ("check_feasible", "replace"):
+            for name in ("check_feasible", "replace", "frame_of"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
         for cls in (Network, Arc):
             monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
 
-        grid = random_grid_network(random.Random(2), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+        tied = random_grid_network(random.Random(2), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+        # Low costs give K-best both ties and cheapest cycles.
+        costed = random_grid_network(random.Random(2), 6, 6, min_cost=0, max_cost=2,
+                                     both_ways=True)
         stats = EnumerationStats()
-        flows = iter_optimal_flows(grid, stats)
-        next(flows)
-        calls.clear()
-        assert len(list(islice(flows, 300))) == 300
-        # The one feasibility check is Bellman-Ford's, on the first flow,
-        # while the frame is set up; no region costs a check or a copy.
-        assert calls == {"check_feasible": 1}
+        for flows, count in ((iter_optimal_flows(tied, stats), 300),
+                             (iter_k_best_flows(costed, 61), 60)):
+            next(flows)
+            calls.clear()
+            assert len(list(islice(flows, count))) == count
+            # Bellman-Ford reads the one frame built after the first flow; no
+            # region costs a feasibility check, a copy or a frame of its own.
+            assert calls == {"frame_of": 1}
         assert stats.another_flow_calls > 300
 
     def test_stats_count_every_region(self, eleven_optima_network):

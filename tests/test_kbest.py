@@ -6,32 +6,32 @@ import pytest
 
 import flowenum.kbest
 from flowenum.bruteforce import enumerate_all_feasible_bruteforce, k_best_bruteforce
-from flowenum.core import (
-    Flow,
-    check_feasible,
-    flow_cost,
-    residual_costs,
-    residual_heads,
-    residual_room,
-)
+from flowenum.core import Flow, check_feasible, flow_cost, frame_of, residual_room
 from flowenum.dfs import find_another_feasible_flow
-from flowenum.errors import InfeasibleError, InvariantError, UnbalancedSupplyError
-from flowenum.kbest import find_second_best_flow, iter_k_best_flows
-from flowenum.solver import (
-    _dijkstra,
-    _incidence,
-    compute_node_potentials,
-    compute_reduced_costs,
-    solve_min_cost_flow,
+from flowenum.errors import (
+    InfeasibleError,
+    InfeasibleFlowError,
+    InvariantError,
+    NegativeCycleError,
+    UnbalancedSupplyError,
 )
+from flowenum.kbest import find_second_best_flow, iter_k_best_flows
+from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
-from helpers import face_network, make_network, random_feasible_network, random_grid_network
+from helpers import (
+    face_network,
+    linked_cycles,
+    make_network,
+    random_feasible_network,
+    random_grid_network,
+    reference_k_best_flows,
+)
 
 
 def search(net, room, potential, source, dist, pred):
-    """The solver's residual Dijkstra over the network's residual ids."""
-    return _dijkstra(residual_heads(net), residual_costs(net), room, potential, _incidence(net),
-                     source, dist, pred)
+    """The solver's residual Dijkstra over the network's frame."""
+    frame = frame_of(net)
+    return _dijkstra(frame.head, frame.cost, room, potential, frame.incident, source, dist, pred)
 
 
 def dijkstra_from(net, flow, potential, source):
@@ -46,7 +46,8 @@ def dijkstra_from(net, flow, potential, source):
 
     dist, pred = [None] * net.node_count, [None] * net.node_count
     seen = [(node, dist[node], pair(pred[node]))
-            for node in search(net, residual_room(net, flow), potential, source, dist, pred)]
+            for node in search(net, residual_room(frame_of(net), flow.values), potential, source,
+                               dist, pred)]
     return seen, dist, [pair(index) for index in pred]
 
 
@@ -78,8 +79,8 @@ def unpruned_second_best(net, flow):
     arcs = net.arcs
     span = [arc.span for arc in arcs]
     extra = [value - arc.lower for arc, value in zip(arcs, flow.values)]
-    room = residual_room(net, flow)
-    heads = residual_heads(net)
+    frame = frame_of(net)
+    room, heads = residual_room(frame, flow.values), frame.head
     searches = {}
     best_total = best = None
     for index, arc in enumerate(arcs):
@@ -315,7 +316,7 @@ class TestFindSecondBest:
         )
         best = Flow((1, 0, 0, 1))
         assert best == solve_min_cost_flow(net)
-        monkeypatch.setattr(flowenum.kbest, "compute_node_potentials", lambda net, flow: (0, 1, 0, 200))
+        monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, values: (0, 1, 0, 200))
         with pytest.raises(InvariantError):
             find_second_best_flow(net, best)
 
@@ -335,6 +336,16 @@ class TestFindSecondBest:
         monkeypatch.setattr(flowenum.kbest, "_dijkstra", corrupted)
         with pytest.raises(InvariantError, match="uses an arc twice"):
             find_second_best_flow(net, Flow((0, 0)))
+
+    def test_infeasible_flow_raises(self, chain3_network):
+        with pytest.raises(InfeasibleFlowError):
+            find_second_best_flow(chain3_network, Flow((1, 1, 1)))
+        with pytest.raises(InfeasibleFlowError):
+            find_second_best_flow(chain3_network, Flow((-1, 0, 2)))
+
+    def test_non_optimal_flow_raises(self, chain3_network):
+        with pytest.raises(NegativeCycleError):
+            find_second_best_flow(chain3_network, Flow((0, 0, 1)))
 
     def test_matches_bruteforce_second_cost(self):
         rng = random.Random(616)
@@ -375,8 +386,10 @@ class TestKBest:
         assert list(iter_k_best_flows(forced_network, 5)) == [solve_min_cost_flow(forced_network)]
 
     def test_invalid_k(self, chain3_network):
-        with pytest.raises(ValueError):
-            list(iter_k_best_flows(chain3_network, 0))
+        # Floats and bools are turned away too: 2.5 would yield 3 flows, True 1.
+        for k in (0, -1, 2.5, True, 2.0, "2"):
+            with pytest.raises(ValueError, match="k must be positive and an int"):
+                list(iter_k_best_flows(chain3_network, k))
 
     def test_k_is_checked_before_the_network(self):
         unbalanced = make_network(2, [(0, 1, 0, 1, 0)], (1, 0))
@@ -397,6 +410,29 @@ class TestKBest:
             assert mine_costs == [flow_cost(net, flow) for flow in reference]
             assert mine_costs == sorted(mine_costs)
             assert len({flow.values for flow in mine}) == len(mine)
+
+
+class TestRegionsOnOneFrame:
+    """The regions on the instance's frame against the search that kept one network per region."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("max_cost", [0, 50])
+    def test_flow_order_matches_the_network_per_region_search(self, seed, max_cost):
+        rng = random.Random(seed)
+        side = 6 + seed % 3
+        grid = random_grid_network(rng, side, side, min_cost=-20 if max_cost else 0,
+                                   max_cost=max_cost, both_ways=not max_cost)
+        mine = list(iter_k_best_flows(grid, 40))
+        assert mine == list(reference_k_best_flows(grid, 40))
+        assert len(mine) == 40
+
+    @pytest.mark.parametrize("seed, k, span", [(1, 4, 3), (2, 3, 4), (3, 5, 2)])
+    def test_flow_order_matches_on_chained_cycles(self, seed, k, span):
+        rng = random.Random(seed)
+        net, *_ = linked_cycles(rng, k, span, [rng.randint(0, 3) for _ in range(k)])
+        mine = list(iter_k_best_flows(net, 300))
+        assert mine == list(reference_k_best_flows(net, 300))
+        assert len(mine) == min(300, (span + 1) ** k)
 
 
 def single_arc_restrictions(net, best):

@@ -3,23 +3,9 @@ import random
 import pytest
 
 import flowenum.solver
-from flowenum.core import (
-    Flow,
-    build_residual,
-    check_feasible,
-    flow_cost,
-    residual_costs,
-    residual_heads,
-    validate_network,
-)
+from flowenum.core import Flow, build_residual, check_feasible, flow_cost, frame_of, validate_network
 from flowenum.errors import InfeasibleError, InvariantError, NegativeCycleError
-from flowenum.solver import (
-    _dijkstra,
-    _incidence,
-    compute_node_potentials,
-    compute_reduced_costs,
-    solve_min_cost_flow,
-)
+from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 from helpers import make_network, random_feasible_network, random_grid_network
 
@@ -45,7 +31,8 @@ def full_search_solve(net):
             room[2 * index], room[2 * index + 1] = 0, arc.span
             imbalance[arc.src] -= arc.span
             imbalance[arc.dst] += arc.span
-    head, cost, incident = residual_heads(net), residual_costs(net), _incidence(net)
+    frame = frame_of(net)
+    head, cost, incident = frame.head, frame.cost, frame.incident
     potential = [0] * n
     source = 0
     while True:
@@ -248,7 +235,7 @@ class TestIncidence:
             [(1, 0, 0, 1, 0), (0, 2, 0, 1, 0), (2, 0, 0, 1, 0), (0, 1, 0, 1, 0)],
             (0, 0, 0),
         )
-        assert _incidence(net) == [[2, 6, 1, 5], [0, 7], [4, 3]]
+        assert frame_of(net).incident == [[2, 6, 1, 5], [0, 7], [4, 3]]
 
 
 class TestPotentials:
