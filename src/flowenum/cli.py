@@ -3,7 +3,7 @@
 Flows stream to stdout as JSON lines ({"cost": ..., "flow": [...]}) followed
 by one summary object; diagnostics go to stderr.  Exit codes: 0 success,
 1 infeasible instance or failed verification, 2 usage or parse errors,
-3 brute-force budget exceeded.
+3 brute-force budget exceeded, 130 interrupted, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 import time
 from itertools import islice
@@ -45,12 +46,14 @@ DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
 
 def _positive_int(text: str) -> int:
+    # islice takes counts up to sys.maxsize only.
     try:
         value = int(text)
     except ValueError:
         value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    if not 1 <= value <= sys.maxsize:
+        raise argparse.ArgumentTypeError(
+            f"expected a positive integer of at most {sys.maxsize}, got {text!r}")
     return value
 
 
@@ -60,44 +63,31 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Minimum-cost integer flows: one optimum, all optima, "
         "the K best, and bounds on how many there are.",
     )
-    commands = parser.add_subparsers(dest="command", required=True)
-
-    solve = commands.add_parser("solve", help="find one minimum-cost integer flow")
-    solve.add_argument("file")
-
-    enumerate_ = commands.add_parser("enumerate", help="list every optimal integer flow")
-    enumerate_.add_argument("file")
-    enumerate_.add_argument(
+    # Flags shared by several commands, each declared once.
+    source, limited, budget = (argparse.ArgumentParser(add_help=False) for _ in range(3))
+    source.add_argument("file")
+    limited.add_argument(
         "--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT,
         help="stop after this many flows (default %(default)s)",
     )
+    budget.add_argument("--max-states", type=_positive_int, default=EnumerationBudget.max_states)
+    budget.add_argument("--max-flows", type=_positive_int, default=EnumerationBudget.max_flows)
 
-    kbest = commands.add_parser("kbest", help="list the K cheapest integer flows")
-    kbest.add_argument("file")
+    commands = parser.add_subparsers(dest="command", required=True)
+    commands.add_parser("solve", parents=[source], help="find one minimum-cost integer flow")
+    commands.add_parser("enumerate", parents=[source, limited],
+                        help="list every optimal integer flow")
+    kbest = commands.add_parser("kbest", parents=[source], help="list the K cheapest integer flows")
     kbest.add_argument("k", type=_positive_int)
-
-    bounds = commands.add_parser(
-        "bounds", help="bounds on the number of optimal and feasible flows"
-    )
-    bounds.add_argument("file")
+    bounds = commands.add_parser("bounds", parents=[source, limited],
+                                 help="bounds on the number of optimal and feasible flows")
     bounds.add_argument("--exact", action="store_true", help="also enumerate the exact count")
-    bounds.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
-
-    oracle = commands.add_parser("oracle", help="brute-force reference enumeration")
-    oracle.add_argument("file")
+    oracle = commands.add_parser("oracle", parents=[source, budget],
+                                 help="brute-force reference enumeration")
     oracle.add_argument("--mode", choices=("feasible", "optimal", "kbest"), required=True)
     oracle.add_argument("--k", type=_positive_int, help="prefix length for --mode kbest")
-    oracle.add_argument("--max-states", type=_positive_int, default=EnumerationBudget.max_states)
-    oracle.add_argument("--max-flows", type=_positive_int, default=EnumerationBudget.max_flows)
-
-    verify = commands.add_parser(
-        "verify", help="diff the optimal-flow enumeration against the brute-force oracle"
-    )
-    verify.add_argument("file")
-    verify.add_argument("--limit", type=_positive_int, default=DEFAULT_ENUMERATION_LIMIT)
-    verify.add_argument("--max-states", type=_positive_int, default=EnumerationBudget.max_states)
-    verify.add_argument("--max-flows", type=_positive_int, default=EnumerationBudget.max_flows)
-
+    commands.add_parser("verify", parents=[source, limited, budget],
+                        help="diff the optimal-flow enumeration against the brute-force oracle")
     return parser
 
 
@@ -105,8 +95,15 @@ def _emit(out, payload) -> None:
     print(json.dumps(payload), file=out)
 
 
-def _emit_flow(out, net: Network, flow) -> None:
-    _emit(out, {"cost": flow_cost(net, flow), "flow": list(flow.values)})
+def _stream(out, net: Network, flows) -> tuple[int, int | None]:
+    """Emit each flow as one JSON line; how many there were and the first one's cost."""
+    count, first_cost = 0, None
+    for count, flow in enumerate(flows, 1):
+        cost = flow_cost(net, flow)
+        if first_cost is None:
+            first_cost = cost
+        _emit(out, {"cost": cost, "flow": list(flow.values)})
+    return count, first_cost
 
 
 def _summary(out, command: str, net: Network, started: float, **extra) -> None:
@@ -121,49 +118,30 @@ def _summary(out, command: str, net: Network, started: float, **extra) -> None:
 
 
 def _cmd_solve(args, net, out, started) -> int:
-    flow = solve_min_cost_flow(net)
-    _emit_flow(out, net, flow)
-    _summary(out, "solve", net, started, count=1, optimal_cost=flow_cost(net, flow))
+    count, cost = _stream(out, net, [solve_min_cost_flow(net)])
+    _summary(out, "solve", net, started, count=count, optimal_cost=cost)
     return 0
 
 
 def _cmd_enumerate(args, net, out, started) -> int:
-    emitted = 0
-    best_cost = None
-    # One flow past the limit tells whether the limit really cut the run short.
     flows = iter_optimal_flows(net)
-    for flow in islice(flows, args.limit):
-        if best_cost is None:
-            best_cost = flow_cost(net, flow)
-        _emit_flow(out, net, flow)
-        emitted += 1
-    _summary(
-        out, "enumerate", net, started,
-        count=emitted, optimal_cost=best_cost,
-        limit=args.limit, limit_reached=next(flows, None) is not None,
-    )
+    count, cost = _stream(out, net, islice(flows, args.limit))
+    # One flow past the limit tells whether the limit really cut the run short.
+    _summary(out, "enumerate", net, started, count=count, optimal_cost=cost,
+             limit=args.limit, limit_reached=next(flows, None) is not None)
     return 0
 
 
 def _cmd_kbest(args, net, out, started) -> int:
-    emitted = 0
-    best_cost = None
-    for flow in iter_k_best_flows(net, args.k):
-        if best_cost is None:
-            best_cost = flow_cost(net, flow)
-        _emit_flow(out, net, flow)
-        emitted += 1
-    _summary(
-        out, "kbest", net, started,
-        count=emitted, requested=args.k, optimal_cost=best_cost,
-    )
+    count, cost = _stream(out, net, iter_k_best_flows(net, args.k))
+    _summary(out, "kbest", net, started, count=count, requested=args.k, optimal_cost=cost)
     return 0
 
 
 def _cmd_bounds(args, net, out, started) -> int:
     # The enumeration's first flow is the solver's optimum, so --exact
     # counts on from it instead of solving the instance a second time.
-    flows = islice(iter_optimal_flows(net), args.limit + 1)
+    flows = iter_optimal_flows(net)
     flow = next(flows)
     tree_flow, structure = to_tree_solution(net, flow)
     zero_arcs = zero_cost_nontree_set(structure)
@@ -179,9 +157,10 @@ def _cmd_bounds(args, net, out, started) -> int:
         "zero_cost_arcs": list(zero_arcs),
     }
     if args.exact:
-        exact = 1 + sum(1 for _ in flows)
-        extra["exact_count"] = min(exact, args.limit)
-        extra["limit_reached"] = exact > args.limit
+        # As many flows past the first as the limit allows: one more shows it was reached.
+        rest = sum(1 for _ in islice(flows, args.limit))
+        extra["exact_count"] = min(1 + rest, args.limit)
+        extra["limit_reached"] = rest == args.limit
     _summary(out, "bounds", net, started, **extra)
     return 0
 
@@ -193,12 +172,9 @@ def _cmd_oracle(args, net, out, started) -> int:
     elif args.mode == "optimal":
         flows = enumerate_all_optimal_bruteforce(net, budget)
     else:
-        if args.k is None:
-            raise _UsageError("--mode kbest needs --k")
         flows = k_best_bruteforce(net, args.k, budget)
-    for flow in flows:
-        _emit_flow(out, net, flow)
-    _summary(out, "oracle", net, started, mode=args.mode, count=len(flows))
+    count, _ = _stream(out, net, flows)
+    _summary(out, "oracle", net, started, mode=args.mode, count=count)
     return 0
 
 
@@ -220,10 +196,6 @@ def _cmd_verify(args, net, out, started) -> int:
     return 0 if match else 1
 
 
-class _UsageError(Exception):
-    pass
-
-
 _HANDLERS = {
     "solve": _cmd_solve,
     "enumerate": _cmd_enumerate,
@@ -241,6 +213,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         with contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
+            if args.command == "oracle" and args.mode == "kbest" and args.k is None:
+                parser.error("oracle --mode kbest needs --k")
     except SystemExit as exit_:  # argparse already printed its diagnostics
         code = exit_.code if isinstance(exit_.code, int) else 2
         return code
@@ -260,9 +234,6 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
     try:
         return _HANDLERS[args.command](args, net, out, started)
-    except _UsageError as exc:
-        print(f"flowenum: {exc}", file=err)
-        return 2
     except InfeasibleError as exc:
         print(f"flowenum: {exc}", file=err)
         _summary(out, args.command, net, started, count=0, infeasible=True)
@@ -273,4 +244,14 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
 
 def main() -> None:
-    raise SystemExit(run())
+    try:
+        code = run()
+        sys.stdout.flush()  # a reader that left shows up here, not at exit
+    except BrokenPipeError:
+        # Whatever is still buffered goes nowhere, so the exit flush cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 141
+    except KeyboardInterrupt:
+        print("flowenum: interrupted", file=sys.stderr)
+        code = 130
+    raise SystemExit(code)

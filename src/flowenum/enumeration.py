@@ -15,10 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from .core import Flow, Frame, Network, frame_of
+from .core import Flow, Frame, Network
 from .dfs import another_flow
 from .errors import IdenticalFlowsError, InvariantError
-from .solver import _potentials, compute_reduced_costs, solve_min_cost_flow
+from .solver import _potentials, _solve, compute_reduced_costs
 
 
 @dataclass
@@ -67,9 +67,8 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
     The count can be exponential; stop the generator when enough flows have
     come, e.g. with `itertools.islice`.
     """
-    first = solve_min_cost_flow(net)
+    frame, first = _solve(net)
     yield first
-    frame = frame_of(net)
     reduced_costs = compute_reduced_costs(net, _potentials(frame, first.values))
     frame = optimal_face(frame, first.values, reduced_costs)
     # (witness, arc, lo, hi) searches with the arc narrowed; no witness restores it.

@@ -27,7 +27,7 @@ from .core import Flow, Frame, Network, check_feasible, flow_cost, frame_of, pus
 from .dfs import another_flow
 from .enumeration import _split, optimal_face
 from .errors import InfeasibleFlowError, InvariantError
-from .solver import _dijkstra, _path, _potentials, compute_reduced_costs, solve_min_cost_flow
+from .solver import _dijkstra, _path, _potentials, _solve, compute_reduced_costs
 
 
 def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
@@ -90,12 +90,11 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
     # `type(...) is int` turns away floats and bools, as `Arc` and `Flow` do.
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be positive and an int, got {k!r}")
-    best = solve_min_cost_flow(net)
+    frame, best = _solve(net)
     yield best
     if k == 1:
         return
     emitted = 1
-    frame = frame_of(net)
     ticket = count()
     heap: list = []  # (challenger cost, ticket, region's lower, upper and best values, challenger)
 

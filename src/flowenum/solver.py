@@ -28,6 +28,11 @@ from .errors import InfeasibleError, InfeasibleFlowError, InvariantError, Negati
 
 def solve_min_cost_flow(net: Network) -> Flow:
     """One optimal integer flow, or InfeasibleError when no b-flow exists."""
+    return _solve(net)[1]
+
+
+def _solve(net: Network) -> tuple[Frame, Flow]:
+    """`solve_min_cost_flow(net)` and the frame it ran on, whose bounds it leaves as `net`'s."""
     validate_network(net)
     n = net.node_count
 
@@ -76,7 +81,7 @@ def solve_min_cost_flow(net: Network) -> Flow:
     result = Flow(tuple(arc.lower + room[2 * index + 1] for index, arc in enumerate(net.arcs)))
     if not check_feasible(net, result):
         raise InvariantError("successive shortest paths ended on an infeasible flow")
-    return result
+    return frame, result
 
 
 def _dijkstra(head, cost, room, potential, incident, source, dist, pred):

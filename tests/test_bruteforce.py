@@ -43,6 +43,10 @@ class TestFeasibleEnumeration:
 
 
 class TestOptimalEnumeration:
+    def test_infeasible_network_is_empty(self):
+        net = make_network(2, [(0, 1, 0, 0, 1)], (1, -1))
+        assert enumerate_all_optimal_bruteforce(net) == []
+
     def test_eleven_optima_has_eleven(self, eleven_optima_network):
         assert len(enumerate_all_optimal_bruteforce(eleven_optima_network)) == 11
 

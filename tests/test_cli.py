@@ -1,8 +1,12 @@
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -28,6 +32,10 @@ def write_instance(tmp_path, net, name="instance.min"):
     path = tmp_path / name
     path.write_text(serialize_dimacs(net), encoding="utf-8")
     return str(path)
+
+
+# One past the largest count that `itertools.islice` takes.
+TOO_LARGE = str(sys.maxsize + 1)
 
 
 def flows_and_summary(lines):
@@ -109,11 +117,15 @@ class TestEnumerate:
         path = write_instance(tmp_path, chain3_network)
         for argv in (["enumerate", path, "--limit", "0"],
                      ["enumerate", path, "--limit", "-3"],
+                     ["enumerate", path, "--limit", "abc"],
+                     ["enumerate", path, "--limit", TOO_LARGE],
                      ["bounds", path, "--exact", "--limit", "0"],
-                     ["verify", path, "--limit", "-3"]):
+                     ["bounds", path, "--exact", "--limit", TOO_LARGE],
+                     ["verify", path, "--limit", "-3"],
+                     ["verify", path, "--limit", TOO_LARGE]):
             code, lines, err = invoke(argv)
             assert code == 2 and lines == []
-            assert "positive integer" in err
+            assert "positive integer" in err and str(sys.maxsize) in err
 
 
 # sha256 of `kbest 10` stdout, elapsed_ms removed, on random_grid_network(
@@ -247,9 +259,10 @@ class TestKBest:
         assert summary["count"] == 2 and summary["requested"] == 2
 
     def test_bad_k_is_usage_error(self, tmp_path, chain3_network):
-        code, lines, err = invoke(["kbest", write_instance(tmp_path, chain3_network), "0"])
-        assert code == 2 and lines == []
-        assert "positive integer" in err
+        for k in ("0", TOO_LARGE):
+            code, lines, err = invoke(["kbest", write_instance(tmp_path, chain3_network), k])
+            assert code == 2 and lines == []
+            assert "positive integer" in err
 
 
 class TestBounds:
@@ -276,18 +289,18 @@ class TestBounds:
         assert summary["feasible_upper_bound"] == 44
 
     def test_exact_count_solves_once(self, tmp_path, monkeypatch, eleven_optima_network):
-        import flowenum.cli
         import flowenum.enumeration
+        import flowenum.solver
 
         calls = []
-        solve = flowenum.enumeration.solve_min_cost_flow
+        solve = flowenum.solver._solve
 
         def counted(net):
             calls.append(net)
             return solve(net)
 
-        monkeypatch.setattr(flowenum.cli, "solve_min_cost_flow", counted)
-        monkeypatch.setattr(flowenum.enumeration, "solve_min_cost_flow", counted)
+        monkeypatch.setattr(flowenum.solver, "_solve", counted)
+        monkeypatch.setattr(flowenum.enumeration, "_solve", counted)
         path = write_instance(tmp_path, eleven_optima_network)
         for argv in (["bounds", path, "--exact"], ["bounds", path]):
             calls.clear()
@@ -327,7 +340,10 @@ class TestOracle:
         for argv in (["oracle", path, "--mode", "feasible", "--max-states", "0"],
                      ["oracle", path, "--mode", "optimal", "--max-flows", "-1"],
                      ["oracle", path, "--mode", "kbest", "--k", "0"],
-                     ["verify", path, "--max-states", "0"]):
+                     ["oracle", path, "--mode", "kbest", "--k", TOO_LARGE],
+                     ["oracle", path, "--mode", "feasible", "--max-states", TOO_LARGE],
+                     ["verify", path, "--max-states", "0"],
+                     ["verify", path, "--max-flows", TOO_LARGE]):
             code, lines, err = invoke(argv)
             assert code == 2 and lines == []
             assert "positive integer" in err
@@ -388,6 +404,57 @@ class TestVerify:
         code, lines, _ = invoke(["verify", write_instance(tmp_path, eleven_optima_network), "--limit", limit])
         assert code == 1
         assert lines[-1]["match"] is False
+
+
+# Every count flag, with the instance path spliced in at index 1 and the
+# count appended.
+COUNT_FLAGS = (
+    ["enumerate", "--limit"],
+    ["bounds", "--exact", "--limit"],
+    ["verify", "--limit"],
+    ["kbest"],
+    ["oracle", "--mode", "kbest", "--k"],
+    ["oracle", "--mode", "feasible", "--max-states"],
+    ["verify", "--max-flows"],
+)
+
+
+class TestCountFlags:
+    @pytest.mark.parametrize("words", COUNT_FLAGS, ids=" ".join)
+    def test_counts_run_up_to_maxsize(self, tmp_path, chain3_network, words):
+        path = write_instance(tmp_path, chain3_network)
+        code, lines, err = invoke([words[0], path, *words[1:], str(sys.maxsize)])
+        assert code == 0 and err == ""
+        assert lines[-1]["command"] == words[0]
+
+
+class TestMain:
+    @pytest.mark.parametrize("words", [["enumerate", "--limit", "1000"], ["kbest", "1000"]])
+    def test_reader_that_leaves_early_ends_the_run_quietly(self, tmp_path, words):
+        # Several pipe buffers of output, so the writer blocks before the reader leaves.
+        path = write_instance(tmp_path, zero_cost_grid(1))
+        env = {**os.environ, "PYTHONPATH": str(Path(flowenum.cli.__file__).resolve().parents[1])}
+        proc = subprocess.Popen([sys.executable, "-m", "flowenum", words[0], path, *words[1:]],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert json.loads(proc.stdout.readline())["cost"] == 0
+        proc.stdout.close()
+        assert proc.wait(timeout=60) == 141
+        assert proc.stderr.read() == b""
+        proc.stderr.close()
+
+    def test_interrupt_exits_130(self, tmp_path, monkeypatch, capsys, chain3_network):
+        def interrupted(args, net, out, started):
+            raise KeyboardInterrupt
+
+        monkeypatch.setitem(flowenum.cli._HANDLERS, "solve", interrupted)
+        monkeypatch.setattr(sys, "argv", ["flowenum", "solve", write_instance(tmp_path, chain3_network)])
+        try:
+            with pytest.raises(SystemExit) as exit_:
+                flowenum.cli.main()
+        except KeyboardInterrupt:  # would otherwise end the test session
+            pytest.fail("main() let KeyboardInterrupt through")
+        assert exit_.value.code == 130
+        assert capsys.readouterr() == ("", "flowenum: interrupted\n")
 
 
 class TestErrorPaths:

@@ -71,6 +71,19 @@ class TestValidateNetwork:
         with pytest.raises(NetworkValidationError, match="must be integers"):
             Arc(*spec)
 
+    @pytest.mark.parametrize("node_count, arcs, balances, message", [
+        (0, (), (), "at least one node"),
+        (2, (), (0,), "2 nodes but 1 balances"),
+        (2, (Arc(0, 2, 0, 1, 0),), (0, 0), "endpoint out of range"),
+    ])
+    def test_malformed_network_rejected(self, node_count, arcs, balances, message):
+        with pytest.raises(NetworkValidationError, match=message):
+            Network(node_count, arcs, balances)
+
+    def test_non_integer_balance_rejected(self):
+        with pytest.raises(NetworkValidationError, match="balances must be integers"):
+            validate_network(Network(2, (Arc(0, 1, 0, 1, 0),), (1.0, -1.0)))
+
 
 class TestFeasibility:
     def test_zerocycle_flow_feasible(self, zerocycle_network, zerocycle_flow):
@@ -180,6 +193,10 @@ class TestCycles:
         rg = build_residual(zerocycle_network, zerocycle_flow)
         with pytest.raises(ValueError):
             Cycle((rg.arcs[0], rg.arcs[1]))
+
+    def test_empty_cycle_rejected(self):
+        with pytest.raises(ValueError, match="at least one arc"):
+            Cycle(())
 
     def test_reversed_cycle_undoes_the_push(self, zerocycle_network, zerocycle_flow):
         cycle = zero_cycle_of(zerocycle_network, zerocycle_flow)

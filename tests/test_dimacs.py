@@ -50,6 +50,10 @@ class TestParse:
         with pytest.raises(DimacsSyntaxError):
             parse_dimacs("")
 
+    def test_node_count_must_be_positive(self):
+        with pytest.raises(DimacsSyntaxError, match="out of range"):
+            parse_dimacs("p min 0 0")
+
     def test_duplicate_problem_line(self):
         with pytest.raises(DuplicateProblemLineError):
             parse_dimacs("p min 2 0\np min 2 0\n")

@@ -213,9 +213,9 @@ class TestFrameSearch:
             next(flows)
             calls.clear()
             assert len(list(islice(flows, count))) == count
-            # Bellman-Ford reads the one frame built after the first flow; no
-            # region costs a feasibility check, a copy or a frame of its own.
-            assert calls == {"frame_of": 1}
+            # The search reads the solver's frame; no region costs a
+            # feasibility check, a copy or a frame of its own.
+            assert calls == {}
         assert stats.another_flow_calls > 300
 
     def test_stats_count_every_region(self, eleven_optima_network):

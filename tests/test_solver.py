@@ -4,7 +4,7 @@ import pytest
 
 import flowenum.solver
 from flowenum.core import Flow, build_residual, check_feasible, flow_cost, frame_of, validate_network
-from flowenum.errors import InfeasibleError, InvariantError, NegativeCycleError
+from flowenum.errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
 from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 from helpers import make_network, random_feasible_network, random_grid_network
@@ -260,6 +260,10 @@ class TestPotentials:
     def test_non_optimal_flow_raises(self, chain3_network):
         with pytest.raises(NegativeCycleError):
             compute_node_potentials(chain3_network, Flow((0, 0, 1)))
+
+    def test_infeasible_flow_raises(self, chain3_network):
+        with pytest.raises(InfeasibleFlowError):
+            compute_node_potentials(chain3_network, Flow((1, 0, 0)))
 
     def test_certificate_and_antisymmetry_on_random_instances(self):
         rng = random.Random(2024)

@@ -6,7 +6,13 @@ from flowenum.bruteforce import enumerate_all_feasible_bruteforce
 from flowenum.core import Flow, build_residual, check_feasible, flow_cost
 from flowenum.enumeration import iter_optimal_flows
 from flowenum import treebounds
-from flowenum.errors import ArcInTreeError, CycleEntirelyInTreeError, InvariantError
+from flowenum.errors import (
+    ArcInTreeError,
+    CycleEntirelyInTreeError,
+    DimensionMismatchError,
+    InfeasibleFlowError,
+    InvariantError,
+)
 from flowenum.solver import solve_min_cost_flow
 from flowenum.treebounds import (
     COUNT_CAP,
@@ -80,6 +86,10 @@ class TestToTreeSolution:
             for arc_id in ts.upper_set:
                 if net.arcs[arc_id].span:
                     assert ts.reduced_cost(arc_id) <= 0
+
+    def test_infeasible_flow_raises(self, chain3_network):
+        with pytest.raises(InfeasibleFlowError):
+            to_tree_solution(chain3_network, Flow((1, 0, 0)))
 
     def test_pivot_cap_is_an_invariant_error(self, monkeypatch, eleven_optima_network, eleven_optima_flow):
         monkeypatch.setattr(treebounds, "_PIVOT_CAP", 0)
@@ -216,6 +226,11 @@ class TestCountBounds:
         assert count_lower_bound(ts, zero, tree_flow) == 1
         assert count_lower_bound(ts, zero, tree_flow, reading="min") == 0
 
+    def test_unknown_reading_raises(self, eleven_optima_network, eleven_optima_flow):
+        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        with pytest.raises(ValueError, match="unknown reading 'avg'"):
+            count_lower_bound(ts, zero_cost_nontree_set(ts), tree_flow, reading="avg")
+
     def test_empty_basis_gives_one(self, chain3_network):
         best = solve_min_cost_flow(chain3_network)
         tree_flow, ts = to_tree_solution(chain3_network, best)
@@ -326,6 +341,17 @@ class TestCycleComposition:
         with pytest.raises(CycleEntirelyInTreeError):
             decompose_cycle(ts, [(tree_arc, 1), (tree_arc, -1)])
 
+    @pytest.mark.parametrize("walk, error, message", [
+        ([], CycleEntirelyInTreeError, "empty cycle"),
+        ([(0, 1), (5, 1)], ValueError, "do not chain"),    # a->b, then c->e
+        ([(0, 1), (3, 1)], ValueError, "is not closed"),   # a->b->d
+    ])
+    def test_malformed_walk_is_rejected(self, eleven_optima_network, eleven_optima_flow,
+                                        walk, error, message):
+        _, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        with pytest.raises(error, match=message):
+            decompose_cycle(ts, walk)
+
     def test_random_cycles_pass_both_checks(self):
         rng = random.Random(63)
         done = 0
@@ -367,6 +393,29 @@ class TestCycleBasis:
         best = solve_min_cost_flow(chain3_network)
         tree_flow, ts = to_tree_solution(chain3_network, best)
         assert express_in_cycle_basis(ts, tree_flow, Flow((0, 0, 1))) is None
+
+    def test_flow_of_another_length_is_rejected(self, eleven_optima_network, eleven_optima_flow):
+        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        with pytest.raises(DimensionMismatchError):
+            express_in_cycle_basis(ts, tree_flow, Flow((0,) * 6))
+
+    @pytest.mark.parametrize("k", [-1, 11])
+    def test_coordinate_outside_the_span_is_none(self, eleven_optima_network, eleven_optima_flow, k):
+        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        assert express_in_cycle_basis(ts, tree_flow, Flow((0, 0, 0, 5, k, 12 - k, 2 + k))) is None
+
+    def test_expressible_infeasible_flow_has_no_coordinates(self, blocked_cycle_network,
+                                                            blocked_cycle_flow):
+        # One unit around the chord's cycle is within the chord's span, but
+        # pushes a full arc of the cycle past its capacity.
+        tree_flow, ts = to_tree_solution(blocked_cycle_network, blocked_cycle_flow)
+        (chord,) = zero_cost_nontree_set(ts)
+        values = list(tree_flow.values)
+        for member, sign in induced_cycle(ts, chord).members:
+            values[member] += sign
+        other = Flow(tuple(values))
+        assert not check_feasible(blocked_cycle_network, other)
+        assert express_in_cycle_basis(ts, tree_flow, other) is None
 
     def test_every_enumerated_optimum_reconstructs(self):
         rng = random.Random(64)
