@@ -57,7 +57,8 @@ def _positive_int(text: str) -> int:
     return value
 
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command line parser, and its `oracle` subparser for the check argparse cannot express."""
     parser = argparse.ArgumentParser(
         prog="flowenum",
         description="Minimum-cost integer flows: one optimum, all optima, "
@@ -88,7 +89,7 @@ def _build_parser() -> argparse.ArgumentParser:
     oracle.add_argument("--k", type=_positive_int, help="prefix length for --mode kbest")
     commands.add_parser("verify", parents=[source, limited, budget],
                         help="diff the optimal-flow enumeration against the brute-force oracle")
-    return parser
+    return parser, oracle
 
 
 def _emit(out, payload) -> None:
@@ -209,12 +210,12 @@ _HANDLERS = {
 def run(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser = _build_parser()
+    parser, oracle = _build_parser()
     try:
         with contextlib.redirect_stderr(err):
             args = parser.parse_args(argv)
             if args.command == "oracle" and args.mode == "kbest" and args.k is None:
-                parser.error("oracle --mode kbest needs --k")
+                oracle.error("--mode kbest needs --k")
     except SystemExit as exit_:  # argparse already printed its diagnostics
         code = exit_.code if isinstance(exit_.code, int) else 2
         return code

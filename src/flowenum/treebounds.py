@@ -8,11 +8,15 @@ what the count bounds and the coordinate extraction below exploit.
 One undirected depth-first walk, `_walk`, finds the free cycles to cancel,
 roots the first tree at node 0, and after each pivot re-roots only the part
 the leaving arc cut off (Ahuja, Magnanti and Orlin, Network Flows, ch. 11).
+Pivots follow Bland's rule, the least violating arc id first, taken from a
+min-heap of violating arcs: a pivot shifts the potentials of the cut-off
+part by one constant, so only the arcs across that cut are tested again.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from typing import Sequence
 
 from .core import Cycle, Flow, Network, check_feasible, cycle_cost, validate_network
@@ -86,16 +90,16 @@ def _adjacency(net: Network, arcs):
     return adjacency
 
 
-def _walk(net: Network, adjacency, tables, node: int, parent: int = -1, via: int = -1):
+def _walk(net: Network, adjacency, tables, seen, node: int, parent: int = -1, via: int = -1):
     """Depth-first walk from `node`, entered from `parent` by arc `via`.
 
     Every node reached without crossing `via` gets its parent link, depth
-    and potential in `tables`; others keep theirs.  Neighbours are taken in
-    adjacency order.  Returns the first arc that closes a cycle, or None
-    when the part reached is a tree.
+    and potential in `tables` and is added to `seen`; others keep theirs.
+    Neighbours are taken in adjacency order.  Returns the first arc that
+    leads back to a node in `seen`, which closes a cycle, or None when the
+    part reached is a tree.
     """
     parent_node, parent_arc, depth, potentials = tables
-    seen = set()
     stack = [(node, parent, via)]
     while stack:
         node, parent, via = stack.pop()
@@ -111,7 +115,9 @@ def _walk(net: Network, adjacency, tables, node: int, parent: int = -1, via: int
             depth[node] = depth[parent] + 1
             potentials[node] = potentials[parent] + (arc.cost if arc.src == parent else -arc.cost)
         # Reversed, so neighbours pop in adjacency order.
-        stack.extend((other, node, a) for other, a in reversed(adjacency[node]) if a != via)
+        for other, arc_id in reversed(adjacency[node]):
+            if arc_id != via:
+                stack.append((other, node, arc_id))
     return None
 
 
@@ -142,10 +148,12 @@ def _find_free_cycle(net: Network, free):
     """Signed closed walk through arcs that sit strictly between their bounds."""
     adjacency = _adjacency(net, free)
     tables = parent_node, parent_arc, depth, _ = [[-1] * net.node_count for _ in range(4)]
+    seen: set[int] = set()
     for root in range(net.node_count):
-        if depth[root] >= 0:
+        # A node no free arc touches is a tree on its own.
+        if root in seen or not adjacency[root]:
             continue
-        closing = _walk(net, adjacency, tables, root)
+        closing = _walk(net, adjacency, tables, seen, root)
         if closing is not None:
             # The closing arc leads back to an ancestor of its deeper end.
             arc = net.arcs[closing]
@@ -211,46 +219,74 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
 
     Only zero-headroom swaps happen, so the flow never changes; a violating
     arc whose cycle still has headroom means the flow was not optimal, and
-    those are left alone.  Each swap walks again only the part of the tree
-    that the leaving arc cut off.  Returns tree membership by arc id and
-    the tree's parent links, depths and potentials, rooted at node 0.
+    those are left alone.  Returns tree membership by arc id and the tree's
+    parent links, depths and potentials, rooted at node 0.
+
+    Bland's rule enters the least arc id that violates its sign condition
+    and whose cycle has zero headroom.  Rather than rescan every arc after
+    each pivot, a min-heap holds the non-tree arcs that violated when last
+    tested (`queued` marks them), so that every violating non-tree arc is
+    in it.  Pops come in ascending id order and are tested again when
+    popped; the first that still violates and has zero headroom is Bland's
+    choice.  A pivot walks again only the part of the tree the leaving arc
+    cut off, and that part's potentials all shift by one constant.  So an
+    arc can start to violate, or see its cycle change, only when exactly
+    one of its ends lies in that part, the leaving arc included; those are
+    tested again after the pivot.  Every other arc keeps its reduced cost
+    and its cycle, so a popped arc that no longer violates or still has
+    headroom can be dropped.
     """
+    arcs = net.arcs
     adjacency = _adjacency(net, tree)
     tables = parent_node, parent_arc, depth, potentials = [[-1] * net.node_count for _ in range(4)]
-    _walk(net, adjacency, tables, 0)
-    if -1 in depth:
+    rooted: set[int] = set()
+    _walk(net, adjacency, tables, rooted, 0)
+    if len(rooted) < net.node_count:
         raise InvariantError("tree arcs must span the network")
     in_tree = [False] * net.arc_count
     for arc_id in tree:
         in_tree[arc_id] = True
+    # Arcs fixed at lower == upper never enter the tree.
+    movable = [a for a in range(net.arc_count) if arcs[a].lower < arcs[a].upper]
+    incident: list[list[int]] = [[] for _ in range(net.node_count)]
+    for arc_id in movable:
+        incident[arcs[arc_id].src].append(arc_id)
+        incident[arcs[arc_id].dst].append(arc_id)
+
+    def orientation(arc_id: int) -> int:
+        """+1 or -1 along which a sign-violating arc would push; 0 if it does not violate."""
+        arc = arcs[arc_id]
+        reduced = arc.cost + potentials[arc.src] - potentials[arc.dst]
+        if values[arc_id] == arc.lower and reduced < 0:
+            return 1
+        if values[arc_id] == arc.upper and reduced > 0:
+            return -1
+        return 0
+
+    # Ascending ids already form a heap.
+    heap = [a for a in movable if not in_tree[a] and orientation(a)]
+    queued = [False] * net.arc_count
+    for arc_id in heap:
+        queued[arc_id] = True
     for _ in range(_PIVOT_CAP):
-        swap = None
-        for arc_id in range(net.arc_count):
-            if in_tree[arc_id]:
+        while heap:
+            entering = heappop(heap)
+            queued[entering] = False
+            sign = orientation(entering)
+            if not sign:
                 continue
-            arc = net.arcs[arc_id]
-            if arc.lower == arc.upper:
-                continue
-            reduced = arc.cost + potentials[arc.src] - potentials[arc.dst]
-            if values[arc_id] == arc.lower and reduced < 0:
-                orientation = 1
-            elif values[arc_id] == arc.upper and reduced > 0:
-                orientation = -1
-            else:
-                continue
-            members = [(arc_id, orientation)] + [
-                (step, orientation * sign)
-                for step, sign in _tree_path(parent_node, parent_arc, depth, net, arc.dst, arc.src)
+            arc = arcs[entering]
+            members = [(entering, sign)] + [
+                (step, sign * s)
+                for step, s in _tree_path(parent_node, parent_arc, depth, net, arc.dst, arc.src)
             ]
             if min(_headroom(net, values, e, s) for e, s in members) > 0:
                 continue  # a genuinely negative cycle: the flow was not optimal
-            swap = (arc_id, members)
             break
-        if swap is None:
+        else:
             return in_tree, tables
-        entering, members = swap
         leaving = min(e for e, s in members if e != entering and _headroom(net, values, e, s) == 0)
-        out, arc = net.arcs[leaving], net.arcs[entering]
+        out = arcs[leaving]
         # The leaving arc cuts off the subtree below its deeper end; the
         # entering arc has exactly one end inside it.
         cut = out.src if depth[out.src] > depth[out.dst] else out.dst
@@ -263,7 +299,18 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
         adjacency[arc.src].append((arc.dst, entering))
         adjacency[arc.dst].append((arc.src, entering))
         in_tree[leaving], in_tree[entering] = False, True
-        _walk(net, adjacency, tables, inside, outside, entering)
+        moved: set[int] = set()
+        _walk(net, adjacency, tables, moved, inside, outside, entering)
+        for node in moved:
+            for arc_id in incident[node]:
+                if queued[arc_id] or in_tree[arc_id]:
+                    continue
+                arc = arcs[arc_id]
+                if (arc.dst if arc.src == node else arc.src) in moved:
+                    continue
+                if orientation(arc_id):
+                    heappush(heap, arc_id)
+                    queued[arc_id] = True
     raise InvariantError("tree pivoting did not terminate")
 
 

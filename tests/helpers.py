@@ -11,8 +11,10 @@ from itertools import count
 from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, flow_cost, frame_of
 from flowenum.dfs import find_another_feasible_flow
 from flowenum.enumeration import optimal_face, partition_solution_space
+from flowenum.errors import InvariantError
 from flowenum.kbest import find_second_best_flow
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
+from flowenum.treebounds import _PIVOT_CAP, _adjacency, _headroom, _tree_path
 
 
 def make_network(node_count, specs, balances) -> Network:
@@ -290,3 +292,86 @@ def random_residual_cycle(rng: random.Random, rg: ResidualGraph) -> Cycle | None
                 return Cycle(tuple(rg.arcs[i] for i in path[seen[node]:]))
             seen[node] = len(path)
     return None
+
+
+def _rescan_walk(net: Network, adjacency, tables, node: int, parent: int = -1, via: int = -1):
+    """The tree walk that `rescan_pivot_to_optimal` was written against."""
+    parent_node, parent_arc, depth, potentials = tables
+    seen = set()
+    stack = [(node, parent, via)]
+    while stack:
+        node, parent, via = stack.pop()
+        if node in seen:
+            return via
+        seen.add(node)
+        parent_node[node] = parent
+        parent_arc[node] = via
+        if parent < 0:
+            depth[node] = potentials[node] = 0
+        else:
+            arc = net.arcs[via]
+            depth[node] = depth[parent] + 1
+            potentials[node] = potentials[parent] + (arc.cost if arc.src == parent else -arc.cost)
+        # Reversed, so neighbours pop in adjacency order.
+        stack.extend((other, node, a) for other, a in reversed(adjacency[node]) if a != via)
+    return None
+
+
+def rescan_pivot_to_optimal(net: Network, values, tree: list[int], pivots: list[int]):
+    """Bland's rule by rescanning every arc from id 0 after each pivot.
+
+    The pivot loop `treebounds._pivot_to_optimal` ran before it took its
+    entering arcs from a heap, kept as the reference the heap must match.
+    Appends each entering arc to `pivots`.
+    """
+    adjacency = _adjacency(net, tree)
+    tables = parent_node, parent_arc, depth, potentials = [[-1] * net.node_count for _ in range(4)]
+    _rescan_walk(net, adjacency, tables, 0)
+    if -1 in depth:
+        raise InvariantError("tree arcs must span the network")
+    in_tree = [False] * net.arc_count
+    for arc_id in tree:
+        in_tree[arc_id] = True
+    for _ in range(_PIVOT_CAP):
+        swap = None
+        for arc_id in range(net.arc_count):
+            if in_tree[arc_id]:
+                continue
+            arc = net.arcs[arc_id]
+            if arc.lower == arc.upper:
+                continue
+            reduced = arc.cost + potentials[arc.src] - potentials[arc.dst]
+            if values[arc_id] == arc.lower and reduced < 0:
+                orientation = 1
+            elif values[arc_id] == arc.upper and reduced > 0:
+                orientation = -1
+            else:
+                continue
+            members = [(arc_id, orientation)] + [
+                (step, orientation * sign)
+                for step, sign in _tree_path(parent_node, parent_arc, depth, net, arc.dst, arc.src)
+            ]
+            if min(_headroom(net, values, e, s) for e, s in members) > 0:
+                continue  # a genuinely negative cycle: the flow was not optimal
+            swap = (arc_id, members)
+            break
+        if swap is None:
+            return in_tree, tables
+        entering, members = swap
+        pivots.append(entering)
+        leaving = min(e for e, s in members if e != entering and _headroom(net, values, e, s) == 0)
+        out, arc = net.arcs[leaving], net.arcs[entering]
+        # The leaving arc cuts off the subtree below its deeper end; the
+        # entering arc has exactly one end inside it.
+        cut = out.src if depth[out.src] > depth[out.dst] else out.dst
+        x = arc.src
+        while depth[x] > depth[cut]:
+            x = parent_node[x]
+        inside, outside = (arc.src, arc.dst) if x == cut else (arc.dst, arc.src)
+        adjacency[out.src].remove((out.dst, leaving))
+        adjacency[out.dst].remove((out.src, leaving))
+        adjacency[arc.src].append((arc.dst, entering))
+        adjacency[arc.dst].append((arc.src, entering))
+        in_tree[leaving], in_tree[entering] = False, True
+        _rescan_walk(net, adjacency, tables, inside, outside, entering)
+    raise InvariantError("tree pivoting did not terminate")

@@ -335,6 +335,12 @@ class TestOracle:
         flows, _ = flows_and_summary(lines)
         assert [flow["cost"] for flow in flows] == [1, 2]
 
+    def test_missing_k_reports_the_oracle_usage(self, tmp_path, chain3_network):
+        code, lines, err = invoke(["oracle", write_instance(tmp_path, chain3_network), "--mode", "kbest"])
+        assert code == 2 and lines == []
+        assert err.startswith("usage: flowenum oracle")
+        assert "flowenum oracle: error: --mode kbest needs --k" in err
+
     def test_nonpositive_budget_is_usage_error(self, tmp_path, chain3_network):
         path = write_instance(tmp_path, chain3_network)
         for argv in (["oracle", path, "--mode", "feasible", "--max-states", "0"],

@@ -1,4 +1,5 @@
 import random
+from dataclasses import fields, replace
 
 import pytest
 
@@ -16,6 +17,7 @@ from flowenum.errors import (
 from flowenum.solver import solve_min_cost_flow
 from flowenum.treebounds import (
     COUNT_CAP,
+    TreeStructure,
     count_lower_bound,
     count_upper_bound,
     decompose_cycle,
@@ -28,7 +30,13 @@ from flowenum.treebounds import (
     zero_cost_nontree_set,
 )
 
-from helpers import make_network, random_feasible_network, random_grid_network, random_residual_cycle
+from helpers import (
+    make_network,
+    random_feasible_network,
+    random_grid_network,
+    random_residual_cycle,
+    rescan_pivot_to_optimal,
+)
 
 
 def members_by_arc(cycle):
@@ -119,10 +127,10 @@ class TestToTreeSolution:
         pivots = []
         walk = treebounds._walk
 
-        def counted(net, adjacency, tables, node, parent=-1, via=-1):
+        def counted(net, adjacency, tables, seen, node, parent=-1, via=-1):
             if via >= 0:
                 pivots.append(via)
-            return walk(net, adjacency, tables, node, parent, via)
+            return walk(net, adjacency, tables, seen, node, parent, via)
 
         monkeypatch.setattr(treebounds, "_walk", counted)
         _, ts = to_tree_solution(net, solve_min_cost_flow(net))
@@ -148,6 +156,57 @@ class TestToTreeSolution:
         assert ts.parent_arc == tuple(parent_arc)
         assert ts.depth == tuple(depth)
         assert ts.potentials == tuple(potentials)
+
+    @pytest.mark.parametrize("optimal", [True, False], ids=["optimal", "not-optimal"])
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_pivots_match_the_rescan_reference(self, monkeypatch, seed, optimal):
+        # The flow that is optimal for the negated costs leaves many
+        # violating arcs whose cycles have headroom, which the heap drops.
+        net = random_grid_network(random.Random(seed), 12, 12, both_ways=True)
+        negated = replace(net, arcs=tuple(replace(arc, cost=-arc.cost) for arc in net.arcs))
+        flow = solve_min_cost_flow(net if optimal else negated)
+        pivots, ts = pivots_matching_the_rescan(monkeypatch, net, flow)
+        assert len(pivots) > 50
+        violating = [a for a in ts.lower_set if net.arcs[a].span and ts.reduced_cost(a) < 0]
+        assert bool(violating) != optimal
+
+    def test_pivots_match_the_rescan_reference_on_small_instances(self, monkeypatch):
+        # Witness flows, mostly not optimal, with fixed, parallel and
+        # anti-parallel arcs.
+        rng = random.Random(65)
+        pivots = 0
+        for _ in range(300):
+            net, witness = random_feasible_network(rng, max_nodes=8, max_arcs=20)
+            pivots += len(pivots_matching_the_rescan(monkeypatch, net, witness)[0])
+        assert pivots > 300
+
+
+def pivots_matching_the_rescan(monkeypatch, net, flow):
+    """Entering arcs and structure of to_tree_solution, checked against the rescan reference.
+
+    The heap must enter the same arcs, in the same order, as rescanning
+    every arc from id 0 after each pivot, and so return the same flow and
+    the same structure.
+    """
+    pivots, reference = [], []
+    walk = treebounds._walk
+
+    def counted(net, adjacency, tables, seen, node, parent=-1, via=-1):
+        if via >= 0:
+            pivots.append(via)
+        return walk(net, adjacency, tables, seen, node, parent, via)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(treebounds, "_walk", counted)
+        tree_flow, ts = to_tree_solution(net, flow)
+        patch.setattr(treebounds, "_pivot_to_optimal",
+                      lambda net, values, tree: rescan_pivot_to_optimal(net, values, tree, reference))
+        reference_flow, reference_ts = to_tree_solution(net, flow)
+    assert pivots == reference
+    assert tree_flow == reference_flow
+    for field in fields(TreeStructure):
+        assert getattr(ts, field.name) == getattr(reference_ts, field.name), field.name
+    return pivots, ts
 
 
 class TestInducedCycle:
