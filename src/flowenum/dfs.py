@@ -4,9 +4,11 @@ One DFS works on plain integer lists: each node's out-list of residual arc
 ids, and per id the arc's head and the original arc it came from.  It
 classifies every residual arc as tree, forward, backward (short or long), or
 cross, and keeps per-node SBAlow values (the shallowest dfs number reachable
-through short backward arcs alone).  Scanning the classified arcs then either
-produces a proper cycle or proves none exists; only cross arcs need a lowest
-common ancestor, found by walking parent links.
+through short backward arcs alone), and lists the candidates a cycle scan
+reads: the greatest long backward id and the forward and cross ids.  Scanning
+them by descending id, the order that fixes which cycle and so which flow comes
+next, either produces a proper cycle or proves none exists; only cross arcs
+need a lowest common ancestor, found by walking parent links.
 
 One kernel, `another_flow`, runs the search on a `core.Frame` and pushes one
 unit around the cycle it finds; `find_another_feasible_flow` runs it on a
@@ -28,7 +30,7 @@ TREE, FORWARD, BACKWARD_SHORT, BACKWARD_LONG, CROSS = range(1, 6)
 
 @dataclass
 class DfsForest:
-    """DFS numbering, tree links, arc classes, and SBAlow values.
+    """DFS numbering, tree links, arc classes, SBAlow values and scan candidates.
 
     Per-arc lists are indexed by residual id; ids with no arc read 0.
     """
@@ -43,6 +45,9 @@ class DfsForest:
     arc_class: list[int]
     short_back_arcs: list[list[int]]
     sbalow: list[int]
+    long_back: int                      # greatest BACKWARD_LONG id, -1 if none
+    forward: list[int]                  # FORWARD ids in visit order
+    cross: list[int]                    # CROSS ids in visit order
 
 
 def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
@@ -58,6 +63,7 @@ def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
     arc_class = [0] * len(head)
     short_back: list[list[int]] = [[] for _ in range(n)]
     discovery: list[int] = []
+    long_back, forward, cross = -1, [], []
 
     for root in range(n):
         if order[root]:
@@ -87,8 +93,13 @@ def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
                         short_back[node].append(index)
                     else:
                         arc_class[index] = BACKWARD_LONG
+                        long_back = max(long_back, index)
+                elif order[node] < order[child]:
+                    arc_class[index] = FORWARD
+                    forward.append(index)
                 else:
-                    arc_class[index] = FORWARD if order[node] < order[child] else CROSS
+                    arc_class[index] = CROSS
+                    cross.append(index)
             else:
                 stack.pop()
                 done[node] = True
@@ -97,7 +108,7 @@ def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
     for node in discovery:
         sbalow[node] = sbalow[parent_node[node]] if short_back[node] else order[node]
     return DfsForest(order, discovery, parent_node, parent_arc, tree_root, depth, tail,
-                     arc_class, short_back, sbalow)
+                     arc_class, short_back, sbalow, long_back, forward, cross)
 
 
 def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
@@ -144,24 +155,24 @@ def _short_backward_path(forest: DfsForest, origin: list[int], start: int, goal:
 
 
 def _proper_cycle(forest: DfsForest, head: list[int], origin: list[int]) -> list[int] | None:
-    """Residual ids of one proper cycle, in walk order, or None when there is none."""
-    order, classes, tail, sbalow = forest.order, forest.arc_class, forest.tail, forest.sbalow
-    last = len(head) - 1
+    """Residual ids of one proper cycle, in walk order, or None when there is none.
 
-    for index in range(last, -1, -1):
-        if classes[index] == BACKWARD_LONG:
-            return [index, *_tree_path(forest, head[index], tail[index])]
+    Reads the forest's candidates, each class by descending id: that order picks
+    the cycle, so the flow order the golden digests pin depends on it."""
+    order, tail, sbalow = forest.order, forest.tail, forest.sbalow
 
-    for index in range(last, -1, -1):
-        if classes[index] != FORWARD or sbalow[head[index]] > order[tail[index]]:
+    index = forest.long_back
+    if index >= 0:
+        return [index, *_tree_path(forest, head[index], tail[index])]
+
+    for index in sorted(forest.forward, reverse=True):
+        if sbalow[head[index]] > order[tail[index]]:
             continue
         path = _short_backward_path(forest, origin, head[index], tail[index], origin[index])
         if path is not None:
             return [index, *path]
 
-    for index in range(last, -1, -1):
-        if classes[index] != CROSS:
-            continue
+    for index in sorted(forest.cross, reverse=True):
         u, v = tail[index], head[index]
         if forest.tree_root[u] != forest.tree_root[v]:
             continue

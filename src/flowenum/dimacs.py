@@ -15,6 +15,7 @@ from .core import Arc, Network
 from .errors import (
     ArcCountMismatchError,
     DimacsSyntaxError,
+    DisconnectedError,
     DuplicateProblemLineError,
     FlowError,
     NodeIdOutOfRangeError,
@@ -44,11 +45,12 @@ def _node_id(token: str, node_count: int, line_no: int, raw: str) -> int:
     return value - 1
 
 
-def parse_dimacs(text: str) -> Network:
+def parse_dimacs(text: str, *, connected: bool = False) -> Network:
+    """With `connected`, a header declaring more nodes than its arcs could connect
+    raises DisconnectedError before anything per node is allocated."""
     node_count: int | None = None
     arc_count = 0
-    balances: list[int] = []
-    balance_seen: set[int] = set()
+    balances: dict[int, int] = {}
     arcs: list[Arc] = []
 
     # int() also takes "1_0" and non-ASCII digits; fields must be [+-]?[0-9]+.
@@ -76,7 +78,6 @@ def parse_dimacs(text: str) -> Network:
             arc_count = _int_field(fields[3], line_no, raw)
             if node_count < 1 or arc_count < 0:
                 raise DimacsSyntaxError("node and arc counts out of range", line=line_no)
-            balances = [0] * node_count
             continue
         if node_count is None:
             raise DimacsSyntaxError(
@@ -86,9 +87,8 @@ def parse_dimacs(text: str) -> Network:
             if len(fields) != 3:
                 raise DimacsSyntaxError("expected 'n <node id> <balance>'", line=line_no)
             node = _node_id(fields[1], node_count, line_no, raw)
-            if node in balance_seen:
+            if node in balances:
                 raise DimacsSyntaxError(f"duplicate node descriptor for {node + 1}", line=line_no)
-            balance_seen.add(node)
             balances[node] = _int_field(fields[2], line_no, raw)
             continue
         if kind == "a":
@@ -118,7 +118,12 @@ def parse_dimacs(text: str) -> Network:
         raise DimacsSyntaxError("missing problem line")
     if len(arcs) != arc_count:
         raise ArcCountMismatchError(f"declared {arc_count} arcs, found {len(arcs)}")
-    return Network(node_count, tuple(arcs), tuple(balances))
+    if connected and node_count > arc_count + 1:
+        raise DisconnectedError(f"{arc_count} arcs cannot connect {node_count} nodes")
+    values = [0] * node_count
+    for node, balance in balances.items():
+        values[node] = balance
+    return Network(node_count, tuple(arcs), tuple(values))
 
 
 def serialize_dimacs(net: Network) -> str:

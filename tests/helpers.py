@@ -9,7 +9,8 @@ from dataclasses import replace
 from itertools import count
 
 from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, flow_cost, frame_of
-from flowenum.dfs import find_another_feasible_flow
+from flowenum import dfs
+from flowenum.dfs import BACKWARD_LONG, CROSS, FORWARD, find_another_feasible_flow
 from flowenum.enumeration import optimal_face, partition_solution_space
 from flowenum.errors import InvariantError
 from flowenum.kbest import find_second_best_flow
@@ -375,3 +376,44 @@ def rescan_pivot_to_optimal(net: Network, values, tree: list[int], pivots: list[
         in_tree[leaving], in_tree[entering] = False, True
         _rescan_walk(net, adjacency, tables, inside, outside, entering)
     raise InvariantError("tree pivoting did not terminate")
+
+
+def sweep_proper_cycle(forest, head: list[int], origin: list[int]) -> list[int] | None:
+    """Proper-cycle scan by sweeping every residual id, highest first, once per class.
+
+    The scan `dfs._proper_cycle` ran before the forest kept its candidate
+    ids, kept as the reference the candidate lists must match.
+    """
+    order, classes, tail, sbalow = forest.order, forest.arc_class, forest.tail, forest.sbalow
+    last = len(head) - 1
+
+    for index in range(last, -1, -1):
+        if classes[index] == BACKWARD_LONG:
+            return [index, *dfs._tree_path(forest, head[index], tail[index])]
+
+    for index in range(last, -1, -1):
+        if classes[index] != FORWARD or sbalow[head[index]] > order[tail[index]]:
+            continue
+        path = dfs._short_backward_path(forest, origin, head[index], tail[index], origin[index])
+        if path is not None:
+            return [index, *path]
+
+    for index in range(last, -1, -1):
+        if classes[index] != CROSS:
+            continue
+        u, v = tail[index], head[index]
+        if forest.tree_root[u] != forest.tree_root[v]:
+            continue
+        meet = dfs.lca(forest, u, v)
+        if sbalow[v] > order[meet]:
+            continue
+        path = dfs._short_backward_path(forest, origin, v, meet, origin[index])
+        if path is not None:
+            return [index, *path, *dfs._tree_path(forest, meet, u)]
+
+    for node in reversed(forest.discovery):
+        tree_arc = forest.parent_arc[node]
+        for index in forest.short_back_arcs[node]:
+            if origin[index] != origin[tree_arc]:
+                return [tree_arc, index]
+    return None

@@ -3,6 +3,7 @@ import importlib
 import json
 import pkgutil
 import random
+from collections import Counter
 from itertools import islice
 
 import pytest
@@ -32,6 +33,7 @@ from helpers import (
     random_feasible_network,
     random_grid_network,
     sbalow_bruteforce,
+    sweep_proper_cycle,
     synthetic_digraph,
 )
 
@@ -97,6 +99,10 @@ class TestClassification:
                     assert res.src in ancestors(forest, res.dst)
             assert sum(counts.values()) == len(rg.arcs)
             assert sorted(forest.order) == list(range(1, rg.node_count + 1))
+            ids = {cls: [i for i, c in enumerate(forest.arc_class) if c == cls] for cls in counts}
+            assert sorted(forest.forward) == ids[FORWARD]
+            assert sorted(forest.cross) == ids[CROSS]
+            assert forest.long_back == max(ids[BACKWARD_LONG], default=-1)
 
 
 class TestSbalow:
@@ -204,6 +210,40 @@ class TestFindProperCycle:
             rg = synthetic_digraph(rng, max_nodes=25)
             cycle = find_proper_cycle(rg)
             assert (cycle is not None) == digraph_has_cycle(rg)
+
+
+class TestScanMatchesTheSweepReference:
+    """The candidate scan returns the cycle the three full sweeps returned."""
+
+    def test_synthetic_digraphs(self):
+        rng = random.Random(14)
+        starts = Counter()
+        for _ in range(600):
+            rg = synthetic_digraph(rng, max_nodes=12)
+            forest = build_dfs_forest(rg)
+            head = [res.dst for res in rg.arcs]
+            origin = [res.origin_arc for res in rg.arcs]
+            cycle = flowenum.dfs._proper_cycle(forest, head, origin)
+            assert cycle == sweep_proper_cycle(forest, head, origin)
+            starts[None if cycle is None else forest.arc_class[cycle[0]]] += 1
+        assert all(starts[cls] >= 4 for cls in (None, TREE, FORWARD, BACKWARD_LONG, CROSS))
+
+    def test_every_region_of_zero_cost_grids(self, monkeypatch):
+        scan = flowenum.dfs._proper_cycle
+        regions = []
+
+        def checked(forest, head, origin):
+            cycle = scan(forest, head, origin)
+            assert cycle == sweep_proper_cycle(forest, head, origin)
+            regions.append(cycle is not None)
+            return cycle
+
+        monkeypatch.setattr(flowenum.dfs, "_proper_cycle", checked)
+        for seed in range(3):
+            grid = random_grid_network(random.Random(seed), 6, 6, min_cost=0, max_cost=0,
+                                       both_ways=True)
+            assert len(list(islice(iter_optimal_flows(grid), 150))) == 150
+        assert len(regions) > 600 and 0 < regions.count(False) < len(regions)
 
 
 class TestFindAnotherFeasibleFlow:
