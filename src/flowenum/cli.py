@@ -227,7 +227,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         print(f"flowenum: cannot read {args.file}: {exc}", file=err)
         return 2
     try:
-        net = parse_dimacs(text, connected=True)
+        net = parse_dimacs(text)
         validate_network(net)
     except (DimacsError, NetworkValidationError) as exc:
         print(f"flowenum: {args.file}: {exc}", file=err)

@@ -15,7 +15,6 @@ from .core import Arc, Network
 from .errors import (
     ArcCountMismatchError,
     DimacsSyntaxError,
-    DisconnectedError,
     DuplicateProblemLineError,
     FlowError,
     NodeIdOutOfRangeError,
@@ -45,12 +44,11 @@ def _node_id(token: str, node_count: int, line_no: int, raw: str) -> int:
     return value - 1
 
 
-def parse_dimacs(text: str, *, connected: bool = False) -> Network:
-    """With `connected`, a header declaring more nodes than its arcs could connect
-    raises DisconnectedError before anything per node is allocated."""
+def parse_dimacs(text: str) -> Network:
     node_count: int | None = None
     arc_count = 0
-    balances: dict[int, int] = {}
+    balances: list[int] = []
+    balance_seen: set[int] = set()
     arcs: list[Arc] = []
 
     # int() also takes "1_0" and non-ASCII digits; fields must be [+-]?[0-9]+.
@@ -78,6 +76,12 @@ def parse_dimacs(text: str, *, connected: bool = False) -> Network:
             arc_count = _int_field(fields[3], line_no, raw)
             if node_count < 1 or arc_count < 0:
                 raise DimacsSyntaxError("node and arc counts out of range", line=line_no)
+            try:
+                balances = [0] * node_count
+            except MemoryError:
+                raise DimacsSyntaxError(
+                    f"{node_count} nodes do not fit in memory", line=line_no
+                ) from None
             continue
         if node_count is None:
             raise DimacsSyntaxError(
@@ -87,8 +91,9 @@ def parse_dimacs(text: str, *, connected: bool = False) -> Network:
             if len(fields) != 3:
                 raise DimacsSyntaxError("expected 'n <node id> <balance>'", line=line_no)
             node = _node_id(fields[1], node_count, line_no, raw)
-            if node in balances:
+            if node in balance_seen:
                 raise DimacsSyntaxError(f"duplicate node descriptor for {node + 1}", line=line_no)
+            balance_seen.add(node)
             balances[node] = _int_field(fields[2], line_no, raw)
             continue
         if kind == "a":
@@ -118,12 +123,7 @@ def parse_dimacs(text: str, *, connected: bool = False) -> Network:
         raise DimacsSyntaxError("missing problem line")
     if len(arcs) != arc_count:
         raise ArcCountMismatchError(f"declared {arc_count} arcs, found {len(arcs)}")
-    if connected and node_count > arc_count + 1:
-        raise DisconnectedError(f"{arc_count} arcs cannot connect {node_count} nodes")
-    values = [0] * node_count
-    for node, balance in balances.items():
-        values[node] = balance
-    return Network(node_count, tuple(arcs), tuple(values))
+    return Network(node_count, tuple(arcs), tuple(balances))
 
 
 def serialize_dimacs(net: Network) -> str:

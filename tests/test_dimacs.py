@@ -9,7 +9,6 @@ from flowenum.dimacs import parse_dimacs, serialize_dimacs
 from flowenum.errors import (
     ArcCountMismatchError,
     DimacsSyntaxError,
-    DisconnectedError,
     DuplicateProblemLineError,
     NodeIdOutOfRangeError,
 )
@@ -110,15 +109,6 @@ class TestParse:
     def test_duplicate_node_descriptor(self):
         with pytest.raises(DimacsSyntaxError):
             parse_dimacs("p min 2 0\nn 1 1\nn 1 -1\n")
-
-    def test_connected_rejects_more_nodes_than_arcs_can_join(self):
-        # Only the header is read: 10**15 balances are never built.
-        with pytest.raises(DisconnectedError, match="0 arcs cannot connect"):
-            parse_dimacs(f"p min {10**15} 0\n", connected=True)
-        with pytest.raises(DisconnectedError):
-            parse_dimacs("p min 4 2\na 1 2 0 1 0\na 3 4 0 1 0\n", connected=True)
-        assert parse_dimacs("p min 3 2\na 1 2 0 1 0\na 2 3 0 1 0\n", connected=True).node_count == 3
-        assert parse_dimacs("p min 4 2\na 1 2 0 1 0\na 3 4 0 1 0\n").node_count == 4
 
 
 class TestRoundTrip:
