@@ -12,7 +12,7 @@ so the witness stays feasible if it lies within that arc's new bounds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import Flow, Frame, Network
@@ -48,17 +48,6 @@ def _split(witness: Sequence[int], other: Sequence[int], lower, upper):
                 return arc, (lower[arc], mine), (mine + 1, upper[arc])
             return arc, (mine, upper[arc]), (lower[arc], mine - 1)
     raise IdenticalFlowsError("cannot partition on two identical flows")
-
-
-def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Network, Network]:
-    """`net` with the first differing arc narrowed: the half that keeps `flow`, then `other`'s.
-
-    The same split as `_split`, over whole networks; the searches split frame bounds."""
-    arcs = net.arcs
-    arc_id, *halves = _split(flow.values, other.values,
-                             [arc.lower for arc in arcs], [arc.upper for arc in arcs])
-    return tuple(replace(net, arcs=arcs[:arc_id] + (replace(arcs[arc_id], lower=lo, upper=hi),)
-                         + arcs[arc_id + 1:]) for lo, hi in halves)
 
 
 def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> Iterator[Flow]:

@@ -6,11 +6,13 @@ cycles with zero reduced cost form a basis for all optimal flows, which is
 what the count bounds and the coordinate extraction below exploit.
 
 One undirected depth-first walk, `_walk`, finds the free cycles to cancel,
-roots the first tree at node 0, and after each pivot re-roots only the part
-the leaving arc cut off (Ahuja, Magnanti and Orlin, Network Flows, ch. 11).
-Pivots follow Bland's rule, the least violating arc id first, taken from a
-min-heap of violating arcs: a pivot shifts the potentials of the cut-off
-part by one constant, so only the arcs across that cut are tested again.
+roots the first tree at node 0, and after each pivot walks again only the
+smaller side of the leaving arc's cut, as subtree sizes tell (Ahuja,
+Magnanti and Orlin, Network Flows, ch. 11).  Pivots follow Bland's rule,
+the least violating arc id first, taken from a min-heap of violating arcs:
+a pivot shifts the potentials of the walked side by one constant, so only
+the arcs across the cut are tested again.  The count bounds read each
+induced cycle's capacity in one parent-link walk, without building it.
 """
 
 from __future__ import annotations
@@ -94,7 +96,8 @@ def _walk(net: Network, adjacency, tables, seen, node: int, parent: int = -1, vi
     """Depth-first walk from `node`, entered from `parent` by arc `via`.
 
     Every node reached without crossing `via` gets its parent link, depth
-    and potential in `tables` and is added to `seen`; others keep theirs.
+    and potential in `tables` and is added to the dict `seen`, so that
+    `list(seen)` ends with this walk's pre-order; others keep theirs.
     Neighbours are taken in adjacency order.  Returns the first arc that
     leads back to a node in `seen`, which closes a cycle, or None when the
     part reached is a tree.
@@ -105,7 +108,7 @@ def _walk(net: Network, adjacency, tables, seen, node: int, parent: int = -1, vi
         node, parent, via = stack.pop()
         if node in seen:
             return via
-        seen.add(node)
+        seen[node] = None
         parent_node[node] = parent
         parent_arc[node] = via
         if parent < 0:
@@ -126,21 +129,15 @@ def _tree_path(parent_node, parent_arc, depth, net: Network, start: int, goal: i
     ups: list[tuple[int, int]] = []
     downs: list[tuple[int, int]] = []
     x, y = start, goal
-    while depth[x] > depth[y]:
-        arc_id = parent_arc[x]
-        ups.append((arc_id, 1 if net.arcs[arc_id].src == x else -1))
-        x = parent_node[x]
-    while depth[y] > depth[x]:
-        arc_id = parent_arc[y]
-        downs.append((arc_id, -1 if net.arcs[arc_id].src == y else 1))
-        y = parent_node[y]
     while x != y:
-        arc_id = parent_arc[x]
-        ups.append((arc_id, 1 if net.arcs[arc_id].src == x else -1))
-        x = parent_node[x]
-        arc_id = parent_arc[y]
-        downs.append((arc_id, -1 if net.arcs[arc_id].src == y else 1))
-        y = parent_node[y]
+        if depth[x] >= depth[y]:
+            arc_id = parent_arc[x]
+            ups.append((arc_id, 1 if net.arcs[arc_id].src == x else -1))
+            x = parent_node[x]
+        else:
+            arc_id = parent_arc[y]
+            downs.append((arc_id, -1 if net.arcs[arc_id].src == y else 1))
+            y = parent_node[y]
     return ups + downs[::-1]
 
 
@@ -148,7 +145,7 @@ def _find_free_cycle(net: Network, free):
     """Signed closed walk through arcs that sit strictly between their bounds."""
     adjacency = _adjacency(net, free)
     tables = parent_node, parent_arc, depth, _ = [[-1] * net.node_count for _ in range(4)]
-    seen: set[int] = set()
+    seen: dict[int, None] = {}
     for root in range(net.node_count):
         # A node no free arc touches is a tree on its own.
         if root in seen or not adjacency[root]:
@@ -228,30 +225,40 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
     tested (`queued` marks them), so that every violating non-tree arc is
     in it.  Pops come in ascending id order and are tested again when
     popped; the first that still violates and has zero headroom is Bland's
-    choice.  A pivot walks again only the part of the tree the leaving arc
-    cut off, and that part's potentials all shift by one constant.  So an
-    arc can start to violate, or see its cycle change, only when exactly
-    one of its ends lies in that part, the leaving arc included; those are
-    tested again after the pivot.  Every other arc keeps its reduced cost
-    and its cycle, so a popped arc that no longer violates or still has
-    headroom can be dropped.
+    choice.  A pivot walks again only the smaller side of the leaving arc's
+    cut, as the subtree sizes in `size` tell, hung from the entering arc;
+    if that side holds the root, the other side's top becomes the root.
+    The walked side's potentials shift by one constant and its depths are
+    renumbered, both consistent along parent links; a tree fixes its cycles
+    and its potentials up to a constant, so the rooting changes neither
+    reduced costs nor Bland's choices.  An arc can start to violate, or see
+    its cycle change, only when it has one end on each side, the leaving arc
+    included; those are tested again after the pivot.  Every other arc keeps
+    its reduced cost and its cycle, so a popped arc that no longer violates
+    or still has headroom can be dropped.  The final tree is rooted at node
+    0 again.
     """
     arcs = net.arcs
+    n = net.node_count
     adjacency = _adjacency(net, tree)
-    tables = parent_node, parent_arc, depth, potentials = [[-1] * net.node_count for _ in range(4)]
-    rooted: set[int] = set()
+    tables = parent_node, parent_arc, depth, potentials = [[-1] * n for _ in range(4)]
+    rooted: dict[int, None] = {}
     _walk(net, adjacency, tables, rooted, 0)
-    if len(rooted) < net.node_count:
+    if len(rooted) < n:
         raise InvariantError("tree arcs must span the network")
+    size = [1] * n  # nodes per subtree, summed child first
+    for node in reversed(list(rooted)[1:]):
+        size[parent_node[node]] += size[node]
     in_tree = [False] * net.arc_count
     for arc_id in tree:
         in_tree[arc_id] = True
     # Arcs fixed at lower == upper never enter the tree.
     movable = [a for a in range(net.arc_count) if arcs[a].lower < arcs[a].upper]
-    incident: list[list[int]] = [[] for _ in range(net.node_count)]
+    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (arc id, other end)
     for arc_id in movable:
-        incident[arcs[arc_id].src].append(arc_id)
-        incident[arcs[arc_id].dst].append(arc_id)
+        arc = arcs[arc_id]
+        incident[arc.src].append((arc_id, arc.dst))
+        incident[arc.dst].append((arc_id, arc.src))
 
     def orientation(arc_id: int) -> int:
         """+1 or -1 along which a sign-violating arc would push; 0 if it does not violate."""
@@ -268,7 +275,7 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
     queued = [False] * net.arc_count
     for arc_id in heap:
         queued[arc_id] = True
-    for _ in range(_PIVOT_CAP):
+    for pivot in range(_PIVOT_CAP):
         while heap:
             entering = heappop(heap)
             queued[entering] = False
@@ -280,12 +287,15 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
                 (step, sign * s)
                 for step, s in _tree_path(parent_node, parent_arc, depth, net, arc.dst, arc.src)
             ]
-            if min(_headroom(net, values, e, s) for e, s in members) > 0:
+            rooms = [_headroom(net, values, e, s) for e, s in members]
+            if min(rooms) > 0:
                 continue  # a genuinely negative cycle: the flow was not optimal
             break
         else:
+            if pivot:
+                _walk(net, adjacency, tables, {}, 0)
             return in_tree, tables
-        leaving = min(e for e, s in members if e != entering and _headroom(net, values, e, s) == 0)
+        leaving = min(e for (e, _), room in zip(members, rooms) if e != entering and room == 0)
         out = arcs[leaving]
         # The leaving arc cuts off the subtree below its deeper end; the
         # entering arc has exactly one end inside it.
@@ -299,14 +309,36 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
         adjacency[arc.src].append((arc.dst, entering))
         adjacency[arc.dst].append((arc.src, entering))
         in_tree[leaving], in_tree[entering] = False, True
-        moved: set[int] = set()
-        _walk(net, adjacency, tables, moved, inside, outside, entering)
+        moved: dict[int, None] = {}
+        cut_size = size[cut]
+        if 2 * cut_size <= n:
+            # S moves below `outside`: the chain above the leaving arc loses
+            # it and the chain above `outside` gains it, up to where they meet.
+            x, y = parent_node[cut], outside
+            while x != y:
+                if depth[x] >= depth[y]:
+                    size[x] -= cut_size
+                    x = parent_node[x]
+                else:
+                    size[y] += cut_size
+                    y = parent_node[y]
+            _walk(net, adjacency, tables, moved, inside, outside, entering)
+        else:
+            # S keeps its links under `cut`, now the root; R hangs below `inside`.
+            parent_node[cut] = parent_arc[cut] = -1
+            x = inside
+            while x >= 0:
+                size[x] += n - cut_size
+                x = parent_node[x]
+            _walk(net, adjacency, tables, moved, outside, inside, entering)
+        walked = list(moved)
+        for node in walked:
+            size[node] = 1
+        for node in reversed(walked[1:]):  # the first hangs from the other side
+            size[parent_node[node]] += size[node]
         for node in moved:
-            for arc_id in incident[node]:
-                if queued[arc_id] or in_tree[arc_id]:
-                    continue
-                arc = arcs[arc_id]
-                if (arc.dst if arc.src == node else arc.src) in moved:
+            for arc_id, other in incident[node]:
+                if queued[arc_id] or in_tree[arc_id] or other in moved:
                     continue
                 if orientation(arc_id):
                     heappush(heap, arc_id)
@@ -365,6 +397,30 @@ def induced_cycle_capacity(ts: TreeStructure, flow: Flow, cycle: InducedCycle) -
     return min(_headroom(ts.network, flow.values, e, s) for e, s in cycle.members)
 
 
+def _cycle_capacity(ts: TreeStructure, values, arc_id: int) -> int:
+    """`induced_cycle_capacity` of the arc's induced cycle, read climbing from both ends."""
+    if ts.is_tree_arc(arc_id):
+        raise ArcInTreeError(f"arc {arc_id} is a tree arc")
+    arcs, parent_node, parent_arc, depth = ts.network.arcs, ts.parent_node, ts.parent_arc, ts.depth
+    forward = arc_id in ts.lower_set
+    arc = arcs[arc_id]
+    room = arc.upper - values[arc_id] if forward else values[arc_id] - arc.lower
+    x, y = arc.dst, arc.src
+    while x != y:
+        # The cycle rides a tree arc in its own direction when the arc points
+        # up from dst's side or down to src's side; the upper set reverses it.
+        if depth[x] >= depth[y]:
+            node, x, along = x, parent_node[x], forward
+        else:
+            node, y, along = y, parent_node[y], not forward
+        step_id = parent_arc[node]
+        step, value = arcs[step_id], values[step_id]
+        step_room = step.upper - value if (step.src == node) == along else value - step.lower
+        if step_room < room:
+            room = step_room
+    return room
+
+
 def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:
     """Non-tree arcs with zero reduced cost under the tree potentials."""
     return tuple(
@@ -388,9 +444,7 @@ def count_lower_bound(ts: TreeStructure, zero_arcs, flow: Flow, reading: str = "
     The "max" reading returns max(1, sum); "min" returns min(1, sum), which
     is vacuous but reported alongside for comparison.
     """
-    total = sum(
-        induced_cycle_capacity(ts, flow, induced_cycle(ts, a)) for a in zero_arcs
-    )
+    total = sum(_cycle_capacity(ts, flow.values, a) for a in zero_arcs)
     if reading == "max":
         return max(1, total)
     if reading == "min":

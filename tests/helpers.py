@@ -11,7 +11,7 @@ from itertools import count
 from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, flow_cost, frame_of
 from flowenum import dfs
 from flowenum.dfs import BACKWARD_LONG, CROSS, FORWARD, find_another_feasible_flow
-from flowenum.enumeration import optimal_face, partition_solution_space
+from flowenum.enumeration import _split, optimal_face
 from flowenum.errors import InvariantError
 from flowenum.kbest import find_second_best_flow
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
@@ -376,6 +376,19 @@ def rescan_pivot_to_optimal(net: Network, values, tree: list[int], pivots: list[
         in_tree[leaving], in_tree[entering] = False, True
         _rescan_walk(net, adjacency, tables, inside, outside, entering)
     raise InvariantError("tree pivoting did not terminate")
+
+
+def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Network, Network]:
+    """`net` with the first differing arc narrowed: the half that keeps `flow`, then `other`'s.
+
+    The split `enumeration._split` makes in frame bounds, over whole
+    networks; the reference searches above split regions with it.
+    """
+    arcs = net.arcs
+    arc_id, *halves = _split(flow.values, other.values,
+                             [arc.lower for arc in arcs], [arc.upper for arc in arcs])
+    return tuple(replace(net, arcs=arcs[:arc_id] + (replace(arcs[arc_id], lower=lo, upper=hi),)
+                         + arcs[arc_id + 1:]) for lo, hi in halves)
 
 
 def sweep_proper_cycle(forest, head: list[int], origin: list[int]) -> list[int] | None:

@@ -11,12 +11,7 @@ import flowenum
 from flowenum.bruteforce import enumerate_all_optimal_bruteforce
 from flowenum.core import Arc, Flow, Network, check_feasible, flow_cost, frame_of
 from flowenum.dfs import find_another_feasible_flow
-from flowenum.enumeration import (
-    EnumerationStats,
-    iter_optimal_flows,
-    optimal_face,
-    partition_solution_space,
-)
+from flowenum.enumeration import EnumerationStats, iter_optimal_flows, optimal_face
 from flowenum.errors import (
     DisconnectedError,
     IdenticalFlowsError,
@@ -31,6 +26,7 @@ from helpers import face_network as face_of
 from helpers import (
     linked_cycles,
     make_network,
+    partition_solution_space,
     random_feasible_network,
     random_grid_network,
     reference_optimal_flows,

@@ -157,6 +157,38 @@ class TestToTreeSolution:
         assert ts.depth == tuple(depth)
         assert ts.potentials == tuple(potentials)
 
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_pivots_walk_the_smaller_side_of_the_cut(self, monkeypatch, seed):
+        # Each pivot walks the smaller side of the cut, found here by a
+        # search over the new tree; under a root fixed at node 0 it would
+        # walk the side without node 0, the part the leaving arc cut off.
+        net = random_grid_network(random.Random(seed), 12, 12, both_ways=True)
+        n = net.node_count
+        walked, cut_off = [], []
+        walk = treebounds._walk
+
+        def counted(net, adjacency, tables, seen, node, parent=-1, via=-1):
+            if via < 0:
+                return walk(net, adjacency, tables, seen, node, parent, via)
+            side, stack = {node}, [node]
+            while stack:
+                for other, arc_id in adjacency[stack.pop()]:
+                    if arc_id != via and other not in side:
+                        side.add(other)
+                        stack.append(other)
+            before = len(seen)
+            closing = walk(net, adjacency, tables, seen, node, parent, via)
+            walked.append(len(seen) - before)
+            assert walked[-1] == len(side)
+            cut_off.append(n - len(side) if 0 in side else len(side))
+            return closing
+
+        monkeypatch.setattr(treebounds, "_walk", counted)
+        to_tree_solution(net, solve_min_cost_flow(net))
+        assert len(walked) > 100
+        assert max(walked) <= n // 2
+        assert sum(walked) < sum(cut_off)
+
     @pytest.mark.parametrize("optimal", [True, False], ids=["optimal", "not-optimal"])
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_pivots_match_the_rescan_reference(self, monkeypatch, seed, optimal):
@@ -253,6 +285,40 @@ class TestInducedCycle:
         _, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
         with pytest.raises(ArcInTreeError):
             induced_cycle(ts, 2)
+
+
+class TestCycleCapacity:
+    """The count bounds' capacity walk against building each induced cycle."""
+
+    def capacities(self, net, flow):
+        tree_flow, ts = to_tree_solution(net, flow)
+        found = {}
+        for arc_id in sorted(ts.lower_set | ts.upper_set):
+            found[arc_id] = treebounds._cycle_capacity(ts, tree_flow.values, arc_id)
+            assert found[arc_id] == induced_cycle_capacity(ts, tree_flow, induced_cycle(ts, arc_id))
+        for arc_id in ts.tree_arcs:
+            with pytest.raises(ArcInTreeError):
+                treebounds._cycle_capacity(ts, tree_flow.values, arc_id)
+        return ts, found
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grids(self, seed):
+        net = random_grid_network(random.Random(seed), 12, 12, both_ways=True)
+        ts, found = self.capacities(net, solve_min_cost_flow(net))
+        assert ts.lower_set and ts.upper_set
+        assert 0 in found.values() and max(found.values()) > 0
+
+    def test_small_instances(self):
+        # Witness flows, mostly not optimal, with fixed, parallel and
+        # anti-parallel arcs.
+        rng = random.Random(66)
+        upper = positive = 0
+        for _ in range(300):
+            net, witness = random_feasible_network(rng, max_nodes=8, max_arcs=20)
+            ts, found = self.capacities(net, witness)
+            upper += len(ts.upper_set)
+            positive += sum(1 for room in found.values() if room)
+        assert upper > 300 and positive > 300
 
 
 class TestZeroCostSet:
