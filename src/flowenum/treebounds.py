@@ -11,8 +11,8 @@ smaller side of the leaving arc's cut, as subtree sizes tell (Ahuja,
 Magnanti and Orlin, Network Flows, ch. 11).  Pivots follow Bland's rule,
 the least violating arc id first, taken from a min-heap of violating arcs:
 a pivot shifts the potentials of the walked side by one constant, so only
-the arcs across the cut are tested again.  The count bounds read each
-induced cycle's capacity in one parent-link walk, without building it.
+the arcs across the cut are tested again.  Every induced cycle, free
+cycle and pivot cycle is read by one climb of the parent links, `_cycle`.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .core import Cycle, Flow, Network, check_feasible, cycle_cost, validate_network
+from .core import Cycle, Flow, Network, _require_dimensions, check_feasible, cycle_cost, validate_network
 from .errors import (
     ArcInTreeError,
     CycleEntirelyInTreeError,
-    DimensionMismatchError,
     InfeasibleFlowError,
     InvariantError,
 )
@@ -61,7 +60,8 @@ class InducedCycle:
 
     Members are (arc id, sign) pairs; +1 rides the arc in its own direction,
     -1 opposes it.  The defining arc comes first and carries +1 when it sits
-    in the lower set, -1 when in the upper set.
+    in the lower set, -1 when in the upper set; the tree path from its head
+    back to its tail follows, its signs flipped likewise.
     """
 
     arc: int
@@ -124,25 +124,33 @@ def _walk(net: Network, adjacency, tables, seen, node: int, parent: int = -1, vi
     return None
 
 
-def _tree_path(parent_node, parent_arc, depth, net: Network, start: int, goal: int):
-    """Signed steps walking start -> goal through the tree."""
-    ups: list[tuple[int, int]] = []
+def _cycle(arcs, parent_node, parent_arc, depth, arc_id: int, sign: int):
+    """Signed members of the cycle that non-tree arc `arc_id` closes through the tree.
+
+    `(arc_id, sign)` comes first, then the tree path from the arc's head
+    back to its tail: the steps climbing from the head, then those going
+    down to the tail.  A step carries `sign` when the path rides its tree
+    arc in the arc's own direction, `-sign` when it opposes it.  This is
+    the module's only climb of the parent links.
+    """
+    arc = arcs[arc_id]
+    ups = [(arc_id, sign)]
     downs: list[tuple[int, int]] = []
-    x, y = start, goal
+    x, y = arc.dst, arc.src
     while x != y:
         if depth[x] >= depth[y]:
-            arc_id = parent_arc[x]
-            ups.append((arc_id, 1 if net.arcs[arc_id].src == x else -1))
+            step = parent_arc[x]
+            ups.append((step, sign if arcs[step].src == x else -sign))
             x = parent_node[x]
         else:
-            arc_id = parent_arc[y]
-            downs.append((arc_id, -1 if net.arcs[arc_id].src == y else 1))
+            step = parent_arc[y]
+            downs.append((step, -sign if arcs[step].src == y else sign))
             y = parent_node[y]
     return ups + downs[::-1]
 
 
 def _find_free_cycle(net: Network, free):
-    """Signed closed walk through arcs that sit strictly between their bounds."""
+    """Signed cycle through arcs that sit strictly between their bounds, as `_cycle` lists it."""
     adjacency = _adjacency(net, free)
     tables = parent_node, parent_arc, depth, _ = [[-1] * net.node_count for _ in range(4)]
     seen: dict[int, None] = {}
@@ -154,9 +162,8 @@ def _find_free_cycle(net: Network, free):
         if closing is not None:
             # The closing arc leads back to an ancestor of its deeper end.
             arc = net.arcs[closing]
-            deep, top = sorted((arc.src, arc.dst), key=depth.__getitem__, reverse=True)
-            walk = _tree_path(parent_node, parent_arc, depth, net, deep, top)
-            return walk + [(closing, 1 if arc.src == top else -1)]
+            sign = 1 if depth[arc.src] < depth[arc.dst] else -1
+            return _cycle(net.arcs, parent_node, parent_arc, depth, closing, sign)
     return None
 
 
@@ -254,11 +261,7 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
         in_tree[arc_id] = True
     # Arcs fixed at lower == upper never enter the tree.
     movable = [a for a in range(net.arc_count) if arcs[a].lower < arcs[a].upper]
-    incident: list[list[tuple[int, int]]] = [[] for _ in range(n)]  # (arc id, other end)
-    for arc_id in movable:
-        arc = arcs[arc_id]
-        incident[arc.src].append((arc_id, arc.dst))
-        incident[arc.dst].append((arc_id, arc.src))
+    incident = _adjacency(net, movable)
 
     def orientation(arc_id: int) -> int:
         """+1 or -1 along which a sign-violating arc would push; 0 if it does not violate."""
@@ -282,11 +285,7 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
             sign = orientation(entering)
             if not sign:
                 continue
-            arc = arcs[entering]
-            members = [(entering, sign)] + [
-                (step, sign * s)
-                for step, s in _tree_path(parent_node, parent_arc, depth, net, arc.dst, arc.src)
-            ]
+            members = _cycle(arcs, parent_node, parent_arc, depth, entering, sign)
             rooms = [_headroom(net, values, e, s) for e, s in members]
             if min(rooms) > 0:
                 continue  # a genuinely negative cycle: the flow was not optimal
@@ -296,7 +295,7 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
                 _walk(net, adjacency, tables, {}, 0)
             return in_tree, tables
         leaving = min(e for (e, _), room in zip(members, rooms) if e != entering and room == 0)
-        out = arcs[leaving]
+        arc, out = arcs[entering], arcs[leaving]
         # The leaving arc cuts off the subtree below its deeper end; the
         # entering arc has exactly one end inside it.
         cut = out.src if depth[out.src] > depth[out.dst] else out.dst
@@ -337,7 +336,7 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
         for node in reversed(walked[1:]):  # the first hangs from the other side
             size[parent_node[node]] += size[node]
         for node in moved:
-            for arc_id, other in incident[node]:
+            for other, arc_id in incident[node]:
                 if queued[arc_id] or in_tree[arc_id] or other in moved:
                     continue
                 if orientation(arc_id):
@@ -381,44 +380,30 @@ def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
     return Flow(tuple(values)), structure
 
 
-def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
-    """The cycle closed by a non-tree arc, oriented by its lower/upper side."""
+def _induced_members(ts: TreeStructure, arc_id: int):
+    """`_cycle` of a non-tree arc, oriented by its lower/upper side."""
+    if not 0 <= arc_id < ts.network.arc_count:
+        raise ValueError(f"arc id {arc_id} is out of range")
     if ts.is_tree_arc(arc_id):
         raise ArcInTreeError(f"arc {arc_id} is a tree arc")
-    arc = ts.network.arcs[arc_id]
-    orientation = 1 if arc_id in ts.lower_set else -1
-    path = _tree_path(ts.parent_node, ts.parent_arc, ts.depth, ts.network, arc.dst, arc.src)
-    members = ((arc_id, orientation), *((e, orientation * s) for e, s in path))
-    return InducedCycle(arc_id, members)
+    sign = 1 if arc_id in ts.lower_set else -1
+    return _cycle(ts.network.arcs, ts.parent_node, ts.parent_arc, ts.depth, arc_id, sign)
+
+
+def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
+    """The cycle closed by a non-tree arc, oriented by its lower/upper side."""
+    return InducedCycle(arc_id, tuple(_induced_members(ts, arc_id)))
 
 
 def induced_cycle_capacity(ts: TreeStructure, flow: Flow, cycle: InducedCycle) -> int:
     """Largest augmentation the cycle's orientation admits at this flow."""
+    _require_dimensions(ts.network, flow)
     return min(_headroom(ts.network, flow.values, e, s) for e, s in cycle.members)
 
 
 def _cycle_capacity(ts: TreeStructure, values, arc_id: int) -> int:
-    """`induced_cycle_capacity` of the arc's induced cycle, read climbing from both ends."""
-    if ts.is_tree_arc(arc_id):
-        raise ArcInTreeError(f"arc {arc_id} is a tree arc")
-    arcs, parent_node, parent_arc, depth = ts.network.arcs, ts.parent_node, ts.parent_arc, ts.depth
-    forward = arc_id in ts.lower_set
-    arc = arcs[arc_id]
-    room = arc.upper - values[arc_id] if forward else values[arc_id] - arc.lower
-    x, y = arc.dst, arc.src
-    while x != y:
-        # The cycle rides a tree arc in its own direction when the arc points
-        # up from dst's side or down to src's side; the upper set reverses it.
-        if depth[x] >= depth[y]:
-            node, x, along = x, parent_node[x], forward
-        else:
-            node, y, along = y, parent_node[y], not forward
-        step_id = parent_arc[node]
-        step, value = arcs[step_id], values[step_id]
-        step_room = step.upper - value if (step.src == node) == along else value - step.lower
-        if step_room < room:
-            room = step_room
-    return room
+    """`induced_cycle_capacity` of the arc's induced cycle, without building an `InducedCycle`."""
+    return min(_headroom(ts.network, values, e, s) for e, s in _induced_members(ts, arc_id))
 
 
 def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:
@@ -444,6 +429,7 @@ def count_lower_bound(ts: TreeStructure, zero_arcs, flow: Flow, reading: str = "
     The "max" reading returns max(1, sum); "min" returns min(1, sum), which
     is vacuous but reported alongside for comparison.
     """
+    _require_dimensions(ts.network, flow)
     total = sum(_cycle_capacity(ts, flow.values, a) for a in zero_arcs)
     if reading == "max":
         return max(1, total)
@@ -470,6 +456,8 @@ def decompose_cycle(ts: TreeStructure, walk: Sequence[tuple[int, int]]) -> list[
     head = None
     first_tail = None
     for arc_id, sign in walk:
+        if not 0 <= arc_id < net.arc_count:
+            raise ValueError(f"arc id {arc_id} is out of range")
         arc = net.arcs[arc_id]
         tail, tip = (arc.src, arc.dst) if sign > 0 else (arc.dst, arc.src)
         if head is None:
@@ -510,8 +498,8 @@ def express_in_cycle_basis(ts: TreeStructure, flow: Flow, other: Flow):
     an optimal flow for this structure).
     """
     net = ts.network
-    if len(flow.values) != net.arc_count or len(other.values) != net.arc_count:
-        raise DimensionMismatchError("flows must index the structure's network")
+    _require_dimensions(net, flow)
+    _require_dimensions(net, other)
     coefficients: dict[int, int] = {}
     for arc_id in zero_cost_nontree_set(ts):
         delta = other.values[arc_id] - flow.values[arc_id]

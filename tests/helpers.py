@@ -15,7 +15,7 @@ from flowenum.enumeration import _split, optimal_face
 from flowenum.errors import InvariantError
 from flowenum.kbest import find_second_best_flow
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
-from flowenum.treebounds import _PIVOT_CAP, _adjacency, _headroom, _tree_path
+from flowenum.treebounds import _PIVOT_CAP, _adjacency, _cycle, _headroom
 
 
 def make_network(node_count, specs, balances) -> Network:
@@ -348,10 +348,7 @@ def rescan_pivot_to_optimal(net: Network, values, tree: list[int], pivots: list[
                 orientation = -1
             else:
                 continue
-            members = [(arc_id, orientation)] + [
-                (step, orientation * sign)
-                for step, sign in _tree_path(parent_node, parent_arc, depth, net, arc.dst, arc.src)
-            ]
+            members = _cycle(net.arcs, parent_node, parent_arc, depth, arc_id, orientation)
             if min(_headroom(net, values, e, s) for e, s in members) > 0:
                 continue  # a genuinely negative cycle: the flow was not optimal
             swap = (arc_id, members)

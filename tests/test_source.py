@@ -29,3 +29,46 @@ def test_exports_are_the_readme_library_names():
     names = [name.strip() for name in block.replace("\n", ",").split(",") if name.strip()]
     assert sorted(flowenum.__all__) == sorted(names)
     assert len(names) == len(set(names)) == 10
+
+
+def test_private_module_names_are_used_in_the_package():
+    # A private function or constant that only tests still call belongs in
+    # tests/helpers.py; one that nothing calls is dead.  Uses are matched to
+    # the module that defines the name, so a namesake in another module
+    # does not keep it alive.
+    trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
+    defined = []  # (module, name, first line, last line)
+    for module, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                names = [node.name]
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                names = [target.id for target in targets if isinstance(target, ast.Name)]
+            else:
+                continue
+            defined.extend((module, name, node.lineno, node.end_lineno) for name in names
+                           if name.startswith("_") and not name.startswith("__"))
+    assert len(defined) > 10
+    uses = set()  # (defining module, name, using module, line)
+    for module, tree in trees.items():
+        imported = {
+            alias.asname or alias.name: (f"{node.module}.py", alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module
+            for alias in node.names
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                uses.add((*imported.get(node.id, (module, node.id)), module, node.lineno))
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+                uses.add((f"{node.value.id}.py", node.attr, module, node.lineno))
+    unused = [
+        f"{module}:{name}"
+        for module, name, first, last in defined
+        if not any(
+            (source, used) == (module, name) and not (where == module and first <= line <= last)
+            for source, used, where, line in uses
+        )
+    ]
+    assert unused == []

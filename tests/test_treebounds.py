@@ -287,6 +287,93 @@ class TestInducedCycle:
             induced_cycle(ts, 2)
 
 
+def is_closed_walk(net, members):
+    """Does each step start where the one before it ended, signs read relative to the first's?
+
+    Members list the first arc, then the tree path from its head back to
+    its tail.  When the first carries -1 every sign is flipped, so the
+    steps chain in this order only once that flip is undone.
+    """
+    first = members[0][1]
+    ends = []
+    for arc_id, sign in members:
+        arc = net.arcs[arc_id]
+        ends.append((arc.src, arc.dst) if sign * first > 0 else (arc.dst, arc.src))
+    return all(tail == ends[i - 1][1] for i, (tail, _) in enumerate(ends))
+
+
+class TestMemberOrder:
+    """Members are listed as a closed walk, not only as a signed arc set."""
+
+    def check_structure(self, net, flow):
+        _, ts = to_tree_solution(net, flow)
+        nontree = sorted(ts.lower_set | ts.upper_set)
+        for arc_id in nontree:
+            members = induced_cycle(ts, arc_id).members
+            assert members[0] == (arc_id, 1 if arc_id in ts.lower_set else -1)
+            assert is_closed_walk(net, members)
+        return len(nontree)
+
+    def check_free_cycle(self, net, free, walk):
+        assert walk is not None
+        assert is_closed_walk(net, walk)
+        assert {arc_id for arc_id, _ in walk} <= set(free)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grids(self, seed):
+        rng = random.Random(seed)
+        net = random_grid_network(rng, 12, 12, both_ways=True)
+        assert self.check_structure(net, solve_min_cost_flow(net)) > 100
+        # Values strictly inside the bounds of both arcs of a grid edge close free cycles.
+        values = [arc.lower + rng.randint(0, arc.span) for arc in net.arcs]
+        free = [a for a, arc in enumerate(net.arcs) if arc.lower < values[a] < arc.upper]
+        self.check_free_cycle(net, free, treebounds._find_free_cycle(net, free))
+
+    def test_small_instances(self, monkeypatch):
+        # Witness flows leave free cycles, each checked as it is canceled.
+        find, walks = treebounds._find_free_cycle, []
+
+        def checked(net, free):
+            walk = find(net, free)
+            if walk is not None:
+                self.check_free_cycle(net, free, walk)
+                walks.append(walk)
+            return walk
+
+        monkeypatch.setattr(treebounds, "_find_free_cycle", checked)
+        rng = random.Random(67)
+        cycles = 0
+        for _ in range(300):
+            net, witness = random_feasible_network(rng, max_nodes=8, max_arcs=20)
+            cycles += self.check_structure(net, witness)
+        assert cycles > 1000 and len(walks) > 50
+
+
+class TestRejectedInputs:
+    @pytest.mark.parametrize("length", [6, 8])
+    def test_flow_of_another_length(self, eleven_optima_network, eleven_optima_flow, length):
+        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        wrong = Flow((*tree_flow.values, 0)[:length])
+        with pytest.raises(DimensionMismatchError):
+            count_lower_bound(ts, zero_cost_nontree_set(ts), wrong)
+        with pytest.raises(DimensionMismatchError):
+            feasible_count_bounds(ts, wrong)
+        with pytest.raises(DimensionMismatchError):
+            induced_cycle_capacity(ts, wrong, induced_cycle(ts, 4))
+
+    @pytest.mark.parametrize("bad", [7, -1])
+    def test_arc_id_out_of_range(self, eleven_optima_network, eleven_optima_flow, bad):
+        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        message = f"arc id {bad} is out of range"
+        with pytest.raises(ValueError, match=message):
+            induced_cycle(ts, bad)
+        with pytest.raises(ValueError, match=message):
+            count_lower_bound(ts, [bad], tree_flow)
+        # a->b, b->d, then the bad id; -1 would read as arc 6, d->e, which chains.
+        with pytest.raises(ValueError, match=message):
+            decompose_cycle(ts, [(0, 1), (3, 1), (bad, 1)])
+
+
 class TestCycleCapacity:
     """The count bounds' capacity walk against building each induced cycle."""
 
