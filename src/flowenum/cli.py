@@ -34,13 +34,7 @@ from .errors import (
 )
 from .kbest import iter_k_best_flows
 from .solver import solve_min_cost_flow
-from .treebounds import (
-    count_lower_bound,
-    count_upper_bound,
-    feasible_count_bounds,
-    to_tree_solution,
-    zero_cost_nontree_set,
-)
+from .treebounds import _cycle_capacity, count_upper_bound, to_tree_solution, zero_cost_nontree_set
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -146,15 +140,18 @@ def _cmd_bounds(args, net, out, started) -> int:
     flow = next(flows)
     tree_flow, structure = to_tree_solution(net, flow)
     zero_arcs = zero_cost_nontree_set(structure)
-    feasible_lower, feasible_upper = feasible_count_bounds(structure, tree_flow)
+    # count_lower_bound's two readings and feasible_count_bounds, each cycle capacity read once.
+    nontree = sorted(structure.lower_set | structure.upper_set)
+    capacity = {arc: _cycle_capacity(structure, tree_flow.values, arc) for arc in nontree}
+    zero_total = sum(capacity[arc] for arc in zero_arcs)
     extra = {
         "count": 0,
         "optimal_cost": flow_cost(net, flow),
         "upper_bound": count_upper_bound(structure, zero_arcs),
-        "lower_bound": count_lower_bound(structure, zero_arcs, tree_flow),
-        "lower_bound_min_reading": count_lower_bound(structure, zero_arcs, tree_flow, reading="min"),
-        "feasible_lower_bound": feasible_lower,
-        "feasible_upper_bound": feasible_upper,
+        "lower_bound": max(1, zero_total),
+        "lower_bound_min_reading": min(1, zero_total),
+        "feasible_lower_bound": max(1, sum(capacity.values())),
+        "feasible_upper_bound": count_upper_bound(structure, nontree),
         "zero_cost_arcs": list(zero_arcs),
     }
     if args.exact:

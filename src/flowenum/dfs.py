@@ -12,9 +12,12 @@ need a lowest common ancestor, found by walking parent links.
 
 One kernel, `another_flow`, runs the search on a `core.Frame` and pushes one
 unit around the cycle it finds; `find_another_feasible_flow` runs it on a
-network's own frame.  `build_dfs_forest` and `find_proper_cycle` read a
-`ResidualGraph`, whose ids are positions in its arcs.  Both readings list
-out-arcs by (origin arc, forward first), so they find the same cycle.
+network's own frame.  `_search` also returns the out-lists and forest, so a
+region with one residual id less can start from them: `_drop` removes the id
+and patches the forest in place, unless it was a tree or long backward arc.
+`build_dfs_forest` and `find_proper_cycle` read a `ResidualGraph`, whose ids
+are positions in its arcs.  Both readings list out-arcs by (origin arc,
+forward first), so they find the same cycle.
 """
 
 from __future__ import annotations
@@ -104,11 +107,32 @@ def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
                 stack.pop()
                 done[node] = True
 
-    sbalow = [0] * n
-    for node in discovery:
-        sbalow[node] = sbalow[parent_node[node]] if short_back[node] else order[node]
-    return DfsForest(order, discovery, parent_node, parent_arc, tree_root, depth, tail,
-                     arc_class, short_back, sbalow, long_back, forward, cross)
+    return _sbalow(DfsForest(order, discovery, parent_node, parent_arc, tree_root, depth, tail,
+                             arc_class, short_back, [0] * n, long_back, forward, cross))
+
+
+def _sbalow(forest: DfsForest) -> DfsForest:
+    """`forest` with its SBAlow values set top-down from parents and short backward arcs."""
+    sbalow, order, parent = forest.sbalow, forest.order, forest.parent_node
+    for node in forest.discovery:
+        sbalow[node] = sbalow[parent[node]] if forest.short_back_arcs[node] else order[node]
+    return forest
+
+
+def _drop(out: list[list[int]], forest: DfsForest, index: int, head: list[int]) -> DfsForest:
+    """Remove id `index` from its tail's out-list and return the forest of what is left: a
+    forward, cross or short backward arc changes no discovery or finishing time, so
+    removing one patches the forest in place, equal to a new one, field by field."""
+    tail, kind = forest.tail[index], forest.arc_class[index]
+    out[tail].remove(index)
+    if kind in (TREE, BACKWARD_LONG):
+        return _forest(out, head)
+    forest.tail[index] = forest.arc_class[index] = 0
+    short = forest.short_back_arcs[tail]
+    {FORWARD: forest.forward, CROSS: forest.cross, BACKWARD_SHORT: short}[kind].remove(index)
+    if kind == BACKWARD_SHORT and not short:
+        _sbalow(forest)
+    return forest
 
 
 def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
@@ -202,17 +226,27 @@ def find_proper_cycle(rg: ResidualGraph, forest: DfsForest | None = None) -> Cyc
     return None if cycle is None else Cycle(tuple(rg.arcs[index] for index in cycle))
 
 
+def _search(frame: Frame, values: Sequence[int], reuse=None):
+    """`another_flow`, and the out-lists and forest it searched.  `reuse` is the `(out,
+    forest, index)` of a search from `values` in a region that also held id `index`."""
+    head = frame.head
+    if reuse is not None:
+        out, forest = reuse[0], _drop(*reuse, head)
+    else:
+        out = [[] for _ in range(frame.node_count)]
+        for index, value, lo, hi in zip(range(0, len(head), 2), values, frame.lower, frame.upper):
+            if value < hi:
+                out[head[index + 1]].append(index)
+            if value > lo:
+                out[head[index]].append(index + 1)
+        forest = _forest(out, head)
+    cycle = _proper_cycle(forest, head, frame.origin)
+    return (None if cycle is None else push_unit(frame, values, cycle)), out, forest
+
+
 def another_flow(frame: Frame, values: Sequence[int]) -> Flow | None:
     """Another flow one unit from `values`, which must be feasible within the bounds, or None."""
-    head, lower, upper = frame.head, frame.lower, frame.upper
-    out: list[list[int]] = [[] for _ in range(frame.node_count)]
-    for index, value, lo, hi in zip(range(0, len(head), 2), values, lower, upper):
-        if value < hi:
-            out[head[index + 1]].append(index)
-        if value > lo:
-            out[head[index]].append(index + 1)
-    cycle = _proper_cycle(_forest(out, head), head, frame.origin)
-    return None if cycle is None else push_unit(frame, values, cycle)
+    return _search(frame, values)[0]
 
 
 def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:

@@ -7,7 +7,11 @@ optimal face's bounds with some arcs narrowed in place.  The search is depth
 first, so one stack is also the undo trail: a split pushes the arc's bounds
 to restore, the half that moves to the new flow, and on top the half that
 keeps the witness.  A region differs from its parent on the split arc alone,
-so the witness stays feasible if it lies within that arc's new bounds.
+so the witness stays feasible if it lies within that arc's new bounds.  The
+half that keeps the witness is searched straight after its parent, and its
+residual graph is the parent's less the cycle's id on the split arc, so it
+takes the parent's out-lists and forest with that id dropped.  Every other
+region builds both afresh.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 from .core import Flow, Frame, Network
-from .dfs import another_flow
+from .dfs import _search
 from .errors import IdenticalFlowsError, InvariantError
 from .solver import _potentials, _solve, compute_reduced_costs
 
@@ -60,10 +64,11 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
     yield first
     reduced_costs = compute_reduced_costs(net, _potentials(frame, first.values))
     frame = optimal_face(frame, first.values, reduced_costs)
-    # (witness, arc, lo, hi) searches with the arc narrowed; no witness restores it.
-    pending: list = [(first.values, None, 0, 0)]
+    # (witness, arc, lo, hi, reuse) searches with the arc narrowed; no witness restores
+    # it.  The half that keeps the witness carries the parent's search as `reuse`.
+    pending: list = [(first.values, None, 0, 0, None)]
     while pending:
-        witness, arc, lo, hi = pending.pop()
+        witness, arc, lo, hi, reuse = pending.pop()
         if arc is not None:
             frame.lower[arc], frame.upper[arc] = lo, hi
             if witness is None:
@@ -72,11 +77,12 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
                 raise InvariantError(f"the witness leaves its region on arc {arc}")
         if stats is not None:
             stats.another_flow_calls += 1
-        other = another_flow(frame, witness)
+        other, out, forest = _search(frame, witness, reuse)
         if other is None:
             continue
         yield other
         arc, keep_here, move_there = _split(witness, other.values, frame.lower, frame.upper)
-        pending.append((None, arc, frame.lower[arc], frame.upper[arc]))
-        pending.append((other.values, arc, *move_there))
-        pending.append((witness, arc, *keep_here))
+        pending.append((None, arc, frame.lower[arc], frame.upper[arc], None))
+        pending.append((other.values, arc, *move_there, None))
+        dropped = 2 * arc + (witness[arc] > other.values[arc])  # the cycle's id on the arc
+        pending.append((witness, arc, *keep_here, (out, forest, dropped)))

@@ -458,6 +458,8 @@ def decompose_cycle(ts: TreeStructure, walk: Sequence[tuple[int, int]]) -> list[
     for arc_id, sign in walk:
         if not 0 <= arc_id < net.arc_count:
             raise ValueError(f"arc id {arc_id} is out of range")
+        if sign not in (1, -1):
+            raise ValueError(f"step sign {sign} is not 1 or -1")
         arc = net.arcs[arc_id]
         tail, tip = (arc.src, arc.dst) if sign > 0 else (arc.dst, arc.src)
         if head is None:

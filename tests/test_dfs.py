@@ -246,6 +246,44 @@ class TestScanMatchesTheSweepReference:
         assert len(regions) > 600 and 0 < regions.count(False) < len(regions)
 
 
+class TestKeepChildReuse:
+    """A keep half's patched out-lists and forest equal fresh ones, and so do its cycle and flow."""
+
+    def test_every_keep_child_of_grids(self, monkeypatch):
+        search, scan = flowenum.dfs._search, flowenum.dfs._proper_cycle
+        paths = Counter()
+
+        def checked(frame, values, reuse=None):
+            if reuse is None:
+                return search(frame, values)
+            fresh = search(frame, values)
+            out, forest, index = reuse
+            kind = forest.arc_class[index]
+            if kind == BACKWARD_SHORT:
+                # True when the tail loses its last short backward arc, so SBAlow is recomputed.
+                kind = (kind, forest.short_back_arcs[forest.tail[index]] == [index])
+            paths[kind] += 1
+            found = search(frame, values, reuse)
+            assert found[1] == fresh[1] and found[2] == fresh[2]
+            assert scan(found[2], frame.head, frame.origin) == scan(fresh[2], frame.head,
+                                                                    frame.origin)
+            assert found[0] == fresh[0]
+            return found
+
+        monkeypatch.setattr(flowenum.enumeration, "_search", checked)
+        for max_cost in (0, 1):
+            for seed in range(3):
+                grid = random_grid_network(random.Random(seed), 6, 6, min_cost=0,
+                                           max_cost=max_cost, both_ways=True)
+                reused = sum(paths.values())
+                assert len(list(islice(iter_optimal_flows(grid), 400))) == 400
+                # Every flow after the first opens a keep half, and each is searched but
+                # the last one's: the generator stops at the 400th flow.
+                assert sum(paths.values()) - reused == 398
+        assert paths[TREE] and paths[FORWARD] + paths[CROSS]
+        assert paths[BACKWARD_SHORT, True] and paths[BACKWARD_SHORT, False]
+
+
 class TestFindAnotherFeasibleFlow:
     def test_zerocycle_replay(self, zerocycle_network, zerocycle_flow, zerocycle_augmented_flow):
         other = find_another_feasible_flow(zerocycle_network, zerocycle_flow)

@@ -214,6 +214,19 @@ class TestFrameSearch:
             assert calls == {}
         assert stats.another_flow_calls > 300
 
+    # Regions searched for the first 400 flows, recorded while every search still
+    # built its out-lists and forest afresh: reusing a keep half's parent state
+    # must neither add nor skip a region.
+    @pytest.mark.parametrize("max_cost, seed, regions",
+                             [(0, 0, 743), (0, 1, 739), (0, 2, 743),
+                              (1, 0, 783), (1, 1, 783), (1, 2, 791)])
+    def test_regions_searched_are_pinned(self, max_cost, seed, regions):
+        grid = random_grid_network(random.Random(seed), 6, 6, min_cost=0, max_cost=max_cost,
+                                   both_ways=True)
+        stats = EnumerationStats()
+        assert len(list(islice(iter_optimal_flows(grid, stats), 400))) == 400
+        assert stats.another_flow_calls == regions
+
     def test_stats_count_every_region(self, eleven_optima_network):
         for net in (eleven_optima_network, linked_cycles(random.Random(5), 3, 3)[0]):
             stats = EnumerationStats()

@@ -374,6 +374,16 @@ class TestRejectedInputs:
             decompose_cycle(ts, [(0, 1), (3, 1), (bad, 1)])
 
 
+    # Each walk chains once every sign that is not positive reads as -1.
+    @pytest.mark.parametrize("walk", [[(0, 5), (3, 9), (2, 0)], [(0, 1), (3, 1), (2, 0)],
+                                      [(0, 1), (3, 2), (2, -1)]])
+    def test_step_sign_other_than_one_or_minus_one(self, eleven_optima_network,
+                                                   eleven_optima_flow, walk):
+        _, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        with pytest.raises(ValueError, match="step sign -?[0-9]+ is not 1 or -1"):
+            decompose_cycle(ts, walk)
+        assert decompose_cycle(ts, [(arc, 1 if sign > 0 else -1) for arc, sign in walk])
+
 class TestCycleCapacity:
     """The count bounds' capacity walk against building each induced cycle."""
 
