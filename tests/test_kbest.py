@@ -6,8 +6,9 @@ import pytest
 
 import flowenum.kbest
 from flowenum.bruteforce import enumerate_all_feasible_bruteforce, k_best_bruteforce
-from flowenum.core import Flow, check_feasible, flow_cost, frame_of, residual_room
-from flowenum.dfs import find_another_feasible_flow
+from flowenum.core import Flow, check_feasible, flow_cost, frame_of, push_unit, residual_room
+from flowenum.dfs import _forest, _proper_cycle, another_flow, find_another_feasible_flow
+from flowenum.enumeration import optimal_face
 from flowenum.errors import (
     InfeasibleError,
     InfeasibleFlowError,
@@ -15,7 +16,7 @@ from flowenum.errors import (
     NegativeCycleError,
     UnbalancedSupplyError,
 )
-from flowenum.kbest import find_second_best_flow, iter_k_best_flows
+from flowenum.kbest import _nearest, find_second_best_flow, iter_k_best_flows
 from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 from helpers import (
@@ -52,20 +53,19 @@ def dijkstra_from(net, flow, potential, source):
 
 
 def watch_searches(monkeypatch):
-    """Wrap kbest's Dijkstra; per search, log (source, nodes read, nodes a full run yields)."""
+    """Wrap kbest's search kernel; per search, log (source, nodes read, nodes a full run yields)."""
     log = []
 
-    def watched(head, cost, room, potential, incident, source, dist, pred):
-        n = len(incident)
-        full = sum(1 for _ in _dijkstra(head, cost, room, potential, incident, source,
-                                        [None] * n, [None] * n))
+    def watched(out, source, dist, pred):
+        n = len(out)
+        full = sum(1 for _ in _nearest(out, source, [None] * n, [None] * n))
         read = []
         log.append((source, read, full))
-        for node in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
+        for node in _nearest(out, source, dist, pred):
             read.append(node)
             yield node
 
-    monkeypatch.setattr(flowenum.kbest, "_dijkstra", watched)
+    monkeypatch.setattr(flowenum.kbest, "_nearest", watched)
     return log
 
 
@@ -327,13 +327,13 @@ class TestFindSecondBest:
         net = make_network(2, [(0, 1, 0, 1, 1), (1, 0, 0, 1, 1)], (0, 0))
         assert find_second_best_flow(net, Flow((0, 0))) == Flow((1, 1))
 
-        def corrupted(head, cost, room, potential, incident, source, dist, pred):
-            for node in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
+        def corrupted(out, source, dist, pred):
+            for node in _nearest(out, source, dist, pred):
                 if (source, node) == (1, 0):
                     pred[0] = 1
                 yield node
 
-        monkeypatch.setattr(flowenum.kbest, "_dijkstra", corrupted)
+        monkeypatch.setattr(flowenum.kbest, "_nearest", corrupted)
         with pytest.raises(InvariantError, match="uses an arc twice"):
             find_second_best_flow(net, Flow((0, 0)))
 
@@ -359,6 +359,73 @@ class TestFindSecondBest:
             else:
                 assert second is not None
                 assert flow_cost(net, second) == flow_cost(net, ranked[1])
+
+
+# Head searches and nodes read per `iter_k_best_flows(net, 10)` on
+# random_grid_network(Random(seed), 8, 8), as counted when the offers still
+# searched with the solver's Dijkstra: the kernel neither adds nor skips one.
+SEARCH_COUNTS = {0: (557, 8504), 1: (485, 9475), 2: (513, 12005), 3: (656, 8334),
+                 4: (590, 9937), 5: (451, 6323)}
+
+
+def yielded(walk, dist, pred):
+    """The nodes a search yields, each with its dist and pred entries then, and the final lists."""
+    return [(node, dist[node], pred[node]) for node in walk], dist, pred
+
+
+class TestOfferLists:
+    """The lists one pass over the residual ids builds per offer, against the searches they replace."""
+
+    def test_kernel_matches_the_solver_dijkstra_from_every_candidate_head(self, monkeypatch):
+        lists = []
+        monkeypatch.setattr(flowenum.kbest, "_nearest",
+                            lambda out, *rest: lists.append(out) or _nearest(out, *rest))
+        compared = 0
+        for seed in range(6):
+            lists.clear()
+            net = random_grid_network(random.Random(seed), 8, 8)
+            best = solve_min_cost_flow(net)
+            find_second_best_flow(net, best)
+            if not lists:  # a tie came first, so no cycle was searched
+                continue
+            room, potential = residual_room(frame_of(net), best.values), compute_node_potentials(net, best)
+            for head in candidate_tails(net, best):
+                mine, theirs = (([None] * net.node_count, [None] * net.node_count) for _ in range(2))
+                assert (yielded(_nearest(lists[0], head, *mine), *mine)
+                        == yielded(search(net, room, potential, head, *theirs), *theirs))
+                compared += 1
+        assert compared > 100
+
+    def test_tie_search_matches_the_optimal_face_search(self):
+        ties = sensitive = 0
+        for seed in range(8):
+            for min_cost, max_cost, both_ways in ((0, 0, True), (0, 1, False), (0, 1, True)):
+                net = random_grid_network(random.Random(seed), 5, 5, min_cost=min_cost,
+                                          max_cost=max_cost, both_ways=both_ways)
+                best = solve_min_cost_flow(net)
+                frame, potential = frame_of(net), compute_node_potentials(net, best)
+                reduced_costs = compute_reduced_costs(net, potential)
+                tied = another_flow(optimal_face(frame, best.values, reduced_costs), best.values)
+                second = find_second_best_flow(net, best)
+                if tied is None:
+                    assert second is None or flow_cost(net, second) > flow_cost(net, best)
+                    continue
+                ties += 1
+                assert second == tied
+                # Count the grids where the face's out-lists in `incident` order
+                # (forward ids before backward ones) lead the DFS to another tie.
+                room = residual_room(frame, best.values)
+                face = [[index for index in ids if room[index] and not reduced_costs[index >> 1]]
+                        for ids in frame.incident]
+                cycle = _proper_cycle(_forest(face, frame.head), frame.head, frame.origin)
+                sensitive += push_unit(frame, best.values, cycle) != tied
+        assert 15 < ties < 24 and sensitive > 3
+
+    @pytest.mark.parametrize("seed", sorted(SEARCH_COUNTS))
+    def test_search_counts_are_pinned(self, monkeypatch, seed):
+        searches = watch_searches(monkeypatch)
+        list(iter_k_best_flows(random_grid_network(random.Random(seed), 8, 8), 10))
+        assert (len(searches), sum(len(read) for _, read, _ in searches)) == SEARCH_COUNTS[seed]
 
 
 class TestKBest:
