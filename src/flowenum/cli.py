@@ -34,7 +34,7 @@ from .errors import (
 )
 from .kbest import iter_k_best_flows
 from .solver import solve_min_cost_flow
-from .treebounds import _cycle_capacity, count_upper_bound, to_tree_solution, zero_cost_nontree_set
+from .treebounds import count_upper_bound, induced_cycle_capacity, to_tree_solution, zero_cost_nontree_set
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -140,9 +140,9 @@ def _cmd_bounds(args, net, out, started) -> int:
     flow = next(flows)
     tree_flow, structure = to_tree_solution(net, flow)
     zero_arcs = zero_cost_nontree_set(structure)
-    # count_lower_bound's two readings and feasible_count_bounds, each cycle capacity read once.
+    # Both readings of the lower bound and the feasible bounds, each cycle capacity read once.
     nontree = sorted(structure.lower_set | structure.upper_set)
-    capacity = {arc: _cycle_capacity(structure, tree_flow.values, arc) for arc in nontree}
+    capacity = {arc: induced_cycle_capacity(structure, tree_flow, arc) for arc in nontree}
     zero_total = sum(capacity[arc] for arc in zero_arcs)
     extra = {
         "count": 0,

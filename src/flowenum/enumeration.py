@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .core import Flow, Frame, Network
+from .core import Flow, Frame, Network, residual_room
 from .dfs import _search
 from .errors import IdenticalFlowsError, InvariantError
 from .solver import _potentials, _solve, compute_reduced_costs
@@ -62,7 +62,7 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
     """
     frame, first = _solve(net)
     yield first
-    reduced_costs = compute_reduced_costs(net, _potentials(frame, first.values))
+    reduced_costs = compute_reduced_costs(net, _potentials(frame, residual_room(frame, first.values)))
     frame = optimal_face(frame, first.values, reduced_costs)
     # (witness, arc, lo, hi, reuse) searches with the arc narrowed; no witness restores
     # it.  The half that keeps the witness carries the parent's search as `reuse`.

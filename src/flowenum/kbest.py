@@ -35,18 +35,18 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     """The cheapest flow other than the optimal `flow`, ties first; raises InfeasibleFlowError."""
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot search from an infeasible flow")
-    return _second_best(net, frame_of(net), flow.values)
+    return _second_best(frame_of(net), flow.values)
 
 
-def _second_best(net: Network, region: Frame, values) -> Flow | None:
+def _second_best(region: Frame, values) -> Flow | None:
     """`find_second_best_flow` within the region's bounds; `values` must be optimal there."""
-    potential = _potentials(region, values)
     head, cost = region.head, region.cost
     room = residual_room(region, values)
+    potential = _potentials(region, room)
     # Pruned searches scan only part of the residual graph, so every weight is checked
     # here.  Each id whose reverse has no room starts a candidate cycle.
-    out: list[list] = [[] for _ in range(net.node_count)]   # (weight, head, id), `incident` order
-    face: list[list] = [[] for _ in range(net.node_count)]  # weight-0 ids: the optimal face's
+    out: list[list] = [[] for _ in range(region.node_count)]   # (weight, head, id), `incident` order
+    face: list[list] = [[] for _ in range(region.node_count)]  # weight-0 ids: the optimal face's
     groups: dict[int, list] = {}  # head -> candidates (weight, id, tail)
     for node, ids in enumerate(region.incident):
         for index in ids:
@@ -76,7 +76,7 @@ def _second_best(net: Network, region: Frame, values) -> Flow | None:
         group = groups[start]
         radius = math.inf if best_key is None else best_key[0] - least
         waiting = {tail for *_, tail in group}
-        dist, pred = [None] * net.node_count, [None] * net.node_count
+        dist, pred = [None] * region.node_count, [None] * region.node_count
         for node in _nearest(out, start, dist, pred):
             if dist[node] > radius:
                 break
@@ -126,7 +126,7 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
 
     def offer(lower: list[int], upper: list[int], region_best) -> None:
         frame.lower, frame.upper = lower, upper
-        challenger = _second_best(net, frame, region_best)
+        challenger = _second_best(frame, region_best)
         if challenger is not None:
             heappush(heap, (flow_cost(net, challenger), next(ticket), lower, upper,
                             region_best, challenger))

@@ -4,7 +4,7 @@ The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
 cost nonnegative), and each augmentation runs Dijkstra with potentials over
 the network's `core.Frame`.  `compute_node_potentials` checks feasibility
-and runs `_potentials`, the Bellman-Ford that the searches call on their frame.
+and runs `_potentials`, the Bellman-Ford that the searches call on their room.
 
 The Dijkstra is a generator that yields nodes as they settle, reading room
 and potentials afresh, as both move on every augmentation (K-best searches
@@ -139,14 +139,14 @@ def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
     """
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot build the residual graph of an infeasible flow")
-    return _potentials(frame_of(net), flow.values)
+    frame = frame_of(net)
+    return _potentials(frame, residual_room(frame, flow.values))
 
 
-def _potentials(frame: Frame, values) -> tuple[int, ...]:
-    """`compute_node_potentials` for `values`, which must be feasible within the frame's bounds."""
+def _potentials(frame: Frame, room) -> tuple[int, ...]:
+    """`compute_node_potentials` over `room`, the `residual_room` of a flow feasible in the frame."""
     head, cost = frame.head, frame.cost
-    edges = [(head[index ^ 1], head[index], cost[index])
-             for index, spare in enumerate(residual_room(frame, values)) if spare]
+    edges = [(head[index ^ 1], head[index], cost[index]) for index, spare in enumerate(room) if spare]
     big = 1 + sum(abs(weight) * max(1, hi) for weight, hi in zip(cost[::2], frame.upper))
     dist = [big] * frame.node_count
     dist[0] = 0

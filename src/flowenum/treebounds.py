@@ -380,12 +380,23 @@ def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
     return Flow(tuple(values)), structure
 
 
+def _nontree_ids(ts: TreeStructure, arc_ids) -> list[int]:
+    """The ids in order, each checked to name a non-tree arc and to appear once."""
+    seen: dict[int, None] = {}
+    for arc_id in arc_ids:
+        if not 0 <= arc_id < ts.network.arc_count:
+            raise ValueError(f"arc id {arc_id} is out of range")
+        if ts.is_tree_arc(arc_id):
+            raise ArcInTreeError(f"arc {arc_id} is a tree arc")
+        if arc_id in seen:
+            raise ValueError(f"arc id {arc_id} is listed twice")
+        seen[arc_id] = None
+    return list(seen)
+
+
 def _induced_members(ts: TreeStructure, arc_id: int):
     """`_cycle` of a non-tree arc, oriented by its lower/upper side."""
-    if not 0 <= arc_id < ts.network.arc_count:
-        raise ValueError(f"arc id {arc_id} is out of range")
-    if ts.is_tree_arc(arc_id):
-        raise ArcInTreeError(f"arc {arc_id} is a tree arc")
+    _nontree_ids(ts, (arc_id,))
     sign = 1 if arc_id in ts.lower_set else -1
     return _cycle(ts.network.arcs, ts.parent_node, ts.parent_arc, ts.depth, arc_id, sign)
 
@@ -395,15 +406,10 @@ def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
     return InducedCycle(arc_id, tuple(_induced_members(ts, arc_id)))
 
 
-def induced_cycle_capacity(ts: TreeStructure, flow: Flow, cycle: InducedCycle) -> int:
-    """Largest augmentation the cycle's orientation admits at this flow."""
+def induced_cycle_capacity(ts: TreeStructure, flow: Flow, arc_id: int) -> int:
+    """Largest augmentation the induced cycle of non-tree arc `arc_id` admits at this flow."""
     _require_dimensions(ts.network, flow)
-    return min(_headroom(ts.network, flow.values, e, s) for e, s in cycle.members)
-
-
-def _cycle_capacity(ts: TreeStructure, values, arc_id: int) -> int:
-    """`induced_cycle_capacity` of the arc's induced cycle, without building an `InducedCycle`."""
-    return min(_headroom(ts.network, values, e, s) for e, s in _induced_members(ts, arc_id))
+    return min(_headroom(ts.network, flow.values, e, s) for e, s in _induced_members(ts, arc_id))
 
 
 def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:
@@ -416,26 +422,17 @@ def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:
 def count_upper_bound(ts: TreeStructure, zero_arcs) -> int:
     """max(1, product of (span + 1)) over the basis arcs, capped at 2**63 - 1."""
     total = 1
-    for arc_id in zero_arcs:
+    for arc_id in _nontree_ids(ts, zero_arcs):
         total *= ts.network.arcs[arc_id].span + 1
         if total > COUNT_CAP:
             return COUNT_CAP
-    return max(1, total)
+    return total
 
 
-def count_lower_bound(ts: TreeStructure, zero_arcs, flow: Flow, reading: str = "max") -> int:
-    """Sum of induced-cycle capacities over the basis arcs.
-
-    The "max" reading returns max(1, sum); "min" returns min(1, sum), which
-    is vacuous but reported alongside for comparison.
-    """
+def count_lower_bound(ts: TreeStructure, zero_arcs, flow: Flow) -> int:
+    """max(1, sum of induced-cycle capacities) over the basis arcs."""
     _require_dimensions(ts.network, flow)
-    total = sum(_cycle_capacity(ts, flow.values, a) for a in zero_arcs)
-    if reading == "max":
-        return max(1, total)
-    if reading == "min":
-        return min(1, total)
-    raise ValueError(f"unknown reading {reading!r}")
+    return max(1, sum(induced_cycle_capacity(ts, flow, a) for a in _nontree_ids(ts, zero_arcs)))
 
 
 def feasible_count_bounds(ts: TreeStructure, flow: Flow) -> tuple[int, int]:

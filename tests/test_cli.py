@@ -285,8 +285,19 @@ class TestBounds:
         summary = lines[-1]
         assert summary["upper_bound"] == 11
         assert summary["lower_bound"] == 10
+        assert summary["lower_bound_min_reading"] == 1
         assert summary["exact_count"] == 11
         assert summary["feasible_upper_bound"] == 44
+
+    def test_each_cycle_capacity_is_read_once(self, tmp_path, monkeypatch, eleven_optima_network):
+        # The tree arcs are (2, 3, 5, 6), so arcs 0, 1 and 4 close the induced cycles.
+        read = []
+        capacity = flowenum.cli.induced_cycle_capacity
+        monkeypatch.setattr(flowenum.cli, "induced_cycle_capacity",
+                            lambda ts, flow, arc: read.append(arc) or capacity(ts, flow, arc))
+        code, lines, _ = invoke(["bounds", write_instance(tmp_path, eleven_optima_network)])
+        assert code == 0 and lines[-1]["feasible_lower_bound"] == 10
+        assert sorted(read) == [0, 1, 4]
 
     def test_exact_count_solves_once(self, tmp_path, monkeypatch, eleven_optima_network):
         import flowenum.enumeration

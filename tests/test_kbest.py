@@ -316,7 +316,7 @@ class TestFindSecondBest:
         )
         best = Flow((1, 0, 0, 1))
         assert best == solve_min_cost_flow(net)
-        monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, values: (0, 1, 0, 200))
+        monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room: (0, 1, 0, 200))
         with pytest.raises(InvariantError):
             find_second_best_flow(net, best)
 
@@ -420,6 +420,17 @@ class TestOfferLists:
                 cycle = _proper_cycle(_forest(face, frame.head), frame.head, frame.origin)
                 sensitive += push_unit(frame, best.values, cycle) != tied
         assert 15 < ties < 24 and sensitive > 3
+
+    def test_each_offer_builds_its_residual_room_once(self, monkeypatch):
+        offers, rooms = [], []
+        second_best = flowenum.kbest._second_best
+        monkeypatch.setattr(flowenum.kbest, "_second_best",
+                            lambda *args: offers.append(args) or second_best(*args))
+        for module in (flowenum.kbest, flowenum.solver):
+            monkeypatch.setattr(module, "residual_room",
+                                lambda *args: rooms.append(args) or residual_room(*args))
+        list(iter_k_best_flows(random_grid_network(random.Random(3), 8, 8), 10))
+        assert len(offers) > 10 and len(rooms) == len(offers)
 
     @pytest.mark.parametrize("seed", sorted(SEARCH_COUNTS))
     def test_search_counts_are_pinned(self, monkeypatch, seed):

@@ -1,9 +1,12 @@
 """Checks on the package's source text."""
 
 import ast
+import contextlib
+import io
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flowenum"
+README = PACKAGE.parents[1] / "README.md"
 
 
 def test_package_has_no_assert_statements():
@@ -24,11 +27,21 @@ def test_exports_are_the_readme_library_names():
     # The README's Library section imports every exported name in one block.
     import flowenum
 
-    readme = (PACKAGE.parents[1] / "README.md").read_text(encoding="utf-8")
+    readme = README.read_text(encoding="utf-8")
     block = readme.split("from flowenum import (", 1)[1].split(")", 1)[0]
     names = [name.strip() for name in block.replace("\n", ",").split(",") if name.strip()]
     assert sorted(flowenum.__all__) == sorted(names)
     assert len(names) == len(set(names)) == 10
+
+
+def test_readme_library_snippet_runs():
+    # The whole snippet, so its documented calls cannot drift from the library.
+    library = README.read_text(encoding="utf-8").split("## Library", 1)[1]
+    snippet = library.split("```python\n", 1)[1].split("```", 1)[0]
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(compile(snippet, "README.md", "exec"), {})
+    assert printed.getvalue() == "1 <= F <= 1\n"
 
 
 def test_private_module_names_are_used_in_the_package():

@@ -247,7 +247,7 @@ class TestInducedCycle:
         cycle = induced_cycle(ts, 4)
         assert members_by_arc(cycle) == {4: 1, 6: 1, 5: -1}
         assert cycle.cost(eleven_optima_network) == ts.reduced_cost(4) == 0
-        assert induced_cycle_capacity(ts, tree_flow, cycle) == 10
+        assert induced_cycle_capacity(ts, tree_flow, 4) == 10
 
     def test_upper_set_arc_flips_the_orientation(self):
         net = make_network(2, [(0, 1, 0, 2, 2), (0, 1, 0, 1, 2)], (2, -2))
@@ -359,7 +359,7 @@ class TestRejectedInputs:
         with pytest.raises(DimensionMismatchError):
             feasible_count_bounds(ts, wrong)
         with pytest.raises(DimensionMismatchError):
-            induced_cycle_capacity(ts, wrong, induced_cycle(ts, 4))
+            induced_cycle_capacity(ts, wrong, 4)
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_arc_id_out_of_range(self, eleven_optima_network, eleven_optima_flow, bad):
@@ -369,10 +369,33 @@ class TestRejectedInputs:
             induced_cycle(ts, bad)
         with pytest.raises(ValueError, match=message):
             count_lower_bound(ts, [bad], tree_flow)
+        with pytest.raises(ValueError, match=message):
+            count_upper_bound(ts, [bad])
         # a->b, b->d, then the bad id; -1 would read as arc 6, d->e, which chains.
         with pytest.raises(ValueError, match=message):
             decompose_cycle(ts, [(0, 1), (3, 1), (bad, 1)])
 
+    # Tree arcs are (2, 3, 5, 6) and the basis is (4,).
+    @pytest.mark.parametrize("arcs", [[2], [4, 6], [6, 4]])
+    def test_tree_arc_in_a_bound(self, eleven_optima_network, eleven_optima_flow, arcs):
+        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        with pytest.raises(ArcInTreeError):
+            count_upper_bound(ts, arcs)
+        with pytest.raises(ArcInTreeError):
+            count_lower_bound(ts, arcs, tree_flow)
+
+    @pytest.mark.parametrize("arcs", [[4, 4], [0, 4, 1, 4], [1, 1, 0]])
+    def test_arc_id_listed_twice_in_a_bound(self, eleven_optima_network, eleven_optima_flow, arcs):
+        # [4, 4] summed to 20 and so claimed at least 20 of the 11 optima.
+        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        twice = next(arc for arc in arcs if arcs.count(arc) > 1)
+        message = f"arc id {twice} is listed twice"
+        with pytest.raises(ValueError, match=message):
+            count_upper_bound(ts, arcs)
+        with pytest.raises(ValueError, match=message):
+            count_lower_bound(ts, arcs, tree_flow)
+        assert count_lower_bound(ts, [4], tree_flow) == 10
+        assert count_upper_bound(ts, [4]) == 11
 
     # Each walk chains once every sign that is not positive reads as -1.
     @pytest.mark.parametrize("walk", [[(0, 5), (3, 9), (2, 0)], [(0, 1), (3, 1), (2, 0)],
@@ -385,17 +408,20 @@ class TestRejectedInputs:
         assert decompose_cycle(ts, [(arc, 1 if sign > 0 else -1) for arc, sign in walk])
 
 class TestCycleCapacity:
-    """The count bounds' capacity walk against building each induced cycle."""
+    """The one capacity reader against the least headroom along each induced cycle."""
 
     def capacities(self, net, flow):
         tree_flow, ts = to_tree_solution(net, flow)
         found = {}
         for arc_id in sorted(ts.lower_set | ts.upper_set):
-            found[arc_id] = treebounds._cycle_capacity(ts, tree_flow.values, arc_id)
-            assert found[arc_id] == induced_cycle_capacity(ts, tree_flow, induced_cycle(ts, arc_id))
+            found[arc_id] = induced_cycle_capacity(ts, tree_flow, arc_id)
+            assert found[arc_id] == min(
+                treebounds._headroom(net, tree_flow.values, member, sign)
+                for member, sign in induced_cycle(ts, arc_id).members
+            )
         for arc_id in ts.tree_arcs:
             with pytest.raises(ArcInTreeError):
-                treebounds._cycle_capacity(ts, tree_flow.values, arc_id)
+                induced_cycle_capacity(ts, tree_flow, arc_id)
         return ts, found
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -439,19 +465,12 @@ class TestCountBounds:
         zero = zero_cost_nontree_set(ts)
         assert count_upper_bound(ts, zero) == 11
         assert count_lower_bound(ts, zero, tree_flow) == 10
-        assert count_lower_bound(ts, zero, tree_flow, reading="min") == 1
 
     def test_blocked_instance_upper_bound_is_not_tight(self, blocked_cycle_network, blocked_cycle_flow):
         tree_flow, ts = to_tree_solution(blocked_cycle_network, blocked_cycle_flow)
         zero = zero_cost_nontree_set(ts)
         assert count_upper_bound(ts, zero) == 11
         assert count_lower_bound(ts, zero, tree_flow) == 1
-        assert count_lower_bound(ts, zero, tree_flow, reading="min") == 0
-
-    def test_unknown_reading_raises(self, eleven_optima_network, eleven_optima_flow):
-        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
-        with pytest.raises(ValueError, match="unknown reading 'avg'"):
-            count_lower_bound(ts, zero_cost_nontree_set(ts), tree_flow, reading="avg")
 
     def test_empty_basis_gives_one(self, chain3_network):
         best = solve_min_cost_flow(chain3_network)
