@@ -15,6 +15,7 @@ import os
 import sys
 import time
 from itertools import islice
+from operator import mul
 from pathlib import Path
 
 from .bruteforce import (
@@ -23,7 +24,7 @@ from .bruteforce import (
     enumerate_all_optimal_bruteforce,
     k_best_bruteforce,
 )
-from .core import Network, flow_cost, validate_network
+from .core import Network, _require_dimensions, flow_cost, validate_network
 from .dimacs import parse_dimacs
 from .enumeration import iter_optimal_flows
 from .errors import (
@@ -92,9 +93,10 @@ def _emit(out, payload) -> None:
 
 def _stream(out, net: Network, flows) -> tuple[int, int | None]:
     """Emit each flow as one JSON line; how many there were and the first one's cost."""
-    count, first_cost = 0, None
+    count, first_cost, costs = 0, None, [arc.cost for arc in net.arcs]
     for count, flow in enumerate(flows, 1):
-        cost = flow_cost(net, flow)
+        _require_dimensions(net, flow)
+        cost = sum(map(mul, costs, flow.values))
         if first_cost is None:
             first_cost = cost
         _emit(out, {"cost": cost, "flow": list(flow.values)})

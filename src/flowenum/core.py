@@ -6,7 +6,7 @@ remembers its original arc and parallel or anti-parallel arcs stay
 unambiguous: a cycle is "proper" exactly when it never uses both residual
 directions of one original arc.  Every layer reads the residual graph
 through these ids and one `Frame` per instance, which `frame_of` builds
-once: per id its head, arc and cost, per node the ids leaving it, and per
+once: per id its head, tail, arc and cost, per node the ids leaving it, and per
 arc the bounds a search region narrows.  The solver, Bellman-Ford, the
 all-optimal search and every K-best region share it; `residual_room` reads
 a flow's spare units within its bounds and `push_unit` moves one unit around
@@ -175,7 +175,8 @@ class Frame:
     """One instance's per-id views, built once, and per-arc bounds that callers narrow or swap."""
 
     node_count: int
-    head: list[int]            # per residual id r, the node it enters; it leaves head[r ^ 1]
+    head: list[int]            # per residual id r, the node it enters
+    tail: list[int]            # per residual id r, the node it leaves: head[r ^ 1]
     origin: list[int]          # per residual id r, its arc r >> 1
     cost: list[int]            # arc a's cost on 2a, negated on 2a + 1
     incident: list[list[int]]  # per node, the residual ids leaving it
@@ -193,7 +194,8 @@ def frame_of(net: Network) -> Frame:
         incident[arc.src].append(2 * index)
     for index, arc in enumerate(arcs):
         incident[arc.dst].append(2 * index + 1)
-    return Frame(net.node_count, head, [index >> 1 for index in range(len(head))],
+    return Frame(net.node_count, head, [end for arc in arcs for end in (arc.src, arc.dst)],
+                 [index >> 1 for index in range(len(head))],
                  [cost for arc in arcs for cost in (arc.cost, -arc.cost)], incident,
                  [arc.lower for arc in arcs], [arc.upper for arc in arcs])
 

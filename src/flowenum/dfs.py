@@ -1,23 +1,25 @@
 """Depth-first forests over residual graphs and proper-cycle search.
 
-One DFS works on plain integer lists: each node's out-list of residual arc
-ids, and per id the arc's head and the original arc it came from.  It
-classifies every residual arc as tree, forward, backward (short or long), or
-cross, and keeps per-node SBAlow values (the shallowest dfs number reachable
-through short backward arcs alone), and lists the candidates a cycle scan
-reads: the greatest long backward id and the forward and cross ids.  Scanning
-them by descending id, the order that fixes which cycle and so which flow comes
-next, either produces a proper cycle or proves none exists; only cross arcs
-need a lowest common ancestor, found by walking parent links.
+One DFS reads plain integer lists, each node's out-list of residual ids and
+per id the node it enters, and its loop stores nothing per id.  A node's
+descendants hold the discovery numbers from its own to its own plus its
+subtree size (Tarjan 1972), so an id's class is read in O(1) from its ends:
+tree or forward if the head lies in the tail's interval (tree if the id
+discovered it), backward if the tail lies in the head's (short when the head
+is the tail's parent), cross otherwise.  The forest keeps per-node SBAlow
+values (the shallowest dfs number reachable through short backward arcs
+alone) and the candidates a cycle scan reads: the greatest long backward id
+and the forward and cross ids.  Scanning them by descending id, the order
+that fixes which cycle and so which flow comes next, either produces a
+proper cycle or proves none exists; only cross arcs need a lowest common ancestor.
 
-One kernel, `another_flow`, runs the search on a `core.Frame` and pushes one
-unit around the cycle it finds; `find_another_feasible_flow` runs it on a
-network's own frame.  `_search` also returns the out-lists and forest, so a
-region with one residual id less can start from them: `_drop` removes the id
-and patches the forest in place, unless it was a tree or long backward arc.
-`build_dfs_forest` and `find_proper_cycle` read a `ResidualGraph`, whose ids
-are positions in its arcs.  Both readings list out-arcs by (origin arc,
-forward first), so they find the same cycle.
+The kernel, `_search`, runs on a `core.Frame`, pushes one unit around the
+cycle it finds and returns the forest, which holds its out-lists: a region
+with one residual id less starts from it, as `_drop` removes the id and
+patches the forest in place unless it was a tree or long backward arc.
+`find_another_feasible_flow` runs it on a network's own frame; `build_dfs_forest`
+and `find_proper_cycle` read a `ResidualGraph`, whose ids are positions in its
+arcs, and list out-arcs by (origin arc, forward first), so find the same cycle.
 """
 
 from __future__ import annotations
@@ -33,82 +35,88 @@ TREE, FORWARD, BACKWARD_SHORT, BACKWARD_LONG, CROSS = range(1, 6)
 
 @dataclass
 class DfsForest:
-    """DFS numbering, tree links, arc classes, SBAlow values and scan candidates.
-
-    Per-arc lists are indexed by residual id; ids with no arc read 0.
-    """
+    """DFS numbering, subtree sizes, tree links, SBAlow values and scan candidates of `out`."""
 
     order: list[int]                    # discovery numbers, 1-based
     discovery: list[int]                # nodes in discovery order
     parent_node: list[int]              # -1 at roots
     parent_arc: list[int]               # residual arc used for discovery
     tree_root: list[int]
-    depth: list[int]
-    tail: list[int]
-    arc_class: list[int]
+    size: list[int]                     # subtree sizes, the node included; 0 until it finishes
     short_back_arcs: list[list[int]]
     sbalow: list[int]
     long_back: int                      # greatest BACKWARD_LONG id, -1 if none
     forward: list[int]                  # FORWARD ids in visit order
     cross: list[int]                    # CROSS ids in visit order
+    out: Sequence[Sequence[int]]        # per node, the ids searched; `_drop` edits them
+    head: list[int]                     # per id, the node it enters
+
+    def classify(self, tail: int, index: int) -> int:
+        """The class of id `index`, which leaves `tail`, from its ends' discovery intervals."""
+        node, order, size = self.head[index], self.order, self.size
+        if order[tail] < order[node] < order[tail] + size[tail]:
+            return TREE if self.parent_arc[node] == index else FORWARD
+        if order[node] <= order[tail] < order[node] + size[node]:
+            return BACKWARD_SHORT if node == self.parent_node[tail] else BACKWARD_LONG
+        return CROSS
+
+    def _per_id(self, read) -> list[int]:
+        values = [0] * len(self.head)
+        for node, ids in enumerate(self.out):
+            for index in ids:
+                values[index] = read(node, index)
+        return values
+
+    tail = property(lambda self: self._per_id(lambda node, index: node))  # per id, 0 off `out`
+    arc_class = property(lambda self: self._per_id(self.classify))  # likewise
 
 
 def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
     """Iterative DFS; roots by ascending node id, each node's out-arcs in list order."""
     n = len(out)
-    order = [0] * n
-    done = [False] * n
-    parent_node = [-1] * n
-    parent_arc = [-1] * n
-    tree_root = [-1] * n
-    depth = [0] * n
-    tail = [0] * len(head)
-    arc_class = [0] * len(head)
+    order, size, parent_node, parent_arc = [0] * n, [0] * n, [-1] * n, [-1] * n
+    tree_root = list(range(n))  # roots keep their own
     short_back: list[list[int]] = [[] for _ in range(n)]
     discovery: list[int] = []
-    long_back, forward, cross = -1, [], []
+    count, long_back, forward, cross = 0, -1, [], []
 
     for root in range(n):
         if order[root]:
             continue
+        count += 1
         discovery.append(root)
-        order[root] = len(discovery)
-        tree_root[root] = root
-        stack = [(root, iter(out[root]))]
-        while stack:
-            node, arcs = stack[-1]
+        order[root] = count
+        node, arcs, stack = root, iter(out[root]), []
+        while True:
             for index in arcs:
                 child = head[index]
-                tail[index] = node
                 if not order[child]:
-                    arc_class[index] = TREE
+                    count += 1
                     discovery.append(child)
-                    order[child] = len(discovery)
+                    order[child] = count
                     parent_node[child] = node
                     parent_arc[child] = index
                     tree_root[child] = root
-                    depth[child] = depth[node] + 1
-                    stack.append((child, iter(out[child])))
+                    stack.append((node, arcs))
+                    node, arcs = child, iter(out[child])
                     break
-                if not done[child]:
+                if not size[child]:  # on the stack
                     if child == parent_node[node]:
-                        arc_class[index] = BACKWARD_SHORT
                         short_back[node].append(index)
-                    else:
-                        arc_class[index] = BACKWARD_LONG
-                        long_back = max(long_back, index)
+                    elif index > long_back:
+                        long_back = index
                 elif order[node] < order[child]:
-                    arc_class[index] = FORWARD
                     forward.append(index)
                 else:
-                    arc_class[index] = CROSS
                     cross.append(index)
             else:
-                stack.pop()
-                done[node] = True
+                size[node] = count + 1 - order[node]
+                if not stack:
+                    break
+                node, arcs = stack.pop()
 
-    return _sbalow(DfsForest(order, discovery, parent_node, parent_arc, tree_root, depth, tail,
-                             arc_class, short_back, [0] * n, long_back, forward, cross))
+    return _sbalow(DfsForest(order, discovery, parent_node, parent_arc, tree_root, size,
+                             short_back, [0] * n, long_back, forward, cross, out, head))
 
 
 def _sbalow(forest: DfsForest) -> DfsForest:
@@ -119,16 +127,16 @@ def _sbalow(forest: DfsForest) -> DfsForest:
     return forest
 
 
-def _drop(out: list[list[int]], forest: DfsForest, index: int, head: list[int]) -> DfsForest:
+def _drop(forest: DfsForest, index: int, tail: list[int]) -> DfsForest:
     """Remove id `index` from its tail's out-list and return the forest of what is left: a
     forward, cross or short backward arc changes no discovery or finishing time, so
     removing one patches the forest in place, equal to a new one, field by field."""
-    tail, kind = forest.tail[index], forest.arc_class[index]
-    out[tail].remove(index)
+    node = tail[index]
+    kind = forest.classify(node, index)
+    forest.out[node].remove(index)
     if kind in (TREE, BACKWARD_LONG):
-        return _forest(out, head)
-    forest.tail[index] = forest.arc_class[index] = 0
-    short = forest.short_back_arcs[tail]
+        return _forest(forest.out, forest.head)
+    short = forest.short_back_arcs[node]
     {FORWARD: forest.forward, CROSS: forest.cross, BACKWARD_SHORT: short}[kind].remove(index)
     if kind == BACKWARD_SHORT and not short:
         _sbalow(forest)
@@ -141,34 +149,27 @@ def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
 
 
 def lca(forest: DfsForest, a: int, b: int) -> int:
-    """Lowest common ancestor, walking parent links up from the deeper node."""
+    """Lowest common ancestor: the first node up from `a` whose discovery interval holds `b`."""
     if forest.tree_root[a] != forest.tree_root[b]:
         raise DifferentTreesError(f"nodes {a} and {b} are in different DFS trees")
-    depth, parent = forest.depth, forest.parent_node
-    while depth[a] > depth[b]:
+    order, size, parent = forest.order, forest.size, forest.parent_node
+    while not order[a] <= order[b] < order[a] + size[a]:
         a = parent[a]
-    while depth[b] > depth[a]:
-        b = parent[b]
-    while a != b:
-        a, b = parent[a], parent[b]
     return a
 
 
 def _tree_path(forest: DfsForest, top: int, bottom: int) -> list[int]:
     """Tree arcs walked top -> ... -> bottom; top must be an ancestor."""
-    arcs = []
-    node = bottom
+    arcs, node = [], bottom
     while node != top:
         arcs.append(forest.parent_arc[node])
         node = forest.parent_node[node]
-    arcs.reverse()
-    return arcs
+    return arcs[::-1]
 
 
 def _short_backward_path(forest: DfsForest, origin: list[int], start: int, goal: int, avoid: int):
     """Short-backward steps start -> goal that never reuse the origin `avoid`."""
-    arcs = []
-    node = start
+    arcs, node = [], start
     while node != goal:
         step = next((i for i in forest.short_back_arcs[node] if origin[i] != avoid), None)
         if step is None:
@@ -178,12 +179,12 @@ def _short_backward_path(forest: DfsForest, origin: list[int], start: int, goal:
     return arcs
 
 
-def _proper_cycle(forest: DfsForest, head: list[int], origin: list[int]) -> list[int] | None:
+def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list[int] | None:
     """Residual ids of one proper cycle, in walk order, or None when there is none.
 
-    Reads the forest's candidates, each class by descending id: that order picks
-    the cycle, so the flow order the golden digests pin depends on it."""
-    order, tail, sbalow = forest.order, forest.tail, forest.sbalow
+    Reads the forest's candidates, each class by descending id: that order picks the cycle,
+    so the flow order the golden digests pin depends on it.  `tail` and `origin` are per id."""
+    order, head, sbalow = forest.order, forest.head, forest.sbalow
 
     index = forest.long_back
     if index >= 0:
@@ -219,19 +220,18 @@ def _proper_cycle(forest: DfsForest, head: list[int], origin: list[int]) -> list
 
 def find_proper_cycle(rg: ResidualGraph, forest: DfsForest | None = None) -> Cycle | None:
     """One proper cycle of the residual graph, or None when there is none."""
-    head = [res.dst for res in rg.arcs]
     if forest is None:
-        forest = _forest(rg.out_arcs, head)
-    cycle = _proper_cycle(forest, head, [res.origin_arc for res in rg.arcs])
+        forest = build_dfs_forest(rg)
+    cycle = _proper_cycle(forest, [res.src for res in rg.arcs], [res.origin_arc for res in rg.arcs])
     return None if cycle is None else Cycle(tuple(rg.arcs[index] for index in cycle))
 
 
 def _search(frame: Frame, values: Sequence[int], reuse=None):
-    """`another_flow`, and the out-lists and forest it searched.  `reuse` is the `(out,
-    forest, index)` of a search from `values` in a region that also held id `index`."""
+    """Another flow one unit from `values` (feasible within the bounds) or None, and the forest
+    searched.  `reuse`: the `(forest, index)` of a search from `values` with id `index` as well."""
     head = frame.head
     if reuse is not None:
-        out, forest = reuse[0], _drop(*reuse, head)
+        forest = _drop(*reuse, frame.tail)
     else:
         out = [[] for _ in range(frame.node_count)]
         for index, value, lo, hi in zip(range(0, len(head), 2), values, frame.lower, frame.upper):
@@ -240,13 +240,8 @@ def _search(frame: Frame, values: Sequence[int], reuse=None):
             if value > lo:
                 out[head[index]].append(index + 1)
         forest = _forest(out, head)
-    cycle = _proper_cycle(forest, head, frame.origin)
-    return (None if cycle is None else push_unit(frame, values, cycle)), out, forest
-
-
-def another_flow(frame: Frame, values: Sequence[int]) -> Flow | None:
-    """Another flow one unit from `values`, which must be feasible within the bounds, or None."""
-    return _search(frame, values)[0]
+    cycle = _proper_cycle(forest, frame.tail, frame.origin)
+    return (None if cycle is None else push_unit(frame, values, cycle)), forest
 
 
 def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:
@@ -255,4 +250,4 @@ def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:
     Raises InfeasibleFlowError on an infeasible input."""
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot search from an infeasible flow")
-    return another_flow(frame_of(net), flow.values)
+    return _search(frame_of(net), flow.values)[0]

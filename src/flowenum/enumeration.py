@@ -40,8 +40,8 @@ def optimal_face(frame: Frame, values, reduced_costs) -> Frame:
     """
     lower = [value if cost else lo for value, cost, lo in zip(values, reduced_costs, frame.lower)]
     upper = [value if cost else hi for value, cost, hi in zip(values, reduced_costs, frame.upper)]
-    return Frame(frame.node_count, frame.head, frame.origin, frame.cost, frame.incident,
-                 lower, upper)
+    return Frame(frame.node_count, frame.head, frame.tail, frame.origin, frame.cost,
+                 frame.incident, lower, upper)
 
 
 def _split(witness: Sequence[int], other: Sequence[int], lower, upper):
@@ -77,7 +77,7 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
                 raise InvariantError(f"the witness leaves its region on arc {arc}")
         if stats is not None:
             stats.another_flow_calls += 1
-        other, out, forest = _search(frame, witness, reuse)
+        other, forest = _search(frame, witness, reuse)
         if other is None:
             continue
         yield other
@@ -85,4 +85,4 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
         pending.append((None, arc, frame.lower[arc], frame.upper[arc], None))
         pending.append((other.values, arc, *move_there, None))
         dropped = 2 * arc + (witness[arc] > other.values[arc])  # the cycle's id on the arc
-        pending.append((witness, arc, *keep_here, (out, forest, dropped)))
+        pending.append((witness, arc, *keep_here, (forest, dropped)))

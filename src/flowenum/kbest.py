@@ -62,7 +62,7 @@ def _second_best(region: Frame, values) -> Flow | None:
                     groups.setdefault(other, []).append((weight, index, node))
     for ids in face:
         ids.sort()  # as `dfs._search` lists them; the order picks which tie comes next
-    cycle = _proper_cycle(_forest(face, head), head, region.origin)
+    cycle = _proper_cycle(_forest(face, head), region.tail, region.origin)
     if cycle is not None:
         return push_unit(region, values, cycle)
     # The flow is the unique optimum; the answer is the least (weight + dist[tail], id).

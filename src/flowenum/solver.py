@@ -4,7 +4,7 @@ The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
 cost nonnegative), and each augmentation runs Dijkstra with potentials over
 the network's `core.Frame`.  `compute_node_potentials` checks feasibility
-and runs `_potentials`, the Bellman-Ford that the searches call on their room.
+and runs `_potentials`, the queue-based Bellman-Ford the searches also call.
 
 The Dijkstra is a generator that yields nodes as they settle, reading room
 and potentials afresh, as both move on every augmentation (K-best searches
@@ -21,6 +21,7 @@ every reduced cost, and so every path and flow, the same.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from itertools import count
 
 from .core import Flow, Frame, Network, check_feasible, frame_of, residual_room, validate_network
@@ -144,27 +145,27 @@ def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
 
 
 def _potentials(frame: Frame, room) -> tuple[int, ...]:
-    """`compute_node_potentials` over `room`, the `residual_room` of a flow feasible in the frame."""
-    head, cost = frame.head, frame.cost
-    edges = [(head[index ^ 1], head[index], cost[index]) for index, spare in enumerate(room) if spare]
+    """`compute_node_potentials` over `room`, the `residual_room` of a flow feasible in the frame:
+    Bellman-Ford from node 0 at 0 and every other node at `big`, which queues a node again when
+    its distance drops.  A distance set through n arcs walked a cycle, so a negative one."""
+    n, head, cost, incident = frame.node_count, frame.head, frame.cost, frame.incident
     big = 1 + sum(abs(weight) * max(1, hi) for weight, hi in zip(cost[::2], frame.upper))
-    dist = [big] * frame.node_count
-    dist[0] = 0
-    for _ in range(max(0, frame.node_count - 1)):
-        changed = False
-        for src, dst, weight in edges:
-            candidate = dist[src] + weight
-            if candidate < dist[dst]:
-                dist[dst] = candidate
-                changed = True
-        if not changed:
-            break
-    else:
-        for src, dst, weight in edges:
-            if dist[src] + weight < dist[dst]:
-                raise NegativeCycleError(
-                    "residual graph has a negative cycle; the flow is not optimal"
-                )
+    dist, arcs = [0] + [big] * (n - 1), [0] * n  # arcs: how many the path to each distance took
+    queue, queued = deque(range(n)), [True] * n
+    while queue:
+        node = queue.popleft()
+        queued[node] = False
+        reach, step = dist[node], arcs[node] + 1
+        for index in incident[node]:
+            other = head[index]
+            if room[index] and reach + cost[index] < dist[other]:
+                if step >= n:
+                    raise NegativeCycleError(
+                        "residual graph has a negative cycle; the flow is not optimal")
+                dist[other], arcs[other] = reach + cost[index], step
+                if not queued[other]:
+                    queued[other] = True
+                    queue.append(other)
     return tuple(dist)
 
 

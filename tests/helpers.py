@@ -6,13 +6,21 @@ import heapq
 import random
 from collections import deque
 from dataclasses import replace
+from types import SimpleNamespace
 from itertools import count
 
 from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, flow_cost, frame_of
 from flowenum import dfs
-from flowenum.dfs import BACKWARD_LONG, CROSS, FORWARD, find_another_feasible_flow
+from flowenum.dfs import (
+    BACKWARD_LONG,
+    BACKWARD_SHORT,
+    CROSS,
+    FORWARD,
+    TREE,
+    find_another_feasible_flow,
+)
 from flowenum.enumeration import _split, optimal_face
-from flowenum.errors import InvariantError
+from flowenum.errors import InvariantError, NegativeCycleError
 from flowenum.kbest import find_second_best_flow
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 from flowenum.treebounds import _PIVOT_CAP, _adjacency, _cycle, _headroom
@@ -427,3 +435,94 @@ def sweep_proper_cycle(forest, head: list[int], origin: list[int]) -> list[int] 
             if origin[index] != origin[tree_arc]:
                 return [tree_arc, index]
     return None
+
+
+def reference_forest(out, head: list[int]) -> SimpleNamespace:
+    """The DFS `dfs._forest` ran while it stored a class and a tail for every id it scanned.
+
+    Kept as the reference its derived views and other fields must match: the
+    same fields, less the subtree sizes, with `arc_class` and `tail` stored as
+    the arcs are scanned (0 for ids not in `out`) and a done flag per node.
+    Its depths went with it, since `dfs.lca` climbs to a discovery interval.
+    """
+    n = len(out)
+    order = [0] * n
+    done = [False] * n
+    parent_node = [-1] * n
+    parent_arc = [-1] * n
+    tree_root = [-1] * n
+    tail = [0] * len(head)
+    arc_class = [0] * len(head)
+    short_back: list[list[int]] = [[] for _ in range(n)]
+    discovery: list[int] = []
+    long_back, forward, cross = -1, [], []
+
+    for root in range(n):
+        if order[root]:
+            continue
+        discovery.append(root)
+        order[root] = len(discovery)
+        tree_root[root] = root
+        stack = [(root, iter(out[root]))]
+        while stack:
+            node, arcs = stack[-1]
+            for index in arcs:
+                child = head[index]
+                tail[index] = node
+                if not order[child]:
+                    arc_class[index] = TREE
+                    discovery.append(child)
+                    order[child] = len(discovery)
+                    parent_node[child] = node
+                    parent_arc[child] = index
+                    tree_root[child] = root
+                    stack.append((child, iter(out[child])))
+                    break
+                if not done[child]:
+                    if child == parent_node[node]:
+                        arc_class[index] = BACKWARD_SHORT
+                        short_back[node].append(index)
+                    else:
+                        arc_class[index] = BACKWARD_LONG
+                        long_back = max(long_back, index)
+                elif order[node] < order[child]:
+                    arc_class[index] = FORWARD
+                    forward.append(index)
+                else:
+                    arc_class[index] = CROSS
+                    cross.append(index)
+            else:
+                stack.pop()
+                done[node] = True
+
+    return dfs._sbalow(SimpleNamespace(
+        order=order, discovery=discovery, parent_node=parent_node, parent_arc=parent_arc,
+        tree_root=tree_root, tail=tail, arc_class=arc_class,
+        short_back_arcs=short_back, sbalow=[0] * n, long_back=long_back, forward=forward,
+        cross=cross))
+
+
+def round_based_potentials(frame, room) -> tuple[int, ...]:
+    """The round-based Bellman-Ford `solver._potentials` ran before it corrected labels
+    from a queue, kept as the reference it must match tuple for tuple and raise for raise."""
+    head, cost = frame.head, frame.cost
+    edges = [(head[index ^ 1], head[index], cost[index]) for index, spare in enumerate(room) if spare]
+    big = 1 + sum(abs(weight) * max(1, hi) for weight, hi in zip(cost[::2], frame.upper))
+    dist = [big] * frame.node_count
+    dist[0] = 0
+    for _ in range(max(0, frame.node_count - 1)):
+        changed = False
+        for src, dst, weight in edges:
+            candidate = dist[src] + weight
+            if candidate < dist[dst]:
+                dist[dst] = candidate
+                changed = True
+        if not changed:
+            break
+    else:
+        for src, dst, weight in edges:
+            if dist[src] + weight < dist[dst]:
+                raise NegativeCycleError(
+                    "residual graph has a negative cycle; the flow is not optimal"
+                )
+    return tuple(dist)

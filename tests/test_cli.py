@@ -15,7 +15,9 @@ from hypothesis import strategies as st
 import flowenum.cli
 import flowenum.treebounds
 from flowenum.cli import run
+from flowenum.core import Flow, flow_cost
 from flowenum.dimacs import serialize_dimacs
+from flowenum.errors import DimensionMismatchError
 
 from helpers import random_feasible_network, random_grid_network
 
@@ -472,6 +474,24 @@ class TestMain:
             pytest.fail("main() let KeyboardInterrupt through")
         assert exit_.value.code == 130
         assert capsys.readouterr() == ("", "flowenum: interrupted\n")
+
+
+class TestStream:
+    def test_costs_match_flow_cost(self):
+        rng = random.Random(21)
+        for _ in range(40):
+            net, flow = random_feasible_network(rng, max_nodes=6, max_arcs=10)
+            out = io.StringIO()
+            assert flowenum.cli._stream(out, net, [flow, flow]) == (2, flow_cost(net, flow))
+            assert json.loads(out.getvalue().splitlines()[0])["cost"] == flow_cost(net, flow)
+
+    @pytest.mark.parametrize("values", [(1, 1), (1, 1, 0, 0)])
+    def test_flow_of_the_wrong_length_raises(self, chain3_network, values):
+        out = io.StringIO()
+        flows = [Flow((1, 1, 0)), Flow(values)]
+        with pytest.raises(DimensionMismatchError):
+            flowenum.cli._stream(out, chain3_network, flows)
+        assert len(out.getvalue().splitlines()) == 1
 
 
 class TestErrorPaths:

@@ -1,15 +1,20 @@
 import hashlib
 import importlib
+import importlib.util
+import io
 import json
 import pkgutil
 import random
+import sys
 from collections import Counter
 from itertools import islice
+from pathlib import Path
 
 import pytest
 
 import flowenum
 from flowenum import iter_k_best_flows, iter_optimal_flows
+from flowenum.cli import run
 
 from flowenum.core import Flow, ResidualGraph, build_residual, check_feasible, flow_cost
 from flowenum.dfs import (
@@ -32,6 +37,7 @@ from helpers import (
     proper_cycle_exists_bruteforce,
     random_feasible_network,
     random_grid_network,
+    reference_forest,
     sbalow_bruteforce,
     sweep_proper_cycle,
     synthetic_digraph,
@@ -45,6 +51,18 @@ def ancestors(forest, node):
         found.append(node)
         node = forest.parent_node[node]
     return found
+
+
+def assert_forest_matches_reference(forest):
+    """Every field, derived views included, as the storing reference has it; sizes by parent walks."""
+    reference = reference_forest(forest.out, forest.head)
+    for name, value in vars(reference).items():
+        assert getattr(forest, name) == value, name
+    size = [0] * len(forest.order)
+    for node in range(len(size)):
+        for above in ancestors(forest, node):
+            size[above] += 1
+    assert forest.size == size
 
 
 def classes_by_endpoints(rg, forest):
@@ -103,6 +121,23 @@ class TestClassification:
             assert sorted(forest.forward) == ids[FORWARD]
             assert sorted(forest.cross) == ids[CROSS]
             assert forest.long_back == max(ids[BACKWARD_LONG], default=-1)
+
+
+class TestForestMatchesTheStoringReference:
+    def test_synthetic_digraphs(self):
+        rng = random.Random(15)
+        for _ in range(600):
+            assert_forest_matches_reference(build_dfs_forest(synthetic_digraph(rng, max_nodes=20)))
+
+    def test_residual_graph_with_unsearched_ids(self, dfs_demo_network, dfs_demo_flow):
+        # Ids past the residual graph's arcs and ids on no out-list read 0 in both views.
+        rg = build_residual(dfs_demo_network, dfs_demo_flow)
+        out = [list(ids) for ids in rg.out_arcs]
+        head = [res.dst for res in rg.arcs] + [0, 1]
+        dropped = out[0].pop()
+        forest = flowenum.dfs._forest(out, head)
+        assert_forest_matches_reference(forest)
+        assert forest.arc_class[dropped] == forest.arc_class[-1] == forest.tail[-2] == 0
 
 
 class TestSbalow:
@@ -223,7 +258,7 @@ class TestScanMatchesTheSweepReference:
             forest = build_dfs_forest(rg)
             head = [res.dst for res in rg.arcs]
             origin = [res.origin_arc for res in rg.arcs]
-            cycle = flowenum.dfs._proper_cycle(forest, head, origin)
+            cycle = flowenum.dfs._proper_cycle(forest, [res.src for res in rg.arcs], origin)
             assert cycle == sweep_proper_cycle(forest, head, origin)
             starts[None if cycle is None else forest.arc_class[cycle[0]]] += 1
         assert all(starts[cls] >= 4 for cls in (None, TREE, FORWARD, BACKWARD_LONG, CROSS))
@@ -232,9 +267,9 @@ class TestScanMatchesTheSweepReference:
         scan = flowenum.dfs._proper_cycle
         regions = []
 
-        def checked(forest, head, origin):
-            cycle = scan(forest, head, origin)
-            assert cycle == sweep_proper_cycle(forest, head, origin)
+        def checked(forest, tail, origin):
+            cycle = scan(forest, tail, origin)
+            assert cycle == sweep_proper_cycle(forest, forest.head, origin)
             regions.append(cycle is not None)
             return cycle
 
@@ -247,7 +282,8 @@ class TestScanMatchesTheSweepReference:
 
 
 class TestKeepChildReuse:
-    """A keep half's patched out-lists and forest equal fresh ones, and so do its cycle and flow."""
+    """A keep half's patched forest, out-lists included, equals a fresh one, and so do its
+    cycle and flow; every forest, fresh or patched, equals the storing reference's."""
 
     def test_every_keep_child_of_grids(self, monkeypatch):
         search, scan = flowenum.dfs._search, flowenum.dfs._proper_cycle
@@ -255,17 +291,21 @@ class TestKeepChildReuse:
 
         def checked(frame, values, reuse=None):
             if reuse is None:
-                return search(frame, values)
+                found = search(frame, values)
+                assert_forest_matches_reference(found[1])
+                return found
             fresh = search(frame, values)
-            out, forest, index = reuse
+            forest, index = reuse
             kind = forest.arc_class[index]
             if kind == BACKWARD_SHORT:
                 # True when the tail loses its last short backward arc, so SBAlow is recomputed.
                 kind = (kind, forest.short_back_arcs[forest.tail[index]] == [index])
             paths[kind] += 1
             found = search(frame, values, reuse)
-            assert found[1] == fresh[1] and found[2] == fresh[2]
-            assert scan(found[2], frame.head, frame.origin) == scan(fresh[2], frame.head,
+            assert found[1] == fresh[1]
+            assert found[1].arc_class[index] == found[1].tail[index] == 0
+            assert_forest_matches_reference(found[1])
+            assert scan(found[1], frame.tail, frame.origin) == scan(fresh[1], frame.tail,
                                                                     frame.origin)
             assert found[0] == fresh[0]
             return found
@@ -282,6 +322,51 @@ class TestKeepChildReuse:
                 assert sum(paths.values()) - reused == 398
         assert paths[TREE] and paths[FORWARD] + paths[CROSS]
         assert paths[BACKWARD_SHORT, True] and paths[BACKWARD_SHORT, False]
+
+
+class TestForestWork:
+    """Forests built and keep children patched, at the values recorded while the DFS still
+    stored a class per id: the derived class patches exactly the keep children it did."""
+
+    @pytest.fixture
+    def work(self, monkeypatch):
+        work = Counter()
+        forest, drop = flowenum.dfs._forest, flowenum.dfs._drop
+
+        def counted_forest(*args):
+            work["built"] += 1
+            return forest(*args)
+
+        def counted_drop(parent, *args):
+            patched = drop(parent, *args)
+            work["patched"] += patched is parent
+            return patched
+
+        monkeypatch.setattr(flowenum.dfs, "_forest", counted_forest)
+        monkeypatch.setattr(flowenum.dfs, "_drop", counted_drop)
+        return work
+
+    @pytest.mark.parametrize("seed, built, patched", [(0, 734, 9), (1, 558, 181), (2, 552, 191)])
+    def test_zero_cost_grids(self, work, seed, built, patched):
+        grid = random_grid_network(random.Random(seed), 6, 6, min_cost=0, max_cost=0,
+                                   both_ways=True)
+        assert len(list(islice(iter_optimal_flows(grid), 400))) == 400
+        assert work == {"built": built, "patched": patched}
+
+    def test_benchmark_enum_ties_seed_3(self, work, tmp_path, monkeypatch):
+        # The 16 instances and the command of `bench/run.py --workload enum-ties --seed 3`.
+        spec = importlib.util.spec_from_file_location(
+            "bench_gen", Path(__file__).resolve().parents[1] / "bench" / "gen.py")
+        gen = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look themselves up
+        spec.loader.exec_module(gen)
+        family = gen.GridFamily(6, 6, both_ways=True, cost=(0, 0), lower=(0, 0), span=(1, 2))
+        rng = random.Random("enum-ties/3")
+        for number in range(16):
+            path = tmp_path / f"{number}.min"
+            path.write_text(family.build(rng).dimacs())
+            assert run(["enumerate", str(path), "--limit", "150"], stdout=io.StringIO()) == 0
+        assert work == {"built": 3350, "patched": 598}
 
 
 class TestFindAnotherFeasibleFlow:

@@ -7,7 +7,7 @@ import pytest
 import flowenum.kbest
 from flowenum.bruteforce import enumerate_all_feasible_bruteforce, k_best_bruteforce
 from flowenum.core import Flow, check_feasible, flow_cost, frame_of, push_unit, residual_room
-from flowenum.dfs import _forest, _proper_cycle, another_flow, find_another_feasible_flow
+from flowenum.dfs import _forest, _proper_cycle, _search, find_another_feasible_flow
 from flowenum.enumeration import optimal_face
 from flowenum.errors import (
     InfeasibleError,
@@ -405,7 +405,7 @@ class TestOfferLists:
                 best = solve_min_cost_flow(net)
                 frame, potential = frame_of(net), compute_node_potentials(net, best)
                 reduced_costs = compute_reduced_costs(net, potential)
-                tied = another_flow(optimal_face(frame, best.values, reduced_costs), best.values)
+                tied = _search(optimal_face(frame, best.values, reduced_costs), best.values)[0]
                 second = find_second_best_flow(net, best)
                 if tied is None:
                     assert second is None or flow_cost(net, second) > flow_cost(net, best)
@@ -417,7 +417,7 @@ class TestOfferLists:
                 room = residual_room(frame, best.values)
                 face = [[index for index in ids if room[index] and not reduced_costs[index >> 1]]
                         for ids in frame.incident]
-                cycle = _proper_cycle(_forest(face, frame.head), frame.head, frame.origin)
+                cycle = _proper_cycle(_forest(face, frame.head), frame.tail, frame.origin)
                 sensitive += push_unit(frame, best.values, cycle) != tied
         assert 15 < ties < 24 and sensitive > 3
 

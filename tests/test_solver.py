@@ -1,13 +1,22 @@
 import random
+from collections import Counter
 
 import pytest
 
 import flowenum.solver
-from flowenum.core import Flow, build_residual, check_feasible, flow_cost, frame_of, validate_network
+from flowenum.core import (
+    Flow,
+    build_residual,
+    check_feasible,
+    flow_cost,
+    frame_of,
+    residual_room,
+    validate_network,
+)
 from flowenum.errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
 from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
-from helpers import make_network, random_feasible_network, random_grid_network
+from helpers import make_network, random_feasible_network, random_grid_network, round_based_potentials
 
 
 def residual_weights(rg, reduced_costs):
@@ -280,6 +289,39 @@ class TestPotentials:
                 partner = by_key.get((origin, not forward))
                 if partner is not None:
                     assert partner == -weight
+
+    def test_matches_the_round_based_reference(self):
+        def reached_from_0(frame, values):
+            room, seen, stack = residual_room(frame, values), {0}, [0]
+            while stack:
+                for index in frame.incident[stack.pop()]:
+                    if room[index] and frame.head[index] not in seen:
+                        seen.add(frame.head[index])
+                        stack.append(frame.head[index])
+            return len(seen)
+
+        def outcome(potentials, frame, values):
+            try:
+                return potentials(frame, residual_room(frame, values))
+            except NegativeCycleError:
+                return "negative cycle"
+
+        rng = random.Random(2025)
+        seen = Counter()
+        instances = [random_feasible_network(rng, max_nodes=8, max_arcs=14) for _ in range(300)]
+        instances += [(net, solve_min_cost_flow(net)) for net in
+                      (random_grid_network(random.Random(seed), 5, 5) for seed in range(10))]
+        for net, witness in instances:
+            frame = frame_of(net)
+            for flow in (witness, solve_min_cost_flow(net)):
+                found = outcome(flowenum.solver._potentials, frame, flow.values)
+                assert found == outcome(round_based_potentials, frame, flow.values)
+                if found == "negative cycle":
+                    seen["raised"] += 1
+                else:
+                    seen["unreached" if reached_from_0(frame, flow.values) < net.node_count
+                         else "reached"] += 1
+        assert seen["raised"] > 100 and seen["unreached"] > 200 and seen["reached"] > 100
 
 
 def network_simplex_cost(nx, net):
