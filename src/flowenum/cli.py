@@ -35,7 +35,7 @@ from .errors import (
 )
 from .kbest import iter_k_best_flows
 from .solver import solve_min_cost_flow
-from .treebounds import count_upper_bound, induced_cycle_capacity, to_tree_solution, zero_cost_nontree_set
+from .treebounds import count_upper_bound, induced_cycle_capacities, to_tree_solution, zero_cost_nontree_set
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -144,7 +144,7 @@ def _cmd_bounds(args, net, out, started) -> int:
     zero_arcs = zero_cost_nontree_set(structure)
     # Both readings of the lower bound and the feasible bounds, each cycle capacity read once.
     nontree = sorted(structure.lower_set | structure.upper_set)
-    capacity = {arc: induced_cycle_capacity(structure, tree_flow, arc) for arc in nontree}
+    capacity = dict(zip(nontree, induced_cycle_capacities(structure, tree_flow, nontree)))
     zero_total = sum(capacity[arc] for arc in zero_arcs)
     extra = {
         "count": 0,

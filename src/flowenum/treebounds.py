@@ -5,14 +5,18 @@ non-tree arc then induces exactly one cycle through the tree.  The induced
 cycles with zero reduced cost form a basis for all optimal flows, which is
 what the count bounds and the coordinate extraction below exploit.
 
-One undirected depth-first walk, `_walk`, finds the free cycles to cancel,
-roots the first tree at node 0, and after each pivot walks again only the
-smaller side of the leaving arc's cut, as subtree sizes tell (Ahuja,
-Magnanti and Orlin, Network Flows, ch. 11).  Pivots follow Bland's rule,
-the least violating arc id first, taken from a min-heap of violating arcs:
-a pivot shifts the potentials of the walked side by one constant, so only
-the arcs across the cut are tested again.  Every induced cycle, free
-cycle and pivot cycle is read by one climb of the parent links, `_cycle`.
+The hot loops read plain per-arc lists (`_arc_lists`), not `Arc` objects.
+`_walk`, depth-first with a check as each node pops, finds the free cycles to
+cancel; the node it meets twice fixes which cycle, and so which flow, comes
+out.  `_hang` roots the first tree at node 0 and, after each pivot, walks
+again only the smaller side of the leaving arc's cut, as subtree sizes tell
+(Ahuja, Magnanti and Orlin, Network Flows, ch. 11).  Pivots follow Bland's
+rule, the least violating arc id first, taken from a min-heap of violating
+arcs: a pivot shifts the potentials of the walked side by one constant, so
+only the arcs across the cut are tested again.  Every induced, free and
+pivot cycle is read by one climb of the parent links, `_cycle`, as core's
+residual ids (`2a` rides arc `a` forward, `2a + 1` against it), so that a
+headroom is one read of a list laid out like `core.residual_room`.
 """
 
 from __future__ import annotations
@@ -47,10 +51,11 @@ class TreeStructure:
     depth: tuple[int, ...]
 
     def reduced_cost(self, arc_id: int) -> int:
-        arc = self.network.arcs[arc_id]
+        arc = self.network.arcs[_in_range(self.network, arc_id)]
         return arc.cost + self.potentials[arc.src] - self.potentials[arc.dst]
 
     def is_tree_arc(self, arc_id: int) -> bool:
+        _in_range(self.network, arc_id)
         return arc_id not in self.lower_set and arc_id not in self.upper_set
 
 
@@ -77,117 +82,148 @@ class InducedCycle:
         return sum(sign * net.arcs[arc_id].cost for arc_id, sign in self.members)
 
 
-def _headroom(net: Network, values, arc_id: int, sign: int) -> int:
-    arc = net.arcs[arc_id]
-    return arc.upper - values[arc_id] if sign > 0 else values[arc_id] - arc.lower
+def _in_range(net: Network, arc_id: int) -> int:
+    if not 0 <= arc_id < net.arc_count:
+        raise ValueError(f"arc id {arc_id} is out of range")
+    return arc_id
 
 
-def _adjacency(net: Network, arcs):
-    """Undirected incidence lists: adjacency[node] holds (neighbor, arc id)."""
-    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
-    for arc_id in arcs:
-        arc = net.arcs[arc_id]
-        adjacency[arc.src].append((arc.dst, arc_id))
-        adjacency[arc.dst].append((arc.src, arc_id))
+def _arc_lists(net: Network):
+    """Per arc its tail, head, cost, lower and upper bound, as five plain lists."""
+    arcs = net.arcs
+    return ([arc.src for arc in arcs], [arc.dst for arc in arcs], [arc.cost for arc in arcs],
+            [arc.lower for arc in arcs], [arc.upper for arc in arcs])
+
+
+def _room(values, lower, upper) -> list[int]:
+    """Per residual id, laid out like `core.residual_room`: upper - value on 2a, value - lower on 2a + 1."""
+    return [spare for value, lo, hi in zip(values, lower, upper) for spare in (hi - value, value - lo)]
+
+
+def _neighbours(node_count: int, arcs, arc_ids):
+    """Undirected incidence lists: per node (neighbour, arc id, the arc's cost signed from the node)."""
+    src, dst, cost = arcs[:3]
+    adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(node_count)]
+    for arc_id in arc_ids:
+        adjacency[src[arc_id]].append((dst[arc_id], arc_id, cost[arc_id]))
+        adjacency[dst[arc_id]].append((src[arc_id], arc_id, -cost[arc_id]))
     return adjacency
 
 
-def _walk(net: Network, adjacency, tables, seen, node: int, parent: int = -1, via: int = -1):
-    """Depth-first walk from `node`, entered from `parent` by arc `via`.
+def _walk(adjacency, tables, seen, node: int):
+    """Depth-first walk from root `node`, taking neighbours in adjacency order.
 
-    Every node reached without crossing `via` gets its parent link, depth
-    and potential in `tables` and is added to the dict `seen`, so that
-    `list(seen)` ends with this walk's pre-order; others keep theirs.
-    Neighbours are taken in adjacency order.  Returns the first arc that
-    leads back to a node in `seen`, which closes a cycle, or None when the
-    part reached is a tree.
+    Every node reached gets its parent link and depth in `tables` and is
+    marked in the per-node list `seen` as it pops.  Returns the first arc
+    that leads back to a marked node, which closes a cycle, or None when
+    the part reached is a tree.
     """
-    parent_node, parent_arc, depth, potentials = tables
-    stack = [(node, parent, via)]
+    parent_node, parent_arc, depth = tables
+    stack = [(node, -1, -1)]
     while stack:
         node, parent, via = stack.pop()
-        if node in seen:
+        if seen[node]:
             return via
-        seen[node] = None
-        parent_node[node] = parent
-        parent_arc[node] = via
-        if parent < 0:
-            depth[node] = potentials[node] = 0
-        else:
-            arc = net.arcs[via]
-            depth[node] = depth[parent] + 1
-            potentials[node] = potentials[parent] + (arc.cost if arc.src == parent else -arc.cost)
+        seen[node] = True
+        parent_node[node], parent_arc[node] = parent, via
+        depth[node] = depth[parent] + 1 if parent >= 0 else 0
         # Reversed, so neighbours pop in adjacency order.
-        for other, arc_id in reversed(adjacency[node]):
-            if arc_id != via:
-                stack.append((other, node, arc_id))
+        stack.extend((other, node, arc_id) for other, arc_id, _ in reversed(adjacency[node])
+                     if arc_id != via)
     return None
 
 
-def _cycle(arcs, parent_node, parent_arc, depth, arc_id: int, sign: int):
-    """Signed members of the cycle that non-tree arc `arc_id` closes through the tree.
+def _hang(adjacency, tables, node: int, parent: int = -1, via: int = -1, step: int = 0) -> list[int]:
+    """Root the tree part reached from `node` at `node`, hung from `parent` by arc `via`.
 
-    `(arc_id, sign)` comes first, then the tree path from the arc's head
-    back to its tail: the steps climbing from the head, then those going
-    down to the tail.  A step carries `sign` when the path rides its tree
-    arc in the arc's own direction, `-sign` when it opposes it.  This is
-    the module's only climb of the parent links.
+    `step` is `via`'s cost signed from `parent`.  Every node reached
+    without crossing `via` gets its parent link, depth and potential in
+    `tables`, and the walk returns them, each after its parent.  It pushes
+    bare nodes and reads each one's parent arc from `tables`; inside a tree
+    the order changes none of the links, depths or potentials.
     """
-    arc = arcs[arc_id]
-    ups = [(arc_id, sign)]
-    downs: list[tuple[int, int]] = []
-    x, y = arc.dst, arc.src
+    parent_node, parent_arc, depth, potentials = tables
+    parent_node[node], parent_arc[node] = parent, via
+    depth[node] = depth[parent] + 1 if parent >= 0 else 0
+    potentials[node] = potentials[parent] + step if parent >= 0 else 0
+    order = [node]
+    for node in order:
+        up, below, potential = parent_arc[node], depth[node] + 1, potentials[node]
+        for other, arc_id, cost in adjacency[node]:
+            if arc_id != up:
+                parent_node[other] = node
+                parent_arc[other] = arc_id
+                depth[other] = below
+                potentials[other] = potential + cost
+                order.append(other)
+    return order
+
+
+def _cycle(src, dst, parent_node, parent_arc, depth, arc_id: int, sign: int) -> list[int]:
+    """Residual ids of the cycle that non-tree arc `arc_id` closes through the tree.
+
+    The arc's own id comes first, `2 * arc_id` for `sign` +1 and
+    `2 * arc_id + 1` for -1, then the tree path from the arc's head back to
+    its tail: the steps climbing from the head, then those going down to
+    the tail.  A step rides its tree arc forward (the even id) when `sign`
+    is +1 and the path runs along the arc, or `sign` is -1 and it runs
+    against it.  This is the module's only climb of the parent links.
+    """
+    flip = sign < 0
+    ups = [2 * arc_id + flip]
+    downs: list[int] = []
+    x, y = dst[arc_id], src[arc_id]
     while x != y:
         if depth[x] >= depth[y]:
             step = parent_arc[x]
-            ups.append((step, sign if arcs[step].src == x else -sign))
+            ups.append(2 * step + ((src[step] != x) ^ flip))
             x = parent_node[x]
         else:
             step = parent_arc[y]
-            downs.append((step, -sign if arcs[step].src == y else sign))
+            downs.append(2 * step + ((src[step] == y) ^ flip))
             y = parent_node[y]
-    return ups + downs[::-1]
+    ups.extend(reversed(downs))
+    return ups
 
 
-def _find_free_cycle(net: Network, free):
-    """Signed cycle through arcs that sit strictly between their bounds, as `_cycle` lists it."""
-    adjacency = _adjacency(net, free)
-    tables = parent_node, parent_arc, depth, _ = [[-1] * net.node_count for _ in range(4)]
-    seen: dict[int, None] = {}
-    for root in range(net.node_count):
+def _find_free_cycle(node_count: int, arcs, free):
+    """Residual ids of a cycle through arcs strictly between their bounds, as `_cycle` lists them."""
+    src, dst = arcs[:2]
+    adjacency = _neighbours(node_count, arcs, free)
+    tables = parent_node, parent_arc, depth = [[-1] * node_count for _ in range(3)]
+    seen = [False] * node_count
+    for root in range(node_count):
         # A node no free arc touches is a tree on its own.
-        if root in seen or not adjacency[root]:
+        if seen[root] or not adjacency[root]:
             continue
-        closing = _walk(net, adjacency, tables, seen, root)
+        closing = _walk(adjacency, tables, seen, root)
         if closing is not None:
             # The closing arc leads back to an ancestor of its deeper end.
-            arc = net.arcs[closing]
-            sign = 1 if depth[arc.src] < depth[arc.dst] else -1
-            return _cycle(net.arcs, parent_node, parent_arc, depth, closing, sign)
+            sign = 1 if depth[src[closing]] < depth[dst[closing]] else -1
+            return _cycle(src, dst, parent_node, parent_arc, depth, closing, sign)
     return None
 
 
-def _cancel_free_cycles(net: Network, values) -> list[int]:
+def _cancel_free_cycles(node_count: int, arcs, values) -> list[int]:
     """Cancel free cycles in place; returns the free arcs left, a forest."""
+    cost, lower, upper = arcs[2:]
     while True:
-        free = [
-            a for a in range(net.arc_count)
-            if net.arcs[a].lower < values[a] < net.arcs[a].upper
-        ]
-        walk = _find_free_cycle(net, free)
+        room = _room(values, lower, upper)
+        free = [a for a in range(len(values)) if room[2 * a] and room[2 * a + 1]]
+        walk = _find_free_cycle(node_count, arcs, free)
         if walk is None:
             return free
-        walk_cost = sum(sign * net.arcs[arc_id].cost for arc_id, sign in walk)
-        if walk_cost > 0:
-            walk = [(arc_id, -sign) for arc_id, sign in walk]
-        room = min(_headroom(net, values, arc_id, sign) for arc_id, sign in walk)
-        for arc_id, sign in walk:
-            values[arc_id] += sign * room
+        if sum(-cost[r >> 1] if r & 1 else cost[r >> 1] for r in walk) > 0:
+            walk = [r ^ 1 for r in walk]
+        units = min(room[r] for r in walk)
+        for r in walk:
+            values[r >> 1] += -units if r & 1 else units
 
 
-def _initial_tree(net: Network, free: list[int]) -> list[int]:
+def _initial_tree(node_count: int, arcs, free: list[int]) -> list[int]:
     """Free arcs first, then tight arcs by (span, id), merged Kruskal-style."""
-    leader = list(range(net.node_count))
+    src, dst, _, lower, upper = arcs
+    leader = list(range(node_count))
 
     def find(x: int) -> int:
         while leader[x] != x:
@@ -204,21 +240,18 @@ def _initial_tree(net: Network, free: list[int]) -> list[int]:
 
     tree = []
     for arc_id in free:
-        if not union(net.arcs[arc_id].src, net.arcs[arc_id].dst):
+        if not union(src[arc_id], dst[arc_id]):
             raise InvariantError("free arcs must form a forest after cancellation")
         tree.append(arc_id)
     free_set = set(free)
-    rest = sorted(
-        (a for a in range(net.arc_count) if a not in free_set),
-        key=lambda a: (net.arcs[a].span, a),
-    )
+    rest = sorted((a for a in range(len(src)) if a not in free_set), key=lambda a: (upper[a] - lower[a], a))
     for arc_id in rest:
-        if union(net.arcs[arc_id].src, net.arcs[arc_id].dst):
+        if union(src[arc_id], dst[arc_id]):
             tree.append(arc_id)
     return tree
 
 
-def _pivot_to_optimal(net: Network, values, tree: list[int]):
+def _pivot_to_optimal(node_count: int, arcs, values, tree: list[int]):
     """Degenerate simplex pivots (Bland's rule) until no sign condition fails.
 
     Only zero-headroom swaps happen, so the flow never changes; a violating
@@ -243,72 +276,68 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
     included; those are tested again after the pivot.  Every other arc keeps
     its reduced cost and its cycle, so a popped arc that no longer violates
     or still has headroom can be dropped.  The final tree is rooted at node
-    0 again.
+    0 again.  No flow value moves, so the headrooms are one `_room` list
+    and each movable arc off the tree stays at its bound, `at`.
     """
-    arcs = net.arcs
-    n = net.node_count
-    adjacency = _adjacency(net, tree)
+    src, dst, cost, lower, upper = arcs
+    n, m = node_count, len(src)
+    adjacency = _neighbours(n, arcs, tree)
     tables = parent_node, parent_arc, depth, potentials = [[-1] * n for _ in range(4)]
-    rooted: dict[int, None] = {}
-    _walk(net, adjacency, tables, rooted, 0)
+    rooted = _hang(adjacency, tables, 0)
     if len(rooted) < n:
         raise InvariantError("tree arcs must span the network")
     size = [1] * n  # nodes per subtree, summed child first
-    for node in reversed(list(rooted)[1:]):
+    for node in reversed(rooted[1:]):
         size[parent_node[node]] += size[node]
-    in_tree = [False] * net.arc_count
+    in_tree = [False] * m
     for arc_id in tree:
         in_tree[arc_id] = True
-    # Arcs fixed at lower == upper never enter the tree.
-    movable = [a for a in range(net.arc_count) if arcs[a].lower < arcs[a].upper]
-    incident = _adjacency(net, movable)
-
-    def orientation(arc_id: int) -> int:
-        """+1 or -1 along which a sign-violating arc would push; 0 if it does not violate."""
-        arc = arcs[arc_id]
-        reduced = arc.cost + potentials[arc.src] - potentials[arc.dst]
-        if values[arc_id] == arc.lower and reduced < 0:
-            return 1
-        if values[arc_id] == arc.upper and reduced > 0:
-            return -1
-        return 0
-
+    room = _room(values, lower, upper)
+    # +1 at the lower bound, -1 at the upper, 0 fixed or strictly between: an
+    # arc violates when at * reduced < 0, which a tree arc's 0 never does.
+    at = [(value == lo) - (value == hi) for value, lo, hi in zip(values, lower, upper)]
+    # Per node (neighbour, arc id, cost and `at` signed from the node).
+    incident: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    for a in range(m):
+        if at[a]:
+            incident[src[a]].append((dst[a], a, cost[a], at[a]))
+            incident[dst[a]].append((src[a], a, -cost[a], -at[a]))
     # Ascending ids already form a heap.
-    heap = [a for a in movable if not in_tree[a] and orientation(a)]
-    queued = [False] * net.arc_count
+    heap = [a for a in range(m) if at[a] * (cost[a] + potentials[src[a]] - potentials[dst[a]]) < 0]
+    queued = [False] * m
     for arc_id in heap:
         queued[arc_id] = True
+    stamp = [-1] * n  # the pivot that last walked the node
     for pivot in range(_PIVOT_CAP):
         while heap:
             entering = heappop(heap)
             queued[entering] = False
-            sign = orientation(entering)
-            if not sign:
-                continue
-            members = _cycle(arcs, parent_node, parent_arc, depth, entering, sign)
-            rooms = [_headroom(net, values, e, s) for e, s in members]
-            if min(rooms) > 0:
-                continue  # a genuinely negative cycle: the flow was not optimal
-            break
+            sign = at[entering]
+            if sign * (cost[entering] + potentials[src[entering]] - potentials[dst[entering]]) < 0:
+                members = _cycle(src, dst, parent_node, parent_arc, depth, entering, sign)
+                blocking = [r >> 1 for r in members if not room[r]]
+                if blocking:
+                    break  # else a genuinely negative cycle: the flow was not optimal
         else:
             if pivot:
-                _walk(net, adjacency, tables, {}, 0)
+                _hang(adjacency, tables, 0)
             return in_tree, tables
-        leaving = min(e for (e, _), room in zip(members, rooms) if e != entering and room == 0)
-        arc, out = arcs[entering], arcs[leaving]
+        leaving = min(blocking)
+        tail, head = src[entering], dst[entering]
+        out_tail, out_head = src[leaving], dst[leaving]
         # The leaving arc cuts off the subtree below its deeper end; the
         # entering arc has exactly one end inside it.
-        cut = out.src if depth[out.src] > depth[out.dst] else out.dst
-        x = arc.src
+        cut = out_tail if depth[out_tail] > depth[out_head] else out_head
+        x = tail
         while depth[x] > depth[cut]:
             x = parent_node[x]
-        inside, outside = (arc.src, arc.dst) if x == cut else (arc.dst, arc.src)
-        adjacency[out.src].remove((out.dst, leaving))
-        adjacency[out.dst].remove((out.src, leaving))
-        adjacency[arc.src].append((arc.dst, entering))
-        adjacency[arc.dst].append((arc.src, entering))
+        inside, outside = (tail, head) if x == cut else (head, tail)
+        adjacency[out_tail].remove((out_head, leaving, cost[leaving]))
+        adjacency[out_head].remove((out_tail, leaving, -cost[leaving]))
+        adjacency[tail].append((head, entering, cost[entering]))
+        adjacency[head].append((tail, entering, -cost[entering]))
         in_tree[leaving], in_tree[entering] = False, True
-        moved: dict[int, None] = {}
+        step = cost[entering] if outside == tail else -cost[entering]
         cut_size = size[cut]
         if 2 * cut_size <= n:
             # S moves below `outside`: the chain above the leaving arc loses
@@ -321,7 +350,7 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
                 else:
                     size[y] += cut_size
                     y = parent_node[y]
-            _walk(net, adjacency, tables, moved, inside, outside, entering)
+            walked = _hang(adjacency, tables, inside, outside, entering, step)
         else:
             # S keeps its links under `cut`, now the root; R hangs below `inside`.
             parent_node[cut] = parent_arc[cut] = -1
@@ -329,17 +358,17 @@ def _pivot_to_optimal(net: Network, values, tree: list[int]):
             while x >= 0:
                 size[x] += n - cut_size
                 x = parent_node[x]
-            _walk(net, adjacency, tables, moved, outside, inside, entering)
-        walked = list(moved)
+            walked = _hang(adjacency, tables, outside, inside, entering, -step)
         for node in walked:
             size[node] = 1
+            stamp[node] = pivot
         for node in reversed(walked[1:]):  # the first hangs from the other side
             size[parent_node[node]] += size[node]
-        for node in moved:
-            for other, arc_id in incident[node]:
-                if queued[arc_id] or in_tree[arc_id] or other in moved:
-                    continue
-                if orientation(arc_id):
+        for node in walked:
+            potential = potentials[node]
+            for other, arc_id, arc_cost, arc_at in incident[node]:
+                if (stamp[other] != pivot and not queued[arc_id]
+                        and arc_at * (arc_cost + potential - potentials[other]) < 0):
                     heappush(heap, arc_id)
                     queued[arc_id] = True
     raise InvariantError("tree pivoting did not terminate")
@@ -356,27 +385,16 @@ def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
     validate_network(net)
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("tree solutions exist for feasible flows only")
+    arcs = _arc_lists(net)
     values = list(flow.values)
-    tree = _initial_tree(net, _cancel_free_cycles(net, values))
-    in_tree, (parent_node, parent_arc, depth, potentials) = _pivot_to_optimal(net, values, tree)
-    lower_set = frozenset(
-        a for a in range(net.arc_count)
-        if not in_tree[a] and values[a] == net.arcs[a].lower
-    )
-    upper_set = frozenset(
-        a for a in range(net.arc_count)
-        if not in_tree[a] and a not in lower_set
-    )
-    structure = TreeStructure(
-        net,
-        tuple(a for a in range(net.arc_count) if in_tree[a]),
-        lower_set,
-        upper_set,
-        tuple(potentials),
-        tuple(parent_node),
-        tuple(parent_arc),
-        tuple(depth),
-    )
+    tree = _initial_tree(net.node_count, arcs, _cancel_free_cycles(net.node_count, arcs, values))
+    in_tree, (parent_node, parent_arc, depth, potentials) = _pivot_to_optimal(
+        net.node_count, arcs, values, tree)
+    nontree = [a for a in range(net.arc_count) if not in_tree[a]]
+    lower_set = frozenset(a for a in nontree if values[a] == arcs[3][a])
+    structure = TreeStructure(net, tuple(a for a in range(net.arc_count) if in_tree[a]), lower_set,
+                              frozenset(nontree) - lower_set,
+                              *map(tuple, (potentials, parent_node, parent_arc, depth)))
     return Flow(tuple(values)), structure
 
 
@@ -384,9 +402,7 @@ def _nontree_ids(ts: TreeStructure, arc_ids) -> list[int]:
     """The ids in order, each checked to name a non-tree arc and to appear once."""
     seen: dict[int, None] = {}
     for arc_id in arc_ids:
-        if not 0 <= arc_id < ts.network.arc_count:
-            raise ValueError(f"arc id {arc_id} is out of range")
-        if ts.is_tree_arc(arc_id):
+        if ts.is_tree_arc(arc_id):  # raises for an id out of range
             raise ArcInTreeError(f"arc {arc_id} is a tree arc")
         if arc_id in seen:
             raise ValueError(f"arc id {arc_id} is listed twice")
@@ -394,22 +410,30 @@ def _nontree_ids(ts: TreeStructure, arc_ids) -> list[int]:
     return list(seen)
 
 
-def _induced_members(ts: TreeStructure, arc_id: int):
-    """`_cycle` of a non-tree arc, oriented by its lower/upper side."""
-    _nontree_ids(ts, (arc_id,))
-    sign = 1 if arc_id in ts.lower_set else -1
-    return _cycle(ts.network.arcs, ts.parent_node, ts.parent_arc, ts.depth, arc_id, sign)
+def _induced_ids(ts: TreeStructure, arcs, arc_ids) -> list[list[int]]:
+    """`_cycle` of each non-tree arc in `arc_ids`, checked once, oriented by its lower/upper side."""
+    links = ts.parent_node, ts.parent_arc, ts.depth
+    return [_cycle(arcs[0], arcs[1], *links, arc_id, 1 if arc_id in ts.lower_set else -1)
+            for arc_id in _nontree_ids(ts, arc_ids)]
+
+
+def _induced_cycles(ts: TreeStructure, arc_ids) -> list[InducedCycle]:
+    """`induced_cycle` of each non-tree arc in `arc_ids`, over one build of the per-arc lists."""
+    return [InducedCycle(ids[0] >> 1, tuple((r >> 1, -1 if r & 1 else 1) for r in ids))
+            for ids in _induced_ids(ts, _arc_lists(ts.network), arc_ids)]
 
 
 def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
     """The cycle closed by a non-tree arc, oriented by its lower/upper side."""
-    return InducedCycle(arc_id, tuple(_induced_members(ts, arc_id)))
+    return _induced_cycles(ts, (arc_id,))[0]
 
 
-def induced_cycle_capacity(ts: TreeStructure, flow: Flow, arc_id: int) -> int:
-    """Largest augmentation the induced cycle of non-tree arc `arc_id` admits at this flow."""
+def induced_cycle_capacities(ts: TreeStructure, flow: Flow, arc_ids) -> list[int]:
+    """Per non-tree arc in `arc_ids`, the largest augmentation its induced cycle admits at this flow."""
     _require_dimensions(ts.network, flow)
-    return min(_headroom(ts.network, flow.values, e, s) for e, s in _induced_members(ts, arc_id))
+    arcs = _arc_lists(ts.network)
+    room = _room(flow.values, arcs[3], arcs[4])
+    return [min(map(room.__getitem__, ids)) for ids in _induced_ids(ts, arcs, arc_ids)]
 
 
 def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:
@@ -431,8 +455,7 @@ def count_upper_bound(ts: TreeStructure, zero_arcs) -> int:
 
 def count_lower_bound(ts: TreeStructure, zero_arcs, flow: Flow) -> int:
     """max(1, sum of induced-cycle capacities) over the basis arcs."""
-    _require_dimensions(ts.network, flow)
-    return max(1, sum(induced_cycle_capacity(ts, flow, a) for a in _nontree_ids(ts, zero_arcs)))
+    return max(1, sum(induced_cycle_capacities(ts, flow, zero_arcs)))
 
 
 def feasible_count_bounds(ts: TreeStructure, flow: Flow) -> tuple[int, int]:
@@ -453,8 +476,7 @@ def decompose_cycle(ts: TreeStructure, walk: Sequence[tuple[int, int]]) -> list[
     head = None
     first_tail = None
     for arc_id, sign in walk:
-        if not 0 <= arc_id < net.arc_count:
-            raise ValueError(f"arc id {arc_id} is out of range")
+        _in_range(net, arc_id)
         if sign not in (1, -1):
             raise ValueError(f"step sign {sign} is not 1 or -1")
         arc = net.arcs[arc_id]
@@ -469,7 +491,8 @@ def decompose_cycle(ts: TreeStructure, walk: Sequence[tuple[int, int]]) -> list[
     nontree = [arc_id for arc_id, _ in walk if not ts.is_tree_arc(arc_id)]
     if not nontree:
         raise CycleEntirelyInTreeError("every arc of the cycle lies in the tree")
-    return [induced_cycle(ts, arc_id) for arc_id in nontree]
+    parts = {part.arc: part for part in _induced_cycles(ts, dict.fromkeys(nontree))}
+    return [parts[arc_id] for arc_id in nontree]
 
 
 def incidence_sum_check(ts: TreeStructure, cycle: Cycle) -> bool:
@@ -479,10 +502,7 @@ def incidence_sum_check(ts: TreeStructure, cycle: Cycle) -> bool:
     chi = cycle.incidence(arc_count)
     total_chi = [0] * arc_count
     total_cost = 0
-    for arc_id in range(arc_count):
-        if chi[arc_id] == 0 or ts.is_tree_arc(arc_id):
-            continue
-        part = induced_cycle(ts, arc_id)
+    for part in _induced_cycles(ts, [a for a in range(arc_count) if chi[a] and not ts.is_tree_arc(a)]):
         for member, sign in part.members:
             total_chi[member] += sign
         total_cost += part.cost(net)
@@ -507,11 +527,9 @@ def express_in_cycle_basis(ts: TreeStructure, flow: Flow, other: Flow):
             return None
         coefficients[arc_id] = coefficient
     rebuilt = list(flow.values)
-    for arc_id, coefficient in coefficients.items():
-        if coefficient == 0:
-            continue
-        for member, sign in induced_cycle(ts, arc_id).members:
-            rebuilt[member] += coefficient * sign
+    for part in _induced_cycles(ts, [arc_id for arc_id, coefficient in coefficients.items() if coefficient]):
+        for member, sign in part.members:
+            rebuilt[member] += coefficients[part.arc] * sign
     if tuple(rebuilt) != other.values:
         return None
     if not check_feasible(net, Flow(tuple(rebuilt))):

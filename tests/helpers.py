@@ -23,7 +23,7 @@ from flowenum.enumeration import _split, optimal_face
 from flowenum.errors import InvariantError, NegativeCycleError
 from flowenum.kbest import find_second_best_flow
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
-from flowenum.treebounds import _PIVOT_CAP, _adjacency, _cycle, _headroom
+from flowenum.treebounds import _PIVOT_CAP
 
 
 def make_network(node_count, specs, balances) -> Network:
@@ -303,6 +303,46 @@ def random_residual_cycle(rng: random.Random, rg: ResidualGraph) -> Cycle | None
     return None
 
 
+def headroom(net: Network, values, arc_id: int, sign: int) -> int:
+    """How far `values[arc_id]` can move along `sign` before it meets a bound."""
+    arc = net.arcs[arc_id]
+    return arc.upper - values[arc_id] if sign > 0 else values[arc_id] - arc.lower
+
+
+def _adjacency(net: Network, arcs):
+    """Undirected incidence lists: adjacency[node] holds (neighbor, arc id)."""
+    adjacency: list[list[tuple[int, int]]] = [[] for _ in range(net.node_count)]
+    for arc_id in arcs:
+        arc = net.arcs[arc_id]
+        adjacency[arc.src].append((arc.dst, arc_id))
+        adjacency[arc.dst].append((arc.src, arc_id))
+    return adjacency
+
+
+def _signed_cycle(arcs, parent_node, parent_arc, depth, arc_id: int, sign: int):
+    """Signed (arc id, sign) members of the cycle that non-tree arc `arc_id` closes through the tree.
+
+    `(arc_id, sign)` comes first, then the tree path from the arc's head
+    back to its tail: the steps climbing from the head, then those going
+    down to the tail.  A step carries `sign` when the path rides its tree
+    arc in the arc's own direction, `-sign` when it opposes it.
+    """
+    arc = arcs[arc_id]
+    ups = [(arc_id, sign)]
+    downs: list[tuple[int, int]] = []
+    x, y = arc.dst, arc.src
+    while x != y:
+        if depth[x] >= depth[y]:
+            step = parent_arc[x]
+            ups.append((step, sign if arcs[step].src == x else -sign))
+            x = parent_node[x]
+        else:
+            step = parent_arc[y]
+            downs.append((step, -sign if arcs[step].src == y else sign))
+            y = parent_node[y]
+    return ups + downs[::-1]
+
+
 def _rescan_walk(net: Network, adjacency, tables, node: int, parent: int = -1, via: int = -1):
     """The tree walk that `rescan_pivot_to_optimal` was written against."""
     parent_node, parent_arc, depth, potentials = tables
@@ -356,8 +396,8 @@ def rescan_pivot_to_optimal(net: Network, values, tree: list[int], pivots: list[
                 orientation = -1
             else:
                 continue
-            members = _cycle(net.arcs, parent_node, parent_arc, depth, arc_id, orientation)
-            if min(_headroom(net, values, e, s) for e, s in members) > 0:
+            members = _signed_cycle(net.arcs, parent_node, parent_arc, depth, arc_id, orientation)
+            if min(headroom(net, values, e, s) for e, s in members) > 0:
                 continue  # a genuinely negative cycle: the flow was not optimal
             swap = (arc_id, members)
             break
@@ -365,7 +405,7 @@ def rescan_pivot_to_optimal(net: Network, values, tree: list[int], pivots: list[
             return in_tree, tables
         entering, members = swap
         pivots.append(entering)
-        leaving = min(e for e, s in members if e != entering and _headroom(net, values, e, s) == 0)
+        leaving = min(e for e, s in members if e != entering and headroom(net, values, e, s) == 0)
         out, arc = net.arcs[leaving], net.arcs[entering]
         # The leaving arc cuts off the subtree below its deeper end; the
         # entering arc has exactly one end inside it.

@@ -25,12 +25,13 @@ from flowenum.treebounds import (
     feasible_count_bounds,
     incidence_sum_check,
     induced_cycle,
-    induced_cycle_capacity,
+    induced_cycle_capacities,
     to_tree_solution,
     zero_cost_nontree_set,
 )
 
 from helpers import (
+    headroom,
     make_network,
     random_feasible_network,
     random_grid_network,
@@ -106,7 +107,7 @@ class TestToTreeSolution:
 
     def test_unspanning_tree_is_an_invariant_error(self, monkeypatch, eleven_optima_network, eleven_optima_flow):
         initial_tree = treebounds._initial_tree
-        monkeypatch.setattr(treebounds, "_initial_tree", lambda net, free: initial_tree(net, free)[1:])
+        monkeypatch.setattr(treebounds, "_initial_tree", lambda *args: initial_tree(*args)[1:])
         with pytest.raises(InvariantError, match="must span the network"):
             to_tree_solution(eleven_optima_network, eleven_optima_flow)
 
@@ -114,7 +115,7 @@ class TestToTreeSolution:
         net = make_network(
             3, [(0, 1, 0, 2, 1), (1, 2, 0, 2, 1), (2, 0, 0, 2, -2)], (0, 0, 0)
         )
-        monkeypatch.setattr(treebounds, "_find_free_cycle", lambda net, free: None)
+        monkeypatch.setattr(treebounds, "_find_free_cycle", lambda *args: None)
         with pytest.raises(InvariantError, match="must form a forest"):
             to_tree_solution(net, Flow((1, 1, 1)))
 
@@ -125,14 +126,14 @@ class TestToTreeSolution:
         # found here by a breadth-first search.
         net = random_grid_network(random.Random(seed), 12, 12, both_ways=True)
         pivots = []
-        walk = treebounds._walk
+        hang = treebounds._hang
 
-        def counted(net, adjacency, tables, seen, node, parent=-1, via=-1):
+        def counted(adjacency, tables, node, parent=-1, via=-1, step=0):
             if via >= 0:
                 pivots.append(via)
-            return walk(net, adjacency, tables, seen, node, parent, via)
+            return hang(adjacency, tables, node, parent, via, step)
 
-        monkeypatch.setattr(treebounds, "_walk", counted)
+        monkeypatch.setattr(treebounds, "_hang", counted)
         _, ts = to_tree_solution(net, solve_min_cost_flow(net))
         assert len(pivots) > 100
         assert len(ts.tree_arcs) == net.node_count - 1
@@ -165,25 +166,24 @@ class TestToTreeSolution:
         net = random_grid_network(random.Random(seed), 12, 12, both_ways=True)
         n = net.node_count
         walked, cut_off = [], []
-        walk = treebounds._walk
+        hang = treebounds._hang
 
-        def counted(net, adjacency, tables, seen, node, parent=-1, via=-1):
+        def counted(adjacency, tables, node, parent=-1, via=-1, step=0):
             if via < 0:
-                return walk(net, adjacency, tables, seen, node, parent, via)
+                return hang(adjacency, tables, node, parent, via, step)
             side, stack = {node}, [node]
             while stack:
-                for other, arc_id in adjacency[stack.pop()]:
+                for other, arc_id, _ in adjacency[stack.pop()]:
                     if arc_id != via and other not in side:
                         side.add(other)
                         stack.append(other)
-            before = len(seen)
-            closing = walk(net, adjacency, tables, seen, node, parent, via)
-            walked.append(len(seen) - before)
+            order = hang(adjacency, tables, node, parent, via, step)
+            walked.append(len(order))
             assert walked[-1] == len(side)
             cut_off.append(n - len(side) if 0 in side else len(side))
-            return closing
+            return order
 
-        monkeypatch.setattr(treebounds, "_walk", counted)
+        monkeypatch.setattr(treebounds, "_hang", counted)
         to_tree_solution(net, solve_min_cost_flow(net))
         assert len(walked) > 100
         assert max(walked) <= n // 2
@@ -221,18 +221,18 @@ def pivots_matching_the_rescan(monkeypatch, net, flow):
     the same structure.
     """
     pivots, reference = [], []
-    walk = treebounds._walk
+    hang = treebounds._hang
 
-    def counted(net, adjacency, tables, seen, node, parent=-1, via=-1):
+    def counted(adjacency, tables, node, parent=-1, via=-1, step=0):
         if via >= 0:
             pivots.append(via)
-        return walk(net, adjacency, tables, seen, node, parent, via)
+        return hang(adjacency, tables, node, parent, via, step)
 
     with monkeypatch.context() as patch:
-        patch.setattr(treebounds, "_walk", counted)
+        patch.setattr(treebounds, "_hang", counted)
         tree_flow, ts = to_tree_solution(net, flow)
         patch.setattr(treebounds, "_pivot_to_optimal",
-                      lambda net, values, tree: rescan_pivot_to_optimal(net, values, tree, reference))
+                      lambda node_count, arcs, values, tree: rescan_pivot_to_optimal(net, values, tree, reference))
         reference_flow, reference_ts = to_tree_solution(net, flow)
     assert pivots == reference
     assert tree_flow == reference_flow
@@ -247,7 +247,7 @@ class TestInducedCycle:
         cycle = induced_cycle(ts, 4)
         assert members_by_arc(cycle) == {4: 1, 6: 1, 5: -1}
         assert cycle.cost(eleven_optima_network) == ts.reduced_cost(4) == 0
-        assert induced_cycle_capacity(ts, tree_flow, 4) == 10
+        assert induced_cycle_capacities(ts, tree_flow, [4]) == [10]
 
     def test_upper_set_arc_flips_the_orientation(self):
         net = make_network(2, [(0, 1, 0, 2, 2), (0, 1, 0, 1, 2)], (2, -2))
@@ -314,8 +314,9 @@ class TestMemberOrder:
             assert is_closed_walk(net, members)
         return len(nontree)
 
-    def check_free_cycle(self, net, free, walk):
-        assert walk is not None
+    def check_free_cycle(self, net, free, ids):
+        assert ids is not None
+        walk = [(r >> 1, -1 if r & 1 else 1) for r in ids]  # residual ids as (arc, sign)
         assert is_closed_walk(net, walk)
         assert {arc_id for arc_id, _ in walk} <= set(free)
 
@@ -327,16 +328,17 @@ class TestMemberOrder:
         # Values strictly inside the bounds of both arcs of a grid edge close free cycles.
         values = [arc.lower + rng.randint(0, arc.span) for arc in net.arcs]
         free = [a for a, arc in enumerate(net.arcs) if arc.lower < values[a] < arc.upper]
-        self.check_free_cycle(net, free, treebounds._find_free_cycle(net, free))
+        found = treebounds._find_free_cycle(net.node_count, treebounds._arc_lists(net), free)
+        self.check_free_cycle(net, free, found)
 
     def test_small_instances(self, monkeypatch):
         # Witness flows leave free cycles, each checked as it is canceled.
         find, walks = treebounds._find_free_cycle, []
 
-        def checked(net, free):
-            walk = find(net, free)
+        def checked(node_count, arcs, free):
+            walk = find(node_count, arcs, free)
             if walk is not None:
-                self.check_free_cycle(net, free, walk)
+                self.check_free_cycle(net, free, walk)  # the instance the loop below is on
                 walks.append(walk)
             return walk
 
@@ -359,7 +361,7 @@ class TestRejectedInputs:
         with pytest.raises(DimensionMismatchError):
             feasible_count_bounds(ts, wrong)
         with pytest.raises(DimensionMismatchError):
-            induced_cycle_capacity(ts, wrong, 4)
+            induced_cycle_capacities(ts, wrong, [4])
 
     @pytest.mark.parametrize("bad", [7, -1])
     def test_arc_id_out_of_range(self, eleven_optima_network, eleven_optima_flow, bad):
@@ -371,6 +373,13 @@ class TestRejectedInputs:
             count_lower_bound(ts, [bad], tree_flow)
         with pytest.raises(ValueError, match=message):
             count_upper_bound(ts, [bad])
+        with pytest.raises(ValueError, match=message):
+            induced_cycle_capacities(ts, tree_flow, [4, bad])
+        # -1 used to read as a tree arc, and as arc 6 for its reduced cost.
+        with pytest.raises(ValueError, match=message):
+            ts.is_tree_arc(bad)
+        with pytest.raises(ValueError, match=message):
+            ts.reduced_cost(bad)
         # a->b, b->d, then the bad id; -1 would read as arc 6, d->e, which chains.
         with pytest.raises(ValueError, match=message):
             decompose_cycle(ts, [(0, 1), (3, 1), (bad, 1)])
@@ -383,6 +392,8 @@ class TestRejectedInputs:
             count_upper_bound(ts, arcs)
         with pytest.raises(ArcInTreeError):
             count_lower_bound(ts, arcs, tree_flow)
+        with pytest.raises(ArcInTreeError):
+            induced_cycle_capacities(ts, tree_flow, arcs)
 
     @pytest.mark.parametrize("arcs", [[4, 4], [0, 4, 1, 4], [1, 1, 0]])
     def test_arc_id_listed_twice_in_a_bound(self, eleven_optima_network, eleven_optima_flow, arcs):
@@ -394,6 +405,8 @@ class TestRejectedInputs:
             count_upper_bound(ts, arcs)
         with pytest.raises(ValueError, match=message):
             count_lower_bound(ts, arcs, tree_flow)
+        with pytest.raises(ValueError, match=message):
+            induced_cycle_capacities(ts, tree_flow, arcs)
         assert count_lower_bound(ts, [4], tree_flow) == 10
         assert count_upper_bound(ts, [4]) == 11
 
@@ -411,17 +424,19 @@ class TestCycleCapacity:
     """The one capacity reader against the least headroom along each induced cycle."""
 
     def capacities(self, net, flow):
+        # Every non-tree arc in one call, each entry checked on its own.
         tree_flow, ts = to_tree_solution(net, flow)
-        found = {}
-        for arc_id in sorted(ts.lower_set | ts.upper_set):
-            found[arc_id] = induced_cycle_capacity(ts, tree_flow, arc_id)
+        nontree = sorted(ts.lower_set | ts.upper_set)
+        found = dict(zip(nontree, induced_cycle_capacities(ts, tree_flow, nontree)))
+        assert list(found) == nontree
+        for arc_id in nontree:
             assert found[arc_id] == min(
-                treebounds._headroom(net, tree_flow.values, member, sign)
+                headroom(net, tree_flow.values, member, sign)
                 for member, sign in induced_cycle(ts, arc_id).members
             )
         for arc_id in ts.tree_arcs:
             with pytest.raises(ArcInTreeError):
-                induced_cycle_capacity(ts, tree_flow, arc_id)
+                induced_cycle_capacities(ts, tree_flow, [arc_id])
         return ts, found
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
