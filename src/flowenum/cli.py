@@ -26,7 +26,7 @@ from .bruteforce import (
 )
 from .core import Network, _require_dimensions, flow_cost, validate_network
 from .dimacs import parse_dimacs
-from .enumeration import iter_optimal_flows
+from .enumeration import _flows_after, iter_optimal_flows
 from .errors import (
     BudgetExceededError,
     DimacsError,
@@ -34,8 +34,8 @@ from .errors import (
     NetworkValidationError,
 )
 from .kbest import iter_k_best_flows
-from .solver import solve_min_cost_flow
-from .treebounds import count_upper_bound, induced_cycle_capacities, to_tree_solution, zero_cost_nontree_set
+from .solver import _solve, solve_min_cost_flow
+from .treebounds import _capacities, _tree_solution, count_upper_bound, zero_cost_nontree_set
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -136,15 +136,14 @@ def _cmd_kbest(args, net, out, started) -> int:
 
 
 def _cmd_bounds(args, net, out, started) -> int:
-    # The enumeration's first flow is the solver's optimum, so --exact
-    # counts on from it instead of solving the instance a second time.
-    flows = iter_optimal_flows(net)
-    flow = next(flows)
-    tree_flow, structure = to_tree_solution(net, flow)
+    # The solver checks the instance and its own optimum once; the tree and, for
+    # --exact, the enumeration counting on from that optimum run on its frame.
+    frame, flow = _solve(net)
+    tree_flow, structure = _tree_solution(net, frame, flow)
     zero_arcs = zero_cost_nontree_set(structure)
     # Both readings of the lower bound and the feasible bounds, each cycle capacity read once.
     nontree = sorted(structure.lower_set | structure.upper_set)
-    capacity = dict(zip(nontree, induced_cycle_capacities(structure, tree_flow, nontree)))
+    capacity = dict(zip(nontree, _capacities(structure, frame, tree_flow.values, nontree)))
     zero_total = sum(capacity[arc] for arc in zero_arcs)
     extra = {
         "count": 0,
@@ -158,7 +157,7 @@ def _cmd_bounds(args, net, out, started) -> int:
     }
     if args.exact:
         # As many flows past the first as the limit allows: one more shows it was reached.
-        rest = sum(1 for _ in islice(flows, args.limit))
+        rest = sum(1 for _ in islice(_flows_after(net, frame, flow), args.limit))
         extra["exact_count"] = min(1 + rest, args.limit)
         extra["limit_reached"] = rest == args.limit
     _summary(out, "bounds", net, started, **extra)
@@ -166,6 +165,7 @@ def _cmd_bounds(args, net, out, started) -> int:
 
 
 def _cmd_oracle(args, net, out, started) -> int:
+    validate_network(net)  # the brute force checks nothing
     budget = EnumerationBudget(args.max_states, args.max_flows)
     if args.mode == "feasible":
         flows = enumerate_all_feasible_bruteforce(net, budget)
@@ -227,13 +227,11 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 2
     try:
         net = parse_dimacs(text)
-        validate_network(net)
+        # Each command checks the instance before any output, so a rejection prints nothing.
+        return _HANDLERS[args.command](args, net, out, started)
     except (DimacsError, NetworkValidationError) as exc:
         print(f"flowenum: {args.file}: {exc}", file=err)
         return 2
-
-    try:
-        return _HANDLERS[args.command](args, net, out, started)
     except InfeasibleError as exc:
         print(f"flowenum: {exc}", file=err)
         _summary(out, args.command, net, started, count=0, infeasible=True)

@@ -7,8 +7,8 @@ unambiguous: a cycle is "proper" exactly when it never uses both residual
 directions of one original arc.  Every layer reads the residual graph
 through these ids and one `Frame` per instance, which `frame_of` builds
 once: per id its head, tail, arc and cost, per node the ids leaving it, and per
-arc the bounds a search region narrows.  The solver, Bellman-Ford, the
-all-optimal search and every K-best region share it; `residual_room` reads
+arc the bounds a search region narrows.  The solver, Bellman-Ford, the searches
+and the tree code share the solver's frame; `residual_room` reads
 a flow's spare units within its bounds and `push_unit` moves one unit around
 a cycle of ids.  `ResidualGraph` spells the same graph out as objects.
 """

@@ -67,8 +67,7 @@ class DfsForest:
                 values[index] = read(node, index)
         return values
 
-    tail = property(lambda self: self._per_id(lambda node, index: node))  # per id, 0 off `out`
-    arc_class = property(lambda self: self._per_id(self.classify))  # likewise
+    arc_class = property(lambda self: self._per_id(self.classify))  # per id, 0 off `out`
 
 
 def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:

@@ -62,6 +62,11 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
     """
     frame, first = _solve(net)
     yield first
+    yield from _flows_after(net, frame, first, stats)
+
+
+def _flows_after(net: Network, frame: Frame, first: Flow, stats: EnumerationStats | None = None):
+    """`iter_optimal_flows` after its first flow, the optimum `_solve` found on `frame`."""
     reduced_costs = compute_reduced_costs(net, _potentials(frame, residual_room(frame, first.values)))
     frame = optimal_face(frame, first.values, reduced_costs)
     # (witness, arc, lo, hi, reuse) searches with the arc narrowed; no witness restores

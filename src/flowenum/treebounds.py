@@ -5,7 +5,9 @@ non-tree arc then induces exactly one cycle through the tree.  The induced
 cycles with zero reduced cost form a basis for all optimal flows, which is
 what the count bounds and the coordinate extraction below exploit.
 
-The hot loops read plain per-arc lists (`_arc_lists`), not `Arc` objects.
+The kernels read core's `Frame`, never an `Arc`: per arc its tail, head and
+cost as slices over the forward ids, bounds from the frame and headrooms from
+`residual_room`.  The CLI runs them on the frame the solver returns.
 `_walk`, depth-first with a check as each node pops, finds the free cycles to
 cancel; the node it meets twice fixes which cycle, and so which flow, comes
 out.  `_hang` roots the first tree at node 0 and, after each pivot, walks
@@ -16,7 +18,7 @@ arcs: a pivot shifts the potentials of the walked side by one constant, so
 only the arcs across the cut are tested again.  Every induced, free and
 pivot cycle is read by one climb of the parent links, `_cycle`, as core's
 residual ids (`2a` rides arc `a` forward, `2a + 1` against it), so that a
-headroom is one read of a list laid out like `core.residual_room`.
+headroom is one read of a `core.residual_room` list.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .core import Cycle, Flow, Network, _require_dimensions, check_feasible, cycle_cost, validate_network
+from .core import (Cycle, Flow, Frame, Network, _require_dimensions, check_feasible, cycle_cost, frame_of,
+                   residual_room, validate_network)
 from .errors import (
     ArcInTreeError,
     CycleEntirelyInTreeError,
@@ -88,21 +91,9 @@ def _in_range(net: Network, arc_id: int) -> int:
     return arc_id
 
 
-def _arc_lists(net: Network):
-    """Per arc its tail, head, cost, lower and upper bound, as five plain lists."""
-    arcs = net.arcs
-    return ([arc.src for arc in arcs], [arc.dst for arc in arcs], [arc.cost for arc in arcs],
-            [arc.lower for arc in arcs], [arc.upper for arc in arcs])
-
-
-def _room(values, lower, upper) -> list[int]:
-    """Per residual id, laid out like `core.residual_room`: upper - value on 2a, value - lower on 2a + 1."""
-    return [spare for value, lo, hi in zip(values, lower, upper) for spare in (hi - value, value - lo)]
-
-
 def _neighbours(node_count: int, arcs, arc_ids):
     """Undirected incidence lists: per node (neighbour, arc id, the arc's cost signed from the node)."""
-    src, dst, cost = arcs[:3]
+    src, dst, cost = arcs
     adjacency: list[list[tuple[int, int, int]]] = [[] for _ in range(node_count)]
     for arc_id in arc_ids:
         adjacency[src[arc_id]].append((dst[arc_id], arc_id, cost[arc_id]))
@@ -204,13 +195,13 @@ def _find_free_cycle(node_count: int, arcs, free):
     return None
 
 
-def _cancel_free_cycles(node_count: int, arcs, values) -> list[int]:
+def _cancel_free_cycles(frame: Frame, arcs, values) -> list[int]:
     """Cancel free cycles in place; returns the free arcs left, a forest."""
-    cost, lower, upper = arcs[2:]
+    cost = arcs[2]
     while True:
-        room = _room(values, lower, upper)
+        room = residual_room(frame, values)
         free = [a for a in range(len(values)) if room[2 * a] and room[2 * a + 1]]
-        walk = _find_free_cycle(node_count, arcs, free)
+        walk = _find_free_cycle(frame.node_count, arcs, free)
         if walk is None:
             return free
         if sum(-cost[r >> 1] if r & 1 else cost[r >> 1] for r in walk) > 0:
@@ -220,10 +211,10 @@ def _cancel_free_cycles(node_count: int, arcs, values) -> list[int]:
             values[r >> 1] += -units if r & 1 else units
 
 
-def _initial_tree(node_count: int, arcs, free: list[int]) -> list[int]:
+def _initial_tree(frame: Frame, arcs, free: list[int]) -> list[int]:
     """Free arcs first, then tight arcs by (span, id), merged Kruskal-style."""
-    src, dst, _, lower, upper = arcs
-    leader = list(range(node_count))
+    src, dst, lower, upper = arcs[0], arcs[1], frame.lower, frame.upper
+    leader = list(range(frame.node_count))
 
     def find(x: int) -> int:
         while leader[x] != x:
@@ -251,7 +242,7 @@ def _initial_tree(node_count: int, arcs, free: list[int]) -> list[int]:
     return tree
 
 
-def _pivot_to_optimal(node_count: int, arcs, values, tree: list[int]):
+def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
     """Degenerate simplex pivots (Bland's rule) until no sign condition fails.
 
     Only zero-headroom swaps happen, so the flow never changes; a violating
@@ -276,11 +267,11 @@ def _pivot_to_optimal(node_count: int, arcs, values, tree: list[int]):
     included; those are tested again after the pivot.  Every other arc keeps
     its reduced cost and its cycle, so a popped arc that no longer violates
     or still has headroom can be dropped.  The final tree is rooted at node
-    0 again.  No flow value moves, so the headrooms are one `_room` list
-    and each movable arc off the tree stays at its bound, `at`.
+    0 again.  No flow value moves, so the headrooms are one `residual_room`
+    list and each movable arc off the tree stays at its bound, `at`.
     """
-    src, dst, cost, lower, upper = arcs
-    n, m = node_count, len(src)
+    src, dst, cost = arcs
+    n, m, lower, upper = frame.node_count, len(src), frame.lower, frame.upper
     adjacency = _neighbours(n, arcs, tree)
     tables = parent_node, parent_arc, depth, potentials = [[-1] * n for _ in range(4)]
     rooted = _hang(adjacency, tables, 0)
@@ -292,7 +283,7 @@ def _pivot_to_optimal(node_count: int, arcs, values, tree: list[int]):
     in_tree = [False] * m
     for arc_id in tree:
         in_tree[arc_id] = True
-    room = _room(values, lower, upper)
+    room = residual_room(frame, values)
     # +1 at the lower bound, -1 at the upper, 0 fixed or strictly between: an
     # arc violates when at * reduced < 0, which a tree arc's 0 never does.
     at = [(value == lo) - (value == hi) for value, lo, hi in zip(values, lower, upper)]
@@ -385,13 +376,17 @@ def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
     validate_network(net)
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("tree solutions exist for feasible flows only")
-    arcs = _arc_lists(net)
+    return _tree_solution(net, frame_of(net), flow)
+
+
+def _tree_solution(net: Network, frame: Frame, flow: Flow) -> tuple[Flow, TreeStructure]:
+    """`to_tree_solution` on `net`'s frame, unchecked: `flow` must be feasible."""
+    arcs = frame.tail[::2], frame.head[::2], frame.cost[::2]
     values = list(flow.values)
-    tree = _initial_tree(net.node_count, arcs, _cancel_free_cycles(net.node_count, arcs, values))
-    in_tree, (parent_node, parent_arc, depth, potentials) = _pivot_to_optimal(
-        net.node_count, arcs, values, tree)
+    tree = _initial_tree(frame, arcs, _cancel_free_cycles(frame, arcs, values))
+    in_tree, (parent_node, parent_arc, depth, potentials) = _pivot_to_optimal(frame, arcs, values, tree)
     nontree = [a for a in range(net.arc_count) if not in_tree[a]]
-    lower_set = frozenset(a for a in nontree if values[a] == arcs[3][a])
+    lower_set = frozenset(a for a in nontree if values[a] == frame.lower[a])
     structure = TreeStructure(net, tuple(a for a in range(net.arc_count) if in_tree[a]), lower_set,
                               frozenset(nontree) - lower_set,
                               *map(tuple, (potentials, parent_node, parent_arc, depth)))
@@ -410,17 +405,17 @@ def _nontree_ids(ts: TreeStructure, arc_ids) -> list[int]:
     return list(seen)
 
 
-def _induced_ids(ts: TreeStructure, arcs, arc_ids) -> list[list[int]]:
+def _induced_ids(ts: TreeStructure, frame: Frame, arc_ids) -> list[list[int]]:
     """`_cycle` of each non-tree arc in `arc_ids`, checked once, oriented by its lower/upper side."""
-    links = ts.parent_node, ts.parent_arc, ts.depth
-    return [_cycle(arcs[0], arcs[1], *links, arc_id, 1 if arc_id in ts.lower_set else -1)
+    links = frame.tail[::2], frame.head[::2], ts.parent_node, ts.parent_arc, ts.depth
+    return [_cycle(*links, arc_id, 1 if arc_id in ts.lower_set else -1)
             for arc_id in _nontree_ids(ts, arc_ids)]
 
 
 def _induced_cycles(ts: TreeStructure, arc_ids) -> list[InducedCycle]:
-    """`induced_cycle` of each non-tree arc in `arc_ids`, over one build of the per-arc lists."""
+    """`induced_cycle` of each non-tree arc in `arc_ids`, over one frame."""
     return [InducedCycle(ids[0] >> 1, tuple((r >> 1, -1 if r & 1 else 1) for r in ids))
-            for ids in _induced_ids(ts, _arc_lists(ts.network), arc_ids)]
+            for ids in _induced_ids(ts, frame_of(ts.network), arc_ids)]
 
 
 def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
@@ -431,9 +426,13 @@ def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
 def induced_cycle_capacities(ts: TreeStructure, flow: Flow, arc_ids) -> list[int]:
     """Per non-tree arc in `arc_ids`, the largest augmentation its induced cycle admits at this flow."""
     _require_dimensions(ts.network, flow)
-    arcs = _arc_lists(ts.network)
-    room = _room(flow.values, arcs[3], arcs[4])
-    return [min(map(room.__getitem__, ids)) for ids in _induced_ids(ts, arcs, arc_ids)]
+    return _capacities(ts, frame_of(ts.network), flow.values, arc_ids)
+
+
+def _capacities(ts: TreeStructure, frame: Frame, values, arc_ids) -> list[int]:
+    """`induced_cycle_capacities` on the frame of `ts.network`, unchecked: `values` must fit it."""
+    room = residual_room(frame, values)
+    return [min(map(room.__getitem__, ids)) for ids in _induced_ids(ts, frame, arc_ids)]
 
 
 def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:
@@ -468,7 +467,7 @@ def decompose_cycle(ts: TreeStructure, walk: Sequence[tuple[int, int]]) -> list[
     """Induced cycles of the walk's non-tree arcs.
 
     The symmetric difference of their arc sets reproduces the walk's arc
-    set.  The walk is validated as a closed chain of (arc id, sign) steps.
+    set.  The walk must be a closed chain of (arc id, sign) steps, each non-tree arc once.
     """
     if not walk:
         raise CycleEntirelyInTreeError("empty cycle")
@@ -491,8 +490,7 @@ def decompose_cycle(ts: TreeStructure, walk: Sequence[tuple[int, int]]) -> list[
     nontree = [arc_id for arc_id, _ in walk if not ts.is_tree_arc(arc_id)]
     if not nontree:
         raise CycleEntirelyInTreeError("every arc of the cycle lies in the tree")
-    parts = {part.arc: part for part in _induced_cycles(ts, dict.fromkeys(nontree))}
-    return [parts[arc_id] for arc_id in nontree]
+    return _induced_cycles(ts, nontree)
 
 
 def incidence_sum_check(ts: TreeStructure, cycle: Cycle) -> bool:

@@ -436,13 +436,13 @@ def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Net
                          + arcs[arc_id + 1:]) for lo, hi in halves)
 
 
-def sweep_proper_cycle(forest, head: list[int], origin: list[int]) -> list[int] | None:
+def sweep_proper_cycle(forest, tail: list[int], origin: list[int]) -> list[int] | None:
     """Proper-cycle scan by sweeping every residual id, highest first, once per class.
 
     The scan `dfs._proper_cycle` ran before the forest kept its candidate
     ids, kept as the reference the candidate lists must match.
     """
-    order, classes, tail, sbalow = forest.order, forest.arc_class, forest.tail, forest.sbalow
+    order, classes, head, sbalow = forest.order, forest.arc_class, forest.head, forest.sbalow
     last = len(head) - 1
 
     for index in range(last, -1, -1):
@@ -480,9 +480,9 @@ def sweep_proper_cycle(forest, head: list[int], origin: list[int]) -> list[int] 
 def reference_forest(out, head: list[int]) -> SimpleNamespace:
     """The DFS `dfs._forest` ran while it stored a class and a tail for every id it scanned.
 
-    Kept as the reference its derived views and other fields must match: the
-    same fields, less the subtree sizes, with `arc_class` and `tail` stored as
-    the arcs are scanned (0 for ids not in `out`) and a done flag per node.
+    Kept as the reference its derived view and other fields must match: the
+    same fields, less the subtree sizes, with `arc_class` stored as the arcs
+    are scanned (0 for ids not in `out`) and a done flag per node.
     Its depths went with it, since `dfs.lca` climbs to a discovery interval.
     """
     n = len(out)
@@ -491,7 +491,6 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
     parent_node = [-1] * n
     parent_arc = [-1] * n
     tree_root = [-1] * n
-    tail = [0] * len(head)
     arc_class = [0] * len(head)
     short_back: list[list[int]] = [[] for _ in range(n)]
     discovery: list[int] = []
@@ -508,7 +507,6 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
             node, arcs = stack[-1]
             for index in arcs:
                 child = head[index]
-                tail[index] = node
                 if not order[child]:
                     arc_class[index] = TREE
                     discovery.append(child)
@@ -537,7 +535,7 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
 
     return dfs._sbalow(SimpleNamespace(
         order=order, discovery=discovery, parent_node=parent_node, parent_arc=parent_arc,
-        tree_root=tree_root, tail=tail, arc_class=arc_class,
+        tree_root=tree_root, arc_class=arc_class,
         short_back_arcs=short_back, sbalow=[0] * n, long_back=long_back, forward=forward,
         cross=cross))
 

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import flowenum.cli
 import flowenum.treebounds
 from flowenum.cli import run
-from flowenum.core import Flow, flow_cost
+from flowenum.core import Flow, check_feasible, flow_cost, frame_of, validate_network
 from flowenum.dimacs import serialize_dimacs
 from flowenum.errors import DimensionMismatchError
 
@@ -294,9 +294,9 @@ class TestBounds:
     def test_each_cycle_capacity_is_read_once(self, tmp_path, monkeypatch, eleven_optima_network):
         # The tree arcs are (2, 3, 5, 6), so arcs 0, 1 and 4 close the induced cycles.
         read = []
-        capacities = flowenum.cli.induced_cycle_capacities
-        monkeypatch.setattr(flowenum.cli, "induced_cycle_capacities",
-                            lambda ts, flow, arcs: read.append(list(arcs)) or capacities(ts, flow, arcs))
+        capacities = flowenum.cli._capacities
+        monkeypatch.setattr(flowenum.cli, "_capacities", lambda ts, frame, values, arcs:
+                            read.append(list(arcs)) or capacities(ts, frame, values, arcs))
         code, lines, _ = invoke(["bounds", write_instance(tmp_path, eleven_optima_network)])
         assert code == 0 and lines[-1]["feasible_lower_bound"] == 10
         assert read == [[0, 1, 4]]
@@ -314,6 +314,7 @@ class TestBounds:
 
         monkeypatch.setattr(flowenum.solver, "_solve", counted)
         monkeypatch.setattr(flowenum.enumeration, "_solve", counted)
+        monkeypatch.setattr(flowenum.cli, "_solve", counted)
         path = write_instance(tmp_path, eleven_optima_network)
         for argv in (["bounds", path, "--exact"], ["bounds", path]):
             calls.clear()
@@ -494,6 +495,19 @@ class TestStream:
         assert len(out.getvalue().splitlines()) == 1
 
 
+# Each command's words after the instance path, and how many times one run on
+# a valid instance calls validate_network, frame_of and check_feasible.
+CHECKS_PER_RUN = (
+    (["solve"], (1, 1, 1)),
+    (["enumerate"], (1, 1, 1)),
+    (["kbest", "5"], (1, 1, 1)),
+    (["bounds"], (1, 1, 1)),
+    (["bounds", "--exact"], (1, 1, 1)),
+    (["oracle", "--mode", "optimal"], (1, 0, 0)),
+    (["verify"], (1, 1, 1)),
+)
+
+
 class TestErrorPaths:
     def test_missing_file(self):
         code, _, err = invoke(["solve", "/nonexistent/path.min"])
@@ -505,11 +519,38 @@ class TestErrorPaths:
         code, _, err = invoke(["solve", str(path)])
         assert code == 2 and "node id" in err
 
-    def test_unbalanced_network(self, tmp_path):
-        path = tmp_path / "unbalanced.min"
-        path.write_text("p min 2 1\nn 1 1\na 1 2 0 1 0\n", encoding="utf-8")
-        code, _, err = invoke(["solve", str(path)])
-        assert code == 2 and err
+    @pytest.mark.parametrize("text", [
+        "p min 2 1\nn 1 1\na 1 2 0 1 0\n",              # balances sum to 1
+        "p min 3 1\nn 1 1\nn 2 -1\na 1 2 0 1 0\n",      # node 3 touches no arc
+    ], ids=["unbalanced", "disconnected"])
+    @pytest.mark.parametrize("words", [words for words, _ in CHECKS_PER_RUN], ids=" ".join)
+    def test_every_command_rejects_a_bad_instance(self, tmp_path, words, text):
+        # The library's own check rejects it, oracle's in the CLI, before any output.
+        path = tmp_path / "bad.min"
+        path.write_text(text, encoding="utf-8")
+        code, lines, err = invoke([words[0], str(path), *words[1:]])
+        assert code == 2 and lines == []
+        assert err.startswith(f"flowenum: {path}: ")
+
+    @pytest.mark.parametrize("words, counts", CHECKS_PER_RUN,
+                             ids=[" ".join(words) for words, _ in CHECKS_PER_RUN])
+    def test_each_run_checks_its_input_once(self, tmp_path, eleven_optima_network, words, counts):
+        # Calls are counted by code object, so a call through any binding of the name shows.
+        codes = {function.__code__: index for index, function in
+                 enumerate((validate_network, frame_of, check_feasible))}
+        calls = [0, 0, 0]
+
+        def profile(frame, event, arg):
+            if event == "call" and frame.f_code in codes:
+                calls[codes[frame.f_code]] += 1
+
+        path = write_instance(tmp_path, eleven_optima_network)
+        sys.setprofile(profile)
+        try:
+            code, _, _ = invoke([words[0], path, *words[1:]])
+        finally:
+            sys.setprofile(None)
+        assert code == 0 and tuple(calls) == counts
 
     @pytest.mark.parametrize("arcs", [0, 10**15])
     def test_huge_node_count_is_a_parse_error(self, tmp_path, arcs):

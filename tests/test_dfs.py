@@ -130,14 +130,14 @@ class TestForestMatchesTheStoringReference:
             assert_forest_matches_reference(build_dfs_forest(synthetic_digraph(rng, max_nodes=20)))
 
     def test_residual_graph_with_unsearched_ids(self, dfs_demo_network, dfs_demo_flow):
-        # Ids past the residual graph's arcs and ids on no out-list read 0 in both views.
+        # Ids past the residual graph's arcs and ids on no out-list read class 0 in both views.
         rg = build_residual(dfs_demo_network, dfs_demo_flow)
         out = [list(ids) for ids in rg.out_arcs]
         head = [res.dst for res in rg.arcs] + [0, 1]
         dropped = out[0].pop()
         forest = flowenum.dfs._forest(out, head)
         assert_forest_matches_reference(forest)
-        assert forest.arc_class[dropped] == forest.arc_class[-1] == forest.tail[-2] == 0
+        assert forest.arc_class[dropped] == forest.arc_class[-1] == forest.arc_class[-2] == 0
 
 
 class TestSbalow:
@@ -256,10 +256,10 @@ class TestScanMatchesTheSweepReference:
         for _ in range(600):
             rg = synthetic_digraph(rng, max_nodes=12)
             forest = build_dfs_forest(rg)
-            head = [res.dst for res in rg.arcs]
+            tail = [res.src for res in rg.arcs]
             origin = [res.origin_arc for res in rg.arcs]
-            cycle = flowenum.dfs._proper_cycle(forest, [res.src for res in rg.arcs], origin)
-            assert cycle == sweep_proper_cycle(forest, head, origin)
+            cycle = flowenum.dfs._proper_cycle(forest, tail, origin)
+            assert cycle == sweep_proper_cycle(forest, tail, origin)
             starts[None if cycle is None else forest.arc_class[cycle[0]]] += 1
         assert all(starts[cls] >= 4 for cls in (None, TREE, FORWARD, BACKWARD_LONG, CROSS))
 
@@ -269,7 +269,7 @@ class TestScanMatchesTheSweepReference:
 
         def checked(forest, tail, origin):
             cycle = scan(forest, tail, origin)
-            assert cycle == sweep_proper_cycle(forest, forest.head, origin)
+            assert cycle == sweep_proper_cycle(forest, tail, origin)
             regions.append(cycle is not None)
             return cycle
 
@@ -299,11 +299,11 @@ class TestKeepChildReuse:
             kind = forest.arc_class[index]
             if kind == BACKWARD_SHORT:
                 # True when the tail loses its last short backward arc, so SBAlow is recomputed.
-                kind = (kind, forest.short_back_arcs[forest.tail[index]] == [index])
+                kind = (kind, forest.short_back_arcs[frame.tail[index]] == [index])
             paths[kind] += 1
             found = search(frame, values, reuse)
             assert found[1] == fresh[1]
-            assert found[1].arc_class[index] == found[1].tail[index] == 0
+            assert found[1].arc_class[index] == 0
             assert_forest_matches_reference(found[1])
             assert scan(found[1], frame.tail, frame.origin) == scan(fresh[1], frame.tail,
                                                                     frame.origin)

@@ -4,7 +4,7 @@ from dataclasses import fields, replace
 import pytest
 
 from flowenum.bruteforce import enumerate_all_feasible_bruteforce
-from flowenum.core import Flow, build_residual, check_feasible, flow_cost
+from flowenum.core import Flow, build_residual, check_feasible, flow_cost, frame_of
 from flowenum.enumeration import iter_optimal_flows
 from flowenum import treebounds
 from flowenum.errors import (
@@ -232,7 +232,7 @@ def pivots_matching_the_rescan(monkeypatch, net, flow):
         patch.setattr(treebounds, "_hang", counted)
         tree_flow, ts = to_tree_solution(net, flow)
         patch.setattr(treebounds, "_pivot_to_optimal",
-                      lambda node_count, arcs, values, tree: rescan_pivot_to_optimal(net, values, tree, reference))
+                      lambda frame, arcs, values, tree: rescan_pivot_to_optimal(net, values, tree, reference))
         reference_flow, reference_ts = to_tree_solution(net, flow)
     assert pivots == reference
     assert tree_flow == reference_flow
@@ -328,7 +328,9 @@ class TestMemberOrder:
         # Values strictly inside the bounds of both arcs of a grid edge close free cycles.
         values = [arc.lower + rng.randint(0, arc.span) for arc in net.arcs]
         free = [a for a, arc in enumerate(net.arcs) if arc.lower < values[a] < arc.upper]
-        found = treebounds._find_free_cycle(net.node_count, treebounds._arc_lists(net), free)
+        frame = frame_of(net)
+        arcs = frame.tail[::2], frame.head[::2], frame.cost[::2]  # per arc, as `_tree_solution` reads them
+        found = treebounds._find_free_cycle(net.node_count, arcs, free)
         self.check_free_cycle(net, free, found)
 
     def test_small_instances(self, monkeypatch):
@@ -601,6 +603,7 @@ class TestCycleComposition:
         ([], CycleEntirelyInTreeError, "empty cycle"),
         ([(0, 1), (5, 1)], ValueError, "do not chain"),    # a->b, then c->e
         ([(0, 1), (3, 1)], ValueError, "is not closed"),   # a->b->d
+        ([(4, 1), (4, -1)], ValueError, "listed twice"),   # one non-tree arc forward and back
     ])
     def test_malformed_walk_is_rejected(self, eleven_optima_network, eleven_optima_flow,
                                         walk, error, message):
