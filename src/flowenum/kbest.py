@@ -1,20 +1,19 @@
 """Ranked flow enumeration: K distinct flows in nondecreasing cost order.
 
 A second-best flow is either another optimum (another feasible flow of the
-optimal face) or one unit pushed around the cheapest proper cycle.  That
-cycle is a residual id `r` whose reverse `r ^ 1` has no room (its arc sits
-at a bound) plus the shortest way back from its head to its tail.  Each
-offer reads the residual ids once, into per-node lists of the face's ids
-(those of reduced weight 0) for the proper-cycle DFS and of `(weight, head,
-id)` for this module's own Dijkstra.  Heads are searched best first, in
-order of their cheapest candidate, and each search is bounded: the offer
-stops reading it at the first node past the radius beyond which it cannot
-beat the best cycle found so far, or once every candidate tail of its head
-has settled.  Only the distances of tails seen to settle are read, since
-those are final.  Regions of the solution space are split as in the
-all-optimal search and ranked on a heap keyed by challenger cost.  All
-regions share the instance's one `core.Frame`: a heap entry holds its own
-copies of the `lower` and `upper` lists, swapped into the frame to search.
+optimal face) or one unit pushed around the cheapest proper cycle: a residual
+id `r` whose reverse `r ^ 1` has no room (its arc sits at a bound) plus the
+shortest way back from its head to its tail.  Each offer reads the residual
+ids once, checking every reduced weight, into per-node lists of the face's
+ids (weight 0) for the proper-cycle DFS and of `(weight, head, id)` for the
+path trace.  A free arc, with room both ways, weighs 0 both ways, so the
+nodes free arcs join (a union-find group) lie at distance 0 from each other.
+Distance-only searches run between groups, head groups cheapest candidate
+first, each until no waiting candidate can beat the best cycle; only the
+winner's path is traced, once.  Regions are split as in the all-optimal
+search and ranked on a heap keyed by challenger cost.  They share the
+instance's one `core.Frame`, each heap entry holding its own `lower` and
+`upper` lists to swap in.
 """
 
 from __future__ import annotations
@@ -22,9 +21,10 @@ from __future__ import annotations
 import math
 from heapq import heappop, heappush
 from itertools import count
+from operator import mul
 from typing import Iterator
 
-from .core import Flow, Frame, Network, check_feasible, flow_cost, frame_of, push_unit, residual_room
+from .core import Flow, Frame, Network, check_feasible, frame_of, push_unit, residual_room
 from .dfs import _forest, _proper_cycle
 from .enumeration import _split
 from .errors import InfeasibleFlowError, InvariantError
@@ -40,14 +40,14 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
 
 def _second_best(region: Frame, values) -> Flow | None:
     """`find_second_best_flow` within the region's bounds; `values` must be optimal there."""
-    head, cost = region.head, region.cost
+    head, cost, nodes = region.head, region.cost, region.node_count
     room = residual_room(region, values)
     potential = _potentials(region, room)
     # Pruned searches scan only part of the residual graph, so every weight is checked
     # here.  Each id whose reverse has no room starts a candidate cycle.
-    out: list[list] = [[] for _ in range(region.node_count)]   # (weight, head, id), `incident` order
-    face: list[list] = [[] for _ in range(region.node_count)]  # weight-0 ids: the optimal face's
-    groups: dict[int, list] = {}  # head -> candidates (weight, id, tail)
+    out: list[list] = [[] for _ in range(nodes)]   # (weight, head, id), `incident` order
+    face: list[list] = [[] for _ in range(nodes)]  # weight-0 ids: the optimal face's
+    candidates = []  # (weight, id, tail)
     for node, ids in enumerate(region.incident):
         for index in ids:
             if room[index]:
@@ -59,35 +59,74 @@ def _second_best(region: Frame, values) -> Flow | None:
                 if not weight:
                     face[node].append(index)
                 if not room[index ^ 1]:
-                    groups.setdefault(other, []).append((weight, index, node))
+                    candidates.append((weight, index, node))
     for ids in face:
         ids.sort()  # as `dfs._search` lists them; the order picks which tie comes next
     cycle = _proper_cycle(_forest(face, head), region.tail, region.origin)
     if cycle is not None:
         return push_unit(region, values, cycle)
     # The flow is the unique optimum; the answer is the least (weight + dist[tail], id).
-    # Heads are searched cheapest candidate first, and each search stops past the radius
-    # beyond which none of its candidates can reach that key (ties included, since a
-    # smaller id still wins) or once all of its tails are settled.
-    best_key = best_cycle = None
-    for least, start in sorted((min(group)[0], start) for start, group in groups.items()):
-        if best_key is not None and least > best_key[0]:
+    # A free arc, with room both ways, weighs 0 both ways (both were checked above), so
+    # distances are searched between the groups free arcs join, over the ids between groups.
+    group = list(range(nodes))
+    for index in range(0, len(room), 2):
+        if room[index] and room[index + 1]:
+            group[_root(group, head[index])] = _root(group, head[index + 1])
+    group = [_root(group, node) for node in range(nodes)]
+    links: list[list] = [[] for _ in range(nodes)]  # per group, (weight, group) leaving it
+    for node, edges in enumerate(out):
+        own = group[node]
+        links[own] += [(weight, group[other]) for weight, other, _ in edges if group[other] != own]
+    # Head groups, searched cheapest candidate first, wait on each tail group's cheapest
+    # (weight, id); a search stops once none waits or none can reach the best key, ties included.
+    offers: dict[int, dict] = {}
+    for weight, index, tail in sorted(candidates):
+        offers.setdefault(group[head[index]], {}).setdefault(group[tail], (weight, index))
+    best = (math.inf, -1)
+    for start, waiting in offers.items():
+        cheapest = next(iter(waiting.values()))[0]
+        if cheapest > best[0]:
             break
-        group = groups[start]
-        radius = math.inf if best_key is None else best_key[0] - least
-        waiting = {tail for *_, tail in group}
-        dist, pred = [None] * region.node_count, [None] * region.node_count
-        for node in _nearest(out, start, dist, pred):
-            if dist[node] > radius:
+        for reached, found in _distances(links, start):
+            if reached + cheapest > best[0]:
                 break
-            waiting.discard(node)
-            if not waiting:
-                break
-        for weight, index, tail in group:
-            if tail not in waiting and (best_key is None or (weight + dist[tail], index) < best_key):
-                best_key = (weight + dist[tail], index)
-                best_cycle = [index, *reversed(_path(head, pred, start, tail))]
-    return None if best_cycle is None else push_unit(region, values, best_cycle)
+            if found in waiting:
+                weight, index = waiting.pop(found)
+                best = min(best, (weight + reached, index))
+                if not waiting:
+                    break
+                cheapest = next(iter(waiting.values()))[0]
+    if best[1] < 0:
+        return None
+    index, dist, pred = best[1], [None] * nodes, [None] * nodes
+    start, tail = head[index], region.tail[index]  # one trace: tail's path is final once it settles
+    next(node for node in _nearest(out, start, dist, pred) if node == tail)
+    return push_unit(region, values, [index, *reversed(_path(head, pred, start, tail))])
+
+
+def _root(group, node):
+    """The root of `node`'s union-find tree, halving the path on the way."""
+    while group[node] != node:
+        group[node] = node = group[group[node]]
+    return node
+
+
+def _distances(links, start):
+    """Dijkstra over per-node `(weight >= 0, head)` lists: yields `(dist, node)`, keeps no pred."""
+    dist = [None] * len(links)
+    dist[start] = 0
+    heap = [(0, start)]
+    while heap:
+        reached, node = heappop(heap)
+        if reached > dist[node]:
+            continue
+        yield reached, node
+        for weight, other in links[node]:
+            candidate = reached + weight
+            known = dist[other]
+            if known is None or candidate < known:
+                dist[other] = candidate
+                heappush(heap, (candidate, other))
 
 
 def _nearest(out, start, dist, pred):
@@ -117,6 +156,7 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be positive and an int, got {k!r}")
     frame, best = _solve(net)
+    costs = frame.cost[::2]  # per arc, as the CLI sums them
     yield best
     if k == 1:
         return
@@ -128,7 +168,7 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
         frame.lower, frame.upper = lower, upper
         challenger = _second_best(frame, region_best)
         if challenger is not None:
-            heappush(heap, (flow_cost(net, challenger), next(ticket), lower, upper,
+            heappush(heap, (sum(map(mul, costs, challenger.values)), next(ticket), lower, upper,
                             region_best, challenger))
 
     offer(frame.lower, frame.upper, best.values)

@@ -16,9 +16,10 @@ from flowenum.errors import (
     NegativeCycleError,
     UnbalancedSupplyError,
 )
-from flowenum.kbest import _nearest, find_second_best_flow, iter_k_best_flows
+from flowenum.kbest import _distances, _nearest, find_second_best_flow, iter_k_best_flows
 from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
+import helpers
 from helpers import (
     face_network,
     linked_cycles,
@@ -53,20 +54,44 @@ def dijkstra_from(net, flow, potential, source):
 
 
 def watch_searches(monkeypatch):
-    """Wrap kbest's search kernel; per search, log (source, nodes read, nodes a full run yields)."""
-    log = []
+    """Wrap kbest's offers, group searches and path traces.
 
-    def watched(out, source, dist, pred):
-        n = len(out)
-        full = sum(1 for _ in _nearest(out, source, [None] * n, [None] * n))
+    Per offer, logs its group searches, each as (start group, groups read,
+    groups a full search yields), and the start node of each trace.
+    """
+    offers = []
+    second_best = flowenum.kbest._second_best
+
+    def offer(*args):
+        offers.append(([], []))
+        return second_best(*args)
+
+    def searched(links, start):
+        full = sum(1 for _ in _distances(links, start))
         read = []
-        log.append((source, read, full))
-        for node in _nearest(out, source, dist, pred):
-            read.append(node)
-            yield node
+        offers[-1][0].append((start, read, full))
+        for reached, group in _distances(links, start):
+            read.append(group)
+            yield reached, group
 
-    monkeypatch.setattr(flowenum.kbest, "_nearest", watched)
-    return log
+    def traced(out, start, dist, pred):
+        offers[-1][1].append(start)
+        return _nearest(out, start, dist, pred)
+
+    monkeypatch.setattr(flowenum.kbest, "_second_best", offer)
+    monkeypatch.setattr(flowenum.kbest, "_distances", searched)
+    monkeypatch.setattr(flowenum.kbest, "_nearest", traced)
+    return offers
+
+
+def free_groups(net, flow):
+    """Per node, the least node joined to it by free arcs (arcs strictly inside their bounds)."""
+    group = list(range(net.node_count))
+    for arc, value in zip(net.arcs, flow.values):
+        if arc.lower < value < arc.upper:
+            old, new = sorted((group[arc.src], group[arc.dst]))
+            group = [old if label == new else label for label in group]
+    return group
 
 
 def unpruned_second_best(net, flow):
@@ -121,6 +146,14 @@ def candidate_tails(net, flow):
             tails.setdefault(arc.dst, set()).add(arc.src)
         elif arc.span and value == arc.upper:
             tails.setdefault(arc.src, set()).add(arc.dst)
+    return tails
+
+
+def group_tails(net, flow):
+    """`candidate_tails` between the free-arc groups of `free_groups`."""
+    group, tails = free_groups(net, flow), {}
+    for head, heads_tails in candidate_tails(net, flow).items():
+        tails.setdefault(group[head], set()).update(group[tail] for tail in heads_tails)
     return tails
 
 
@@ -282,27 +315,36 @@ class TestFindSecondBest:
         assert second == unpruned_second_best(net, best)
 
     def test_searches_are_pruned(self, monkeypatch):
-        # Fewer searches than heads, and fewer nodes read than full searches
-        # yield; some searches stop at their radius before all their tails.
-        searches = watch_searches(monkeypatch)
+        # Fewer group searches than head groups, and fewer groups read than full
+        # searches yield; some searches stop at the best key before all their
+        # tail groups settle.  Only the winner's path is traced, once.
+        offers = watch_searches(monkeypatch)
         net = random_grid_network(random.Random(8), 8, 8)
         best = solve_min_cost_flow(net)
         second = find_second_best_flow(net, best)
         assert flow_cost(net, second) > flow_cost(net, best)
-        tails = candidate_tails(net, best)
+        [(searches, traces)] = offers
+        group, tails = free_groups(net, best), group_tails(net, best)
+        assert len(set(group)) < net.node_count
         assert 0 < len(searches) < len(tails)
         assert sum(len(read) for _, read, _ in searches) < sum(full for *_, full in searches)
-        assert any(len(read) < full and not tails[head] <= set(read) for head, read, full in searches)
+        assert any(len(read) < full and not tails[group[start]] <= {group[node] for node in read}
+                   for start, read, full in searches)
+        assert len(traces) == 1
 
     def test_search_stops_once_its_tails_are_settled(self, monkeypatch):
-        # The first search has no best cycle to bound it, so only its tails stop it.
-        searches = watch_searches(monkeypatch)
+        # Some search stops as soon as its last tail group settles, short of a full search.
+        offers = watch_searches(monkeypatch)
         for seed in (2, 5, 8):
-            searches.clear()
+            offers.clear()
             net = random_grid_network(random.Random(seed), 8, 8)
-            find_second_best_flow(net, solve_min_cost_flow(net))
-            _, read, full = searches[0]
-            assert len(read) < full
+            best = solve_min_cost_flow(net)
+            find_second_best_flow(net, best)
+            group, tails = free_groups(net, best), group_tails(net, best)
+            [(searches, _)] = offers
+            assert any(group[read[-1]] in tails[group[start]] and len(read) < full
+                       and tails[group[start]] <= {group[node] for node in read}
+                       for start, read, full in searches)
 
     def test_invariant_is_checked_where_no_search_goes(self, monkeypatch):
         # Arc 0 is used, arc 1 is the cheap alternative, and arc 2 leads to
@@ -319,6 +361,25 @@ class TestFindSecondBest:
         monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room: (0, 1, 0, 200))
         with pytest.raises(InvariantError):
             find_second_best_flow(net, best)
+
+    @pytest.mark.parametrize("shift", [1, -1])
+    def test_a_free_arc_of_nonzero_weight_raises_before_any_union(self, monkeypatch, shift):
+        # Arc 2 lies strictly inside its bounds, so it is free and weighs 0 both ways.
+        # Shifting the potential of its leaf end makes it weigh +-1 instead, and the
+        # check of its ids must stop the offer before any group is formed or searched.
+        net = make_network(3, [(0, 1, 0, 1, 1), (0, 1, 0, 1, 2), (1, 2, 0, 2, 3)], (1, 0, -1))
+        best = solve_min_cost_flow(net)
+        assert best == Flow((1, 0, 1))
+        assert find_second_best_flow(net, best) == Flow((0, 1, 1))
+        potential = list(compute_node_potentials(net, best))
+        potential[2] += shift
+        calls = []
+        monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room: potential)
+        for name in ("_root", "_distances", "_nearest"):
+            monkeypatch.setattr(flowenum.kbest, name, lambda *args, name=name: calls.append(name))
+        with pytest.raises(InvariantError, match="negative residual reduced cost on arc 2$"):
+            find_second_best_flow(net, best)
+        assert calls == []
 
     def test_cycle_using_an_arc_both_ways_is_an_invariant_error(self, monkeypatch):
         # The cheapest cycle is arc 0 forward and arc 1 back.  Corrupting the
@@ -361,11 +422,13 @@ class TestFindSecondBest:
                 assert flow_cost(net, second) == flow_cost(net, ranked[1])
 
 
-# Head searches and nodes read per `iter_k_best_flows(net, 10)` on
-# random_grid_network(Random(seed), 8, 8), as counted when the offers still
-# searched with the solver's Dijkstra: the kernel neither adds nor skips one.
-SEARCH_COUNTS = {0: (557, 8504), 1: (485, 9475), 2: (513, 12005), 3: (656, 8334),
-                 4: (590, 9937), 5: (451, 6323)}
+# Group searches and groups read per `iter_k_best_flows(net, 10)` on
+# random_grid_network(Random(seed), 8, 8).  The per-node searches this replaced
+# made (557, 8504), (485, 9475), (513, 12005), (656, 8334), (590, 9937) and
+# (451, 6323): a group search crosses a zero-distance plateau in one step, stops
+# at its cheapest waiting candidate and traces no path.
+SEARCH_COUNTS = {0: (509, 4890), 1: (465, 5140), 2: (484, 5532), 3: (616, 4751),
+                 4: (527, 5560), 5: (419, 2790)}
 
 
 def yielded(walk, dist, pred):
@@ -434,9 +497,62 @@ class TestOfferLists:
 
     @pytest.mark.parametrize("seed", sorted(SEARCH_COUNTS))
     def test_search_counts_are_pinned(self, monkeypatch, seed):
-        searches = watch_searches(monkeypatch)
+        offers = watch_searches(monkeypatch)
         list(iter_k_best_flows(random_grid_network(random.Random(seed), 8, 8), 10))
+        searches = [search for searched, _ in offers for search in searched]
         assert (len(searches), sum(len(read) for _, read, _ in searches)) == SEARCH_COUNTS[seed]
+        # One trace per offer that searched (each found a cycle here), none for the others.
+        assert [len(traces) for _, traces in offers] == [min(1, len(found)) for found, _ in offers]
+
+
+class TestGroupSearch:
+    """Searches between free-arc groups on grids where free arcs join several nodes."""
+
+    def test_matches_the_unpruned_reference_in_every_region(self, monkeypatch):
+        # Two-way grids with low costs and spans up to 3; every region of a K-best run
+        # is checked against one full per-node search per head.
+        second_best, searches, counts = helpers.find_second_best_flow, [], [0, 0]
+
+        def offer(region, region_best):
+            group = free_groups(region, region_best)
+            searches.clear()
+            second = second_best(region, region_best)
+            assert second == unpruned_second_best(region, region_best)
+            if second is not None and flow_cost(region, second) > flow_cost(region, region_best):
+                counts[0] += 1
+                counts[1] += len(set(group)) < region.node_count
+                # A search settles each group once, through one node of it.
+                assert all(len({group[node] for node in read}) == len(read) for read in searches)
+            return second
+
+        def searched(links, start):
+            searches.append([])
+            for reached, node in _distances(links, start):
+                searches[-1].append(node)
+                yield reached, node
+
+        monkeypatch.setattr(helpers, "find_second_best_flow", offer)
+        monkeypatch.setattr(flowenum.kbest, "_distances", searched)
+        for seed in range(50):
+            rng = random.Random(seed)
+            side = 3 + seed % 3
+            net = random_grid_network(rng, side, side, min_cost=0, max_cost=3, both_ways=True)
+            assert list(iter_k_best_flows(net, 12)) == list(helpers.reference_k_best_flows(net, 12))
+        moved, grouped = counts
+        assert moved > 500 and grouped > 500
+
+    def test_costs_match_bruteforce_on_small_grids(self):
+        ranked = 0
+        for seed in range(40):
+            rng = random.Random(seed)
+            net = random_grid_network(rng, 2, 2 + seed % 2, min_cost=0, max_cost=3, max_span=2,
+                                      both_ways=True)
+            reference = k_best_bruteforce(net, 10)
+            mine = list(iter_k_best_flows(net, 10))
+            costs = [flow_cost(net, flow) for flow in mine]
+            assert costs == [flow_cost(net, flow) for flow in reference]
+            ranked += len(mine)
+        assert ranked > 300
 
 
 class TestKBest:
