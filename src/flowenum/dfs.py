@@ -8,15 +8,18 @@ tree or forward if the head lies in the tail's interval (tree if the id
 discovered it), backward if the tail lies in the head's (short when the head
 is the tail's parent), cross otherwise.  The forest keeps per-node SBAlow
 values (the shallowest dfs number reachable through short backward arcs
-alone) and the candidates a cycle scan reads: the greatest long backward id
-and the forward and cross ids.  Scanning them by descending id, the order
-that fixes which cycle and so which flow comes next, either produces a
-proper cycle or proves none exists; only cross arcs need a lowest common ancestor.
+alone) and the candidates a cycle scan reads: the greatest long backward id,
+the forward ids and the cross ids whose head is in the tail's own tree (one
+into an earlier tree lies on no cycle, as all that tree reaches was discovered
+before it finished).  Scanning them by descending id, the order that fixes
+which cycle and so which flow comes next, either produces a proper cycle or
+proves none exists; only cross arcs need a lowest common ancestor.
 
 The kernel, `_search`, runs on a `core.Frame`, pushes one unit around the
-cycle it finds and returns the forest, which holds its out-lists: a region
-with one residual id less starts from it, as `_drop` removes the id and
-patches the forest in place unless it was a tree or long backward arc.
+cycle it finds and returns the cycle and the forest, which holds its
+out-lists: a region with one residual id less starts from it, as `_drop`
+removes the id and patches the forest in place unless it was a long backward
+arc or a tree arc with no twin (a parallel id next on the same out-list).
 `find_another_feasible_flow` runs it on a network's own frame; `build_dfs_forest`
 and `find_proper_cycle` read a `ResidualGraph`, whose ids are positions in its
 arcs, and list out-arcs by (origin arc, forward first), so find the same cycle.
@@ -47,7 +50,7 @@ class DfsForest:
     sbalow: list[int]
     long_back: int                      # greatest BACKWARD_LONG id, -1 if none
     forward: list[int]                  # FORWARD ids in visit order
-    cross: list[int]                    # CROSS ids in visit order
+    cross: list[int]                    # CROSS ids into their tail's own tree, in visit order
     out: Sequence[Sequence[int]]        # per node, the ids searched; `_drop` edits them
     head: list[int]                     # per id, the node it enters
 
@@ -106,7 +109,7 @@ def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
                         long_back = index
                 elif order[node] < order[child]:
                     forward.append(index)
-                else:
+                elif order[child] >= order[root]:  # an earlier tree's arcs close no cycle
                     cross.append(index)
             else:
                 size[node] = count + 1 - order[node]
@@ -129,12 +132,23 @@ def _sbalow(forest: DfsForest) -> DfsForest:
 def _drop(forest: DfsForest, index: int, tail: list[int]) -> DfsForest:
     """Remove id `index` from its tail's out-list and return the forest of what is left: a
     forward, cross or short backward arc changes no discovery or finishing time, so
-    removing one patches the forest in place, equal to a new one, field by field."""
-    node = tail[index]
+    removing one patches the forest in place, equal to a new one, field by field.  So does
+    a tree arc whose twin, the id now after it on the out-list, enters the same node: a new
+    DFS would discover that node through the twin, at the same number, where it had been
+    a forward arc.  Any other tree arc, or a long backward arc, builds a new forest."""
+    node, head = tail[index], forest.head
     kind = forest.classify(node, index)
-    forest.out[node].remove(index)
+    out = forest.out[node]
+    at = out.index(index)
+    del out[at]
+    if kind == TREE and at < len(out) and head[out[at]] == head[index]:
+        forest.parent_arc[head[index]] = out[at]
+        forest.forward.remove(out[at])
+        return forest
     if kind in (TREE, BACKWARD_LONG):
-        return _forest(forest.out, forest.head)
+        return _forest(forest.out, head)
+    if kind == CROSS and forest.tree_root[head[index]] != forest.tree_root[node]:
+        return forest  # on no candidate list
     short = forest.short_back_arcs[node]
     {FORWARD: forest.forward, CROSS: forest.cross, BACKWARD_SHORT: short}[kind].remove(index)
     if kind == BACKWARD_SHORT and not short:
@@ -198,8 +212,6 @@ def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list
 
     for index in sorted(forest.cross, reverse=True):
         u, v = tail[index], head[index]
-        if forest.tree_root[u] != forest.tree_root[v]:
-            continue
         meet = lca(forest, u, v)
         if sbalow[v] > order[meet]:
             continue
@@ -226,8 +238,9 @@ def find_proper_cycle(rg: ResidualGraph, forest: DfsForest | None = None) -> Cyc
 
 
 def _search(frame: Frame, values: Sequence[int], reuse=None):
-    """Another flow one unit from `values` (feasible within the bounds) or None, and the forest
-    searched.  `reuse`: the `(forest, index)` of a search from `values` with id `index` as well."""
+    """Another flow one unit from `values` (feasible within the bounds) and the cycle pushed, or
+    None twice, then the forest searched.  `reuse`: the `(forest, index)` of a search from
+    `values` with id `index` as well."""
     head = frame.head
     if reuse is not None:
         forest = _drop(*reuse, frame.tail)
@@ -240,7 +253,7 @@ def _search(frame: Frame, values: Sequence[int], reuse=None):
                 out[head[index]].append(index + 1)
         forest = _forest(out, head)
     cycle = _proper_cycle(forest, frame.tail, frame.origin)
-    return (None if cycle is None else push_unit(frame, values, cycle)), forest
+    return (None if cycle is None else push_unit(frame, values, cycle)), cycle, forest
 
 
 def find_another_feasible_flow(net: Network, flow: Flow) -> Flow | None:

@@ -21,7 +21,7 @@ from typing import Iterator, Sequence
 
 from .core import Flow, Frame, Network, residual_room
 from .dfs import _search
-from .errors import IdenticalFlowsError, InvariantError
+from .errors import InvariantError
 from .solver import _potentials, _solve, compute_reduced_costs
 
 
@@ -44,14 +44,15 @@ def optimal_face(frame: Frame, values, reduced_costs) -> Frame:
                  frame.incident, lower, upper)
 
 
-def _split(witness: Sequence[int], other: Sequence[int], lower, upper):
-    """The first arc where the flows differ, its bounds keeping `witness`, then holding `other`."""
-    for arc, (mine, theirs) in enumerate(zip(witness, other)):
-        if mine != theirs:
-            if mine < theirs:
-                return arc, (lower[arc], mine), (mine + 1, upper[arc])
-            return arc, (mine, upper[arc]), (lower[arc], mine - 1)
-    raise IdenticalFlowsError("cannot partition on two identical flows")
+def _split(witness: Sequence[int], cycle: list[int], lower, upper):
+    """The cycle's lowest arc, its bounds keeping `witness`, then holding `witness` pushed one
+    unit around `cycle`: the first arc where the two flows differ, as a cycle uses each once."""
+    index = min(cycle)
+    arc = index >> 1
+    mine = witness[arc]
+    if index & 1:
+        return arc, (mine, upper[arc]), (lower[arc], mine - 1)
+    return arc, (lower[arc], mine), (mine + 1, upper[arc])
 
 
 def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> Iterator[Flow]:
@@ -82,12 +83,11 @@ def _flows_after(net: Network, frame: Frame, first: Flow, stats: EnumerationStat
                 raise InvariantError(f"the witness leaves its region on arc {arc}")
         if stats is not None:
             stats.another_flow_calls += 1
-        other, forest = _search(frame, witness, reuse)
+        other, cycle, forest = _search(frame, witness, reuse)
         if other is None:
             continue
         yield other
-        arc, keep_here, move_there = _split(witness, other.values, frame.lower, frame.upper)
+        arc, keep_here, move_there = _split(witness, cycle, frame.lower, frame.upper)
         pending.append((None, arc, frame.lower[arc], frame.upper[arc], None))
         pending.append((other.values, arc, *move_there, None))
-        dropped = 2 * arc + (witness[arc] > other.values[arc])  # the cycle's id on the arc
-        pending.append((witness, arc, *keep_here, (forest, dropped)))
+        pending.append((witness, arc, *keep_here, (forest, min(cycle))))  # the cycle's id on it

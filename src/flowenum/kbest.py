@@ -35,11 +35,12 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     """The cheapest flow other than the optimal `flow`, ties first; raises InfeasibleFlowError."""
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot search from an infeasible flow")
-    return _second_best(frame_of(net), flow.values)
+    return _second_best(frame_of(net), flow.values)[0]
 
 
-def _second_best(region: Frame, values) -> Flow | None:
-    """`find_second_best_flow` within the region's bounds; `values` must be optimal there."""
+def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
+    """`find_second_best_flow` within the region's bounds, and the cycle it pushed `values`
+    around (None twice when there is none); `values` must be optimal there."""
     head, cost, nodes = region.head, region.cost, region.node_count
     room = residual_room(region, values)
     potential = _potentials(region, room)
@@ -64,7 +65,7 @@ def _second_best(region: Frame, values) -> Flow | None:
         ids.sort()  # as `dfs._search` lists them; the order picks which tie comes next
     cycle = _proper_cycle(_forest(face, head), region.tail, region.origin)
     if cycle is not None:
-        return push_unit(region, values, cycle)
+        return push_unit(region, values, cycle), cycle
     # The flow is the unique optimum; the answer is the least (weight + dist[tail], id).
     # A free arc, with room both ways, weighs 0 both ways (both were checked above), so
     # distances are searched between the groups free arcs join, over the ids between groups.
@@ -97,11 +98,12 @@ def _second_best(region: Frame, values) -> Flow | None:
                     break
                 cheapest = next(iter(waiting.values()))[0]
     if best[1] < 0:
-        return None
+        return None, None
     index, dist, pred = best[1], [None] * nodes, [None] * nodes
     start, tail = head[index], region.tail[index]  # one trace: tail's path is final once it settles
     next(node for node in _nearest(out, start, dist, pred) if node == tail)
-    return push_unit(region, values, [index, *reversed(_path(head, pred, start, tail))])
+    cycle = [index, *reversed(_path(head, pred, start, tail))]
+    return push_unit(region, values, cycle), cycle
 
 
 def _root(group, node):
@@ -162,23 +164,23 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
         return
     emitted = 1
     ticket = count()
-    heap: list = []  # (challenger cost, ticket, region's lower, upper and best values, challenger)
+    heap: list = []  # (challenger cost, ticket, region's lower, upper, best, challenger, cycle)
 
     def offer(lower: list[int], upper: list[int], region_best) -> None:
         frame.lower, frame.upper = lower, upper
-        challenger = _second_best(frame, region_best)
+        challenger, cycle = _second_best(frame, region_best)
         if challenger is not None:
             heappush(heap, (sum(map(mul, costs, challenger.values)), next(ticket), lower, upper,
-                            region_best, challenger))
+                            region_best, challenger, cycle))
 
     offer(frame.lower, frame.upper, best.values)
     while heap and emitted < k:
-        _, _, lower, upper, parent, challenger = heappop(heap)
+        _, _, lower, upper, parent, challenger, cycle = heappop(heap)
         yield challenger
         emitted += 1
         if emitted == k:
             return
-        arc, *halves = _split(parent, challenger.values, lower, upper)
+        arc, *halves = _split(parent, cycle, lower, upper)
         for (lo, hi), region_best in zip(halves, (parent, challenger.values)):
             half_lower, half_upper = lower[:], upper[:]
             half_lower[arc], half_upper[arc] = lo, hi

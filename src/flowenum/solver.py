@@ -10,12 +10,14 @@ The Dijkstra is a generator that yields nodes as they settle, reading room
 and potentials afresh, as both move on every augmentation (K-best searches
 its own per-offer lists).  The solver stops at the nearest deficit: once a
 node with negative imbalance settles, at distance reach, it reads on
-through the other nodes at reach and leaves at the first node past it.  The
-target is the lowest-index deficit among the settled nodes, the same node a
-full search would choose, so the choice never depends on the order in which
-the heap pops ties.  Only the settled nodes' potentials move, by dist -
-reach; a full search would add reach to that on every node, which leaves
-every reduced cost, and so every path and flow, the same.
+through the other nodes at reach and leaves at the first node past it, or
+as soon as the lowest-index deficit left settles.  The target is the
+lowest-index deficit among the settled nodes, the same node a full search
+would choose, so the choice never depends on the order in which the heap
+pops ties.  Only the settled nodes' potentials move, by dist - reach, which
+is 0 on the nodes at reach left unread; a full search would add reach to
+that on every node, which leaves every reduced cost, and so every path and
+flow, the same.
 """
 
 from __future__ import annotations
@@ -50,14 +52,16 @@ def _solve(net: Network) -> tuple[Frame, Flow]:
     frame = frame_of(net)
     head, cost, incident = frame.head, frame.cost, frame.incident
     potential = [0] * n
-    # Sources only lose supply and targets stay at or below zero, so the
-    # lowest node with supply left never moves back.
-    source = 0
+    # Sources only lose supply and targets stay at or below zero, so neither
+    # the lowest node with supply left nor the lowest with demand left moves back.
+    source = lowest = 0
     while True:
         while source < n and imbalance[source] <= 0:
             source += 1
         if source == n:
             break
+        while imbalance[lowest] >= 0:
+            lowest += 1
         dist, pred = [None] * n, [None] * n  # pred[v]: the residual id that reached v
         settled: list[int] = []
         reach = None
@@ -67,6 +71,8 @@ def _solve(net: Network) -> tuple[Frame, Flow]:
             settled.append(node)
             if reach is None and imbalance[node] < 0:
                 reach = dist[node]
+            if node == lowest:
+                break
         if reach is None:
             raise InfeasibleError("supply cannot reach demand in the residual graph")
         target = min(node for node in settled if imbalance[node] < 0)

@@ -19,8 +19,8 @@ from flowenum.dfs import (
     TREE,
     find_another_feasible_flow,
 )
-from flowenum.enumeration import _split, optimal_face
-from flowenum.errors import InvariantError, NegativeCycleError
+from flowenum.enumeration import optimal_face
+from flowenum.errors import IdenticalFlowsError, InvariantError, NegativeCycleError
 from flowenum.kbest import find_second_best_flow
 from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 from flowenum.treebounds import _PIVOT_CAP
@@ -423,6 +423,21 @@ def rescan_pivot_to_optimal(net: Network, values, tree: list[int], pivots: list[
     raise InvariantError("tree pivoting did not terminate")
 
 
+def split_on_flows(witness, other, lower, upper):
+    """The first arc where the flows differ, its bounds keeping `witness`, then holding `other`.
+
+    The split `enumeration._split` made by comparing both flows arc by arc,
+    before it read the arc and its side from the cycle's lowest id; kept as
+    the reference that split must match.
+    """
+    for arc, (mine, theirs) in enumerate(zip(witness, other)):
+        if mine != theirs:
+            if mine < theirs:
+                return arc, (lower[arc], mine), (mine + 1, upper[arc])
+            return arc, (mine, upper[arc]), (lower[arc], mine - 1)
+    raise IdenticalFlowsError("cannot partition on two identical flows")
+
+
 def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Network, Network]:
     """`net` with the first differing arc narrowed: the half that keeps `flow`, then `other`'s.
 
@@ -430,8 +445,8 @@ def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Net
     networks; the reference searches above split regions with it.
     """
     arcs = net.arcs
-    arc_id, *halves = _split(flow.values, other.values,
-                             [arc.lower for arc in arcs], [arc.upper for arc in arcs])
+    arc_id, *halves = split_on_flows(flow.values, other.values,
+                                     [arc.lower for arc in arcs], [arc.upper for arc in arcs])
     return tuple(replace(net, arcs=arcs[:arc_id] + (replace(arcs[arc_id], lower=lo, upper=hi),)
                          + arcs[arc_id + 1:]) for lo, hi in halves)
 
@@ -482,7 +497,8 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
 
     Kept as the reference its derived view and other fields must match: the
     same fields, less the subtree sizes, with `arc_class` stored as the arcs
-    are scanned (0 for ids not in `out`) and a done flag per node.
+    are scanned (0 for ids not in `out`) and a done flag per node.  `cross`
+    lists only the cross ids between two nodes of one tree, as `_forest` does.
     Its depths went with it, since `dfs.lca` climbs to a discovery interval.
     """
     n = len(out)
@@ -528,7 +544,8 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
                     forward.append(index)
                 else:
                     arc_class[index] = CROSS
-                    cross.append(index)
+                    if tree_root[child] == root:  # a cross arc into an earlier tree is no candidate
+                        cross.append(index)
             else:
                 stack.pop()
                 done[node] = True

@@ -11,7 +11,7 @@ import flowenum
 from flowenum.bruteforce import enumerate_all_optimal_bruteforce
 from flowenum.core import Arc, Flow, Network, check_feasible, flow_cost, frame_of
 from flowenum.dfs import find_another_feasible_flow
-from flowenum.enumeration import EnumerationStats, iter_optimal_flows, optimal_face
+from flowenum.enumeration import EnumerationStats, _split, iter_optimal_flows, optimal_face
 from flowenum.errors import (
     DisconnectedError,
     IdenticalFlowsError,
@@ -30,6 +30,7 @@ from helpers import (
     random_feasible_network,
     random_grid_network,
     reference_optimal_flows,
+    split_on_flows,
 )
 
 
@@ -100,6 +101,24 @@ class TestPartition:
         keep, move = partition_solution_space(twocycle_network, low, high)
         assert check_feasible(keep, low) and not check_feasible(keep, high)
         assert check_feasible(move, high) and not check_feasible(move, low)
+
+    def test_split_on_random_cycles_matches_the_flow_comparison(self):
+        # The cycle's lowest id names the first arc where the flows differ, and its
+        # parity the side: an even id raises the witness's value there, an odd one lowers it.
+        rng = random.Random(25)
+        for _ in range(500):
+            arcs = rng.randint(1, 12)
+            lower = [rng.randint(-2, 2) for _ in range(arcs)]
+            upper = [lo + rng.randint(1, 4) for lo in lower]
+            witness = [rng.randint(lo, hi) for lo, hi in zip(lower, upper)]
+            cycle = [2 * arc + (witness[arc] == upper[arc]
+                                or (witness[arc] > lower[arc] and rng.random() < 0.5))
+                     for arc in rng.sample(range(arcs), rng.randint(1, arcs))]
+            other = list(witness)
+            for index in cycle:
+                other[index >> 1] += -1 if index & 1 else 1
+            assert _split(witness, cycle, lower, upper) == split_on_flows(witness, other,
+                                                                          lower, upper)
 
     def test_only_the_split_arc_changes(self, eleven_optima_network, eleven_optima_flow):
         other = Flow((0, 0, 0, 5, 1, 11, 3))

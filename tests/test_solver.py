@@ -85,8 +85,8 @@ def watch_searches(monkeypatch):
     """Wrap the solver's Dijkstra; log each search against a full run from the same state.
 
     Per search: the source, the potentials and imbalances it started from,
-    the full run's dist and pred, and each node read with its entries when
-    yielded.  The Dijkstra never sees the network, so the wrapped
+    the full run's dist, pred and settling order, and each node read with its
+    entries when yielded.  The Dijkstra never sees the network, so the wrapped
     `validate_network` hands it over for the imbalances.
     """
     log = []
@@ -99,14 +99,15 @@ def watch_searches(monkeypatch):
     def watched(head, cost, room, potential, incident, source, dist, pred):
         net = solving[0]
         full_dist, full_pred = [None] * net.node_count, [None] * net.node_count
-        for _ in _dijkstra(head, cost, room, potential, incident, source, full_dist, full_pred):
-            pass
+        full_order = list(_dijkstra(head, cost, room, potential, incident, source, full_dist,
+                                    full_pred))
         imbalance = list(net.balances)
         for index, arc in enumerate(net.arcs):
             imbalance[arc.src] -= arc.lower + room[2 * index + 1]
             imbalance[arc.dst] += arc.lower + room[2 * index + 1]
         search = {"source": source, "potential": list(potential), "imbalance": imbalance,
-                  "full_dist": full_dist, "full_pred": full_pred, "read": []}
+                  "full_dist": full_dist, "full_pred": full_pred, "full_order": full_order,
+                  "read": []}
         log.append(search)
         for node in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
             search["read"].append((node, dist[node], pred[node]))
@@ -169,31 +170,54 @@ class TestStoppedSearch:
     """Each augmentation's Dijkstra stops once the nearest deficits are settled."""
 
     def test_settled_nodes_match_the_full_search(self, monkeypatch):
-        # Every search of a solve settles exactly the nodes a full search
-        # puts within reach, reads at most one node past them, and moves
-        # only their potentials, by dist - reach.
+        reaches, stops = self.settled_against_the_full_search(monkeypatch, {})
+        assert any(reaches) and stops["lowest", True] and stops["past"]
+
+    def test_zero_cost_searches_stop_at_the_lowest_deficit(self, monkeypatch):
+        # Every node lies within reach 0, and the stop at the lowest deficit is what
+        # keeps a search from reading them all.
+        reaches, stops = self.settled_against_the_full_search(monkeypatch,
+                                                              {"min_cost": 0, "max_cost": 0})
+        assert not any(reaches) and stops["lowest", True] > len(reaches) // 2
+
+    @staticmethod
+    def settled_against_the_full_search(monkeypatch, costs):
+        """Check every search of solves on two-way grids against a full search from the
+        same state; the reaches met, and how many searches stopped where.
+
+        A search reads a prefix of the full search's order: the nodes within
+        reach, and then one node past them if there is one, unless it stops as
+        soon as the lowest-index deficit settles.  Only the settled nodes' potentials move,
+        by dist - reach, which is 0 on any node left unread within reach."""
         searches = watch_searches(monkeypatch)
-        reaches = []
+        reaches, stops = [], Counter()
         for seed in (1, 2, 3):
             searches.clear()
-            solve_min_cost_flow(two_way_grid(seed))
+            solve_min_cost_flow(two_way_grid(seed, **costs))
             for search, after in zip(searches, searches[1:] + [None]):
                 full_dist, imbalance = search["full_dist"], search["imbalance"]
                 reach = min(d for node, d in enumerate(full_dist)
                             if d is not None and imbalance[node] < 0)
                 within = {node for node, d in enumerate(full_dist) if d is not None and d <= reach}
+                lowest = min(node for node, value in enumerate(imbalance) if value < 0)
                 read = search["read"]
-                assert {node for node, *_ in read[:len(within)]} == within
-                assert len(read) == len(within) or (len(read) == len(within) + 1
-                                                    and read[-1][1] > reach)
+                assert [node for node, *_ in read] == search["full_order"][:len(read)]
                 assert all((d, p) == (full_dist[node], search["full_pred"][node]) for node, d, p in read)
+                settled = {node for node, d, _ in read if d <= reach}
+                if read[-1][0] == lowest and full_dist[lowest] == reach:
+                    assert len(settled) == len(read)
+                    stops["lowest", settled < within] += 1
+                else:
+                    assert settled == within
+                    assert read[-1][1] > reach or len(read) == len(search["full_order"])
+                    stops["past"] += 1
                 if after is not None:
                     assert after["potential"] == [
                         p + (full_dist[node] - reach if node in within else 0)
                         for node, p in enumerate(search["potential"])]
                 reaches.append(reach)
         assert len(reaches) > 100
-        assert any(reaches)
+        return reaches, stops
 
     def test_tied_deficits_go_to_the_lower_index(self):
         # Nodes 1 and 2 are both one unit away from node 0, and node 2 is
@@ -226,6 +250,11 @@ class TestStoppedSearch:
         for seed in range(1, 7):
             net = two_way_grid(seed, size=8 if seed % 2 else 12)
             assert solve_min_cost_flow(net) == full_search_solve(net)
+            # Zero costs put every node at reach 0, so each search stops at the lowest deficit.
+            for both_ways in (True, False):
+                net = random_grid_network(random.Random(seed), 6 + seed, 6, min_cost=0,
+                                          max_cost=0, both_ways=both_ways)
+                assert solve_min_cost_flow(net) == full_search_solve(net)
             net = random_grid_network(random.Random(seed), 10, 10)
             assert solve_min_cost_flow(net) == full_search_solve(net)
         rng = random.Random(606)

@@ -1,0 +1,139 @@
+"""Alternating parent/change pairs of `bench/run.py`, written as one BENCH_<n>.json.
+
+Run from anywhere, with two checkouts that hold the same `bench/`:
+
+    python3 tools/pair.py --parent ../parent --change . --pairs 10 --seconds 5 \\
+        --workload enum-ties --workload kbest-ranked --claim enum-ties --out BENCH_25.json
+
+Each round runs every workload once per side, in the checkout's own
+directory (`bench/run.py` loads the program from the checkout it sits in).
+Even rounds run the parent first and odd rounds the change first; the seed
+goes round the given seeds by round.  Per workload and end-to-end metric
+the file holds each side's runs, median and quartiles (inclusive method),
+and for `wall_s` the pairs the change won, ties counting for neither side.
+
+A workload shows a gain when the change won at least nine tenths of at
+least ten pairs and its median `wall_s` is below the parent's by more than
+the parent's interquartile range.  `--claim` names the workload whose gain
+the change claims; the `claim` entry says whether it was met.  Any other
+workload that shows a gain is listed under `unclaimed_gains`, so a run with
+the parent given twice (an A/A run) must list none and meet no claim.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import os
+import platform
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
+METRICS = ("wall_s", "setup_s", "first_output_ms")
+CLAIMED = "wall_s"
+
+
+def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+    """One `bench/run.py` run in `checkout`: its last stdout line, parsed."""
+    argv = [sys.executable, "bench/run.py", "--workload", workload, "--seconds", str(seconds),
+            "--trace", "0", "--seed", str(seed)]
+    done = subprocess.run(argv, cwd=checkout, capture_output=True, text=True, check=True)
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+def summary(runs: list[float]) -> dict:
+    q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
+    return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
+            "runs": sorted(round(value, 4) for value in runs)}
+
+
+def shows_gain(parent: list[float], change: list[float]) -> tuple[bool, dict]:
+    """The gain rule on paired `wall_s` runs, and the figures it read."""
+    won = sum(theirs > mine for theirs, mine in zip(parent, change))
+    q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
+    gain = median - statistics.median(change)
+    figures = {"pairs_won": f"{won}/{len(parent)}", "median_gain_s": round(gain, 4),
+               "median_gain_ratio": round(gain / median, 3), "parent_iqr_s": round(q3 - q1, 4),
+               "parent_median_s": round(median, 4),
+               "change_median_s": round(statistics.median(change), 4)}
+    return len(parent) >= 10 and 10 * won >= 9 * len(parent) and gain > q3 - q1, figures
+
+
+def git_head(checkout: Path) -> str | None:
+    done = subprocess.run(["git", "rev-parse", "HEAD"], cwd=checkout, capture_output=True,
+                          text=True)
+    return done.stdout.strip() or None
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
+    parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
+    parser.add_argument("--workload", action="append", required=True)
+    parser.add_argument("--seed", type=int, action="append", help="default: 3 and 104729")
+    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--seconds", type=float, default=5)
+    parser.add_argument("--claim", help="the workload whose wall_s gain is claimed")
+    parser.add_argument("--target", default="", help="the claim's expected figures, as text")
+    parser.add_argument("--text", default="", help="what the change does")
+    parser.add_argument("--note", default="")
+    parser.add_argument("--out", type=Path, required=True)
+    args = parser.parse_args(argv)
+    seeds = args.seed or [3, 104729]
+    if args.claim is not None and args.claim not in args.workload:
+        parser.error(f"--claim {args.claim} is not among the workloads run")
+
+    sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
+    runs = {(workload, side): [] for workload in args.workload for side in sides}
+    for round_ in range(args.pairs):
+        seed = seeds[round_ % len(seeds)]
+        for workload in args.workload:
+            for side in (("parent", "change") if round_ % 2 == 0 else ("change", "parent")):
+                result = bench_run(sides[side], workload, seed, args.seconds)
+                runs[workload, side].append(result)
+                print(f"# round {round_} {workload} seed {seed} {side}: "
+                      f"{result['metrics'][CLAIMED]['value']:.4f} s", file=sys.stderr)
+
+    workloads, gains = {}, {}
+    for workload in args.workload:
+        entry = {}
+        for metric in METRICS:
+            entry[metric] = {side: summary([run["metrics"][metric]["value"]
+                                            for run in runs[workload, side]]) for side in sides}
+        parent, change = ([run["metrics"][CLAIMED]["value"] for run in runs[workload, side]]
+                          for side in sides)
+        gains[workload] = shows_gain(parent, change)
+        entry[f"{CLAIMED}_pairs_won_by_change"] = gains[workload][1]["pairs_won"]
+        entry["failed"] = sum(run["failed"] for side in sides for run in runs[workload, side])
+        entry["attempted"] = sum(run["attempted"] for side in sides for run in runs[workload, side])
+        workloads[workload] = entry
+
+    report = {
+        "change": args.text,
+        "parent_commit": git_head(sides["parent"]),
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "command": f"python3 bench/run.py --workload W --seconds {args.seconds:g} --trace 0 --seed S",
+        "method": "alternating parent/change pairs (even rounds parent first, odd rounds change "
+                  "first), seeds alternating by round, every workload once per side and round, "
+                  "each side run from its own checkout; medians and quartiles (inclusive "
+                  "method) over all runs of a side; written by tools/pair.py",
+        "seeds": seeds,
+        "pairs": {workload: args.pairs for workload in args.workload},
+        "note": args.note,
+    }
+    if args.claim is not None:
+        met, figures = gains[args.claim]
+        report["claim"] = {"workload": args.claim, "metric": CLAIMED, "target": args.target,
+                           "met": met, **figures}
+    report["unclaimed_gains"] = [workload for workload, (met, _) in gains.items()
+                                 if met and workload != args.claim]
+    report["workloads"] = workloads
+    args.out.write_text(json.dumps(report, indent=1) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
