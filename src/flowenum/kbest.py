@@ -5,15 +5,15 @@ optimal face) or one unit pushed around the cheapest proper cycle: a residual
 id `r` whose reverse `r ^ 1` has no room (its arc sits at a bound) plus the
 shortest way back from its head to its tail.  Each offer reads the residual
 ids once, checking every reduced weight, into per-node lists of the face's
-ids (weight 0) for the proper-cycle DFS and of `(weight, head, id)` for the
-path trace.  A free arc, with room both ways, weighs 0 both ways, so the
-nodes free arcs join (a union-find group) lie at distance 0 from each other.
-Distance-only searches run between groups, head groups cheapest candidate
-first, each until no waiting candidate can beat the best cycle; only the
-winner's path is traced, once.  Regions are split as in the all-optimal
-search and ranked on a heap keyed by challenger cost.  They share the
-instance's one `core.Frame`, each heap entry holding its own `lower` and
-`upper` lists to swap in.
+ids (weight 0) for the proper-cycle DFS and of `(weight, head)` for the
+distance searches.  A free arc, with room both ways, weighs 0 both ways, so
+the nodes free arcs join (a union-find group) lie at distance 0 from each
+other.  Distance-only searches run between groups, head groups cheapest
+candidate first, each until no waiting candidate can beat the best cycle;
+only the winner's path is traced, once, by the solver's `_dijkstra`.
+Regions are split as in the all-optimal search and ranked on a heap keyed by
+challenger cost.  They share the instance's one `core.Frame`, each heap entry
+holding its own `lower` and `upper` lists to swap in.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .core import Flow, Frame, Network, check_feasible, frame_of, push_unit, res
 from .dfs import _forest, _proper_cycle
 from .enumeration import _split
 from .errors import InfeasibleFlowError, InvariantError
-from .solver import _path, _potentials, _solve
+from .solver import _dijkstra, _path, _potentials, _solve
 
 
 def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
@@ -46,7 +46,7 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
     potential = _potentials(region, room)
     # Pruned searches scan only part of the residual graph, so every weight is checked
     # here.  Each id whose reverse has no room starts a candidate cycle.
-    out: list[list] = [[] for _ in range(nodes)]   # (weight, head, id), `incident` order
+    out: list[list] = [[] for _ in range(nodes)]   # (weight, head)
     face: list[list] = [[] for _ in range(nodes)]  # weight-0 ids: the optimal face's
     candidates = []  # (weight, id, tail)
     for node, ids in enumerate(region.incident):
@@ -56,7 +56,7 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
                 weight = cost[index] + potential[node] - potential[other]
                 if weight < 0:
                     raise InvariantError(f"negative residual reduced cost on arc {index >> 1}")
-                out[node].append((weight, other, index))
+                out[node].append((weight, other))
                 if not weight:
                     face[node].append(index)
                 if not room[index ^ 1]:
@@ -77,7 +77,7 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
     links: list[list] = [[] for _ in range(nodes)]  # per group, (weight, group) leaving it
     for node, edges in enumerate(out):
         own = group[node]
-        links[own] += [(weight, group[other]) for weight, other, _ in edges if group[other] != own]
+        links[own] += [(weight, group[other]) for weight, other in edges if group[other] != own]
     # Head groups, searched cheapest candidate first, wait on each tail group's cheapest
     # (weight, id); a search stops once none waits or none can reach the best key, ties included.
     offers: dict[int, dict] = {}
@@ -101,7 +101,8 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
         return None, None
     index, dist, pred = best[1], [None] * nodes, [None] * nodes
     start, tail = head[index], region.tail[index]  # one trace: tail's path is final once it settles
-    next(node for node in _nearest(out, start, dist, pred) if node == tail)
+    next(node for node in _dijkstra(head, cost, room, potential, region.incident, start, dist, pred)
+         if node == tail)
     cycle = [index, *reversed(_path(head, pred, start, tail))]
     return push_unit(region, values, cycle), cycle
 
@@ -129,27 +130,6 @@ def _distances(links, start):
             if known is None or candidate < known:
                 dist[other] = candidate
                 heappush(heap, (candidate, other))
-
-
-def _nearest(out, start, dist, pred):
-    """`solver._dijkstra` over per-node lists of `(weight >= 0, head, id)`: over the same
-    ids it yields the same nodes in the same order and fills `dist` and `pred` alike."""
-    dist[start] = 0
-    heap = [(0, 0, start)]
-    pushed = 0  # the tie-break, as the solver's `tick`
-    while heap:
-        reached, _, node = heappop(heap)
-        if reached > dist[node]:
-            continue
-        yield node
-        for weight, other, index in out[node]:
-            candidate = reached + weight
-            known = dist[other]
-            if known is None or candidate < known:
-                dist[other] = candidate
-                pred[other] = index
-                pushed += 1
-                heappush(heap, (candidate, pushed, other))
 
 
 def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:

@@ -7,17 +7,17 @@ the network's `core.Frame`.  `compute_node_potentials` checks feasibility
 and runs `_potentials`, the queue-based Bellman-Ford the searches also call.
 
 The Dijkstra is a generator that yields nodes as they settle, reading room
-and potentials afresh, as both move on every augmentation (K-best searches
-its own per-offer lists).  The solver stops at the nearest deficit: once a
-node with negative imbalance settles, at distance reach, it reads on
-through the other nodes at reach and leaves at the first node past it, or
-as soon as the lowest-index deficit left settles.  The target is the
-lowest-index deficit among the settled nodes, the same node a full search
-would choose, so the choice never depends on the order in which the heap
-pops ties.  Only the settled nodes' potentials move, by dist - reach, which
-is 0 on the nodes at reach left unread; a full search would add reach to
-that on every node, which leaves every reduced cost, and so every path and
-flow, the same.
+and potentials afresh, as both move on every augmentation.  K-best traces
+each offer's winning cycle with it and searches distances with its own
+`_distances`.  The solver stops at the nearest deficit: once a node with
+negative imbalance settles, at distance reach, it reads on through the
+other nodes at reach and leaves at the first node past it, or as soon as
+the lowest-index deficit left settles.  The target is the lowest-index
+deficit among the settled nodes, the same node a full search would choose,
+so the choice never depends on the order in which the heap pops ties.  Only
+the settled nodes' potentials move, by dist - reach, which is 0 on the nodes
+at reach left unread; a full search would add reach to that on every node,
+which leaves every reduced cost, and so every path and flow, the same.
 """
 
 from __future__ import annotations

@@ -16,7 +16,7 @@ from flowenum.errors import (
     NegativeCycleError,
     UnbalancedSupplyError,
 )
-from flowenum.kbest import _distances, _nearest, find_second_best_flow, iter_k_best_flows
+from flowenum.kbest import _distances, find_second_best_flow, iter_k_best_flows
 from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 import helpers
@@ -74,13 +74,13 @@ def watch_searches(monkeypatch):
             read.append(group)
             yield reached, group
 
-    def traced(out, start, dist, pred):
+    def traced(head, cost, room, potential, incident, start, dist, pred):
         offers[-1][1].append(start)
-        return _nearest(out, start, dist, pred)
+        return _dijkstra(head, cost, room, potential, incident, start, dist, pred)
 
     monkeypatch.setattr(flowenum.kbest, "_second_best", offer)
     monkeypatch.setattr(flowenum.kbest, "_distances", searched)
-    monkeypatch.setattr(flowenum.kbest, "_nearest", traced)
+    monkeypatch.setattr(flowenum.kbest, "_dijkstra", traced)
     return offers
 
 
@@ -205,7 +205,7 @@ class TestResidualDijkstra:
         with pytest.raises(InvariantError):
             dijkstra_from(net, Flow((0,)), (0, 0), 0)
 
-    def test_nodes_are_yielded_nearest_first(self):
+    def test_nodes_are_yielded_closest_first(self):
         net = chain_network([1, 1, 0, 1])
         seen, dist, _ = dijkstra_from(net, Flow((0,) * 4), (0,) * 5, 0)
         assert [node for node, *_ in seen] == [0, 1, 2, 3, 4]
@@ -375,7 +375,7 @@ class TestFindSecondBest:
         potential[2] += shift
         calls = []
         monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room: potential)
-        for name in ("_root", "_distances", "_nearest"):
+        for name in ("_root", "_distances", "_dijkstra"):
             monkeypatch.setattr(flowenum.kbest, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(InvariantError, match="negative residual reduced cost on arc 2$"):
             find_second_best_flow(net, best)
@@ -388,13 +388,14 @@ class TestFindSecondBest:
         net = make_network(2, [(0, 1, 0, 1, 1), (1, 0, 0, 1, 1)], (0, 0))
         assert find_second_best_flow(net, Flow((0, 0))) == Flow((1, 1))
 
-        def corrupted(out, source, dist, pred):
-            for node in _nearest(out, source, dist, pred):
+        def corrupted(*args):
+            source, dist, pred = args[-3:]
+            for node in _dijkstra(*args):
                 if (source, node) == (1, 0):
                     pred[0] = 1
                 yield node
 
-        monkeypatch.setattr(flowenum.kbest, "_nearest", corrupted)
+        monkeypatch.setattr(flowenum.kbest, "_dijkstra", corrupted)
         with pytest.raises(InvariantError, match="uses an arc twice"):
             find_second_best_flow(net, Flow((0, 0)))
 
@@ -431,33 +432,8 @@ SEARCH_COUNTS = {0: (509, 4890), 1: (465, 5140), 2: (484, 5532), 3: (616, 4751),
                  4: (527, 5560), 5: (419, 2790)}
 
 
-def yielded(walk, dist, pred):
-    """The nodes a search yields, each with its dist and pred entries then, and the final lists."""
-    return [(node, dist[node], pred[node]) for node in walk], dist, pred
-
-
 class TestOfferLists:
     """The lists one pass over the residual ids builds per offer, against the searches they replace."""
-
-    def test_kernel_matches_the_solver_dijkstra_from_every_candidate_head(self, monkeypatch):
-        lists = []
-        monkeypatch.setattr(flowenum.kbest, "_nearest",
-                            lambda out, *rest: lists.append(out) or _nearest(out, *rest))
-        compared = 0
-        for seed in range(6):
-            lists.clear()
-            net = random_grid_network(random.Random(seed), 8, 8)
-            best = solve_min_cost_flow(net)
-            find_second_best_flow(net, best)
-            if not lists:  # a tie came first, so no cycle was searched
-                continue
-            room, potential = residual_room(frame_of(net), best.values), compute_node_potentials(net, best)
-            for head in candidate_tails(net, best):
-                mine, theirs = (([None] * net.node_count, [None] * net.node_count) for _ in range(2))
-                assert (yielded(_nearest(lists[0], head, *mine), *mine)
-                        == yielded(search(net, room, potential, head, *theirs), *theirs))
-                compared += 1
-        assert compared > 100
 
     def test_tie_search_matches_the_optimal_face_search(self):
         ties = sensitive = 0

@@ -1,0 +1,104 @@
+"""The pairing tool's gain rule and arguments, on made-up results; no benchmark runs."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+TOOL = Path(__file__).resolve().parents[1] / "tools" / "pair.py"
+spec = importlib.util.spec_from_file_location("pair", TOOL)
+pair = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(pair)
+
+PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # quartiles 1.225 and 1.675
+
+
+def runs(walls, failed=0, attempted=100):
+    """`bench/run.py` results with these `wall_s` values, each with the given counts."""
+    return [{"metrics": {metric: {"value": wall} for metric in pair.METRICS},
+             "failed": failed, "attempted": attempted} for wall in walls]
+
+
+def test_summary_reads_inclusive_quartiles():
+    assert pair.summary(list(reversed(PARENT))) == {
+        "median": 1.45, "q1": 1.225, "q3": 1.675, "runs": PARENT}
+    assert pair.summary([2.0, 1.0]) == {"median": 1.5, "q1": 1.25, "q3": 1.75, "runs": [1.0, 2.0]}
+
+
+def test_nine_of_ten_pairs_must_be_won_and_ties_count_for_neither_side():
+    faster = [wall - 0.9 for wall in PARENT]
+    for losses, ties, gain in ((0, 0, True), (1, 0, True), (0, 1, True), (2, 0, False),
+                               (1, 1, False), (0, 2, False)):
+        change = faster[:]
+        for index in range(losses):
+            change[index] = PARENT[index] + 0.1
+        for index in range(losses, losses + ties):
+            change[index] = PARENT[index]
+        met, figures = pair.shows_gain(runs(PARENT), runs(change))
+        assert figures["pairs_won"] == f"{10 - losses - ties}/10"
+        assert met is gain
+
+
+def test_the_median_gain_must_exceed_the_parents_iqr():
+    for step, gain in ((0.01, False), (0.44, False), (0.46, True)):
+        met, figures = pair.shows_gain(runs(PARENT), runs([wall - step for wall in PARENT]))
+        assert figures["pairs_won"] == "10/10" and figures["parent_iqr_s"] == 0.45
+        assert met is gain
+
+
+def test_fewer_than_ten_pairs_never_show_a_gain():
+    for count in (2, 5, 9):
+        met, figures = pair.shows_gain(runs(PARENT[:count]), runs([0.1] * count))
+        assert figures["pairs_won"] == f"{count}/{count}"
+        assert not met
+    assert pair.shows_gain(runs(PARENT), runs([0.1] * 10))[0]
+
+
+def test_a_larger_failed_share_on_the_change_shows_no_gain():
+    faster = [wall - 0.5 for wall in PARENT]
+    for parent, change, gain in (((0, 100), (1, 100), False), ((1, 100), (2, 100), False),
+                                 ((1, 100), (1, 100), True), ((2, 100), (1, 100), True),
+                                 ((1, 100), (2, 300), True)):
+        met, figures = pair.shows_gain(runs(PARENT, *parent), runs(faster, *change))
+        assert figures["pairs_won"] == "10/10"
+        assert met is gain
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_is_a_usage_error_before_any_run(monkeypatch, tmp_path, pairs):
+    def bench_run(*args):
+        raise AssertionError("bench_run was called")
+
+    monkeypatch.setattr(pair, "bench_run", bench_run)
+    out = tmp_path / "out.json"
+    with pytest.raises(SystemExit) as exit_:
+        pair.main(["--parent", ".", "--change", ".", "--pairs", pairs, "--workload", "w",
+                   "--out", str(out)])
+    assert exit_.value.code == 2
+    assert not out.exists()
+
+
+def test_each_side_keeps_its_own_operation_counts(monkeypatch, tmp_path):
+    calls = []
+
+    def bench_run(checkout, workload, seed, seconds):
+        side = "change" if checkout.name == "change" else "parent"
+        calls.append((side, seed))
+        return runs([0.1 if side == "change" else 1.0], failed=3 * (side == "change"),
+                    attempted=50)[0]
+
+    monkeypatch.setattr(pair, "bench_run", bench_run)
+    monkeypatch.setattr(pair, "git_head", lambda checkout: None)
+    out = tmp_path / "out.json"
+    assert pair.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--pairs", "10", "--seconds", "1", "--workload", "w", "--claim", "w",
+                      "--out", str(out)]) == 0
+    assert calls[:4] == [("parent", 3), ("change", 3), ("change", 104729), ("parent", 104729)]
+    report = json.loads(out.read_text())
+    entry = report["workloads"]["w"]
+    assert entry["failed"] == {"parent": 0, "change": 30}
+    assert entry["attempted"] == {"parent": 500, "change": 500}
+    assert entry["wall_s_pairs_won_by_change"] == "10/10"
+    # Every pair won by far, yet the change failed more operations, so the claim is not met.
+    assert report["claim"]["met"] is False and report["unclaimed_gains"] == []

@@ -11,10 +11,12 @@ Even rounds run the parent first and odd rounds the change first; the seed
 goes round the given seeds by round.  Per workload and end-to-end metric
 the file holds each side's runs, median and quartiles (inclusive method),
 and for `wall_s` the pairs the change won, ties counting for neither side.
+Per workload, `failed` and `attempted` hold each side's operation counts.
 
 A workload shows a gain when the change won at least nine tenths of at
-least ten pairs and its median `wall_s` is below the parent's by more than
-the parent's interquartile range.  `--claim` names the workload whose gain
+least ten pairs, its median `wall_s` is below the parent's by more than
+the parent's interquartile range, and its share of failed operations is no
+larger than the parent's.  `--claim` names the workload whose gain
 the change claims; the `claim` entry says whether it was met.  Any other
 workload that shows a gain is listed under `unclaimed_gains`, so a run with
 the parent given twice (an A/A run) must list none and meet no claim.
@@ -49,8 +51,15 @@ def summary(runs: list[float]) -> dict:
             "runs": sorted(round(value, 4) for value in runs)}
 
 
-def shows_gain(parent: list[float], change: list[float]) -> tuple[bool, dict]:
-    """The gain rule on paired `wall_s` runs, and the figures it read."""
+def failed_share(runs: list[dict]) -> float:
+    attempted = sum(run["attempted"] for run in runs)
+    return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
+
+
+def shows_gain(parent_runs: list[dict], change_runs: list[dict]) -> tuple[bool, dict]:
+    """The gain rule on paired `bench/run.py` results, and the figures it read."""
+    parent, change = ([run["metrics"][CLAIMED]["value"] for run in runs]
+                      for runs in (parent_runs, change_runs))
     won = sum(theirs > mine for theirs, mine in zip(parent, change))
     q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     gain = median - statistics.median(change)
@@ -58,7 +67,8 @@ def shows_gain(parent: list[float], change: list[float]) -> tuple[bool, dict]:
                "median_gain_ratio": round(gain / median, 3), "parent_iqr_s": round(q3 - q1, 4),
                "parent_median_s": round(median, 4),
                "change_median_s": round(statistics.median(change), 4)}
-    return len(parent) >= 10 and 10 * won >= 9 * len(parent) and gain > q3 - q1, figures
+    return (len(parent) >= 10 and 10 * won >= 9 * len(parent) and gain > q3 - q1
+            and failed_share(change_runs) <= failed_share(parent_runs)), figures
 
 
 def git_head(checkout: Path) -> str | None:
@@ -73,7 +83,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--change", type=Path, required=True, help="checkout of the change")
     parser.add_argument("--workload", action="append", required=True)
     parser.add_argument("--seed", type=int, action="append", help="default: 3 and 104729")
-    parser.add_argument("--pairs", type=int, default=10)
+    parser.add_argument("--pairs", type=int, default=10, help="at least 2")
     parser.add_argument("--seconds", type=float, default=5)
     parser.add_argument("--claim", help="the workload whose wall_s gain is claimed")
     parser.add_argument("--target", default="", help="the claim's expected figures, as text")
@@ -82,6 +92,8 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--out", type=Path, required=True)
     args = parser.parse_args(argv)
     seeds = args.seed or [3, 104729]
+    if args.pairs < 2:
+        parser.error(f"--pairs {args.pairs}: quartiles need at least 2 runs per side")
     if args.claim is not None and args.claim not in args.workload:
         parser.error(f"--claim {args.claim} is not among the workloads run")
 
@@ -102,12 +114,10 @@ def main(argv: list[str] | None = None) -> int:
         for metric in METRICS:
             entry[metric] = {side: summary([run["metrics"][metric]["value"]
                                             for run in runs[workload, side]]) for side in sides}
-        parent, change = ([run["metrics"][CLAIMED]["value"] for run in runs[workload, side]]
-                          for side in sides)
-        gains[workload] = shows_gain(parent, change)
+        gains[workload] = shows_gain(runs[workload, "parent"], runs[workload, "change"])
         entry[f"{CLAIMED}_pairs_won_by_change"] = gains[workload][1]["pairs_won"]
-        entry["failed"] = sum(run["failed"] for side in sides for run in runs[workload, side])
-        entry["attempted"] = sum(run["attempted"] for side in sides for run in runs[workload, side])
+        for count in ("failed", "attempted"):
+            entry[count] = {side: sum(run[count] for run in runs[workload, side]) for side in sides}
         workloads[workload] = entry
 
     report = {
