@@ -10,7 +10,10 @@ once: per id its head, tail, arc and cost, per node the ids leaving it, and per
 arc the bounds a search region narrows.  The solver, Bellman-Ford, the searches
 and the tree code share the solver's frame; `residual_room` reads
 a flow's spare units within its bounds and `push_unit` moves one unit around
-a cycle of ids.  `ResidualGraph` spells the same graph out as objects.
+a cycle of ids.  `_root` is the one union-find (K-best's free-arc groups, the
+tree code's Kruskal start) and `_path` the one walk back along predecessor ids
+(the solver's augmenting paths, K-best's traced cycle, the DFS tree paths).
+`ResidualGraph` spells the same graph out as objects.
 """
 
 from __future__ import annotations
@@ -220,6 +223,22 @@ def push_unit(frame: Frame, values, ids: list[int]) -> Flow:
         if not lower[arc] <= values[arc] <= upper[arc]:
             raise InvariantError(f"the cycle pushes arc {arc} past its bounds")
     return Flow(values)
+
+
+def _root(leader: list[int], node: int) -> int:
+    """The root of `node`'s union-find tree, halving the path on the way."""
+    while leader[node] != node:
+        leader[node] = node = leader[leader[node]]
+    return node
+
+
+def _path(tail, pred, start: int, node: int) -> list[int]:
+    """The ids of the `pred` path from start to node, last id first: `pred[v]` entered v."""
+    path = []
+    while node != start:
+        path.append(pred[node])
+        node = tail[pred[node]]
+    return path
 
 
 def build_residual(net: Network, flow: Flow) -> ResidualGraph:

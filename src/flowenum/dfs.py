@@ -13,7 +13,8 @@ the forward ids and the cross ids whose head is in the tail's own tree (one
 into an earlier tree lies on no cycle, as all that tree reaches was discovered
 before it finished).  Scanning them by descending id, the order that fixes
 which cycle and so which flow comes next, either produces a proper cycle or
-proves none exists; only cross arcs need a lowest common ancestor.
+proves none exists; only cross arcs need a lowest common ancestor.  A tree
+path is read up the parent ids by `core._path`, which takes `tail` per id.
 
 The kernel, `_search`, runs on a `core.Frame`, pushes one unit around the
 cycle it finds and returns the cycle and the forest, which holds its
@@ -30,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .core import Cycle, Flow, Frame, Network, ResidualGraph, check_feasible, frame_of, push_unit
+from .core import Cycle, Flow, Frame, Network, ResidualGraph, _path, check_feasible, frame_of, push_unit
 from .errors import DifferentTreesError, InfeasibleFlowError
 
 TREE, FORWARD, BACKWARD_SHORT, BACKWARD_LONG, CROSS = range(1, 6)
@@ -171,15 +172,6 @@ def lca(forest: DfsForest, a: int, b: int) -> int:
     return a
 
 
-def _tree_path(forest: DfsForest, top: int, bottom: int) -> list[int]:
-    """Tree arcs walked top -> ... -> bottom; top must be an ancestor."""
-    arcs, node = [], bottom
-    while node != top:
-        arcs.append(forest.parent_arc[node])
-        node = forest.parent_node[node]
-    return arcs[::-1]
-
-
 def _short_backward_path(forest: DfsForest, origin: list[int], start: int, goal: int, avoid: int):
     """Short-backward steps start -> goal that never reuse the origin `avoid`."""
     arcs, node = [], start
@@ -201,7 +193,7 @@ def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list
 
     index = forest.long_back
     if index >= 0:
-        return [index, *_tree_path(forest, head[index], tail[index])]
+        return [index, *reversed(_path(tail, forest.parent_arc, head[index], tail[index]))]
 
     for index in sorted(forest.forward, reverse=True):
         if sbalow[head[index]] > order[tail[index]]:
@@ -217,7 +209,7 @@ def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list
             continue
         path = _short_backward_path(forest, origin, v, meet, origin[index])
         if path is not None:
-            return [index, *path, *_tree_path(forest, meet, u)]
+            return [index, *path, *reversed(_path(tail, forest.parent_arc, meet, u))]
 
     # Parallel arcs: a short backward arc against a different-origin tree arc
     # closes a proper two-arc cycle that the three scans above cannot see.

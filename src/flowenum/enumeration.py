@@ -16,6 +16,7 @@ region builds both afresh.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
@@ -38,10 +39,10 @@ def optimal_face(frame: Frame, values, reduced_costs) -> Frame:
     that agrees there costs the same: the face's feasible flows are exactly
     the optimal flows.
     """
-    lower = [value if cost else lo for value, cost, lo in zip(values, reduced_costs, frame.lower)]
-    upper = [value if cost else hi for value, cost, hi in zip(values, reduced_costs, frame.upper)]
-    return Frame(frame.node_count, frame.head, frame.tail, frame.origin, frame.cost,
-                 frame.incident, lower, upper)
+    face = copy(frame)  # shares every list but the bounds
+    face.lower = [value if cost else lo for value, cost, lo in zip(values, reduced_costs, frame.lower)]
+    face.upper = [value if cost else hi for value, cost, hi in zip(values, reduced_costs, frame.upper)]
+    return face
 
 
 def _split(witness: Sequence[int], cycle: list[int], lower, upper):

@@ -7,10 +7,11 @@ shortest way back from its head to its tail.  Each offer reads the residual
 ids once, checking every reduced weight, into per-node lists of the face's
 ids (weight 0) for the proper-cycle DFS and of `(weight, head)` for the
 distance searches.  A free arc, with room both ways, weighs 0 both ways, so
-the nodes free arcs join (a union-find group) lie at distance 0 from each
-other.  Distance-only searches run between groups, head groups cheapest
-candidate first, each until no waiting candidate can beat the best cycle;
-only the winner's path is traced, once, by the solver's `_dijkstra`.
+the nodes free arcs join (a `core._root` union-find group) lie at distance 0
+from each other.  Distance-only searches run between groups, head groups
+cheapest candidate first, each until no waiting candidate can beat the best
+cycle; only the winner's path is traced, once, by the solver's `_dijkstra`
+and read back by `core._path`.
 Regions are split as in the all-optimal search and ranked on a heap keyed by
 challenger cost.  They share the instance's one `core.Frame`, each heap entry
 holding its own `lower` and `upper` lists to swap in.
@@ -24,11 +25,11 @@ from itertools import count
 from operator import mul
 from typing import Iterator
 
-from .core import Flow, Frame, Network, check_feasible, frame_of, push_unit, residual_room
+from .core import Flow, Frame, Network, _path, _root, check_feasible, frame_of, push_unit, residual_room
 from .dfs import _forest, _proper_cycle
 from .enumeration import _split
 from .errors import InfeasibleFlowError, InvariantError
-from .solver import _dijkstra, _path, _potentials, _solve
+from .solver import _dijkstra, _potentials, _solve
 
 
 def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
@@ -103,15 +104,8 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
     start, tail = head[index], region.tail[index]  # one trace: tail's path is final once it settles
     next(node for node in _dijkstra(head, cost, room, potential, region.incident, start, dist, pred)
          if node == tail)
-    cycle = [index, *reversed(_path(head, pred, start, tail))]
+    cycle = [index, *reversed(_path(region.tail, pred, start, tail))]
     return push_unit(region, values, cycle), cycle
-
-
-def _root(group, node):
-    """The root of `node`'s union-find tree, halving the path on the way."""
-    while group[node] != node:
-        group[node] = node = group[group[node]]
-    return node
 
 
 def _distances(links, start):

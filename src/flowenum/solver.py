@@ -3,7 +3,8 @@
 The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
 cost nonnegative), and each augmentation runs Dijkstra with potentials over
-the network's `core.Frame`.  `compute_node_potentials` checks feasibility
+the network's `core.Frame`, and `core._path` reads each augmenting path
+back from its pred ids.  `compute_node_potentials` checks feasibility
 and runs `_potentials`, the queue-based Bellman-Ford the searches also call.
 
 The Dijkstra is a generator that yields nodes as they settle, reading room
@@ -26,7 +27,7 @@ import heapq
 from collections import deque
 from itertools import count
 
-from .core import Flow, Frame, Network, check_feasible, frame_of, residual_room, validate_network
+from .core import Flow, Frame, Network, _path, check_feasible, frame_of, residual_room, validate_network
 from .errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
 
 
@@ -78,7 +79,7 @@ def _solve(net: Network) -> tuple[Frame, Flow]:
         target = min(node for node in settled if imbalance[node] < 0)
         for node in settled:
             potential[node] += dist[node] - reach
-        path = _path(head, pred, source, target)
+        path = _path(frame.tail, pred, source, target)
         amount = min(imbalance[source], -imbalance[target], *(room[index] for index in path))
         for index in path:
             room[index] -= amount
@@ -124,15 +125,6 @@ def _dijkstra(head, cost, room, potential, incident, source, dist, pred):
                     dist[other] = candidate
                     pred[other] = index
                     heapq.heappush(heap, (candidate, next(tick), other))
-
-
-def _path(head, pred, start, node):
-    """Residual ids of the Dijkstra pred path from start to node, last id first."""
-    path = []
-    while node != start:
-        path.append(pred[node])
-        node = head[pred[node] ^ 1]
-    return path
 
 
 def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:

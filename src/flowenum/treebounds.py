@@ -27,8 +27,8 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Sequence
 
-from .core import (Cycle, Flow, Frame, Network, _require_dimensions, check_feasible, cycle_cost, frame_of,
-                   residual_room, validate_network)
+from .core import (Cycle, Flow, Frame, Network, _require_dimensions, _root, check_feasible, cycle_cost,
+                   frame_of, residual_room, validate_network)
 from .errors import (
     ArcInTreeError,
     CycleEntirelyInTreeError,
@@ -86,6 +86,8 @@ class InducedCycle:
 
 
 def _in_range(net: Network, arc_id: int) -> int:
+    if type(arc_id) is not int:  # floats and bools too, as `Arc` and `Flow` turn them away
+        raise ValueError(f"arc id {arc_id!r} is not an int")
     if not 0 <= arc_id < net.arc_count:
         raise ValueError(f"arc id {arc_id} is out of range")
     return arc_id
@@ -197,14 +199,13 @@ def _find_free_cycle(node_count: int, arcs, free):
 
 def _cancel_free_cycles(frame: Frame, arcs, values) -> list[int]:
     """Cancel free cycles in place; returns the free arcs left, a forest."""
-    cost = arcs[2]
     while True:
         room = residual_room(frame, values)
         free = [a for a in range(len(values)) if room[2 * a] and room[2 * a + 1]]
         walk = _find_free_cycle(frame.node_count, arcs, free)
         if walk is None:
             return free
-        if sum(-cost[r >> 1] if r & 1 else cost[r >> 1] for r in walk) > 0:
+        if sum(map(frame.cost.__getitem__, walk)) > 0:  # the frame's cost is signed per id
             walk = [r ^ 1 for r in walk]
         units = min(room[r] for r in walk)
         for r in walk:
@@ -214,31 +215,15 @@ def _cancel_free_cycles(frame: Frame, arcs, values) -> list[int]:
 def _initial_tree(frame: Frame, arcs, free: list[int]) -> list[int]:
     """Free arcs first, then tight arcs by (span, id), merged Kruskal-style."""
     src, dst, lower, upper = arcs[0], arcs[1], frame.lower, frame.upper
-    leader = list(range(frame.node_count))
-
-    def find(x: int) -> int:
-        while leader[x] != x:
-            leader[x] = leader[leader[x]]
-            x = leader[x]
-        return x
-
-    def union(x: int, y: int) -> bool:
-        x, y = find(x), find(y)
-        if x == y:
-            return False
-        leader[x] = y
-        return True
-
-    tree = []
-    for arc_id in free:
-        if not union(src[arc_id], dst[arc_id]):
-            raise InvariantError("free arcs must form a forest after cancellation")
-        tree.append(arc_id)
-    free_set = set(free)
+    leader, tree, free_set = list(range(frame.node_count)), [], set(free)
     rest = sorted((a for a in range(len(src)) if a not in free_set), key=lambda a: (upper[a] - lower[a], a))
-    for arc_id in rest:
-        if union(src[arc_id], dst[arc_id]):
+    for arc_id in free + rest:
+        x, y = _root(leader, src[arc_id]), _root(leader, dst[arc_id])
+        if x != y:
+            leader[x] = y
             tree.append(arc_id)
+        elif arc_id in free_set:
+            raise InvariantError("free arcs must form a forest after cancellation")
     return tree
 
 

@@ -9,7 +9,7 @@ from dataclasses import replace
 from types import SimpleNamespace
 from itertools import count
 
-from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, flow_cost, frame_of
+from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, _path, flow_cost, frame_of
 from flowenum import dfs
 from flowenum.dfs import (
     BACKWARD_LONG,
@@ -462,7 +462,7 @@ def sweep_proper_cycle(forest, tail: list[int], origin: list[int]) -> list[int] 
 
     for index in range(last, -1, -1):
         if classes[index] == BACKWARD_LONG:
-            return [index, *dfs._tree_path(forest, head[index], tail[index])]
+            return [index, *reversed(_path(tail, forest.parent_arc, head[index], tail[index]))]
 
     for index in range(last, -1, -1):
         if classes[index] != FORWARD or sbalow[head[index]] > order[tail[index]]:
@@ -482,7 +482,7 @@ def sweep_proper_cycle(forest, tail: list[int], origin: list[int]) -> list[int] 
             continue
         path = dfs._short_backward_path(forest, origin, v, meet, origin[index])
         if path is not None:
-            return [index, *path, *dfs._tree_path(forest, meet, u)]
+            return [index, *path, *reversed(_path(tail, forest.parent_arc, meet, u))]
 
     for node in reversed(forest.discovery):
         tree_arc = forest.parent_arc[node]

@@ -102,3 +102,36 @@ def test_each_side_keeps_its_own_operation_counts(monkeypatch, tmp_path):
     assert entry["wall_s_pairs_won_by_change"] == "10/10"
     # Every pair won by far, yet the change failed more operations, so the claim is not met.
     assert report["claim"]["met"] is False and report["unclaimed_gains"] == []
+
+
+def source_tree(root: Path) -> Path:
+    """A checkout with no git: two source files, one in a subpackage, and one file outside `src`."""
+    for name, text in (("src/pkg/__init__.py", "x = 1\n"), ("src/pkg/sub/mod.py", "y = 2\n"),
+                       ("README.md", "notes\n")):
+        (root / name).parent.mkdir(parents=True, exist_ok=True)
+        (root / name).write_text(text)
+    return root
+
+
+def test_equal_source_trees_hash_alike_and_a_one_byte_edit_does_not(tmp_path):
+    parent, change = source_tree(tmp_path / "parent"), source_tree(tmp_path / "change")
+    assert pair.src_digest(parent) == pair.src_digest(change)
+    (change / "README.md").write_text("other notes\n")  # outside `src`
+    assert pair.src_digest(parent) == pair.src_digest(change)
+    (change / "src/pkg/sub/mod.py").write_text("y = 3\n")
+    assert pair.src_digest(parent) != pair.src_digest(change)
+
+
+def test_the_report_names_both_source_digests_without_git(monkeypatch, tmp_path):
+    parent, change = source_tree(tmp_path / "parent"), source_tree(tmp_path / "change")
+    (change / "src/pkg/__init__.py").write_text("x = 2\n")
+    monkeypatch.setattr(pair, "bench_run", lambda *args: runs([1.0])[0])
+    monkeypatch.setattr(pair, "git_head", lambda checkout: None)
+    out = tmp_path / "out.json"
+    assert pair.main(["--parent", str(parent), "--change", str(change), "--pairs", "2",
+                      "--workload", "w", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert report["parent_commit"] is None
+    assert report["src_sha256"] == {"parent": pair.src_digest(parent),
+                                    "change": pair.src_digest(change)}
+    assert report["src_sha256"]["parent"] != report["src_sha256"]["change"]

@@ -1,4 +1,5 @@
 import random
+import re
 from dataclasses import fields, replace
 
 import pytest
@@ -368,7 +369,17 @@ class TestRejectedInputs:
     @pytest.mark.parametrize("bad", [7, -1])
     def test_arc_id_out_of_range(self, eleven_optima_network, eleven_optima_flow, bad):
         tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
-        message = f"arc id {bad} is out of range"
+        self.check_every_call_rejects(ts, tree_flow, bad, f"arc id {bad} is out of range")
+
+    # 4.0 and True read as arcs 4 and 1: `count_upper_bound(ts, [True])` returned 2, and
+    # the calls that index a list with 4.0 died with a bare TypeError.
+    @pytest.mark.parametrize("bad", [4.0, True, "4"])
+    def test_arc_id_not_an_int(self, eleven_optima_network, eleven_optima_flow, bad):
+        tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        self.check_every_call_rejects(ts, tree_flow, bad, re.escape(f"arc id {bad!r} is not an int"))
+
+    @staticmethod
+    def check_every_call_rejects(ts, tree_flow, bad, message):
         with pytest.raises(ValueError, match=message):
             induced_cycle(ts, bad)
         with pytest.raises(ValueError, match=message):

@@ -12,6 +12,9 @@ goes round the given seeds by round.  Per workload and end-to-end metric
 the file holds each side's runs, median and quartiles (inclusive method),
 and for `wall_s` the pairs the change won, ties counting for neither side.
 Per workload, `failed` and `attempted` hold each side's operation counts.
+`src_sha256` holds each side's `src_digest`, so the file says what it
+compared also when a checkout is not a git work tree (`parent_commit` is
+then null).
 
 A workload shows a gain when the change won at least nine tenths of at
 least ten pairs, its median `wall_s` is below the parent's by more than
@@ -25,6 +28,7 @@ the parent given twice (an A/A run) must list none and meet no claim.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -77,6 +81,15 @@ def git_head(checkout: Path) -> str | None:
     return done.stdout.strip() or None
 
 
+def src_digest(checkout: Path) -> str:
+    """sha256 over `src/**/*.py` in `checkout`, sorted by relative path: each path, its size, its bytes."""
+    digest = hashlib.sha256()
+    for name in sorted(path.relative_to(checkout).as_posix() for path in checkout.glob("src/**/*.py")):
+        data = (checkout / name).read_bytes()
+        digest.update(f"{name}\0{len(data)}\0".encode() + data)
+    return digest.hexdigest()
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--parent", type=Path, required=True, help="checkout of the parent")
@@ -123,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     report = {
         "change": args.text,
         "parent_commit": git_head(sides["parent"]),
+        "src_sha256": {side: src_digest(checkout) for side, checkout in sides.items()},
         "python": platform.python_version(),
         "nproc": os.cpu_count(),
         "command": f"python3 bench/run.py --workload W --seconds {args.seconds:g} --trace 0 --seed S",
