@@ -15,10 +15,13 @@ again only the smaller side of the leaving arc's cut, as subtree sizes tell
 (Ahuja, Magnanti and Orlin, Network Flows, ch. 11).  Pivots follow Bland's
 rule, the least violating arc id first, taken from a min-heap of violating
 arcs: a pivot shifts the potentials of the walked side by one constant, so
-only the arcs across the cut are tested again.  Every induced, free and
-pivot cycle is read by one climb of the parent links, `_cycle`, as core's
-residual ids (`2a` rides arc `a` forward, `2a + 1` against it), so that a
-headroom is one read of a `core.residual_room` list.
+only the arcs across the cut whose reduced cost moved toward a violation
+are tested again.  Cycles are read as core's residual ids (`2a` rides arc
+`a` forward, `2a + 1` against it), so that a headroom is one read of a
+`core.residual_room` list.  `_cycle` climbs the parent links and lists the
+ids, for free-cycle cancellation, `induced_cycle`, `decompose_cycle` and the
+basis code; a pivot's leaving arc (`_least_blocking`) and a cycle capacity
+(`_least_room`) are read by climbs that list none.
 """
 
 from __future__ import annotations
@@ -160,7 +163,7 @@ def _cycle(src, dst, parent_node, parent_arc, depth, arc_id: int, sign: int) -> 
     its tail: the steps climbing from the head, then those going down to
     the tail.  A step rides its tree arc forward (the even id) when `sign`
     is +1 and the path runs along the arc, or `sign` is -1 and it runs
-    against it.  This is the module's only climb of the parent links.
+    against it.
     """
     flip = sign < 0
     ups = [2 * arc_id + flip]
@@ -177,6 +180,42 @@ def _cycle(src, dst, parent_node, parent_arc, depth, arc_id: int, sign: int) -> 
             y = parent_node[y]
     ups.extend(reversed(downs))
     return ups
+
+
+def _least_room(src, dst, parent_node, parent_arc, depth, room, arc_id: int, sign: int) -> int:
+    """`min(room[r] for r in _cycle(...))`, read without listing the ids; stops at 0."""
+    flip = sign < 0
+    least = room[2 * arc_id + flip]
+    x, y = dst[arc_id], src[arc_id]
+    while least and x != y:
+        if depth[x] >= depth[y]:
+            spare = room[2 * parent_arc[x] + ((src[parent_arc[x]] != x) ^ flip)]
+            x = parent_node[x]
+        else:
+            spare = room[2 * parent_arc[y] + ((src[parent_arc[y]] == y) ^ flip)]
+            y = parent_node[y]
+        if spare < least:
+            least = spare
+    return least
+
+
+def _least_blocking(src, dst, parent_node, parent_arc, depth, room, arc_id: int, sign: int) -> int:
+    """`min(r >> 1 for r in _cycle(...) if not room[r])`, read without listing the ids; -1 if none."""
+    flip = sign < 0
+    least = len(src) if room[2 * arc_id + flip] else arc_id
+    x, y = dst[arc_id], src[arc_id]
+    while x != y:
+        if depth[x] >= depth[y]:
+            step = parent_arc[x]
+            if step < least and not room[2 * step + ((src[step] != x) ^ flip)]:
+                least = step
+            x = parent_node[x]
+        else:
+            step = parent_arc[y]
+            if step < least and not room[2 * step + ((src[step] == y) ^ flip)]:
+                least = step
+            y = parent_node[y]
+    return least if least < len(src) else -1
 
 
 def _find_free_cycle(node_count: int, arcs, free):
@@ -249,11 +288,20 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
     and its potentials up to a constant, so the rooting changes neither
     reduced costs nor Bland's choices.  An arc can start to violate, or see
     its cycle change, only when it has one end on each side, the leaving arc
-    included; those are tested again after the pivot.  Every other arc keeps
-    its reduced cost and its cycle, so a popped arc that no longer violates
-    or still has headroom can be dropped.  The final tree is rooted at node
-    0 again.  No flow value moves, so the headrooms are one `residual_room`
-    list and each movable arc off the tree stays at its bound, `at`.
+    included.  Every other arc keeps its reduced cost and its cycle, so a
+    popped arc that no longer violates or still has headroom can be dropped.
+    Seen from the walked side, a crossing arc's reduced cost moves by the
+    shift, toward a violation in exactly one of the node's two `at` lists;
+    only that list is tested again.  An unqueued arc of the other list
+    violates afterward only if it already did, so it was popped violating
+    with headroom, which only a flow that is not optimal allows.  Its cycle
+    is unchanged since, as a cycle changes only when its arc crosses a cut
+    and this argument then applies.  That cycle rode the leaving arc the way
+    it has room, against the entering cycle, so the new one is the sum of two
+    negative cycles: the arc moved toward a violation after all.  The final
+    tree is rooted at node 0 again.  No flow value moves, so the headrooms
+    are one `residual_room` list and each movable arc off the tree stays at
+    its bound, `at`.
     """
     src, dst, cost = arcs
     n, m, lower, upper = frame.node_count, len(src), frame.lower, frame.upper
@@ -272,12 +320,13 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
     # +1 at the lower bound, -1 at the upper, 0 fixed or strictly between: an
     # arc violates when at * reduced < 0, which a tree arc's 0 never does.
     at = [(value == lo) - (value == hi) for value, lo, hi in zip(values, lower, upper)]
-    # Per node (neighbour, arc id, cost and `at` signed from the node).
-    incident: list[list[tuple[int, int, int, int]]] = [[] for _ in range(n)]
+    # Per node (neighbour, arc id, cost signed from the node), listed by `at`
+    # signed from the node: +1 in the first list, -1 in the second.
+    incident = [([], []) for _ in range(n)]
     for a in range(m):
         if at[a]:
-            incident[src[a]].append((dst[a], a, cost[a], at[a]))
-            incident[dst[a]].append((src[a], a, -cost[a], -at[a]))
+            incident[src[a]][at[a] < 0].append((dst[a], a, cost[a]))
+            incident[dst[a]][at[a] > 0].append((src[a], a, -cost[a]))
     # Ascending ids already form a heap.
     heap = [a for a in range(m) if at[a] * (cost[a] + potentials[src[a]] - potentials[dst[a]]) < 0]
     queued = [False] * m
@@ -290,15 +339,13 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
             queued[entering] = False
             sign = at[entering]
             if sign * (cost[entering] + potentials[src[entering]] - potentials[dst[entering]]) < 0:
-                members = _cycle(src, dst, parent_node, parent_arc, depth, entering, sign)
-                blocking = [r >> 1 for r in members if not room[r]]
-                if blocking:
+                leaving = _least_blocking(src, dst, parent_node, parent_arc, depth, room, entering, sign)
+                if leaving >= 0:
                     break  # else a genuinely negative cycle: the flow was not optimal
         else:
             if pivot:
                 _hang(adjacency, tables, 0)
             return in_tree, tables
-        leaving = min(blocking)
         tail, head = src[entering], dst[entering]
         out_tail, out_head = src[leaving], dst[leaving]
         # The leaving arc cuts off the subtree below its deeper end; the
@@ -326,7 +373,7 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
                 else:
                     size[y] += cut_size
                     y = parent_node[y]
-            walked = _hang(adjacency, tables, inside, outside, entering, step)
+            top, hung = inside, outside
         else:
             # S keeps its links under `cut`, now the root; R hangs below `inside`.
             parent_node[cut] = parent_arc[cut] = -1
@@ -334,15 +381,19 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
             while x >= 0:
                 size[x] += n - cut_size
                 x = parent_node[x]
-            walked = _hang(adjacency, tables, outside, inside, entering, -step)
+            top, hung, step = outside, inside, -step
+        # The walked side's shift, the entering arc's reduced cost from `hung`, is not 0.
+        shift = potentials[hung] + step - potentials[top]
+        walked = _hang(adjacency, tables, top, hung, entering, step)
         for node in walked:
             size[node] = 1
             stamp[node] = pivot
         for node in reversed(walked[1:]):  # the first hangs from the other side
             size[parent_node[node]] += size[node]
+        arc_at = -1 if shift > 0 else 1  # the list that moved toward a violation
         for node in walked:
             potential = potentials[node]
-            for other, arc_id, arc_cost, arc_at in incident[node]:
+            for other, arc_id, arc_cost in incident[node][shift > 0]:
                 if (stamp[other] != pivot and not queued[arc_id]
                         and arc_at * (arc_cost + potential - potentials[other]) < 0):
                     heappush(heap, arc_id)
@@ -390,17 +441,13 @@ def _nontree_ids(ts: TreeStructure, arc_ids) -> list[int]:
     return list(seen)
 
 
-def _induced_ids(ts: TreeStructure, frame: Frame, arc_ids) -> list[list[int]]:
-    """`_cycle` of each non-tree arc in `arc_ids`, checked once, oriented by its lower/upper side."""
-    links = frame.tail[::2], frame.head[::2], ts.parent_node, ts.parent_arc, ts.depth
-    return [_cycle(*links, arc_id, 1 if arc_id in ts.lower_set else -1)
-            for arc_id in _nontree_ids(ts, arc_ids)]
-
-
 def _induced_cycles(ts: TreeStructure, arc_ids) -> list[InducedCycle]:
-    """`induced_cycle` of each non-tree arc in `arc_ids`, over one frame."""
-    return [InducedCycle(ids[0] >> 1, tuple((r >> 1, -1 if r & 1 else 1) for r in ids))
-            for ids in _induced_ids(ts, frame_of(ts.network), arc_ids)]
+    """`induced_cycle` of each non-tree arc in `arc_ids`, checked once, over one frame."""
+    frame = frame_of(ts.network)
+    links = frame.tail[::2], frame.head[::2], ts.parent_node, ts.parent_arc, ts.depth
+    return [InducedCycle(arc_id, tuple((r >> 1, -1 if r & 1 else 1)
+                                       for r in _cycle(*links, arc_id, 1 if arc_id in ts.lower_set else -1)))
+            for arc_id in _nontree_ids(ts, arc_ids)]
 
 
 def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
@@ -411,13 +458,17 @@ def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
 def induced_cycle_capacities(ts: TreeStructure, flow: Flow, arc_ids) -> list[int]:
     """Per non-tree arc in `arc_ids`, the largest augmentation its induced cycle admits at this flow."""
     _require_dimensions(ts.network, flow)
+    if any(not arc.lower <= value <= arc.upper for arc, value in zip(ts.network.arcs, flow.values)):
+        raise InfeasibleFlowError("cycle capacities exist for flows within the arc bounds only")
     return _capacities(ts, frame_of(ts.network), flow.values, arc_ids)
 
 
 def _capacities(ts: TreeStructure, frame: Frame, values, arc_ids) -> list[int]:
-    """`induced_cycle_capacities` on the frame of `ts.network`, unchecked: `values` must fit it."""
+    """`induced_cycle_capacities` on the frame of `ts.network`, unchecked: `values` must fit its bounds."""
     room = residual_room(frame, values)
-    return [min(map(room.__getitem__, ids)) for ids in _induced_ids(ts, frame, arc_ids)]
+    links = frame.tail[::2], frame.head[::2], ts.parent_node, ts.parent_arc, ts.depth, room
+    return [_least_room(*links, arc_id, 1 if arc_id in ts.lower_set else -1)
+            for arc_id in _nontree_ids(ts, arc_ids)]
 
 
 def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:

@@ -135,3 +135,44 @@ def test_the_report_names_both_source_digests_without_git(monkeypatch, tmp_path)
     assert report["src_sha256"] == {"parent": pair.src_digest(parent),
                                     "change": pair.src_digest(change)}
     assert report["src_sha256"]["parent"] != report["src_sha256"]["change"]
+
+
+def test_nproc_counts_the_cpus_the_runs_may_use(monkeypatch, tmp_path):
+    # bench/run.py records the affinity count; the machine's count can be larger.
+    monkeypatch.setattr(pair.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(pair.os, "sched_getaffinity", lambda pid: {0, 1})
+    monkeypatch.setattr(pair, "bench_run", lambda *args: runs([1.0])[0])
+    monkeypatch.setattr(pair, "git_head", lambda checkout: None)
+    out = tmp_path / "out.json"
+    assert pair.main(["--parent", ".", "--change", ".", "--pairs", "2", "--workload", "w",
+                      "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["nproc"] == 2
+
+
+def test_a_failed_run_names_itself_and_its_stderr_and_writes_no_report(monkeypatch, tmp_path, capsys):
+    parent, change = tmp_path / "parent", tmp_path / "change"
+    result = json.dumps(runs([1.0])[0])
+
+    def run(argv, cwd, capture_output, text, check):
+        seed = argv[argv.index("--seed") + 1]
+        if cwd == change and seed == "104729":
+            stderr = "".join(f"line {number}\n" for number in range(30)) + "ValueError: boom\n"
+            done = pair.subprocess.CompletedProcess(argv, 3, "", stderr)
+        else:
+            done = pair.subprocess.CompletedProcess(argv, 0, f"# people\n{result}\n", "")
+        if check:
+            done.check_returncode()
+        return done
+
+    monkeypatch.setattr(pair.subprocess, "run", run)
+    monkeypatch.setattr(pair, "git_head", lambda checkout: None)
+    out = tmp_path / "out.json"
+    assert pair.main(["--parent", str(parent), "--change", str(change), "--pairs", "4",
+                      "--workload", "w", "--out", str(out)]) == 1
+    assert not out.exists()
+    err = capsys.readouterr().err
+    assert "pair: change w seed 104729: bench/run.py exited 3; its stderr ends:" in err
+    assert err.rstrip().endswith("ValueError: boom")
+    tail = err[err.index("its stderr ends:"):]
+    assert "line 29" in tail and "line 10" not in tail  # the last STDERR_TAIL lines only
+    assert "Traceback" not in err

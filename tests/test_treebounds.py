@@ -423,6 +423,24 @@ class TestRejectedInputs:
         assert count_lower_bound(ts, [4], tree_flow) == 10
         assert count_upper_bound(ts, [4]) == 11
 
+    # Both flows balance the nodes but leave the arcs' bounds; at (5, -3) the
+    # bounds read (5, 3), a lower bound above the upper one, for 3 feasible flows.
+    @pytest.mark.parametrize("values", [(5, -3), (-1, 3), (3, -1), (0, 3)])
+    def test_flow_outside_the_arc_bounds(self, values):
+        net = make_network(2, [(0, 1, 0, 2, 1), (0, 1, 0, 2, 1)], (2, -2))
+        _, ts = to_tree_solution(net, solve_min_cost_flow(net))
+        assert ts.lower_set == {1}
+        with pytest.raises(InfeasibleFlowError):
+            feasible_count_bounds(ts, Flow(values))
+        with pytest.raises(InfeasibleFlowError):
+            count_lower_bound(ts, [1], Flow(values))
+        with pytest.raises(InfeasibleFlowError):
+            induced_cycle_capacities(ts, Flow(values), [1])
+        with pytest.raises(DimensionMismatchError):  # the length is checked first
+            induced_cycle_capacities(ts, Flow((*values, 0)), [1])
+        # Within the bounds but not balanced, each cycle still has a capacity.
+        assert [induced_cycle_capacities(ts, Flow(inside), [1]) for inside in ((2, 2), (1, 0))] == [[0], [1]]
+
     # Each walk chains once every sign that is not positive reads as -1.
     @pytest.mark.parametrize("walk", [[(0, 5), (3, 9), (2, 0)], [(0, 1), (3, 1), (2, 0)],
                                       [(0, 1), (3, 2), (2, -1)]])
@@ -470,6 +488,42 @@ class TestCycleCapacity:
             upper += len(ts.upper_set)
             positive += sum(1 for room in found.values() if room)
         assert upper > 300 and positive > 300
+
+
+class TestClimbs:
+    """The climbs that list no ids against their list references over `_cycle`."""
+
+    def check(self, net, flow):
+        tree_flow, ts = to_tree_solution(net, flow)
+        frame = frame_of(net)
+        links = frame.tail[::2], frame.head[::2], ts.parent_node, ts.parent_arc, ts.depth
+        room = treebounds.residual_room(frame, tree_flow.values)
+        blocked = 0
+        for arc_id in sorted(ts.lower_set | ts.upper_set):
+            sign = 1 if arc_id in ts.lower_set else -1
+            ids = treebounds._cycle(*links, arc_id, sign)
+            assert treebounds._least_room(*links, room, arc_id, sign) == min(room[r] for r in ids)
+            least = min((r >> 1 for r in ids if not room[r]), default=-1)
+            assert treebounds._least_blocking(*links, room, arc_id, sign) == least
+            blocked += sum(not room[r] for r in ids) > 1
+        return blocked
+
+    @pytest.mark.parametrize("optimal", [True, False], ids=["optimal", "not-optimal"])
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_grids(self, seed, optimal):
+        net = random_grid_network(random.Random(seed), 12, 12, both_ways=True)
+        negated = replace(net, arcs=tuple(replace(arc, cost=-arc.cost) for arc in net.arcs))
+        assert self.check(net, solve_min_cost_flow(net if optimal else negated)) > 50
+
+    def test_small_instances(self):
+        # Witness flows, mostly not optimal, with fixed, parallel and
+        # anti-parallel arcs.
+        rng = random.Random(68)
+        blocked = 0
+        for _ in range(300):
+            net, witness = random_feasible_network(rng, max_nodes=8, max_arcs=20)
+            blocked += self.check(net, witness)
+        assert blocked > 300
 
 
 class TestZeroCostSet:

@@ -14,7 +14,10 @@ and for `wall_s` the pairs the change won, ties counting for neither side.
 Per workload, `failed` and `attempted` hold each side's operation counts.
 `src_sha256` holds each side's `src_digest`, so the file says what it
 compared also when a checkout is not a git work tree (`parent_commit` is
-then null).
+then null).  `nproc` is the number of CPUs the runs may use, as
+`bench/run.py` counts them.  A run that exits non-zero ends the tool with
+status 1 and no file, after it prints the run's side, workload, seed, exit
+code and the last lines of its stderr.
 
 A workload shows a gain when the change won at least nine tenths of at
 least ten pairs, its median `wall_s` is below the parent's by more than
@@ -39,6 +42,7 @@ from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "first_output_ms")
 CLAIMED = "wall_s"
+STDERR_TAIL = 20  # lines of a failed run's stderr that are printed
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -116,7 +120,13 @@ def main(argv: list[str] | None = None) -> int:
         seed = seeds[round_ % len(seeds)]
         for workload in args.workload:
             for side in (("parent", "change") if round_ % 2 == 0 else ("change", "parent")):
-                result = bench_run(sides[side], workload, seed, args.seconds)
+                try:
+                    result = bench_run(sides[side], workload, seed, args.seconds)
+                except subprocess.CalledProcessError as failed:
+                    tail = "\n".join(failed.stderr.splitlines()[-STDERR_TAIL:])
+                    print(f"pair: {side} {workload} seed {seed}: bench/run.py exited "
+                          f"{failed.returncode}; its stderr ends:\n{tail}", file=sys.stderr)
+                    return 1
                 runs[workload, side].append(result)
                 print(f"# round {round_} {workload} seed {seed} {side}: "
                       f"{result['metrics'][CLAIMED]['value']:.4f} s", file=sys.stderr)
@@ -138,7 +148,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent_commit": git_head(sides["parent"]),
         "src_sha256": {side: src_digest(checkout) for side, checkout in sides.items()},
         "python": platform.python_version(),
-        "nproc": os.cpu_count(),
+        "nproc": len(os.sched_getaffinity(0)),
         "command": f"python3 bench/run.py --workload W --seconds {args.seconds:g} --trace 0 --seed S",
         "method": "alternating parent/change pairs (even rounds parent first, odd rounds change "
                   "first), seeds alternating by round, every workload once per side and round, "
