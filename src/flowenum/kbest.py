@@ -5,13 +5,14 @@ optimal face) or one unit pushed around the cheapest proper cycle: a residual
 id `r` whose reverse `r ^ 1` has no room (its arc sits at a bound) plus the
 shortest way back from its head to its tail.  Each offer reads the residual
 ids once, checking every reduced weight, into per-node lists of the face's
-ids (weight 0) for the proper-cycle DFS and of `(weight, head)` for the
-distance searches.  A free arc, with room both ways, weighs 0 both ways, so
-the nodes free arcs join (a `core._root` union-find group) lie at distance 0
-from each other.  Distance-only searches run between groups, head groups
-cheapest candidate first, each until no waiting candidate can beat the best
-cycle; only the winner's path is traced, once, by the solver's `_dijkstra`
-and read back by `core._path`.
+ids (weight 0) for the proper-cycle DFS and one list of candidate ids.  A
+free arc, with room both ways, weighs 0 both ways, so the nodes free arcs
+join (a `core._root` union-find group) lie at distance 0 from each other,
+and the candidates between groups are the `(weight, group)` links.  One
+distance-only Dijkstra, `_search_back`, per head group, cheapest candidate
+first, runs until no waiting candidate can beat the best cycle and pushes no
+label past that bound; only the winner's path is traced, once, by the
+solver's `_dijkstra` and read back by `core._path`.
 Regions are split as in the all-optimal search and ranked on a heap keyed by
 challenger cost.  They share the instance's one `core.Frame`, each heap entry
 holding its own `lower` and `upper` lists to swap in.
@@ -47,17 +48,14 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
     potential = _potentials(region, room)
     # Pruned searches scan only part of the residual graph, so every weight is checked
     # here.  Each id whose reverse has no room starts a candidate cycle.
-    out: list[list] = [[] for _ in range(nodes)]   # (weight, head)
     face: list[list] = [[] for _ in range(nodes)]  # weight-0 ids: the optimal face's
     candidates = []  # (weight, id, tail)
     for node, ids in enumerate(region.incident):
         for index in ids:
             if room[index]:
-                other = head[index]
-                weight = cost[index] + potential[node] - potential[other]
+                weight = cost[index] + potential[node] - potential[head[index]]
                 if weight < 0:
                     raise InvariantError(f"negative residual reduced cost on arc {index >> 1}")
-                out[node].append((weight, other))
                 if not weight:
                     face[node].append(index)
                 if not room[index ^ 1]:
@@ -69,35 +67,26 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
         return push_unit(region, values, cycle), cycle
     # The flow is the unique optimum; the answer is the least (weight + dist[tail], id).
     # A free arc, with room both ways, weighs 0 both ways (both were checked above), so
-    # distances are searched between the groups free arcs join, over the ids between groups.
+    # distances are searched between the groups free arcs join.  An id between two groups
+    # is not free, so it is a candidate: the candidates are the links.
     group = list(range(nodes))
     for index in range(0, len(room), 2):
         if room[index] and room[index + 1]:
             group[_root(group, head[index])] = _root(group, head[index + 1])
     group = [_root(group, node) for node in range(nodes)]
     links: list[list] = [[] for _ in range(nodes)]  # per group, (weight, group) leaving it
-    for node, edges in enumerate(out):
-        own = group[node]
-        links[own] += [(weight, group[other]) for weight, other in edges if group[other] != own]
-    # Head groups, searched cheapest candidate first, wait on each tail group's cheapest
-    # (weight, id); a search stops once none waits or none can reach the best key, ties included.
-    offers: dict[int, dict] = {}
+    for weight, index, tail in candidates:
+        own, other = group[tail], group[head[index]]
+        if own != other:
+            links[own].append((weight, other))
+    offers: dict[int, dict] = {}  # per head group, cheapest first: tail group -> (weight, id)
     for weight, index, tail in sorted(candidates):
         offers.setdefault(group[head[index]], {}).setdefault(group[tail], (weight, index))
     best = (math.inf, -1)
     for start, waiting in offers.items():
-        cheapest = next(iter(waiting.values()))[0]
-        if cheapest > best[0]:
+        if next(iter(waiting.values()))[0] > best[0]:
             break
-        for reached, found in _distances(links, start):
-            if reached + cheapest > best[0]:
-                break
-            if found in waiting:
-                weight, index = waiting.pop(found)
-                best = min(best, (weight + reached, index))
-                if not waiting:
-                    break
-                cheapest = next(iter(waiting.values()))[0]
+        best = _search_back(links, start, waiting, best)
     if best[1] < 0:
         return None, None
     index, dist, pred = best[1], [None] * nodes, [None] * nodes
@@ -108,22 +97,34 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
     return push_unit(region, values, cycle), cycle
 
 
-def _distances(links, start):
-    """Dijkstra over per-node `(weight >= 0, head)` lists: yields `(dist, node)`, keeps no pred."""
-    dist = [None] * len(links)
-    dist[start] = 0
-    heap = [(0, start)]
+def _search_back(links, start, waiting, best):
+    """The least of `best` and each `waiting` tail group's (weight + distance from `start`,
+    id), by Dijkstra over per-group `(weight, group)` links; a tail group leaves `waiting`
+    once it settles.  It stops once none waits or none can reach the best key, ties
+    included, and pushes no label that could only be popped past that stop: over a
+    search `cheapest` only rises and `best` only falls."""
+    cheapest = next(iter(waiting.values()))[0]
+    dist, heap = {start: 0}, [(0, start)]
     while heap:
         reached, node = heappop(heap)
         if reached > dist[node]:
             continue
-        yield reached, node
+        if reached + cheapest > best[0]:
+            break
+        if node in waiting:
+            weight, index = waiting.pop(node)
+            best = min(best, (weight + reached, index))
+            if not waiting:
+                break
+            cheapest = next(iter(waiting.values()))[0]
+        slack = best[0] - cheapest - reached
         for weight, other in links[node]:
-            candidate = reached + weight
-            known = dist[other]
-            if known is None or candidate < known:
-                dist[other] = candidate
-                heappush(heap, (candidate, other))
+            if weight <= slack:
+                label = reached + weight
+                if other not in dist or label < dist[other]:
+                    dist[other] = label
+                    heappush(heap, (label, other))
+    return best
 
 
 def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:

@@ -10,7 +10,7 @@ and runs `_potentials`, the queue-based Bellman-Ford the searches also call.
 The Dijkstra is a generator that yields nodes as they settle, reading room
 and potentials afresh, as both move on every augmentation.  K-best traces
 each offer's winning cycle with it and searches distances with its own
-`_distances`.  The solver stops at the nearest deficit: once a node with
+`_search_back`.  The solver stops at the nearest deficit: once a node with
 negative imbalance settles, at distance reach, it reads on through the
 other nodes at reach and leaves at the first node past it, or as soon as
 the lowest-index deficit left settles.  The target is the lowest-index
@@ -145,25 +145,32 @@ def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
 def _potentials(frame: Frame, room) -> tuple[int, ...]:
     """`compute_node_potentials` over `room`, the `residual_room` of a flow feasible in the frame:
     Bellman-Ford from node 0 at 0 and every other node at `big`, which queues a node again when
-    its distance drops.  A distance set through n arcs walked a cycle, so a negative one."""
+    its distance drops.  A distance set through n arcs walked a cycle, so a negative one.  Node
+    0's reach is scanned first, then that of each lowest node never scanned (it still holds
+    `big`): distances over the `big` arcs are unique and labels follow walks, so any order that
+    scans each node after its last drop gives the same tuple, and the same NegativeCycleError."""
     n, head, cost, incident = frame.node_count, frame.head, frame.cost, frame.incident
     big = 1 + sum(abs(weight) * max(1, hi) for weight, hi in zip(cost[::2], frame.upper))
     dist, arcs = [0] + [big] * (n - 1), [0] * n  # arcs: how many the path to each distance took
-    queue, queued = deque(range(n)), [True] * n
-    while queue:
-        node = queue.popleft()
-        queued[node] = False
-        reach, step = dist[node], arcs[node] + 1
-        for index in incident[node]:
-            other = head[index]
-            if room[index] and reach + cost[index] < dist[other]:
-                if step >= n:
-                    raise NegativeCycleError(
-                        "residual graph has a negative cycle; the flow is not optimal")
-                dist[other], arcs[other] = reach + cost[index], step
-                if not queued[other]:
-                    queued[other] = True
-                    queue.append(other)
+    queue, queued = deque(), [False] * n
+    for start in range(n):
+        if start and dist[start] < big:
+            continue  # dropped, so scanned after its last drop
+        queue.append(start)
+        while queue:
+            node = queue.popleft()
+            queued[node] = False
+            reach, step = dist[node], arcs[node] + 1
+            for index in incident[node]:
+                other = head[index]
+                if room[index] and reach + cost[index] < dist[other]:
+                    if step >= n:
+                        raise NegativeCycleError(
+                            "residual graph has a negative cycle; the flow is not optimal")
+                    dist[other], arcs[other] = reach + cost[index], step
+                    if not queued[other]:
+                        queued[other] = True
+                        queue.append(other)
     return tuple(dist)
 
 

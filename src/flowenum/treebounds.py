@@ -548,11 +548,13 @@ def express_in_cycle_basis(ts: TreeStructure, flow: Flow, other: Flow):
 
     Returns {arc id: coefficient} with 0 <= coefficient <= span for every
     basis arc, or None when `other` cannot be written that way (it is not
-    an optimal flow for this structure).
+    an optimal flow for this structure).  Raises InfeasibleFlowError when
+    the base `flow` is not feasible.
     """
     net = ts.network
-    _require_dimensions(net, flow)
     _require_dimensions(net, other)
+    if not check_feasible(net, flow):
+        raise InfeasibleFlowError("cycle-basis coordinates exist around a feasible flow only")
     coefficients: dict[int, int] = {}
     for arc_id in zero_cost_nontree_set(ts):
         delta = other.values[arc_id] - flow.values[arc_id]

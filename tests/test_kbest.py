@@ -1,4 +1,5 @@
 import hashlib
+import heapq
 import random
 from dataclasses import replace
 
@@ -16,7 +17,7 @@ from flowenum.errors import (
     NegativeCycleError,
     UnbalancedSupplyError,
 )
-from flowenum.kbest import _distances, find_second_best_flow, iter_k_best_flows
+from flowenum.kbest import find_second_best_flow, iter_k_best_flows
 from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
 
 import helpers
@@ -53,33 +54,84 @@ def dijkstra_from(net, flow, potential, source):
     return seen, dist, [pair(index) for index in pred]
 
 
+def watch_reads(monkeypatch, searches):
+    """Log each K-best group search at the end of `searches()` as (start group, pops, scans).
+
+    `pops` holds every `(distance, group)` label its heap pops, stale ones included
+    (the region heap's entries are longer); a group is read when a label of it is
+    popped.  `scans` holds each group whose links the search scans, in order: a group
+    is settled when its links are scanned.
+    """
+    search_back = flowenum.kbest._search_back
+
+    class Links(list):
+        def __iter__(self):
+            searches()[-1][2].append(self.group)
+            return super().__iter__()
+
+    def search(links, start, waiting, best):
+        searches().append((start, [], []))
+        watched = []
+        for group, edges in enumerate(links):
+            watched.append(Links(edges))
+            watched[-1].group = group
+        return search_back(watched, start, waiting, best)
+
+    def pop(heap):
+        label = heapq.heappop(heap)
+        if len(label) == 2:
+            searches()[-1][1].append(label)
+        return label
+
+    monkeypatch.setattr(flowenum.kbest, "_search_back", search)
+    monkeypatch.setattr(flowenum.kbest, "heappop", pop)
+
+
+def group_reach(frame, values):
+    """Per start node, how many free-arc groups the residual ids with room reach from it:
+    the groups a full, unpruned group search from there reads."""
+    room, head = residual_room(frame, values), frame.head
+
+    def reached(start, free):
+        seen, stack = {start}, [start]
+        while stack:
+            for index in frame.incident[stack.pop()]:
+                if room[index] and (room[index ^ 1] or not free) and head[index] not in seen:
+                    seen.add(head[index])
+                    stack.append(head[index])
+        return seen
+
+    group = {}
+    for node in range(frame.node_count):
+        if node not in group:
+            group.update(dict.fromkeys(reached(node, True), node))
+    return lambda start: len({group[node] for node in reached(start, False)})
+
+
 def watch_searches(monkeypatch):
     """Wrap kbest's offers, group searches and path traces.
 
     Per offer, logs its group searches, each as (start group, groups read,
-    groups a full search yields), and the start node of each trace.
+    groups a full search reads), and the start node of each trace.
     """
     offers = []
     second_best = flowenum.kbest._second_best
 
-    def offer(*args):
-        offers.append(([], []))
-        return second_best(*args)
-
-    def searched(links, start):
-        full = sum(1 for _ in _distances(links, start))
-        read = []
-        offers[-1][0].append((start, read, full))
-        for reached, group in _distances(links, start):
-            read.append(group)
-            yield reached, group
+    def offer(region, values):
+        searches, traces = [], []
+        offers.append((searches, traces))
+        found = second_best(region, values)
+        reach = group_reach(region, values)
+        searches[:] = [(start, list(dict.fromkeys(group for _, group in pops)), reach(start))
+                       for start, pops, _ in searches]
+        return found
 
     def traced(head, cost, room, potential, incident, start, dist, pred):
         offers[-1][1].append(start)
         return _dijkstra(head, cost, room, potential, incident, start, dist, pred)
 
     monkeypatch.setattr(flowenum.kbest, "_second_best", offer)
-    monkeypatch.setattr(flowenum.kbest, "_distances", searched)
+    watch_reads(monkeypatch, lambda: offers[-1][0])
     monkeypatch.setattr(flowenum.kbest, "_dijkstra", traced)
     return offers
 
@@ -375,7 +427,7 @@ class TestFindSecondBest:
         potential[2] += shift
         calls = []
         monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room: potential)
-        for name in ("_root", "_distances", "_dijkstra"):
+        for name in ("_root", "_search_back", "_dijkstra"):
             monkeypatch.setattr(flowenum.kbest, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(InvariantError, match="negative residual reduced cost on arc 2$"):
             find_second_best_flow(net, best)
@@ -424,12 +476,14 @@ class TestFindSecondBest:
 
 
 # Group searches and groups read per `iter_k_best_flows(net, 10)` on
-# random_grid_network(Random(seed), 8, 8).  The per-node searches this replaced
+# random_grid_network(Random(seed), 8, 8).  The per-node searches these replaced
 # made (557, 8504), (485, 9475), (513, 12005), (656, 8334), (590, 9937) and
 # (451, 6323): a group search crosses a zero-distance plateau in one step, stops
-# at its cheapest waiting candidate and traces no path.
-SEARCH_COUNTS = {0: (509, 4890), 1: (465, 5140), 2: (484, 5532), 3: (616, 4751),
-                 4: (527, 5560), 5: (419, 2790)}
+# at its cheapest waiting candidate and traces no path.  Before the searches
+# pushed only labels that could still beat the best cycle, they read (509, 4890),
+# (465, 5140), (484, 5532), (616, 4751), (527, 5560) and (419, 2790).
+SEARCH_COUNTS = {0: (509, 4546), 1: (465, 4774), 2: (484, 5174), 3: (616, 4371),
+                 4: (527, 5174), 5: (419, 2504)}
 
 
 class TestOfferLists:
@@ -484,10 +538,12 @@ class TestOfferLists:
 class TestGroupSearch:
     """Searches between free-arc groups on grids where free arcs join several nodes."""
 
-    def test_matches_the_unpruned_reference_in_every_region(self, monkeypatch):
-        # Two-way grids with low costs and spans up to 3; every region of a K-best run
-        # is checked against one full per-node search per head.
-        second_best, searches, counts = helpers.find_second_best_flow, [], [0, 0]
+    @staticmethod
+    def check_every_region(monkeypatch, nets, k):
+        """Check every region of K-best runs against one full per-node search per head,
+        and each group search's settles; returns the counts of regions that moved to a
+        costlier flow, of those with a free-arc group, and of stale labels popped."""
+        second_best, searches, counts = helpers.find_second_best_flow, [], [0, 0, 0]
 
         def offer(region, region_best):
             group = free_groups(region, region_best)
@@ -497,25 +553,33 @@ class TestGroupSearch:
             if second is not None and flow_cost(region, second) > flow_cost(region, region_best):
                 counts[0] += 1
                 counts[1] += len(set(group)) < region.node_count
-                # A search settles each group once, through one node of it.
-                assert all(len({group[node] for node in read}) == len(read) for read in searches)
+                # A search settles each group once, through one node of it, however many
+                # stale labels of it it pops, and pops no label twice.
+                for _, pops, scans in searches:
+                    assert len({group[node] for node in scans}) == len(scans)
+                    assert set(scans) <= {node for _, node in pops}
+                    assert len(set(pops)) == len(pops)
+                    counts[2] += len(pops) - len({node for _, node in pops})
             return second
 
-        def searched(links, start):
-            searches.append([])
-            for reached, node in _distances(links, start):
-                searches[-1].append(node)
-                yield reached, node
-
         monkeypatch.setattr(helpers, "find_second_best_flow", offer)
-        monkeypatch.setattr(flowenum.kbest, "_distances", searched)
-        for seed in range(50):
-            rng = random.Random(seed)
-            side = 3 + seed % 3
-            net = random_grid_network(rng, side, side, min_cost=0, max_cost=3, both_ways=True)
-            assert list(iter_k_best_flows(net, 12)) == list(helpers.reference_k_best_flows(net, 12))
-        moved, grouped = counts
-        assert moved > 500 and grouped > 500
+        watch_reads(monkeypatch, lambda: searches)
+        for net in nets:
+            assert list(iter_k_best_flows(net, k)) == list(helpers.reference_k_best_flows(net, k))
+        return counts
+
+    def test_matches_the_unpruned_reference_in_every_region(self, monkeypatch):
+        # Two-way grids with low costs and spans up to 3.
+        nets = (random_grid_network(random.Random(seed), 3 + seed % 3, 3 + seed % 3, min_cost=0,
+                                    max_cost=3, both_ways=True) for seed in range(50))
+        moved, grouped, stale = self.check_every_region(monkeypatch, nets, 12)
+        assert moved > 500 and grouped > 500 and stale > 0
+
+    def test_matches_the_unpruned_reference_on_ranked_grids(self, monkeypatch):
+        # One-way costed 8x8 grids with lower bounds 0-1, as `kbest-ranked` runs them.
+        nets = (random_grid_network(random.Random(seed), 8, 8) for seed in range(4))
+        moved, grouped, stale = self.check_every_region(monkeypatch, nets, 10)
+        assert moved > 50 and grouped > 50 and stale > 0
 
     def test_costs_match_bruteforce_on_small_grids(self):
         ranked = 0

@@ -176,3 +176,43 @@ def test_a_failed_run_names_itself_and_its_stderr_and_writes_no_report(monkeypat
     tail = err[err.index("its stderr ends:"):]
     assert "line 29" in tail and "line 10" not in tail  # the last STDERR_TAIL lines only
     assert "Traceback" not in err
+
+
+def test_a_median_worse_than_the_parents_iqr_is_listed_and_printed(monkeypatch, tmp_path, capsys):
+    # Per workload and metric, the change's runs are the parent's shifted by `step`:
+    # only a shift past the parent's IQR (0.45 here) is worse; a gain never is.
+    steps = {("a", "wall_s"): 0.46, ("a", "setup_s"): 0.44, ("b", "first_output_ms"): 1.0,
+             ("b", "wall_s"): -1.0}
+    walls = {}
+
+    def bench_run(checkout, workload, seed, seconds):
+        side = checkout.name
+        index = walls.setdefault((workload, side), [0])
+        wall = PARENT[index[0]]
+        index[0] += 1
+        return {"metrics": {metric: {"value": wall + (side == "change") * steps.get((workload, metric), 0)}
+                            for metric in pair.METRICS}, "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(pair, "bench_run", bench_run)
+    monkeypatch.setattr(pair, "git_head", lambda checkout: None)
+    out = tmp_path / "out.json"
+    assert pair.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                      "--pairs", "10", "--workload", "a", "--workload", "b", "--out", str(out)]) == 0
+    report = json.loads(out.read_text())
+    assert [(entry["workload"], entry["metric"]) for entry in report["worse"]] == [
+        ("a", "wall_s"), ("b", "first_output_ms")]
+    assert report["worse"][0] == {"workload": "a", "metric": "wall_s", "parent_median": 1.45,
+                                  "change_median": 1.91, "parent_iqr": 0.45}
+    err = capsys.readouterr().err
+    assert "pair: worse: a wall_s median 1.45 -> 1.91, parent IQR 0.45" in err
+    assert "pair: worse: b first_output_ms median 1.45 -> 2.45, parent IQR 0.45" in err
+    assert "setup_s" not in err and report["unclaimed_gains"] == ["b"]
+
+
+def test_an_a_a_run_lists_nothing_worse(monkeypatch, tmp_path):
+    monkeypatch.setattr(pair, "bench_run", lambda checkout, workload, seed, seconds: runs([1.0])[0])
+    monkeypatch.setattr(pair, "git_head", lambda checkout: None)
+    out = tmp_path / "out.json"
+    assert pair.main(["--parent", ".", "--change", ".", "--pairs", "2", "--workload", "w",
+                      "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["worse"] == []

@@ -335,9 +335,20 @@ class TestPotentials:
             except NegativeCycleError:
                 return "negative cycle"
 
+        # Two fixed instances where node 0 reaches no node.  In the first, node 3, scanned
+        # last from `big` = 18, drops node 1 to 13 after node 1 was scanned from `big`, so
+        # node 1 is scanned again.  In the second, nodes 2 and 3 close a cycle of cost -1
+        # that node 1 reaches and node 0 does not.
+        fixed = [(make_network(4, [(1, 0, 0, 1, 2), (3, 2, 0, 1, -4), (2, 1, 0, 2, 3),
+                                   (3, 1, 0, 1, -5)], (0, 0, -1, 1)), Flow((0, 1, 0, 0))),
+                 (make_network(4, [(1, 0, 0, 1, 2), (1, 2, 0, 1, 0), (2, 3, 0, 1, -2),
+                                   (3, 2, 0, 1, 1)], (0, 0, 0, 0)), Flow((0, 0, 0, 0)))]
+        assert [(reached_from_0(frame_of(net), flow.values),
+                 outcome(flowenum.solver._potentials, frame_of(net), flow.values))
+                for net, flow in fixed] == [(1, (0, 13, 18, 18)), (1, "negative cycle")]
         rng = random.Random(2025)
         seen = Counter()
-        instances = [random_feasible_network(rng, max_nodes=8, max_arcs=14) for _ in range(300)]
+        instances = fixed + [random_feasible_network(rng, max_nodes=8, max_arcs=14) for _ in range(300)]
         instances += [(net, solve_min_cost_flow(net)) for net in
                       (random_grid_network(random.Random(seed), 5, 5) for seed in range(10))]
         for net, witness in instances:

@@ -728,6 +728,16 @@ class TestCycleBasis:
         tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
         assert express_in_cycle_basis(ts, tree_flow, Flow((0, 0, 0, 5, k, 12 - k, 2 + k))) is None
 
+    @pytest.mark.parametrize("values", [(3, -1), (-1, 3), (1, 0)])
+    def test_infeasible_base_flow_is_rejected(self, values):
+        # Three feasible flows, (2, 0), (1, 1) and (0, 2); the first two bases break a
+        # bound and the last a balance.  (3, -1) read {1: 1} around (2, 0) at {1: 0}.
+        net = make_network(2, [(0, 1, 0, 2, 1), (0, 1, 0, 2, 1)], (2, -2))
+        tree_flow, ts = to_tree_solution(net, Flow((2, 0)))
+        assert express_in_cycle_basis(ts, tree_flow, tree_flow) is not None
+        with pytest.raises(InfeasibleFlowError):
+            express_in_cycle_basis(ts, Flow(values), tree_flow)
+
     def test_expressible_infeasible_flow_has_no_coordinates(self, blocked_cycle_network,
                                                             blocked_cycle_flow):
         # One unit around the chord's cycle is within the chord's span, but

@@ -26,6 +26,11 @@ larger than the parent's.  `--claim` names the workload whose gain
 the change claims; the `claim` entry says whether it was met.  Any other
 workload that shows a gain is listed under `unclaimed_gains`, so a run with
 the parent given twice (an A/A run) must list none and meet no claim.
+
+Every end-to-end metric is better when lower.  `worse` lists each workload
+and metric whose change median exceeds the parent's by more than the
+parent's interquartile range, and each is also printed to stderr.  It is
+a warning, not a rule: a few pairs are too noisy to decide on.
 """
 
 from __future__ import annotations
@@ -131,12 +136,20 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"# round {round_} {workload} seed {seed} {side}: "
                       f"{result['metrics'][CLAIMED]['value']:.4f} s", file=sys.stderr)
 
-    workloads, gains = {}, {}
+    workloads, gains, regressions = {}, {}, []
     for workload in args.workload:
         entry = {}
         for metric in METRICS:
             entry[metric] = {side: summary([run["metrics"][metric]["value"]
                                             for run in runs[workload, side]]) for side in sides}
+            parent, change = entry[metric]["parent"], entry[metric]["change"]
+            iqr = round(parent["q3"] - parent["q1"], 4)
+            if change["median"] - parent["median"] > iqr:
+                regressions.append({"workload": workload, "metric": metric,
+                                    "parent_median": parent["median"],
+                                    "change_median": change["median"], "parent_iqr": iqr})
+                print(f"pair: worse: {workload} {metric} median {parent['median']} -> "
+                      f"{change['median']}, parent IQR {iqr}", file=sys.stderr)
         gains[workload] = shows_gain(runs[workload, "parent"], runs[workload, "change"])
         entry[f"{CLAIMED}_pairs_won_by_change"] = gains[workload][1]["pairs_won"]
         for count in ("failed", "attempted"):
@@ -164,6 +177,7 @@ def main(argv: list[str] | None = None) -> int:
                            "met": met, **figures}
     report["unclaimed_gains"] = [workload for workload, (met, _) in gains.items()
                                  if met and workload != args.claim]
+    report["worse"] = regressions
     report["workloads"] = workloads
     args.out.write_text(json.dumps(report, indent=1) + "\n")
     return 0
