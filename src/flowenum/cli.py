@@ -4,6 +4,7 @@ Flows stream to stdout as JSON lines ({"cost": ..., "flow": [...]}) followed
 by one summary object; diagnostics go to stderr.  Exit codes: 0 success,
 1 infeasible instance or failed verification, 2 usage or parse errors,
 3 brute-force budget exceeded, 130 interrupted, 141 stdout closed early.
+The argument parser is built once per process, on the first `run()`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,10 @@ import argparse
 import contextlib
 import json
 import os
+import re
 import sys
 import time
+from functools import cache
 from itertools import islice
 from operator import mul
 from pathlib import Path
@@ -41,10 +44,11 @@ DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
 
 def _positive_int(text: str) -> int:
-    # islice takes counts up to sys.maxsize only.
+    # Counts follow DIMACS fields, [+-]?[0-9]+: bare int() also takes "1_0", " 2" and
+    # non-ASCII digits.  islice takes counts up to sys.maxsize only.
     try:
-        value = int(text)
-    except ValueError:
+        value = int(text) if re.fullmatch(r"[+-]?[0-9]+", text) else 0
+    except ValueError:  # more digits than int() converts
         value = 0
     if not 1 <= value <= sys.maxsize:
         raise argparse.ArgumentTypeError(
@@ -52,6 +56,7 @@ def _positive_int(text: str) -> int:
     return value
 
 
+@cache  # parse_args builds a fresh Namespace per call and changes no parser state
 def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     """The command line parser, and its `oracle` subparser for the check argparse cannot express."""
     parser = argparse.ArgumentParser(

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import io
 import json
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 import flowenum.cli
 import flowenum.treebounds
-from flowenum.cli import run
+from flowenum.cli import DEFAULT_ENUMERATION_LIMIT, run
 from flowenum.core import Flow, check_feasible, flow_cost, frame_of, validate_network
 from flowenum.dimacs import serialize_dimacs
 from flowenum.errors import DimensionMismatchError
@@ -343,7 +344,8 @@ class TestOracle:
     def test_kbest_mode_needs_k(self, tmp_path, chain3_network):
         path = write_instance(tmp_path, chain3_network)
         code, _, err = invoke(["oracle", path, "--mode", "kbest"])
-        assert code == 2 and err
+        assert code == 2 and err.startswith("usage: flowenum oracle")
+        # The same parser serves the next call, and the failed one left nothing in it.
         code, lines, _ = invoke(["oracle", path, "--mode", "kbest", "--k", "2"])
         assert code == 0
         flows, _ = flows_and_summary(lines)
@@ -446,6 +448,51 @@ class TestCountFlags:
         code, lines, err = invoke([words[0], path, *words[1:], str(sys.maxsize)])
         assert code == 0 and err == ""
         assert lines[-1]["command"] == words[0]
+
+    # DIMACS fields are [+-]?[0-9]+; bare int() also takes all but the last of these.
+    @pytest.mark.parametrize("count", ["1_0", "\u0663", "\uff12", " 2", "2 ", "9" * 5000],
+                             ids=["underscore", "arabic-indic", "fullwidth", "space-before",
+                                  "space-after", "past-int-digit-limit"])
+    @pytest.mark.parametrize("words", COUNT_FLAGS, ids=" ".join)
+    def test_counts_are_ascii_digits_only(self, tmp_path, chain3_network, words, count):
+        path = write_instance(tmp_path, chain3_network)
+        code, lines, err = invoke([words[0], path, *words[1:], count])
+        assert code == 2 and lines == []
+        assert "positive integer" in err and str(sys.maxsize) in err
+
+    def test_a_sign_and_leading_zeros_are_digits_too(self, tmp_path, chain3_network):
+        code, lines, _ = invoke(["kbest", write_instance(tmp_path, chain3_network), "+02"])
+        assert code == 0 and lines[-1]["requested"] == 2
+
+
+class TestParserReuse:
+    """One parser serves every run() in a process, and no call changes what the next one parses."""
+
+    def test_a_second_run_builds_no_parser(self, tmp_path, monkeypatch, chain3_network):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+        flowenum.cli._build_parser.cache_clear()
+        path = write_instance(tmp_path, chain3_network)
+        assert invoke(["solve", path])[0] == 0
+        first = len(built)
+        assert invoke(["enumerate", path])[0] == 0
+        assert first > 0 and len(built) == first
+
+    def test_neither_a_usage_error_nor_a_limit_carries_over(self, tmp_path, eleven_optima_network):
+        path = write_instance(tmp_path, eleven_optima_network)
+        code, lines, err = invoke(["enumerate", path, "--limit", "0"])
+        assert code == 2 and lines == [] and "positive integer" in err
+        code, lines, _ = invoke(["enumerate", path, "--limit", "1"])
+        assert code == 0 and lines[-1]["limit"] == 1
+        code, lines, err = invoke(["enumerate", path])
+        assert code == 0 and err == ""
+        assert lines[-1]["limit"] == DEFAULT_ENUMERATION_LIMIT and lines[-1]["count"] == 11
 
 
 class TestMain:

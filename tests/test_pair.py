@@ -14,10 +14,12 @@ spec.loader.exec_module(pair)
 PARENT = [1.0, 1.1, 1.2, 1.3, 1.4, 1.5, 1.6, 1.7, 1.8, 1.9]  # quartiles 1.225 and 1.675
 
 
-def runs(walls, failed=0, attempted=100):
-    """`bench/run.py` results with these `wall_s` values, each with the given counts."""
-    return [{"metrics": {metric: {"value": wall} for metric in pair.METRICS},
-             "failed": failed, "attempted": attempted} for wall in walls]
+def runs(values, failed=0, attempted=100, metric=None):
+    """`bench/run.py` results with these values of `metric` (of every metric when None),
+    each with the given counts; any other metric reads 1.0."""
+    return [{"metrics": {name: {"value": value if metric in (None, name) else 1.0}
+                         for name in pair.METRICS},
+             "failed": failed, "attempted": attempted} for value in values]
 
 
 def test_summary_reads_inclusive_quartiles():
@@ -28,55 +30,108 @@ def test_summary_reads_inclusive_quartiles():
 
 def test_nine_of_ten_pairs_must_be_won_and_ties_count_for_neither_side():
     faster = [wall - 0.9 for wall in PARENT]
-    for losses, ties, gain in ((0, 0, True), (1, 0, True), (0, 1, True), (2, 0, False),
-                               (1, 1, False), (0, 2, False)):
-        change = faster[:]
-        for index in range(losses):
-            change[index] = PARENT[index] + 0.1
-        for index in range(losses, losses + ties):
-            change[index] = PARENT[index]
-        met, figures = pair.shows_gain(runs(PARENT), runs(change))
-        assert figures["pairs_won"] == f"{10 - losses - ties}/10"
-        assert met is gain
+    for metric in pair.METRICS:
+        for losses, ties, gain in ((0, 0, True), (1, 0, True), (0, 1, True), (2, 0, False),
+                                   (1, 1, False), (0, 2, False)):
+            change = faster[:]
+            for index in range(losses):
+                change[index] = PARENT[index] + 0.1
+            for index in range(losses, losses + ties):
+                change[index] = PARENT[index]
+            met, figures = pair.shows_gain(runs(PARENT, metric=metric),
+                                           runs(change, metric=metric), metric)
+            assert figures["pairs_won"] == f"{10 - losses - ties}/10"
+            assert met is gain
 
 
 def test_the_median_gain_must_exceed_the_parents_iqr():
-    for step, gain in ((0.01, False), (0.44, False), (0.46, True)):
-        met, figures = pair.shows_gain(runs(PARENT), runs([wall - step for wall in PARENT]))
-        assert figures["pairs_won"] == "10/10" and figures["parent_iqr_s"] == 0.45
-        assert met is gain
+    # Each figure's key ends in its metric's unit.
+    for metric, unit in (("wall_s", "s"), ("setup_s", "s"), ("first_output_ms", "ms")):
+        for step, gain in ((0.01, False), (0.44, False), (0.46, True)):
+            met, figures = pair.shows_gain(runs(PARENT, metric=metric),
+                                           runs([wall - step for wall in PARENT], metric=metric),
+                                           metric)
+            assert figures["pairs_won"] == "10/10" and figures[f"parent_iqr_{unit}"] == 0.45
+            assert figures[f"median_gain_{unit}"] == step
+            assert met is gain
 
 
 def test_fewer_than_ten_pairs_never_show_a_gain():
-    for count in (2, 5, 9):
-        met, figures = pair.shows_gain(runs(PARENT[:count]), runs([0.1] * count))
-        assert figures["pairs_won"] == f"{count}/{count}"
-        assert not met
-    assert pair.shows_gain(runs(PARENT), runs([0.1] * 10))[0]
+    for metric in pair.METRICS:
+        for count in (2, 5, 9):
+            met, figures = pair.shows_gain(runs(PARENT[:count], metric=metric),
+                                           runs([0.1] * count, metric=metric), metric)
+            assert figures["pairs_won"] == f"{count}/{count}"
+            assert not met
+        assert pair.shows_gain(runs(PARENT, metric=metric), runs([0.1] * 10, metric=metric),
+                               metric)[0]
 
 
 def test_a_larger_failed_share_on_the_change_shows_no_gain():
     faster = [wall - 0.5 for wall in PARENT]
-    for parent, change, gain in (((0, 100), (1, 100), False), ((1, 100), (2, 100), False),
-                                 ((1, 100), (1, 100), True), ((2, 100), (1, 100), True),
-                                 ((1, 100), (2, 300), True)):
-        met, figures = pair.shows_gain(runs(PARENT, *parent), runs(faster, *change))
-        assert figures["pairs_won"] == "10/10"
-        assert met is gain
+    for metric in pair.METRICS:
+        for parent, change, gain in (((0, 100), (1, 100), False), ((1, 100), (2, 100), False),
+                                     ((1, 100), (1, 100), True), ((2, 100), (1, 100), True),
+                                     ((1, 100), (2, 300), True)):
+            met, figures = pair.shows_gain(runs(PARENT, *parent, metric=metric),
+                                           runs(faster, *change, metric=metric), metric)
+            assert figures["pairs_won"] == "10/10"
+            assert met is gain
 
 
-@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
-def test_fewer_than_two_pairs_is_a_usage_error_before_any_run(monkeypatch, tmp_path, pairs):
+def usage_error(monkeypatch, tmp_path, capsys, extra):
+    """`main` on one workload `w` plus `extra` exits 2 before any run, writing no report; its stderr."""
     def bench_run(*args):
         raise AssertionError("bench_run was called")
 
     monkeypatch.setattr(pair, "bench_run", bench_run)
     out = tmp_path / "out.json"
     with pytest.raises(SystemExit) as exit_:
-        pair.main(["--parent", ".", "--change", ".", "--pairs", pairs, "--workload", "w",
-                   "--out", str(out)])
+        pair.main(["--parent", ".", "--change", ".", "--workload", "w", "--out", str(out), *extra])
     assert exit_.value.code == 2
     assert not out.exists()
+    return capsys.readouterr().err
+
+
+@pytest.mark.parametrize("pairs", ["1", "0", "-3"])
+def test_fewer_than_two_pairs_is_a_usage_error_before_any_run(monkeypatch, tmp_path, capsys, pairs):
+    assert f"--pairs {pairs}:" in usage_error(monkeypatch, tmp_path, capsys, ["--pairs", pairs])
+
+
+@pytest.mark.parametrize("claim", ["w/latency", "w/", "w/wall", "w/wall_s/x", "v", "v/wall_s"])
+def test_a_claim_off_the_workloads_or_metrics_run_is_a_usage_error_before_any_run(
+        monkeypatch, tmp_path, capsys, claim):
+    assert f"--claim {claim}:" in usage_error(monkeypatch, tmp_path, capsys, ["--claim", claim])
+
+
+def test_a_claim_is_judged_on_its_metric_and_unclaimed_gains_on_wall_s(monkeypatch, tmp_path):
+    # Only w's first_output_ms and v's wall_s gain; every other figure ties.
+    gaining = {("w", "first_output_ms"), ("v", "wall_s")}
+
+    def bench_run(checkout, workload, seed, seconds):
+        change = checkout.name == "change"
+        return {"metrics": {metric: {"value": 0.1 if change and (workload, metric) in gaining
+                                     else 1.0} for metric in pair.METRICS},
+                "failed": 0, "attempted": 1}
+
+    monkeypatch.setattr(pair, "bench_run", bench_run)
+    monkeypatch.setattr(pair, "git_head", lambda checkout: None)
+    out = tmp_path / "out.json"
+    for claim, metric, met, won, unclaimed in (
+            ("w/first_output_ms", "first_output_ms", True, "10/10", ["v"]),
+            ("w", "wall_s", False, "0/10", ["v"]),
+            ("w/wall_s", "wall_s", False, "0/10", ["v"]),
+            ("v/first_output_ms", "first_output_ms", False, "0/10", [])):
+        assert pair.main(["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "change"),
+                          "--pairs", "10", "--workload", "w", "--workload", "v", "--claim", claim,
+                          "--out", str(out)]) == 0
+        report = json.loads(out.read_text())
+        assert report["claim"]["workload"] == claim.partition("/")[0]
+        assert report["claim"]["metric"] == metric
+        assert report["claim"]["met"] is met and report["claim"]["pairs_won"] == won
+        assert report["unclaimed_gains"] == unclaimed
+        assert report["workloads"]["w"]["wall_s_pairs_won_by_change"] == "0/10"
+        assert report["workloads"]["v"]["wall_s_pairs_won_by_change"] == "10/10"
 
 
 def test_each_side_keeps_its_own_operation_counts(monkeypatch, tmp_path):

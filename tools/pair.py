@@ -3,7 +3,8 @@
 Run from anywhere, with two checkouts that hold the same `bench/`:
 
     python3 tools/pair.py --parent ../parent --change . --pairs 10 --seconds 5 \\
-        --workload enum-ties --workload kbest-ranked --claim enum-ties --out BENCH_25.json
+        --workload enum-ties --workload kbest-ranked --claim enum-ties/first_output_ms \\
+        --out BENCH_30.json
 
 Each round runs every workload once per side, in the checkout's own
 directory (`bench/run.py` loads the program from the checkout it sits in).
@@ -19,13 +20,15 @@ then null).  `nproc` is the number of CPUs the runs may use, as
 status 1 and no file, after it prints the run's side, workload, seed, exit
 code and the last lines of its stderr.
 
-A workload shows a gain when the change won at least nine tenths of at
-least ten pairs, its median `wall_s` is below the parent's by more than
-the parent's interquartile range, and its share of failed operations is no
-larger than the parent's.  `--claim` names the workload whose gain
-the change claims; the `claim` entry says whether it was met.  Any other
-workload that shows a gain is listed under `unclaimed_gains`, so a run with
-the parent given twice (an A/A run) must list none and meet no claim.
+A workload shows a gain on a metric when the change won at least nine
+tenths of at least ten pairs on it, its median is below the parent's by
+more than the parent's interquartile range, and its share of failed
+operations is no larger than the parent's.  `--claim WORKLOAD/METRIC`
+names the workload and end-to-end metric whose gain the change claims (a
+plain `WORKLOAD` claims `wall_s`); the `claim` entry says whether it was
+met, with the pairs won on that metric.  Any other workload that shows a
+`wall_s` gain is listed under `unclaimed_gains`, so a run with the parent
+given twice (an A/A run) must list none and meet no claim.
 
 Every end-to-end metric is better when lower.  `worse` lists each workload
 and metric whose change median exceeds the parent's by more than the
@@ -46,7 +49,7 @@ import sys
 from pathlib import Path
 
 METRICS = ("wall_s", "setup_s", "first_output_ms")
-CLAIMED = "wall_s"
+WALL = "wall_s"  # the metric of a plain --claim, of unclaimed_gains and of the progress lines
 STDERR_TAIL = 20  # lines of a failed run's stderr that are printed
 
 
@@ -69,17 +72,21 @@ def failed_share(runs: list[dict]) -> float:
     return sum(run["failed"] for run in runs) / attempted if attempted else 0.0
 
 
-def shows_gain(parent_runs: list[dict], change_runs: list[dict]) -> tuple[bool, dict]:
-    """The gain rule on paired `bench/run.py` results, and the figures it read."""
-    parent, change = ([run["metrics"][CLAIMED]["value"] for run in runs]
+def shows_gain(parent_runs: list[dict], change_runs: list[dict],
+               metric: str = WALL) -> tuple[bool, dict]:
+    """The gain rule on `metric` of paired `bench/run.py` results, and the figures it read.
+
+    Each figure's key ends in the metric's unit, as the metric's name does."""
+    parent, change = ([run["metrics"][metric]["value"] for run in runs]
                       for runs in (parent_runs, change_runs))
     won = sum(theirs > mine for theirs, mine in zip(parent, change))
     q1, median, q3 = statistics.quantiles(parent, n=4, method="inclusive")
     gain = median - statistics.median(change)
-    figures = {"pairs_won": f"{won}/{len(parent)}", "median_gain_s": round(gain, 4),
-               "median_gain_ratio": round(gain / median, 3), "parent_iqr_s": round(q3 - q1, 4),
-               "parent_median_s": round(median, 4),
-               "change_median_s": round(statistics.median(change), 4)}
+    unit = metric.rsplit("_", 1)[-1]
+    figures = {"pairs_won": f"{won}/{len(parent)}", f"median_gain_{unit}": round(gain, 4),
+               "median_gain_ratio": round(gain / median, 3), f"parent_iqr_{unit}": round(q3 - q1, 4),
+               f"parent_median_{unit}": round(median, 4),
+               f"change_median_{unit}": round(statistics.median(change), 4)}
     return (len(parent) >= 10 and 10 * won >= 9 * len(parent) and gain > q3 - q1
             and failed_share(change_runs) <= failed_share(parent_runs)), figures
 
@@ -107,7 +114,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--seed", type=int, action="append", help="default: 3 and 104729")
     parser.add_argument("--pairs", type=int, default=10, help="at least 2")
     parser.add_argument("--seconds", type=float, default=5)
-    parser.add_argument("--claim", help="the workload whose wall_s gain is claimed")
+    parser.add_argument("--claim", metavar="WORKLOAD[/METRIC]",
+                        help="the workload and end-to-end metric whose gain is claimed "
+                        f"(default metric {WALL})")
     parser.add_argument("--target", default="", help="the claim's expected figures, as text")
     parser.add_argument("--text", default="", help="what the change does")
     parser.add_argument("--note", default="")
@@ -116,8 +125,15 @@ def main(argv: list[str] | None = None) -> int:
     seeds = args.seed or [3, 104729]
     if args.pairs < 2:
         parser.error(f"--pairs {args.pairs}: quartiles need at least 2 runs per side")
-    if args.claim is not None and args.claim not in args.workload:
-        parser.error(f"--claim {args.claim} is not among the workloads run")
+    claimed = None
+    if args.claim is not None:
+        claimed, slash, claimed_metric = args.claim.partition("/")
+        claimed_metric = claimed_metric if slash else WALL
+        if claimed not in args.workload:
+            parser.error(f"--claim {args.claim}: {claimed} is not among the workloads run")
+        if claimed_metric not in METRICS:
+            parser.error(f"--claim {args.claim}: {claimed_metric!r} is not one of "
+                         f"{', '.join(METRICS)}")
 
     sides = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     runs = {(workload, side): [] for workload in args.workload for side in sides}
@@ -134,7 +150,7 @@ def main(argv: list[str] | None = None) -> int:
                     return 1
                 runs[workload, side].append(result)
                 print(f"# round {round_} {workload} seed {seed} {side}: "
-                      f"{result['metrics'][CLAIMED]['value']:.4f} s", file=sys.stderr)
+                      f"{result['metrics'][WALL]['value']:.4f} s", file=sys.stderr)
 
     workloads, gains, regressions = {}, {}, []
     for workload in args.workload:
@@ -151,7 +167,7 @@ def main(argv: list[str] | None = None) -> int:
                 print(f"pair: worse: {workload} {metric} median {parent['median']} -> "
                       f"{change['median']}, parent IQR {iqr}", file=sys.stderr)
         gains[workload] = shows_gain(runs[workload, "parent"], runs[workload, "change"])
-        entry[f"{CLAIMED}_pairs_won_by_change"] = gains[workload][1]["pairs_won"]
+        entry[f"{WALL}_pairs_won_by_change"] = gains[workload][1]["pairs_won"]
         for count in ("failed", "attempted"):
             entry[count] = {side: sum(run[count] for run in runs[workload, side]) for side in sides}
         workloads[workload] = entry
@@ -171,12 +187,13 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": {workload: args.pairs for workload in args.workload},
         "note": args.note,
     }
-    if args.claim is not None:
-        met, figures = gains[args.claim]
-        report["claim"] = {"workload": args.claim, "metric": CLAIMED, "target": args.target,
+    if claimed is not None:
+        met, figures = shows_gain(runs[claimed, "parent"], runs[claimed, "change"],
+                                  claimed_metric)
+        report["claim"] = {"workload": claimed, "metric": claimed_metric, "target": args.target,
                            "met": met, **figures}
     report["unclaimed_gains"] = [workload for workload, (met, _) in gains.items()
-                                 if met and workload != args.claim]
+                                 if met and workload != claimed]
     report["worse"] = regressions
     report["workloads"] = workloads
     args.out.write_text(json.dumps(report, indent=1) + "\n")
