@@ -3,7 +3,7 @@
 Flows stream to stdout as JSON lines ({"cost": ..., "flow": [...]}) followed
 by one summary object; diagnostics go to stderr.  Exit codes: 0 success,
 1 infeasible instance or failed verification, 2 usage or parse errors,
-3 brute-force budget exceeded, 130 interrupted, 141 stdout closed early.
+3 a search budget exceeded, 130 interrupted, 141 stdout closed early.
 The argument parser is built once per process, on the first `run()`.
 """
 
@@ -216,7 +216,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     err = stderr if stderr is not None else sys.stderr
     parser, oracle = _build_parser()
     try:
-        with contextlib.redirect_stderr(err):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):  # --help writes to stdout
             args = parser.parse_args(argv)
             if args.command == "oracle" and args.mode == "kbest" and args.k is None:
                 oracle.error("--mode kbest needs --k")

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .core import Cycle, Flow, Frame, Network, ResidualGraph, _path, check_feasible, frame_of, push_unit
-from .errors import DifferentTreesError, InfeasibleFlowError
+from .errors import InfeasibleFlowError
 
 TREE, FORWARD, BACKWARD_SHORT, BACKWARD_LONG, CROSS = range(1, 6)
 
@@ -162,10 +162,9 @@ def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
     return _forest(rg.out_arcs, [res.dst for res in rg.arcs])
 
 
-def lca(forest: DfsForest, a: int, b: int) -> int:
-    """Lowest common ancestor: the first node up from `a` whose discovery interval holds `b`."""
-    if forest.tree_root[a] != forest.tree_root[b]:
-        raise DifferentTreesError(f"nodes {a} and {b} are in different DFS trees")
+def _lca(forest: DfsForest, a: int, b: int) -> int:
+    """Lowest common ancestor: the first node up from `a` whose discovery interval holds `b`.
+    Both nodes must be in one tree, as the ends of every id on `forest.cross` are."""
     order, size, parent = forest.order, forest.size, forest.parent_node
     while not order[a] <= order[b] < order[a] + size[a]:
         a = parent[a]
@@ -204,7 +203,7 @@ def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list
 
     for index in sorted(forest.cross, reverse=True):
         u, v = tail[index], head[index]
-        meet = lca(forest, u, v)
+        meet = _lca(forest, u, v)
         if sbalow[v] > order[meet]:
             continue
         path = _short_backward_path(forest, origin, v, meet, origin[index])

@@ -11,6 +11,8 @@ order.  Nodes without an `n` line have balance 0.
 
 from __future__ import annotations
 
+import re
+
 from .core import Arc, Network
 from .errors import (
     ArcCountMismatchError,
@@ -21,25 +23,25 @@ from .errors import (
 )
 
 
-def _column(raw: str, token: str) -> int:
-    found = raw.find(token)
-    return found + 1 if found >= 0 else 1
+def _column(raw: str, field: int) -> int:
+    """The 1-based column where field `field` of `raw` starts, the record kind being field 0."""
+    return [match.start() + 1 for match in re.finditer(r"\S+", raw)][field]
 
 
-def _int_field(token: str, line_no: int, raw: str) -> int:
+def _int_field(fields: list[str], field: int, line_no: int, raw: str) -> int:
     try:
-        return int(token, 10)
+        return int(fields[field], 10)
     except ValueError:
         raise DimacsSyntaxError(
-            f"expected an integer, got {token!r}", line=line_no, column=_column(raw, token)
+            f"expected an integer, got {fields[field]!r}", line=line_no, column=_column(raw, field)
         ) from None
 
 
-def _node_id(token: str, node_count: int, line_no: int, raw: str) -> int:
-    value = _int_field(token, line_no, raw)
+def _node_id(fields: list[str], field: int, node_count: int, line_no: int, raw: str) -> int:
+    value = _int_field(fields, field, line_no, raw)
     if not 1 <= value <= node_count:
         raise NodeIdOutOfRangeError(
-            f"node id {value} outside 1..{node_count}", line=line_no, column=_column(raw, token)
+            f"node id {value} outside 1..{node_count}", line=line_no, column=_column(raw, field)
         )
     return value - 1
 
@@ -61,19 +63,19 @@ def parse_dimacs(text: str) -> Network:
         if kind == "c":
             continue
         if loose:
-            for token in fields[1:]:
+            for field, token in enumerate(fields[1:], 1):
                 if not token.isascii() or "_" in token:
                     raise DimacsSyntaxError(
                         f"expected an integer of ASCII digits, got {token!r}",
-                        line=line_no, column=_column(raw, token),
+                        line=line_no, column=_column(raw, field),
                     )
         if kind == "p":
             if node_count is not None:
                 raise DuplicateProblemLineError("second problem line", line=line_no)
             if len(fields) != 4 or fields[1] != "min":
                 raise DimacsSyntaxError("expected 'p min <nodes> <arcs>'", line=line_no)
-            node_count = _int_field(fields[2], line_no, raw)
-            arc_count = _int_field(fields[3], line_no, raw)
+            node_count = _int_field(fields, 2, line_no, raw)
+            arc_count = _int_field(fields, 3, line_no, raw)
             if node_count < 1 or arc_count < 0:
                 raise DimacsSyntaxError("node and arc counts out of range", line=line_no)
             try:
@@ -90,11 +92,11 @@ def parse_dimacs(text: str) -> Network:
         if kind == "n":
             if len(fields) != 3:
                 raise DimacsSyntaxError("expected 'n <node id> <balance>'", line=line_no)
-            node = _node_id(fields[1], node_count, line_no, raw)
+            node = _node_id(fields, 1, node_count, line_no, raw)
             if node in balance_seen:
                 raise DimacsSyntaxError(f"duplicate node descriptor for {node + 1}", line=line_no)
             balance_seen.add(node)
-            balances[node] = _int_field(fields[2], line_no, raw)
+            balances[node] = _int_field(fields, 2, line_no, raw)
             continue
         if kind == "a":
             if len(fields) != 6:
@@ -105,18 +107,21 @@ def parse_dimacs(text: str) -> Network:
                 raise ArcCountMismatchError(
                     f"more than the declared {arc_count} arcs", line=line_no
                 )
-            src = _node_id(fields[1], node_count, line_no, raw)
-            dst = _node_id(fields[2], node_count, line_no, raw)
-            lower = _int_field(fields[3], line_no, raw)
-            upper = _int_field(fields[4], line_no, raw)
-            cost = _int_field(fields[5], line_no, raw)
+            src = _node_id(fields, 1, node_count, line_no, raw)
+            dst = _node_id(fields, 2, node_count, line_no, raw)
+            lower = _int_field(fields, 3, line_no, raw)
+            upper = _int_field(fields, 4, line_no, raw)
+            cost = _int_field(fields, 5, line_no, raw)
             try:
                 arcs.append(Arc(src, dst, lower, upper, cost))
-            except FlowError as exc:
-                raise DimacsSyntaxError(str(exc), line=line_no) from exc
+            except FlowError as exc:  # a self-loop or inverted bounds; nodes named as in the file
+                message = (f"self-loop on node {src + 1}" if src == dst else
+                           f"arc ({src + 1},{dst + 1}) requires 0 <= lower <= upper, got [{lower},{upper}]")
+                field = 2 if src == dst else 3 if lower < 0 else 4  # the field that fails
+                raise DimacsSyntaxError(message, line=line_no, column=_column(raw, field)) from exc
             continue
         raise DimacsSyntaxError(
-            f"unknown record type {kind!r}", line=line_no, column=_column(raw, kind)
+            f"unknown record type {kind!r}", line=line_no, column=_column(raw, 0)
         )
 
     if node_count is None:

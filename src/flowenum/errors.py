@@ -41,10 +41,6 @@ class NegativeCycleError(FlowError):
     """A negative residual cycle turned up where optimality was assumed."""
 
 
-class DifferentTreesError(FlowError):
-    """LCA queries need both nodes in the same DFS tree."""
-
-
 class ArcInTreeError(FlowError):
     """Induced cycles are defined for non-tree arcs only."""
 
@@ -53,16 +49,16 @@ class CycleEntirelyInTreeError(FlowError):
     """A cycle to decompose must leave the spanning tree somewhere."""
 
 
-class IdenticalFlowsError(FlowError):
-    """Partitioning needs two flows that differ somewhere."""
-
-
 class InvariantError(FlowError):
     """An internal invariant failed: a bug in this package, not in the input."""
 
 
 class BudgetExceededError(FlowError):
-    """Brute-force enumeration outgrew its budget."""
+    """A search outgrew its budget: the brute force's states or flows, or the tree pivots."""
+
+
+class PivotLimitError(BudgetExceededError, InvariantError):
+    """Tree pivoting passed its cap, which Bland's rule reaches on large grids."""
 
 
 class DimacsError(FlowError):

@@ -4,8 +4,7 @@ The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
 cost nonnegative), and each augmentation runs Dijkstra with potentials over
 the network's `core.Frame`, and `core._path` reads each augmenting path
-back from its pred ids.  `compute_node_potentials` checks feasibility
-and runs `_potentials`, the queue-based Bellman-Ford the searches also call.
+back from its pred ids.
 
 The Dijkstra is a generator that yields nodes as they settle, reading room
 and potentials afresh, as both move on every augmentation.  K-best traces
@@ -27,8 +26,8 @@ import heapq
 from collections import deque
 from itertools import count
 
-from .core import Flow, Frame, Network, _path, check_feasible, frame_of, residual_room, validate_network
-from .errors import InfeasibleError, InfeasibleFlowError, InvariantError, NegativeCycleError
+from .core import Flow, Frame, Network, _path, check_feasible, frame_of, validate_network
+from .errors import InfeasibleError, InvariantError, NegativeCycleError
 
 
 def solve_min_cost_flow(net: Network) -> Flow:
@@ -127,26 +126,12 @@ def _dijkstra(head, cost, room, potential, incident, source, dist, pred):
                     heapq.heappush(heap, (candidate, next(tick), other))
 
 
-def compute_node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
-    """Shortest-path distances from node 0 across the residual graph.
-
-    Nodes that node 0 cannot reach are seeded as if an artificial arc of cost
-    1 + sum(|cost| * max(1, upper)) led there, which is too expensive to
-    shadow any real path.  Raises InfeasibleFlowError on an infeasible flow,
-    and NegativeCycleError when the residual graph has a negative cycle,
-    i.e. the flow was not optimal.
-    """
-    if not check_feasible(net, flow):
-        raise InfeasibleFlowError("cannot build the residual graph of an infeasible flow")
-    frame = frame_of(net)
-    return _potentials(frame, residual_room(frame, flow.values))
-
-
 def _potentials(frame: Frame, room) -> tuple[int, ...]:
-    """`compute_node_potentials` over `room`, the `residual_room` of a flow feasible in the frame:
-    Bellman-Ford from node 0 at 0 and every other node at `big`, which queues a node again when
-    its distance drops.  A distance set through n arcs walked a cycle, so a negative one.  Node
-    0's reach is scanned first, then that of each lowest node never scanned (it still holds
+    """Shortest-path distances from node 0 over `room`, the `residual_room` of a flow feasible in
+    the frame; a node 0 cannot reach sits at `big`, as if an arc too dear to shadow any real path
+    led there.  Bellman-Ford from node 0 at 0 and every other node at `big` queues a node again
+    when its distance drops; a distance set through n arcs walked a cycle, so a negative one.
+    Node 0's reach is scanned first, then that of each lowest node never scanned (it still holds
     `big`): distances over the `big` arcs are unique and labels follow walks, so any order that
     scans each node after its last drop gives the same tuple, and the same NegativeCycleError."""
     n, head, cost, incident = frame.node_count, frame.head, frame.cost, frame.incident

@@ -19,9 +19,10 @@ only the arcs across the cut whose reduced cost moved toward a violation
 are tested again.  Cycles are read as core's residual ids (`2a` rides arc
 `a` forward, `2a + 1` against it), so that a headroom is one read of a
 `core.residual_room` list.  `_cycle` climbs the parent links and lists the
-ids, for free-cycle cancellation, `induced_cycle`, `decompose_cycle` and the
-basis code; a pivot's leaving arc (`_least_blocking`) and a cycle capacity
-(`_least_room`) are read by climbs that list none.
+ids, for free-cycle cancellation and `_induced_cycles`, which the cycle
+decomposition and the basis code read; a pivot's leaving arc
+(`_least_blocking`) and a cycle capacity (`_least_room`) are read by climbs
+that list none.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     CycleEntirelyInTreeError,
     InfeasibleFlowError,
     InvariantError,
+    PivotLimitError,
 )
 
 COUNT_CAP = 2**63 - 1
@@ -77,12 +79,6 @@ class InducedCycle:
 
     arc: int
     members: tuple[tuple[int, int], ...]
-
-    def incidence(self, arc_count: int) -> tuple[int, ...]:
-        chi = [0] * arc_count
-        for arc_id, sign in self.members:
-            chi[arc_id] += sign
-        return tuple(chi)
 
     def cost(self, net: Network) -> int:
         return sum(sign * net.arcs[arc_id].cost for arc_id, sign in self.members)
@@ -398,7 +394,7 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
                         and arc_at * (arc_cost + potential - potentials[other]) < 0):
                     heappush(heap, arc_id)
                     queued[arc_id] = True
-    raise InvariantError("tree pivoting did not terminate")
+    raise PivotLimitError(f"tree pivoting did not terminate within {_PIVOT_CAP} pivots")
 
 
 def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:
@@ -442,17 +438,13 @@ def _nontree_ids(ts: TreeStructure, arc_ids) -> list[int]:
 
 
 def _induced_cycles(ts: TreeStructure, arc_ids) -> list[InducedCycle]:
-    """`induced_cycle` of each non-tree arc in `arc_ids`, checked once, over one frame."""
+    """The cycle each non-tree arc in `arc_ids` closes, oriented by its lower/upper side; the
+    ids are checked once, and every cycle read over one frame."""
     frame = frame_of(ts.network)
     links = frame.tail[::2], frame.head[::2], ts.parent_node, ts.parent_arc, ts.depth
     return [InducedCycle(arc_id, tuple((r >> 1, -1 if r & 1 else 1)
                                        for r in _cycle(*links, arc_id, 1 if arc_id in ts.lower_set else -1)))
             for arc_id in _nontree_ids(ts, arc_ids)]
-
-
-def induced_cycle(ts: TreeStructure, arc_id: int) -> InducedCycle:
-    """The cycle closed by a non-tree arc, oriented by its lower/upper side."""
-    return _induced_cycles(ts, (arc_id,))[0]
 
 
 def induced_cycle_capacities(ts: TreeStructure, flow: Flow, arc_ids) -> list[int]:

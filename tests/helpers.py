@@ -9,7 +9,8 @@ from dataclasses import replace
 from types import SimpleNamespace
 from itertools import count
 
-from flowenum.core import Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, _path, flow_cost, frame_of
+from flowenum.core import (Arc, Cycle, Flow, Network, ResidualArc, ResidualGraph, _path, flow_cost, frame_of,
+                           residual_room)
 from flowenum import dfs
 from flowenum.dfs import (
     BACKWARD_LONG,
@@ -20,19 +21,29 @@ from flowenum.dfs import (
     find_another_feasible_flow,
 )
 from flowenum.enumeration import optimal_face
-from flowenum.errors import IdenticalFlowsError, InvariantError, NegativeCycleError
+from flowenum.errors import FlowError, InvariantError, NegativeCycleError
 from flowenum.kbest import find_second_best_flow
-from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
+from flowenum.solver import _potentials, compute_reduced_costs, solve_min_cost_flow
 from flowenum.treebounds import _PIVOT_CAP
+
+
+class IdenticalFlowsError(FlowError):
+    """Partitioning needs two flows that differ somewhere."""
 
 
 def make_network(node_count, specs, balances) -> Network:
     return Network(node_count, tuple(Arc(*spec) for spec in specs), tuple(balances))
 
 
+def node_potentials(net: Network, flow: Flow) -> tuple[int, ...]:
+    """The solver's Bellman-Ford potentials over the residual graph of `flow`, which must be feasible."""
+    frame = frame_of(net)
+    return _potentials(frame, residual_room(frame, flow.values))
+
+
 def face_network(net: Network, flow: Flow) -> Network:
     """The optimal face of `net` around the optimum `flow`, as a network."""
-    reduced_costs = compute_reduced_costs(net, compute_node_potentials(net, flow))
+    reduced_costs = compute_reduced_costs(net, node_potentials(net, flow))
     face = optimal_face(frame_of(net), flow.values, reduced_costs)
     bounds = zip(net.arcs, face.lower, face.upper)
     return replace(net, arcs=tuple(replace(arc, lower=lo, upper=hi) for arc, lo, hi in bounds))
@@ -477,7 +488,7 @@ def sweep_proper_cycle(forest, tail: list[int], origin: list[int]) -> list[int] 
         u, v = tail[index], head[index]
         if forest.tree_root[u] != forest.tree_root[v]:
             continue
-        meet = dfs.lca(forest, u, v)
+        meet = dfs._lca(forest, u, v)
         if sbalow[v] > order[meet]:
             continue
         path = dfs._short_backward_path(forest, origin, v, meet, origin[index])
@@ -499,7 +510,7 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
     same fields, less the subtree sizes, with `arc_class` stored as the arcs
     are scanned (0 for ids not in `out`) and a done flag per node.  `cross`
     lists only the cross ids between two nodes of one tree, as `_forest` does.
-    Its depths went with it, since `dfs.lca` climbs to a discovery interval.
+    Its depths went with it, since `dfs._lca` climbs to a discovery interval.
     """
     n = len(out)
     order = [0] * n

@@ -323,6 +323,14 @@ class TestBounds:
             assert code == 0
             assert len(calls) == 1
 
+    def test_pivot_cap_exits_three(self, tmp_path, monkeypatch, eleven_optima_network):
+        # Bland's pivots can pass the cap on a valid instance, as on large grids.
+        monkeypatch.setattr(flowenum.treebounds, "_PIVOT_CAP", 0)
+        out, err = io.StringIO(), io.StringIO()
+        code = run(["bounds", write_instance(tmp_path, eleven_optima_network)], stdout=out, stderr=err)
+        assert code == 3 and out.getvalue() == ""
+        assert err.getvalue() == "flowenum: tree pivoting did not terminate within 0 pivots\n"
+
 
 class TestOracle:
     def test_feasible_mode(self, tmp_path, chain3_network):
@@ -493,6 +501,17 @@ class TestParserReuse:
         code, lines, err = invoke(["enumerate", path])
         assert code == 0 and err == ""
         assert lines[-1]["limit"] == DEFAULT_ENUMERATION_LIMIT and lines[-1]["count"] == 11
+
+
+class TestHelp:
+    @pytest.mark.parametrize("words, usage", [(["--help"], "usage: flowenum [-h]"),
+                                              (["kbest", "--help"], "usage: flowenum kbest [-h]")])
+    def test_help_goes_to_the_given_stdout(self, capsys, words, usage):
+        out, err = io.StringIO(), io.StringIO()
+        assert run(words, stdout=out, stderr=err) == 0
+        assert out.getvalue().startswith(usage)
+        assert err.getvalue() == ""
+        assert capsys.readouterr() == ("", "")
 
 
 class TestMain:

@@ -26,9 +26,8 @@ from flowenum.dfs import (
     build_dfs_forest,
     find_another_feasible_flow,
     find_proper_cycle,
-    lca,
 )
-from flowenum.errors import DifferentTreesError, InfeasibleFlowError, InvariantError
+from flowenum.errors import InfeasibleFlowError, InvariantError
 
 from helpers import (
     digraph_has_cycle,
@@ -191,16 +190,10 @@ class TestLca:
     def test_dfs_demo_queries(self, dfs_demo_network, dfs_demo_flow):
         forest = build_dfs_forest(build_residual(dfs_demo_network, dfs_demo_flow))
         a, b, c, d, e = range(5)
-        assert lca(forest, b, e) == d
-        assert lca(forest, e, e) == e
-        assert lca(forest, e, d) == d
-        assert lca(forest, b, c) == c
-
-    def test_different_trees_raise(self):
-        rg = ResidualGraph(2, (), ((), ()))
-        forest = build_dfs_forest(rg)
-        with pytest.raises(DifferentTreesError):
-            lca(forest, 0, 1)
+        assert flowenum.dfs._lca(forest, b, e) == d
+        assert flowenum.dfs._lca(forest, e, e) == e
+        assert flowenum.dfs._lca(forest, e, d) == d
+        assert flowenum.dfs._lca(forest, b, c) == c
 
     def test_matches_parent_walk_on_random_digraphs(self):
         rng = random.Random(9)
@@ -216,7 +209,7 @@ class TestLca:
                 node = y
                 while node not in above_x:
                     node = forest.parent_node[node]
-                assert lca(forest, x, y) == node
+                assert flowenum.dfs._lca(forest, x, y) == node
 
 
 class TestFindProperCycle:

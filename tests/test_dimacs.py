@@ -8,6 +8,7 @@ from flowenum.core import Arc, Network
 from flowenum.dimacs import parse_dimacs, serialize_dimacs
 from flowenum.errors import (
     ArcCountMismatchError,
+    DimacsError,
     DimacsSyntaxError,
     DuplicateProblemLineError,
     NodeIdOutOfRangeError,
@@ -92,6 +93,22 @@ class TestParse:
             parse_dimacs(f"p min 2 1\na 1 2 0 {token} 0\n")
         assert caught.value.line == 2
         assert caught.value.column == 9
+
+    @pytest.mark.parametrize("record, column, message", [
+        ("a 1 2 -1 - 0", 10, "expected an integer, got '-'"),      # not the "-" of -1
+        ("a 2 2 0 1 0", 5, "self-loop on node 2"),
+        ("a 1 2 5 3 0", 9, "arc (1,2) requires 0 <= lower <= upper, got [5,3]"),
+        ("a 1 2 -1 3 0", 7, "arc (1,2) requires 0 <= lower <= upper, got [-1,3]"),
+        ("a 1  3 0 1 0", 6, "node id 3 outside 1..2"),
+        ("a 1 1 1_0 1 0", 7, "expected an integer of ASCII digits, got '1_0'"),
+        ("n 1 x", 5, "expected an integer, got 'x'"),
+        ("\tq 1", 2, "unknown record type 'q'"),
+    ])
+    def test_errors_point_at_the_failing_field(self, record, column, message):
+        with pytest.raises(DimacsError) as caught:
+            parse_dimacs(f"p min 2 1\n{record}\n")
+        assert (caught.value.line, caught.value.column) == (2, column)
+        assert str(caught.value) == f"line 2, column {column}: {message}"
 
     def test_signed_integers_still_parse(self):
         net = parse_dimacs("p min 2 1\nn 1 +1\nn 2 -1\na 1 2 0 +1 -3\n")

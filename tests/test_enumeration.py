@@ -14,18 +14,19 @@ from flowenum.dfs import find_another_feasible_flow
 from flowenum.enumeration import EnumerationStats, _split, iter_optimal_flows, optimal_face
 from flowenum.errors import (
     DisconnectedError,
-    IdenticalFlowsError,
     InfeasibleError,
     InvariantError,
     UnbalancedSupplyError,
 )
 from flowenum.kbest import iter_k_best_flows
-from flowenum.solver import compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
+from flowenum.solver import compute_reduced_costs, solve_min_cost_flow
 
 from helpers import face_network as face_of
 from helpers import (
+    IdenticalFlowsError,
     linked_cycles,
     make_network,
+    node_potentials,
     partition_solution_space,
     random_feasible_network,
     random_grid_network,
@@ -35,7 +36,7 @@ from helpers import (
 
 
 def reduced_costs_of(net, flow):
-    return compute_reduced_costs(net, compute_node_potentials(net, flow))
+    return compute_reduced_costs(net, node_potentials(net, flow))
 
 
 def bounds_of(net, arc_id):

@@ -18,13 +18,14 @@ from flowenum.errors import (
     UnbalancedSupplyError,
 )
 from flowenum.kbest import find_second_best_flow, iter_k_best_flows
-from flowenum.solver import _dijkstra, compute_node_potentials, compute_reduced_costs, solve_min_cost_flow
+from flowenum.solver import _dijkstra, compute_reduced_costs, solve_min_cost_flow
 
 import helpers
 from helpers import (
     face_network,
     linked_cycles,
     make_network,
+    node_potentials,
     random_feasible_network,
     random_grid_network,
     reference_k_best_flows,
@@ -148,7 +149,7 @@ def free_groups(net, flow):
 
 def unpruned_second_best(net, flow):
     """Reference: one full search per distinct head, first strictly cheapest arc in id order."""
-    potential = compute_node_potentials(net, flow)
+    potential = node_potentials(net, flow)
     reduced_costs = compute_reduced_costs(net, potential)
     tied = find_another_feasible_flow(face_network(net, flow), flow)
     if tied is not None:
@@ -227,7 +228,7 @@ def grid_searches():
     for side in (5, 6, 7):
         net = random_grid_network(rng, side, side)
         best = solve_min_cost_flow(net)
-        yield net, best, compute_node_potentials(net, best)
+        yield net, best, node_potentials(net, best)
 
 
 class TestResidualDijkstra:
@@ -423,7 +424,7 @@ class TestFindSecondBest:
         best = solve_min_cost_flow(net)
         assert best == Flow((1, 0, 1))
         assert find_second_best_flow(net, best) == Flow((0, 1, 1))
-        potential = list(compute_node_potentials(net, best))
+        potential = list(node_potentials(net, best))
         potential[2] += shift
         calls = []
         monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room: potential)
@@ -496,7 +497,7 @@ class TestOfferLists:
                 net = random_grid_network(random.Random(seed), 5, 5, min_cost=min_cost,
                                           max_cost=max_cost, both_ways=both_ways)
                 best = solve_min_cost_flow(net)
-                frame, potential = frame_of(net), compute_node_potentials(net, best)
+                frame, potential = frame_of(net), node_potentials(net, best)
                 reduced_costs = compute_reduced_costs(net, potential)
                 tied = _search(optimal_face(frame, best.values, reduced_costs), best.values)[0]
                 second = find_second_best_flow(net, best)
@@ -519,9 +520,8 @@ class TestOfferLists:
         second_best = flowenum.kbest._second_best
         monkeypatch.setattr(flowenum.kbest, "_second_best",
                             lambda *args: offers.append(args) or second_best(*args))
-        for module in (flowenum.kbest, flowenum.solver):
-            monkeypatch.setattr(module, "residual_room",
-                                lambda *args: rooms.append(args) or residual_room(*args))
+        monkeypatch.setattr(flowenum.kbest, "residual_room",
+                            lambda *args: rooms.append(args) or residual_room(*args))
         list(iter_k_best_flows(random_grid_network(random.Random(3), 8, 8), 10))
         assert len(offers) > 10 and len(rooms) == len(offers)
 

@@ -264,10 +264,18 @@ def test_a_median_worse_than_the_parents_iqr_is_listed_and_printed(monkeypatch, 
     assert "setup_s" not in err and report["unclaimed_gains"] == ["b"]
 
 
+def test_a_rise_within_the_floor_is_not_worse():
+    # BENCH_30.json listed enum-ties setup_s at 0.0096 -> 0.0097 s on a parent IQR of 0.0001 s.
+    parent = {"median": 0.0096, "q1": 0.0095, "q3": 0.0096}
+    assert not pair.is_worse(parent, {"median": 0.0097})
+    assert pair.is_worse(parent, {"median": round(0.0096 * 1.1, 4)})
+
+
 def test_an_a_a_run_lists_nothing_worse(monkeypatch, tmp_path):
     monkeypatch.setattr(pair, "bench_run", lambda checkout, workload, seed, seconds: runs([1.0])[0])
     monkeypatch.setattr(pair, "git_head", lambda checkout: None)
     out = tmp_path / "out.json"
     assert pair.main(["--parent", ".", "--change", ".", "--pairs", "2", "--workload", "w",
                       "--out", str(out)]) == 0
-    assert json.loads(out.read_text())["worse"] == []
+    report = json.loads(out.read_text())
+    assert report["worse"] == [] and report["worse_floor"] == pair.WORSE_FLOOR == 0.02

@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import re
 from pathlib import Path
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "flowenum"
@@ -44,16 +45,17 @@ def test_readme_library_snippet_runs():
     assert printed.getvalue() == "1 <= F <= 1\n"
 
 
-def test_private_module_names_are_used_in_the_package():
-    # A private function or constant that only tests still call belongs in
-    # tests/helpers.py; one that nothing calls is dead.  Uses are matched to
-    # the module that defines the name, so a namesake in another module
-    # does not keep it alive.
+def _module_names():
+    """Every module-level name the package defines, and whether code outside its definition uses it.
+
+    Yields (module, name, used): uses are matched to the module that defines
+    the name, so a namesake in another module does not count, and a use
+    inside the name's own definition does not either."""
     trees = {path.name: ast.parse(path.read_text(encoding="utf-8")) for path in sorted(PACKAGE.glob("*.py"))}
     defined = []  # (module, name, first line, last line)
     for module, tree in trees.items():
         for node in tree.body:
-            if isinstance(node, ast.FunctionDef):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 names = [node.name]
             elif isinstance(node, (ast.Assign, ast.AnnAssign)):
                 targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -61,8 +63,7 @@ def test_private_module_names_are_used_in_the_package():
             else:
                 continue
             defined.extend((module, name, node.lineno, node.end_lineno) for name in names
-                           if name.startswith("_") and not name.startswith("__"))
-    assert len(defined) > 10
+                           if not name.startswith("__"))
     uses = set()  # (defining module, name, using module, line)
     for module, tree in trees.items():
         imported = {
@@ -76,12 +77,41 @@ def test_private_module_names_are_used_in_the_package():
                 uses.add((*imported.get(node.id, (module, node.id)), module, node.lineno))
             elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
                 uses.add((f"{node.value.id}.py", node.attr, module, node.lineno))
-    unused = [
-        f"{module}:{name}"
-        for module, name, first, last in defined
-        if not any(
+    for module, name, first, last in defined:
+        yield module, name, any(
             (source, used) == (module, name) and not (where == module and first <= line <= last)
             for source, used, where, line in uses
         )
+
+
+def test_private_module_names_are_used_in_the_package():
+    # A private function or constant that only tests still call belongs in
+    # tests/helpers.py; one that nothing calls is dead.
+    private = [(module, name, used) for module, name, used in _module_names() if name.startswith("_")]
+    assert len(private) > 10
+    assert [f"{module}:{name}" for module, name, used in private if not used] == []
+
+
+def test_public_module_names_have_a_caller_or_a_reader():
+    # A public name is exported, used by the package, documented in the README
+    # or imported by the acceptance battery; one that only other tests call
+    # belongs in tests/helpers.py, or the tests can call the kernel it wraps.
+    import flowenum
+
+    readme = README.read_text(encoding="utf-8")
+    acceptance = ast.parse((PACKAGE.parents[1] / "tests" / "test_acceptance.py").read_text(encoding="utf-8"))
+    accepted = {
+        (f"{node.module.removeprefix('flowenum.')}.py", alias.name)
+        for node in ast.walk(acceptance)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("flowenum.")
+        for alias in node.names
+    }
+    public = [(module, name, used) for module, name, used in _module_names() if not name.startswith("_")]
+    assert len(public) > 20
+    unread = [
+        f"{module}:{name}"
+        for module, name, used in public
+        if not (used or name in flowenum.__all__ or (module, name) in accepted
+                or re.search(rf"\b{name}\b", readme))
     ]
-    assert unused == []
+    assert unread == []

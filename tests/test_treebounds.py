@@ -19,13 +19,13 @@ from flowenum.solver import solve_min_cost_flow
 from flowenum.treebounds import (
     COUNT_CAP,
     TreeStructure,
+    _induced_cycles,
     count_lower_bound,
     count_upper_bound,
     decompose_cycle,
     express_in_cycle_basis,
     feasible_count_bounds,
     incidence_sum_check,
-    induced_cycle,
     induced_cycle_capacities,
     to_tree_solution,
     zero_cost_nontree_set,
@@ -245,7 +245,7 @@ def pivots_matching_the_rescan(monkeypatch, net, flow):
 class TestInducedCycle:
     def test_eleven_optima_cycle_through_the_chord(self, eleven_optima_network, eleven_optima_flow):
         tree_flow, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
-        cycle = induced_cycle(ts, 4)
+        cycle = _induced_cycles(ts, [4])[0]
         assert members_by_arc(cycle) == {4: 1, 6: 1, 5: -1}
         assert cycle.cost(eleven_optima_network) == ts.reduced_cost(4) == 0
         assert induced_cycle_capacities(ts, tree_flow, [4]) == [10]
@@ -254,9 +254,9 @@ class TestInducedCycle:
         net = make_network(2, [(0, 1, 0, 2, 2), (0, 1, 0, 1, 2)], (2, -2))
         tree_flow, ts = to_tree_solution(net, Flow((1, 1)))
         assert 1 in ts.upper_set
-        cycle = induced_cycle(ts, 1)
+        cycle = _induced_cycles(ts, [1])[0]
         assert members_by_arc(cycle) == {1: -1, 0: 1}
-        assert cycle.incidence(2) == (1, -1)
+        assert sorted(cycle.members) == [(0, 1), (1, -1)]
         assert cycle.cost(net) == -ts.reduced_cost(1) == 0
 
     def test_replicates_the_five_arc_showcase(self):
@@ -279,13 +279,13 @@ class TestInducedCycle:
         net = make_network(8, specs, balances)
         tree_flow, ts = to_tree_solution(net, Flow(flows))
         assert set(ts.tree_arcs) == {1, 2, 3, 4, 5, 6, 7}
-        cycle = induced_cycle(ts, 0)
+        cycle = _induced_cycles(ts, [0])[0]
         assert members_by_arc(cycle) == {0: 1, 2: 1, 4: 1, 1: -1, 3: -1}
 
     def test_tree_arc_is_rejected(self, eleven_optima_network, eleven_optima_flow):
         _, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
         with pytest.raises(ArcInTreeError):
-            induced_cycle(ts, 2)
+            _induced_cycles(ts, [2])
 
 
 def is_closed_walk(net, members):
@@ -310,7 +310,7 @@ class TestMemberOrder:
         _, ts = to_tree_solution(net, flow)
         nontree = sorted(ts.lower_set | ts.upper_set)
         for arc_id in nontree:
-            members = induced_cycle(ts, arc_id).members
+            members = _induced_cycles(ts, [arc_id])[0].members
             assert members[0] == (arc_id, 1 if arc_id in ts.lower_set else -1)
             assert is_closed_walk(net, members)
         return len(nontree)
@@ -381,7 +381,7 @@ class TestRejectedInputs:
     @staticmethod
     def check_every_call_rejects(ts, tree_flow, bad, message):
         with pytest.raises(ValueError, match=message):
-            induced_cycle(ts, bad)
+            _induced_cycles(ts, [bad])
         with pytest.raises(ValueError, match=message):
             count_lower_bound(ts, [bad], tree_flow)
         with pytest.raises(ValueError, match=message):
@@ -463,7 +463,7 @@ class TestCycleCapacity:
         for arc_id in nontree:
             assert found[arc_id] == min(
                 headroom(net, tree_flow.values, member, sign)
-                for member, sign in induced_cycle(ts, arc_id).members
+                for member, sign in _induced_cycles(ts, [arc_id])[0].members
             )
         for arc_id in ts.tree_arcs:
             with pytest.raises(ArcInTreeError):
@@ -745,7 +745,7 @@ class TestCycleBasis:
         tree_flow, ts = to_tree_solution(blocked_cycle_network, blocked_cycle_flow)
         (chord,) = zero_cost_nontree_set(ts)
         values = list(tree_flow.values)
-        for member, sign in induced_cycle(ts, chord).members:
+        for member, sign in _induced_cycles(ts, [chord])[0].members:
             values[member] += sign
         other = Flow(tuple(values))
         assert not check_feasible(blocked_cycle_network, other)

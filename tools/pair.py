@@ -31,9 +31,11 @@ met, with the pairs won on that metric.  Any other workload that shows a
 given twice (an A/A run) must list none and meet no claim.
 
 Every end-to-end metric is better when lower.  `worse` lists each workload
-and metric whose change median exceeds the parent's by more than the
-parent's interquartile range, and each is also printed to stderr.  It is
-a warning, not a rule: a few pairs are too noisy to decide on.
+and metric whose change median exceeds the parent's by more than both the
+parent's interquartile range and `worse_floor` (2%) of the parent's median,
+and each is also printed to stderr.  The floor keeps a rise of one rounding
+step off the list when the parent's runs barely spread.  It is a warning,
+not a rule: a few pairs are too noisy to decide on.
 """
 
 from __future__ import annotations
@@ -51,6 +53,7 @@ from pathlib import Path
 METRICS = ("wall_s", "setup_s", "first_output_ms")
 WALL = "wall_s"  # the metric of a plain --claim, of unclaimed_gains and of the progress lines
 STDERR_TAIL = 20  # lines of a failed run's stderr that are printed
+WORSE_FLOOR = 0.02  # the least rise, as a share of the parent median, that `worse` lists
 
 
 def bench_run(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
@@ -65,6 +68,14 @@ def summary(runs: list[float]) -> dict:
     q1, median, q3 = statistics.quantiles(runs, n=4, method="inclusive")
     return {"median": round(median, 4), "q1": round(q1, 4), "q3": round(q3, 4),
             "runs": sorted(round(value, 4) for value in runs)}
+
+
+def is_worse(parent: dict, change: dict) -> bool:
+    """Does the change's median pass the parent's by more than both the parent's IQR and the floor?
+
+    Both sides are `summary` results."""
+    rise = change["median"] - parent["median"]
+    return rise > round(parent["q3"] - parent["q1"], 4) and rise > WORSE_FLOOR * parent["median"]
 
 
 def failed_share(runs: list[dict]) -> float:
@@ -160,7 +171,7 @@ def main(argv: list[str] | None = None) -> int:
                                             for run in runs[workload, side]]) for side in sides}
             parent, change = entry[metric]["parent"], entry[metric]["change"]
             iqr = round(parent["q3"] - parent["q1"], 4)
-            if change["median"] - parent["median"] > iqr:
+            if is_worse(parent, change):
                 regressions.append({"workload": workload, "metric": metric,
                                     "parent_median": parent["median"],
                                     "change_median": change["median"], "parent_iqr": iqr})
@@ -194,6 +205,7 @@ def main(argv: list[str] | None = None) -> int:
                            "met": met, **figures}
     report["unclaimed_gains"] = [workload for workload, (met, _) in gains.items()
                                  if met and workload != claimed]
+    report["worse_floor"] = WORSE_FLOOR
     report["worse"] = regressions
     report["workloads"] = workloads
     args.out.write_text(json.dumps(report, indent=1) + "\n")
