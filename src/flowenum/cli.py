@@ -4,7 +4,9 @@ Flows stream to stdout as JSON lines ({"cost": ..., "flow": [...]}) followed
 by one summary object; diagnostics go to stderr.  Exit codes: 0 success,
 1 infeasible instance or failed verification, 2 usage or parse errors,
 3 a search budget exceeded, 130 interrupted, 141 stdout closed early.
-The argument parser is built once per process, on the first `run()`.
+The argument parser is built once per process, on the first `run()`.  Each
+subparser names its handler, which streams the flows and returns the
+summary's own fields; `run()` writes every summary line.
 """
 
 from __future__ import annotations
@@ -75,20 +77,24 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     budget.add_argument("--max-flows", type=_positive_int, default=EnumerationBudget.max_flows)
 
     commands = parser.add_subparsers(dest="command", required=True)
-    commands.add_parser("solve", parents=[source], help="find one minimum-cost integer flow")
-    commands.add_parser("enumerate", parents=[source, limited],
-                        help="list every optimal integer flow")
-    kbest = commands.add_parser("kbest", parents=[source], help="list the K cheapest integer flows")
+
+    def command(name, handler, parents, about):
+        sub = commands.add_parser(name, parents=parents, help=about)
+        sub.set_defaults(handler=handler)
+        return sub
+
+    command("solve", _cmd_solve, [source], "find one minimum-cost integer flow")
+    command("enumerate", _cmd_enumerate, [source, limited], "list every optimal integer flow")
+    kbest = command("kbest", _cmd_kbest, [source], "list the K cheapest integer flows")
     kbest.add_argument("k", type=_positive_int)
-    bounds = commands.add_parser("bounds", parents=[source, limited],
-                                 help="bounds on the number of optimal and feasible flows")
+    bounds = command("bounds", _cmd_bounds, [source, limited],
+                     "bounds on the number of optimal and feasible flows")
     bounds.add_argument("--exact", action="store_true", help="also enumerate the exact count")
-    oracle = commands.add_parser("oracle", parents=[source, budget],
-                                 help="brute-force reference enumeration")
+    oracle = command("oracle", _cmd_oracle, [source, budget], "brute-force reference enumeration")
     oracle.add_argument("--mode", choices=("feasible", "optimal", "kbest"), required=True)
     oracle.add_argument("--k", type=_positive_int, help="prefix length for --mode kbest")
-    commands.add_parser("verify", parents=[source, limited, budget],
-                        help="diff the optimal-flow enumeration against the brute-force oracle")
+    command("verify", _cmd_verify, [source, limited, budget],
+            "diff the optimal-flow enumeration against the brute-force oracle")
     return parser, oracle
 
 
@@ -119,28 +125,25 @@ def _summary(out, command: str, net: Network, started: float, **extra) -> None:
     })
 
 
-def _cmd_solve(args, net, out, started) -> int:
+def _cmd_solve(args, net, out) -> dict:
     count, cost = _stream(out, net, [solve_min_cost_flow(net)])
-    _summary(out, "solve", net, started, count=count, optimal_cost=cost)
-    return 0
+    return {"count": count, "optimal_cost": cost}
 
 
-def _cmd_enumerate(args, net, out, started) -> int:
+def _cmd_enumerate(args, net, out) -> dict:
     flows = iter_optimal_flows(net)
     count, cost = _stream(out, net, islice(flows, args.limit))
     # One flow past the limit tells whether the limit really cut the run short.
-    _summary(out, "enumerate", net, started, count=count, optimal_cost=cost,
-             limit=args.limit, limit_reached=next(flows, None) is not None)
-    return 0
+    return {"count": count, "optimal_cost": cost,
+            "limit": args.limit, "limit_reached": next(flows, None) is not None}
 
 
-def _cmd_kbest(args, net, out, started) -> int:
+def _cmd_kbest(args, net, out) -> dict:
     count, cost = _stream(out, net, iter_k_best_flows(net, args.k))
-    _summary(out, "kbest", net, started, count=count, requested=args.k, optimal_cost=cost)
-    return 0
+    return {"count": count, "requested": args.k, "optimal_cost": cost}
 
 
-def _cmd_bounds(args, net, out, started) -> int:
+def _cmd_bounds(args, net, out) -> dict:
     # The solver checks the instance and its own optimum once; the tree and, for
     # --exact, the enumeration counting on from that optimum run on its frame.
     frame, flow = _solve(net)
@@ -165,11 +168,10 @@ def _cmd_bounds(args, net, out, started) -> int:
         rest = sum(1 for _ in islice(_flows_after(net, frame, flow), args.limit))
         extra["exact_count"] = min(1 + rest, args.limit)
         extra["limit_reached"] = rest == args.limit
-    _summary(out, "bounds", net, started, **extra)
-    return 0
+    return extra
 
 
-def _cmd_oracle(args, net, out, started) -> int:
+def _cmd_oracle(args, net, out) -> dict:
     validate_network(net)  # the brute force checks nothing
     budget = EnumerationBudget(args.max_states, args.max_flows)
     if args.mode == "feasible":
@@ -179,11 +181,10 @@ def _cmd_oracle(args, net, out, started) -> int:
     else:
         flows = k_best_bruteforce(net, args.k, budget)
     count, _ = _stream(out, net, flows)
-    _summary(out, "oracle", net, started, mode=args.mode, count=count)
-    return 0
+    return {"mode": args.mode, "count": count}
 
 
-def _cmd_verify(args, net, out, started) -> int:
+def _cmd_verify(args, net, out) -> dict:
     budget = EnumerationBudget(args.max_states, args.max_flows)
     flows = iter_optimal_flows(net)
     enumerated = [flow.values for flow in islice(flows, args.limit)]
@@ -193,22 +194,8 @@ def _cmd_verify(args, net, out, started) -> int:
     distinct = set(enumerated)
     match = (len(distinct) == len(enumerated) and distinct <= reference
              and (limit_reached or len(distinct) == len(reference)))
-    _summary(
-        out, "verify", net, started,
-        count=len(enumerated), match=match,
-        enumerated=len(enumerated), reference=len(reference), limit_reached=limit_reached,
-    )
-    return 0 if match else 1
-
-
-_HANDLERS = {
-    "solve": _cmd_solve,
-    "enumerate": _cmd_enumerate,
-    "kbest": _cmd_kbest,
-    "bounds": _cmd_bounds,
-    "oracle": _cmd_oracle,
-    "verify": _cmd_verify,
-}
+    return {"count": len(enumerated), "match": match, "enumerated": len(enumerated),
+            "reference": len(reference), "limit_reached": limit_reached}
 
 
 def run(argv=None, stdout=None, stderr=None) -> int:
@@ -233,7 +220,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         net = parse_dimacs(text)
         # Each command checks the instance before any output, so a rejection prints nothing.
-        return _HANDLERS[args.command](args, net, out, started)
+        fields = args.handler(args, net, out)
     except (DimacsError, NetworkValidationError) as exc:
         print(f"flowenum: {args.file}: {exc}", file=err)
         return 2
@@ -244,6 +231,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     except BudgetExceededError as exc:
         print(f"flowenum: {exc}", file=err)
         return 3
+    _summary(out, args.command, net, started, **fields)
+    return 1 if fields.get("match") is False else 0
 
 
 def main() -> None:

@@ -45,7 +45,6 @@ class DfsForest:
     discovery: list[int]                # nodes in discovery order
     parent_node: list[int]              # -1 at roots
     parent_arc: list[int]               # residual arc used for discovery
-    tree_root: list[int]
     size: list[int]                     # subtree sizes, the node included; 0 until it finishes
     short_back_arcs: list[list[int]]
     sbalow: list[int]
@@ -78,7 +77,6 @@ def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
     """Iterative DFS; roots by ascending node id, each node's out-arcs in list order."""
     n = len(out)
     order, size, parent_node, parent_arc = [0] * n, [0] * n, [-1] * n, [-1] * n
-    tree_root = list(range(n))  # roots keep their own
     short_back: list[list[int]] = [[] for _ in range(n)]
     discovery: list[int] = []
     count, long_back, forward, cross = 0, -1, [], []
@@ -99,7 +97,6 @@ def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
                     order[child] = count
                     parent_node[child] = node
                     parent_arc[child] = index
-                    tree_root[child] = root
                     stack.append((node, arcs))
                     node, arcs = child, iter(out[child])
                     break
@@ -118,8 +115,8 @@ def _forest(out: Sequence[Sequence[int]], head: list[int]) -> DfsForest:
                     break
                 node, arcs = stack.pop()
 
-    return _sbalow(DfsForest(order, discovery, parent_node, parent_arc, tree_root, size,
-                             short_back, [0] * n, long_back, forward, cross, out, head))
+    return _sbalow(DfsForest(order, discovery, parent_node, parent_arc, size, short_back,
+                             [0] * n, long_back, forward, cross, out, head))
 
 
 def _sbalow(forest: DfsForest) -> DfsForest:
@@ -148,10 +145,10 @@ def _drop(forest: DfsForest, index: int, tail: list[int]) -> DfsForest:
         return forest
     if kind in (TREE, BACKWARD_LONG):
         return _forest(forest.out, head)
-    if kind == CROSS and forest.tree_root[head[index]] != forest.tree_root[node]:
-        return forest  # on no candidate list
     short = forest.short_back_arcs[node]
-    {FORWARD: forest.forward, CROSS: forest.cross, BACKWARD_SHORT: short}[kind].remove(index)
+    listed = {FORWARD: forest.forward, CROSS: forest.cross, BACKWARD_SHORT: short}[kind]
+    if index in listed:  # a cross id into an earlier tree is on none
+        listed.remove(index)
     if kind == BACKWARD_SHORT and not short:
         _sbalow(forest)
     return forest

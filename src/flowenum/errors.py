@@ -57,7 +57,7 @@ class BudgetExceededError(FlowError):
     """A search outgrew its budget: the brute force's states or flows, or the tree pivots."""
 
 
-class PivotLimitError(BudgetExceededError, InvariantError):
+class PivotLimitError(BudgetExceededError):
     """Tree pivoting passed its cap, which Bland's rule reaches on large grids."""
 
 

@@ -267,8 +267,8 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
 
     Only zero-headroom swaps happen, so the flow never changes; a violating
     arc whose cycle still has headroom means the flow was not optimal, and
-    those are left alone.  Returns tree membership by arc id and the tree's
-    parent links, depths and potentials, rooted at node 0.
+    those are left alone.  Returns the tree's parent links, depths and
+    potentials, rooted at node 0.
 
     Bland's rule enters the least arc id that violates its sign condition
     and whose cycle has zero headroom.  Rather than rescan every arc after
@@ -309,9 +309,6 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
     size = [1] * n  # nodes per subtree, summed child first
     for node in reversed(rooted[1:]):
         size[parent_node[node]] += size[node]
-    in_tree = [False] * m
-    for arc_id in tree:
-        in_tree[arc_id] = True
     room = residual_room(frame, values)
     # +1 at the lower bound, -1 at the upper, 0 fixed or strictly between: an
     # arc violates when at * reduced < 0, which a tree arc's 0 never does.
@@ -341,7 +338,7 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
         else:
             if pivot:
                 _hang(adjacency, tables, 0)
-            return in_tree, tables
+            return tables
         tail, head = src[entering], dst[entering]
         out_tail, out_head = src[leaving], dst[leaving]
         # The leaving arc cuts off the subtree below its deeper end; the
@@ -355,7 +352,6 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
         adjacency[out_head].remove((out_tail, leaving, -cost[leaving]))
         adjacency[tail].append((head, entering, cost[entering]))
         adjacency[head].append((tail, entering, -cost[entering]))
-        in_tree[leaving], in_tree[entering] = False, True
         step = cost[entering] if outside == tail else -cost[entering]
         cut_size = size[cut]
         if 2 * cut_size <= n:
@@ -416,11 +412,11 @@ def _tree_solution(net: Network, frame: Frame, flow: Flow) -> tuple[Flow, TreeSt
     arcs = frame.tail[::2], frame.head[::2], frame.cost[::2]
     values = list(flow.values)
     tree = _initial_tree(frame, arcs, _cancel_free_cycles(frame, arcs, values))
-    in_tree, (parent_node, parent_arc, depth, potentials) = _pivot_to_optimal(frame, arcs, values, tree)
-    nontree = [a for a in range(net.arc_count) if not in_tree[a]]
+    parent_node, parent_arc, depth, potentials = _pivot_to_optimal(frame, arcs, values, tree)
+    tree_arcs = tuple(sorted(parent_arc[1:]))  # node 0 is the root
+    nontree = frozenset(range(net.arc_count)).difference(tree_arcs)
     lower_set = frozenset(a for a in nontree if values[a] == frame.lower[a])
-    structure = TreeStructure(net, tuple(a for a in range(net.arc_count) if in_tree[a]), lower_set,
-                              frozenset(nontree) - lower_set,
+    structure = TreeStructure(net, tree_arcs, lower_set, nontree - lower_set,
                               *map(tuple, (potentials, parent_node, parent_arc, depth)))
     return Flow(tuple(values)), structure
 

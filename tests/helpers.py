@@ -462,6 +462,13 @@ def partition_solution_space(net: Network, flow: Flow, other: Flow) -> tuple[Net
                          + arcs[arc_id + 1:]) for lo, hi in halves)
 
 
+def tree_root(forest, node: int) -> int:
+    """The root of `node`'s DFS tree, climbing parent links."""
+    while forest.parent_node[node] >= 0:
+        node = forest.parent_node[node]
+    return node
+
+
 def sweep_proper_cycle(forest, tail: list[int], origin: list[int]) -> list[int] | None:
     """Proper-cycle scan by sweeping every residual id, highest first, once per class.
 
@@ -486,7 +493,7 @@ def sweep_proper_cycle(forest, tail: list[int], origin: list[int]) -> list[int] 
         if classes[index] != CROSS:
             continue
         u, v = tail[index], head[index]
-        if forest.tree_root[u] != forest.tree_root[v]:
+        if tree_root(forest, u) != tree_root(forest, v):
             continue
         meet = dfs._lca(forest, u, v)
         if sbalow[v] > order[meet]:
@@ -517,7 +524,7 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
     done = [False] * n
     parent_node = [-1] * n
     parent_arc = [-1] * n
-    tree_root = [-1] * n
+    root_of = [-1] * n
     arc_class = [0] * len(head)
     short_back: list[list[int]] = [[] for _ in range(n)]
     discovery: list[int] = []
@@ -528,7 +535,7 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
             continue
         discovery.append(root)
         order[root] = len(discovery)
-        tree_root[root] = root
+        root_of[root] = root
         stack = [(root, iter(out[root]))]
         while stack:
             node, arcs = stack[-1]
@@ -540,7 +547,7 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
                     order[child] = len(discovery)
                     parent_node[child] = node
                     parent_arc[child] = index
-                    tree_root[child] = root
+                    root_of[child] = root
                     stack.append((child, iter(out[child])))
                     break
                 if not done[child]:
@@ -555,7 +562,7 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
                     forward.append(index)
                 else:
                     arc_class[index] = CROSS
-                    if tree_root[child] == root:  # a cross arc into an earlier tree is no candidate
+                    if root_of[child] == root:  # a cross arc into an earlier tree is no candidate
                         cross.append(index)
             else:
                 stack.pop()
@@ -563,9 +570,8 @@ def reference_forest(out, head: list[int]) -> SimpleNamespace:
 
     return dfs._sbalow(SimpleNamespace(
         order=order, discovery=discovery, parent_node=parent_node, parent_arc=parent_arc,
-        tree_root=tree_root, arc_class=arc_class,
-        short_back_arcs=short_back, sbalow=[0] * n, long_back=long_back, forward=forward,
-        cross=cross))
+        arc_class=arc_class, short_back_arcs=short_back, sbalow=[0] * n, long_back=long_back,
+        forward=forward, cross=cross))
 
 
 def round_based_potentials(frame, room) -> tuple[int, ...]:

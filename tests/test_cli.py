@@ -529,10 +529,10 @@ class TestMain:
         proc.stderr.close()
 
     def test_interrupt_exits_130(self, tmp_path, monkeypatch, capsys, chain3_network):
-        def interrupted(args, net, out, started):
+        def interrupted(net):
             raise KeyboardInterrupt
 
-        monkeypatch.setitem(flowenum.cli._HANDLERS, "solve", interrupted)
+        monkeypatch.setattr(flowenum.cli, "solve_min_cost_flow", interrupted)
         monkeypatch.setattr(sys, "argv", ["flowenum", "solve", write_instance(tmp_path, chain3_network)])
         try:
             with pytest.raises(SystemExit) as exit_:
@@ -635,10 +635,10 @@ class TestErrorPaths:
         assert "cannot read" in err
 
     def test_internal_value_error_is_not_a_usage_error(self, tmp_path, monkeypatch, chain3_network):
-        def broken(args, net, out, started):
+        def broken(net):
             raise ValueError("a bug, not bad input")
 
-        monkeypatch.setitem(flowenum.cli._HANDLERS, "solve", broken)
+        monkeypatch.setattr(flowenum.cli, "solve_min_cost_flow", broken)
         with pytest.raises(ValueError, match="a bug"):
             run(["solve", write_instance(tmp_path, chain3_network)],
                 stdout=io.StringIO(), stderr=io.StringIO())

@@ -40,6 +40,7 @@ from helpers import (
     sbalow_bruteforce,
     sweep_proper_cycle,
     synthetic_digraph,
+    tree_root,
 )
 
 
@@ -130,8 +131,8 @@ class TestClassification:
             assert sorted(forest.order) == list(range(1, rg.node_count + 1))
             ids = {cls: [i for i, c in enumerate(forest.arc_class) if c == cls] for cls in counts}
             assert sorted(forest.forward) == ids[FORWARD]
-            root = forest.tree_root
-            within = [i for i in ids[CROSS] if root[rg.arcs[i].src] == root[rg.arcs[i].dst]]
+            within = [i for i in ids[CROSS]
+                      if tree_root(forest, rg.arcs[i].src) == tree_root(forest, rg.arcs[i].dst)]
             assert sorted(forest.cross) == within
             # A cross arc into an earlier tree closes no cycle: its head cannot reach its tail.
             for index in set(ids[CROSS]) - set(within):
@@ -203,7 +204,7 @@ class TestLca:
             for _ in range(20):
                 x = rng.randrange(rg.node_count)
                 y = rng.randrange(rg.node_count)
-                if forest.tree_root[x] != forest.tree_root[y]:
+                if tree_root(forest, x) != tree_root(forest, y):
                     continue
                 above_x = set(ancestors(forest, x))
                 node = y
@@ -320,7 +321,7 @@ class TestKeepChildReuse:
                 kind = (kind, bool(after) and forest.head[after[0]] == head)
             elif kind == CROSS:
                 # True when it enters its own tree, False when an earlier one.
-                kind = (kind, forest.tree_root[head] == forest.tree_root[tail])
+                kind = (kind, tree_root(forest, head) == tree_root(forest, tail))
             paths[kind] += 1
             found = search(frame, values, reuse)
             assert found[2] == fresh[2]
@@ -359,7 +360,7 @@ class TestKeepChildReuse:
                 forest = flowenum.dfs._forest([list(ids) for ids in rg.out_arcs], head)
                 kind = forest.arc_class[index]
                 if kind == CROSS:
-                    kind = (kind, forest.tree_root[head[index]] == forest.tree_root[tail[index]])
+                    kind = (kind, tree_root(forest, head[index]) == tree_root(forest, tail[index]))
                 out = [[i for i in ids if i != index] for ids in rg.out_arcs]
                 dropped = flowenum.dfs._drop(forest, index, tail)
                 assert dropped == flowenum.dfs._forest(out, head)

@@ -154,6 +154,12 @@ class TestSolve:
         assert check_feasible(net, flow)
         assert flow.values[0] >= 2
 
+    def test_infeasible_result_is_an_invariant_error(self, monkeypatch, chain3_network):
+        # The solver re-checks its own flow; a failure there is a bug in this package.
+        monkeypatch.setattr(flowenum.solver, "check_feasible", lambda net, flow: False)
+        with pytest.raises(InvariantError, match="successive shortest paths ended on an infeasible flow"):
+            solve_min_cost_flow(chain3_network)
+
     def test_oracle_equivalence_on_random_instances(self):
         from flowenum.bruteforce import enumerate_all_feasible_bruteforce
 

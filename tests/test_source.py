@@ -3,6 +3,7 @@
 import ast
 import contextlib
 import io
+import json
 import re
 from pathlib import Path
 
@@ -43,6 +44,29 @@ def test_readme_library_snippet_runs():
     with contextlib.redirect_stdout(printed):
         exec(compile(snippet, "README.md", "exec"), {})
     assert printed.getvalue() == "1 <= F <= 1\n"
+
+
+def test_readme_cli_example_matches_a_run(tmp_path):
+    # The README's `demo.min` through `kbest demo.min 2` prints its output block:
+    # the flow lines byte for byte, the summary's leading fields in order.
+    from flowenum.cli import run
+
+    readme = README.read_text(encoding="utf-8")
+    demo = readme.split("Example (`demo.min`):\n\n```\n", 1)[1].split("```", 1)[0]
+    shown = readme.split("single summary object:\n\n```\n", 1)[1].split("```", 1)[0].splitlines()
+    path = tmp_path / "demo.min"
+    path.write_text(demo, encoding="utf-8")
+    out = io.StringIO()
+    assert run(["kbest", str(path), "2"], stdout=out, stderr=io.StringIO()) == 0
+    lines = out.getvalue().splitlines()
+    assert len(lines) == len(shown) == 3
+    assert lines[:2] == shown[:2]
+    expected = [(key, json.loads(value)) for key, value in re.findall(r'"(\w+)": ([^,}]+)', shown[2])]
+    summary = list(json.loads(lines[2]).items())[:len(expected)]
+    assert [key for key, _ in expected] == ["command", "nodes", "arcs", "elapsed_ms", "count"]
+    assert [key for key, _ in summary] == [key for key, _ in expected]
+    assert [pair for pair in summary if pair[0] != "elapsed_ms"] == [
+        pair for pair in expected if pair[0] != "elapsed_ms"]
 
 
 def _module_names():

@@ -10,6 +10,7 @@ from flowenum.enumeration import iter_optimal_flows
 from flowenum import treebounds
 from flowenum.errors import (
     ArcInTreeError,
+    BudgetExceededError,
     CycleEntirelyInTreeError,
     DimensionMismatchError,
     InfeasibleFlowError,
@@ -101,10 +102,12 @@ class TestToTreeSolution:
         with pytest.raises(InfeasibleFlowError):
             to_tree_solution(chain3_network, Flow((1, 0, 0)))
 
-    def test_pivot_cap_is_an_invariant_error(self, monkeypatch, eleven_optima_network, eleven_optima_flow):
+    def test_pivot_cap_is_a_budget_error(self, monkeypatch, eleven_optima_network, eleven_optima_flow):
+        # A valid input can reach the cap, so it is a budget, not a bug in this package.
         monkeypatch.setattr(treebounds, "_PIVOT_CAP", 0)
-        with pytest.raises(InvariantError, match="did not terminate"):
+        with pytest.raises(BudgetExceededError, match="did not terminate") as caught:
             to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        assert not isinstance(caught.value, InvariantError)
 
     def test_unspanning_tree_is_an_invariant_error(self, monkeypatch, eleven_optima_network, eleven_optima_flow):
         initial_tree = treebounds._initial_tree
@@ -233,7 +236,7 @@ def pivots_matching_the_rescan(monkeypatch, net, flow):
         patch.setattr(treebounds, "_hang", counted)
         tree_flow, ts = to_tree_solution(net, flow)
         patch.setattr(treebounds, "_pivot_to_optimal",
-                      lambda frame, arcs, values, tree: rescan_pivot_to_optimal(net, values, tree, reference))
+                      lambda frame, arcs, values, tree: rescan_pivot_to_optimal(net, values, tree, reference)[1])
         reference_flow, reference_ts = to_tree_solution(net, flow)
     assert pivots == reference
     assert tree_flow == reference_flow
