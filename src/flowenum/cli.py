@@ -213,7 +213,7 @@ def run(argv=None, stdout=None, stderr=None) -> int:
 
     started = time.perf_counter()
     try:
-        text = Path(args.file).read_text(encoding="utf-8")
+        text = Path(args.file).read_text(encoding="utf-8-sig")  # a leading byte-order mark is no record
     except (OSError, UnicodeDecodeError) as exc:
         print(f"flowenum: cannot read {args.file}: {exc}", file=err)
         return 2

@@ -20,6 +20,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 
 from .errors import (
     BadBoundsError,
@@ -33,9 +35,10 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Arc:
-    """Directed arc with integer ends, capacity bounds and cost."""
+    """Directed arc with integer ends, capacity bounds and cost.  Its own `__init__` stores the
+    fields as a frozen dataclass would, then checks them; `dataclasses.replace` runs it too."""
 
     src: int
     dst: int
@@ -43,19 +46,22 @@ class Arc:
     upper: int
     cost: int
 
-    def __post_init__(self) -> None:
+    def __init__(self, src: int, dst: int, lower: int, upper: int, cost: int) -> None:
+        store = object.__setattr__
+        store(self, "src", src)
+        store(self, "dst", dst)
+        store(self, "lower", lower)
+        store(self, "upper", upper)
+        store(self, "cost", cost)
         # `type(...) is int` also turns away bool, which is an int subclass.
-        if not type(self.lower) is type(self.upper) is int:
+        if not type(lower) is type(upper) is int:
             raise InfiniteCapacityError(f"capacities must be finite integers, got {self}")
-        if not type(self.src) is type(self.dst) is type(self.cost) is int:
+        if not type(src) is type(dst) is type(cost) is int:
             raise NetworkValidationError(f"arc ends and costs must be integers, got {self}")
-        if self.src == self.dst:
-            raise NetworkValidationError(f"self-loop on node {self.src}")
-        if not 0 <= self.lower <= self.upper:
-            raise BadBoundsError(
-                f"arc ({self.src},{self.dst}) requires 0 <= lower <= upper, "
-                f"got [{self.lower},{self.upper}]"
-            )
+        if src == dst:
+            raise NetworkValidationError(f"self-loop on node {src}")
+        if not 0 <= lower <= upper:
+            raise BadBoundsError(f"arc ({src},{dst}) requires 0 <= lower <= upper, got [{lower},{upper}]")
 
     @property
     def span(self) -> int:
@@ -73,15 +79,20 @@ class Network:
     def __post_init__(self) -> None:
         object.__setattr__(self, "arcs", tuple(self.arcs))
         object.__setattr__(self, "balances", tuple(self.balances))
+        if type(self.node_count) is not int:
+            raise NetworkValidationError(f"node_count must be an integer, got {self.node_count!r}")
         if self.node_count < 1:
             raise NetworkValidationError("a network needs at least one node")
         if len(self.balances) != self.node_count:
             raise NetworkValidationError(
                 f"{self.node_count} nodes but {len(self.balances)} balances"
             )
-        for arc in self.arcs:
-            if not (0 <= arc.src < self.node_count and 0 <= arc.dst < self.node_count):
-                raise NetworkValidationError(f"arc endpoint out of range: {arc}")
+        try:
+            for arc in self.arcs:
+                if not (0 <= arc.src < self.node_count and 0 <= arc.dst < self.node_count):
+                    raise NetworkValidationError(f"arc endpoint out of range: {arc}")
+        except AttributeError:
+            raise NetworkValidationError(f"arcs must be Arc instances, got {arc!r}") from None
 
     @property
     def arc_count(self) -> int:
@@ -191,22 +202,25 @@ def frame_of(net: Network) -> Frame:
     """`net`'s frame.  `incident` lists out-arcs' forward ids, then in-arcs' backward ids:
     Dijkstra keeps the first of equally short paths, so every tie-break depends on this order."""
     arcs = net.arcs
-    head = [end for arc in arcs for end in (arc.dst, arc.src)]
+    src, dst = [arc.src for arc in arcs], [arc.dst for arc in arcs]
+    costs = [arc.cost for arc in arcs]
+    head, tail, origin, cost = ([0] * (2 * len(arcs)) for _ in range(4))
+    head[::2] = tail[1::2] = dst
+    head[1::2] = tail[::2] = src
+    origin[::2] = origin[1::2] = range(len(arcs))
+    cost[::2], cost[1::2] = costs, [-each for each in costs]
     incident: list[list[int]] = [[] for _ in range(net.node_count)]
-    for index, arc in enumerate(arcs):
-        incident[arc.src].append(2 * index)
-    for index, arc in enumerate(arcs):
-        incident[arc.dst].append(2 * index + 1)
-    return Frame(net.node_count, head, [end for arc in arcs for end in (arc.src, arc.dst)],
-                 [index >> 1 for index in range(len(head))],
-                 [cost for arc in arcs for cost in (arc.cost, -arc.cost)], incident,
+    for index in chain(range(0, len(tail), 2), range(1, len(tail), 2)):
+        incident[tail[index]].append(index)
+    return Frame(net.node_count, head, tail, origin, cost, incident,
                  [arc.lower for arc in arcs], [arc.upper for arc in arcs])
 
 
 def residual_room(frame: Frame, values) -> list[int]:
     """Per residual id, `values`' spare units: upper - value on 2a, value - lower on 2a + 1."""
-    return [spare for value, lo, hi in zip(values, frame.lower, frame.upper)
-            for spare in (hi - value, value - lo)]
+    room = [0] * (2 * len(frame.lower))
+    room[::2], room[1::2] = map(sub, frame.upper, values), map(sub, values, frame.lower)
+    return room
 
 
 def push_unit(frame: Frame, values, ids: list[int]) -> Flow:

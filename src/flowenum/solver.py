@@ -4,7 +4,8 @@ The solver is successive shortest paths: lower bounds are substituted away,
 arcs with negative cost are saturated up front (which leaves every residual
 cost nonnegative), and each augmentation runs Dijkstra with potentials over
 the network's `core.Frame`, and `core._path` reads each augmenting path
-back from its pred ids.
+back from its pred ids.  Room, imbalances and the result are read from the
+frame's lists, not from the `Arc`s.
 
 The Dijkstra is a generator that yields nodes as they settle, reading room
 and potentials afresh, as both move on every augmentation.  K-best traces
@@ -12,9 +13,10 @@ each offer's winning cycle with it and searches distances with its own
 `_search_back`.  The solver stops at the nearest deficit: once a node with
 negative imbalance settles, at distance reach, it reads on through the
 other nodes at reach and leaves at the first node past it, or as soon as
-the lowest-index deficit left settles.  The target is the lowest-index
-deficit among the settled nodes, the same node a full search would choose,
-so the choice never depends on the order in which the heap pops ties.  Only
+the lowest-index deficit left settles.  The target is taken as nodes
+settle: the lowest-index deficit settled so far, so in the end the lowest
+among the settled nodes, the same node a full search would choose, and the
+choice never depends on the order in which the heap pops ties.  Only
 the settled nodes' potentials move, by dist - reach, which is 0 on the nodes
 at reach left unread; a full search would add reach to that on every node,
 which leaves every reduced cost, and so every path and flow, the same.
@@ -25,8 +27,9 @@ from __future__ import annotations
 import heapq
 from collections import deque
 from itertools import count
+from operator import add
 
-from .core import Flow, Frame, Network, _path, check_feasible, frame_of, validate_network
+from .core import Flow, Frame, Network, _path, check_feasible, frame_of, residual_room, validate_network
 from .errors import InfeasibleError, InvariantError, NegativeCycleError
 
 
@@ -39,18 +42,17 @@ def _solve(net: Network) -> tuple[Frame, Flow]:
     """`solve_min_cost_flow(net)` and the frame it ran on, whose bounds it leaves as `net`'s."""
     validate_network(net)
     n = net.node_count
-
-    # Work on the zero-lower-bound substitution, where room[2a + 1] is the
-    # flow above arc a's lower bound; restore lowers at the end.
-    room = [spare for arc in net.arcs
-            for spare in ((0, arc.span) if arc.cost < 0 else (arc.span, 0))]
-    imbalance = list(net.balances)
-    for index, arc in enumerate(net.arcs):
-        imbalance[arc.src] -= arc.lower + room[2 * index + 1]
-        imbalance[arc.dst] += arc.lower + room[2 * index + 1]
-
     frame = frame_of(net)
-    head, cost, incident = frame.head, frame.cost, frame.incident
+    head, tail, cost, incident = frame.head, frame.tail, frame.cost, frame.incident
+
+    # Saturate the arcs of negative cost; room[2a + 1] is the flow above arc a's lower bound.
+    start = [hi if weight < 0 else lo for weight, lo, hi in zip(cost[::2], frame.lower, frame.upper)]
+    room = residual_room(frame, start)
+    imbalance = list(net.balances)
+    for src, dst, value in zip(tail[::2], head[::2], start):
+        imbalance[src] -= value
+        imbalance[dst] += value
+
     potential = [0] * n
     # Sources only lose supply and targets stay at or below zero, so neither
     # the lowest node with supply left nor the lowest with demand left moves back.
@@ -64,29 +66,31 @@ def _solve(net: Network) -> tuple[Frame, Flow]:
             lowest += 1
         dist, pred = [None] * n, [None] * n  # pred[v]: the residual id that reached v
         settled: list[int] = []
-        reach = None
+        reach, target = None, n  # the lowest deficit settled so far, at distance reach
         for node in _dijkstra(head, cost, room, potential, incident, source, dist, pred):
             if reach is not None and dist[node] > reach:
                 break
             settled.append(node)
-            if reach is None and imbalance[node] < 0:
-                reach = dist[node]
-            if node == lowest:
-                break
+            if node < target and imbalance[node] < 0:
+                reach, target = dist[node], node  # every deficit settled is at reach
+                if node == lowest:
+                    break
         if reach is None:
             raise InfeasibleError("supply cannot reach demand in the residual graph")
-        target = min(node for node in settled if imbalance[node] < 0)
         for node in settled:
             potential[node] += dist[node] - reach
-        path = _path(frame.tail, pred, source, target)
-        amount = min(imbalance[source], -imbalance[target], *(room[index] for index in path))
+        path = _path(tail, pred, source, target)
+        amount = min(imbalance[source], -imbalance[target])
+        for index in path:
+            if room[index] < amount:
+                amount = room[index]
         for index in path:
             room[index] -= amount
             room[index ^ 1] += amount
         imbalance[source] -= amount
         imbalance[target] += amount
 
-    result = Flow(tuple(arc.lower + room[2 * index + 1] for index, arc in enumerate(net.arcs)))
+    result = Flow(tuple(map(add, frame.lower, room[1::2])))
     if not check_feasible(net, result):
         raise InvariantError("successive shortest paths ended on an infeasible flow")
     return frame, result

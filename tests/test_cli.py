@@ -579,6 +579,15 @@ class TestErrorPaths:
         code, _, err = invoke(["solve", "/nonexistent/path.min"])
         assert code == 2 and err
 
+    def test_byte_order_mark_is_read_past(self, tmp_path, chain3_network):
+        plain = write_instance(tmp_path, chain3_network)
+        marked = tmp_path / "marked.min"
+        marked.write_bytes(b"\xef\xbb\xbf" + Path(plain).read_bytes())
+        runs = [invoke(["solve", path]) for path in (plain, str(marked))]
+        for _, lines, _ in runs:
+            lines[-1].pop("elapsed_ms")
+        assert runs[0] == runs[1] and runs[0][0] == 0
+
     def test_parse_error(self, tmp_path):
         path = tmp_path / "broken.min"
         path.write_text("p min 2 1\na 1 9 0 1 0\n", encoding="utf-8")

@@ -1,3 +1,5 @@
+import dataclasses
+import pickle
 import random
 
 import pytest
@@ -13,6 +15,7 @@ from flowenum.core import (
     flow_cost,
     frame_of,
     push_unit,
+    residual_room,
     validate_network,
 )
 from flowenum.errors import (
@@ -75,14 +78,66 @@ class TestValidateNetwork:
         (0, (), (), "at least one node"),
         (2, (), (0,), "2 nodes but 1 balances"),
         (2, (Arc(0, 2, 0, 1, 0),), (0, 0), "endpoint out of range"),
+        (2.0, (Arc(0, 1, 0, 1, 0),), (0, 0), "node_count must be an integer"),
+        (True, (), (0,), "node_count must be an integer"),
+        ("2", (Arc(0, 1, 0, 1, 0),), (0, 0), "node_count must be an integer"),
+        (2, ((0, 1, 0, 1, 0),), (0, 0), "arcs must be Arc instances"),
     ])
     def test_malformed_network_rejected(self, node_count, arcs, balances, message):
         with pytest.raises(NetworkValidationError, match=message):
             Network(node_count, arcs, balances)
 
+    def test_arc_keeps_its_dataclass_contract(self):
+        assert [field.name for field in dataclasses.fields(Arc)] == [
+            "src", "dst", "lower", "upper", "cost"]
+        arc = Arc(0, 1, 0, 3, 5)
+        with pytest.raises(BadBoundsError):
+            dataclasses.replace(arc, lower=5)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            arc.cost = 1
+        assert arc == Arc(0, 1, 0, 3, 5) and hash(arc) == hash(Arc(0, 1, 0, 3, 5))
+        assert pickle.loads(pickle.dumps(arc)) == arc
+        for spec, error, message in [
+            ((0, 1, 0, float("inf"), 0), InfiniteCapacityError,
+             "capacities must be finite integers, got Arc(src=0, dst=1, lower=0, upper=inf, cost=0)"),
+            ((0, 1, 0, 2, 0.5), NetworkValidationError,
+             "arc ends and costs must be integers, got Arc(src=0, dst=1, lower=0, upper=2, cost=0.5)"),
+            ((2, 2, 0, 1, 0), NetworkValidationError, "self-loop on node 2"),
+            ((0, 1, 3, 1, 0), BadBoundsError, "arc (0,1) requires 0 <= lower <= upper, got [3,1]"),
+        ]:
+            with pytest.raises(error) as caught:
+                Arc(*spec)
+            assert type(caught.value) is error and str(caught.value) == message
+
     def test_non_integer_balance_rejected(self):
         with pytest.raises(NetworkValidationError, match="balances must be integers"):
             validate_network(Network(2, (Arc(0, 1, 0, 1, 0),), (1.0, -1.0)))
+
+
+class TestFrame:
+    def test_frame_matches_its_docstring(self):
+        rng = random.Random(11)
+        for _ in range(40):
+            net, witness = random_feasible_network(rng, max_nodes=7, max_arcs=14)
+            # Parallel and anti-parallel arcs, and a last node that no arc touches.
+            arcs = net.arcs + (Arc(0, 1, 0, 2, 3), Arc(0, 1, 1, 1, -2), Arc(1, 0, 0, 1, 4))
+            n = net.node_count + 1
+            frame = frame_of(Network(n, arcs, net.balances + (0,)))
+            ids = range(2 * len(arcs))
+            assert frame.node_count == n
+            assert frame.head == [arcs[r >> 1].src if r & 1 else arcs[r >> 1].dst for r in ids]
+            assert frame.tail == [frame.head[r ^ 1] for r in ids]
+            assert frame.origin == [r >> 1 for r in ids]
+            assert frame.cost == [-arcs[r >> 1].cost if r & 1 else arcs[r >> 1].cost for r in ids]
+            assert frame.incident == [
+                [2 * a for a, arc in enumerate(arcs) if arc.src == v]
+                + [2 * a + 1 for a, arc in enumerate(arcs) if arc.dst == v] for v in range(n)]
+            assert frame.lower == [arc.lower for arc in arcs]
+            assert frame.upper == [arc.upper for arc in arcs]
+            values = witness.values + (1, 1, 0)
+            assert residual_room(frame, values) == [
+                spare for arc, value in zip(arcs, values)
+                for spare in (arc.upper - value, value - arc.lower)]
 
 
 class TestFeasibility:

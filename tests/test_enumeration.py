@@ -216,8 +216,9 @@ class TestFrameSearch:
             for name in ("check_feasible", "replace", "frame_of"):
                 if hasattr(module, name):
                     monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
-        for cls in (Network, Arc):
-            monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+        # `Arc` checks its arguments in its own `__init__`; `Network` in `__post_init__`.
+        for cls, hook in ((Network, "__post_init__"), (Arc, "__init__")):
+            monkeypatch.setattr(cls, hook, counted(cls.__name__, getattr(cls, hook)))
 
         tied = random_grid_network(random.Random(2), 6, 6, min_cost=0, max_cost=0, both_ways=True)
         # Low costs give K-best both ties and cheapest cycles.
