@@ -114,17 +114,6 @@ def _stream(out, net: Network, flows) -> tuple[int, int | None]:
     return count, first_cost
 
 
-def _summary(out, command: str, net: Network, started: float, **extra) -> None:
-    """One summary line: instance size, timing, then the command's own fields."""
-    _emit(out, {
-        "command": command,
-        "nodes": net.node_count,
-        "arcs": net.arc_count,
-        "elapsed_ms": round((time.perf_counter() - started) * 1000.0, 3),
-        **extra,
-    })
-
-
 def _cmd_solve(args, net, out) -> dict:
     count, cost = _stream(out, net, [solve_min_cost_flow(net)])
     return {"count": count, "optimal_cost": cost}
@@ -181,6 +170,8 @@ def _cmd_oracle(args, net, out) -> dict:
     else:
         flows = k_best_bruteforce(net, args.k, budget)
     count, _ = _stream(out, net, flows)
+    if not count:  # every mode lists at least one flow of a feasible instance
+        raise InfeasibleError("the instance admits no feasible flow")
     return {"mode": args.mode, "count": count}
 
 
@@ -226,13 +217,15 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 2
     except InfeasibleError as exc:
         print(f"flowenum: {exc}", file=err)
-        _summary(out, args.command, net, started, count=0, infeasible=True)
-        return 1
+        fields = {"count": 0, "infeasible": True}
     except BudgetExceededError as exc:
         print(f"flowenum: {exc}", file=err)
         return 3
-    _summary(out, args.command, net, started, **fields)
-    return 1 if fields.get("match") is False else 0
+    # One summary line: instance size, timing, then the command's own fields.
+    elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
+    _emit(out, {"command": args.command, "nodes": net.node_count, "arcs": net.arc_count,
+                "elapsed_ms": elapsed_ms, **fields})
+    return 1 if fields.get("infeasible") or fields.get("match") is False else 0
 
 
 def main() -> None:

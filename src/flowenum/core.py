@@ -77,22 +77,25 @@ class Network:
     balances: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arcs", tuple(self.arcs))
-        object.__setattr__(self, "balances", tuple(self.balances))
-        if type(self.node_count) is not int:
-            raise NetworkValidationError(f"node_count must be an integer, got {self.node_count!r}")
-        if self.node_count < 1:
+        arcs, balances, node_count = tuple(self.arcs), tuple(self.balances), self.node_count
+        object.__setattr__(self, "arcs", arcs)
+        object.__setattr__(self, "balances", balances)
+        if type(node_count) is not int:
+            raise NetworkValidationError(f"node_count must be an integer, got {node_count!r}")
+        if node_count < 1:
             raise NetworkValidationError("a network needs at least one node")
-        if len(self.balances) != self.node_count:
-            raise NetworkValidationError(
-                f"{self.node_count} nodes but {len(self.balances)} balances"
-            )
-        try:
-            for arc in self.arcs:
-                if not (0 <= arc.src < self.node_count and 0 <= arc.dst < self.node_count):
-                    raise NetworkValidationError(f"arc endpoint out of range: {arc}")
-        except AttributeError:
-            raise NetworkValidationError(f"arcs must be Arc instances, got {arc!r}") from None
+        if len(balances) != node_count:
+            raise NetworkValidationError(f"{node_count} nodes but {len(balances)} balances")
+        # Exact types, as `Flow` checks its values: an exact `Arc` has passed `Arc.__init__`.
+        if not set(map(type, balances)) <= {int}:
+            bad = next(value for value in balances if type(value) is not int)
+            raise NetworkValidationError(f"balances must be integers, got {bad!r}")
+        if not set(map(type, arcs)) <= {Arc}:
+            bad = next(arc for arc in arcs if type(arc) is not Arc)
+            raise NetworkValidationError(f"arcs must be Arc instances, got {bad!r}")
+        for arc in arcs:
+            if not (0 <= arc.src < node_count and 0 <= arc.dst < node_count):
+                raise NetworkValidationError(f"arc endpoint out of range: {arc}")
 
     @property
     def arc_count(self) -> int:
@@ -100,10 +103,7 @@ class Network:
 
 
 def validate_network(net: Network) -> None:
-    """Raise unless the network satisfies every structural invariant."""
-    for balance in net.balances:
-        if not isinstance(balance, int) or isinstance(balance, bool):
-            raise NetworkValidationError(f"balances must be integers, got {balance!r}")
+    """Raise unless the supplies balance and the network is connected; `Network` checks each value."""
     if sum(net.balances) != 0:
         raise UnbalancedSupplyError(f"balances sum to {sum(net.balances)}, expected 0")
     if net.node_count > 1:

@@ -5,8 +5,8 @@
     n <node id> <balance>
     a <src> <dst> <lower> <capacity> <cost>
 
-Node ids are 1-based on disk and 0-based in memory; arc ids follow file
-order.  Nodes without an `n` line have balance 0.
+Node ids are 1-based on disk and 0-based in memory; arc ids follow file order.  Nodes
+without an `n` line have balance 0.  A record ends at a line feed, a carriage return or both.
 """
 
 from __future__ import annotations
@@ -55,7 +55,8 @@ def parse_dimacs(text: str) -> Network:
 
     # int() also takes "1_0" and non-ASCII digits; fields must be [+-]?[0-9]+.
     loose = not text.isascii() or "_" in text
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    # splitlines() would also end records at \v, \f, \x1c-\x1e, \x85, \u2028 and \u2029.
+    for line_no, raw in enumerate(text.replace("\r\n", "\n").replace("\r", "\n").split("\n"), 1):
         fields = raw.split()
         if not fields:
             continue

@@ -500,7 +500,7 @@ def decompose_cycle(ts: TreeStructure, walk: Sequence[tuple[int, int]]) -> list[
     first_tail = None
     for arc_id, sign in walk:
         _in_range(net, arc_id)
-        if sign not in (1, -1):
+        if type(sign) is not int or sign not in (1, -1):  # not 1.0 or True either
             raise ValueError(f"step sign {sign} is not 1 or -1")
         arc = net.arcs[arc_id]
         tail, tip = (arc.src, arc.dst) if sign > 0 else (arc.dst, arc.src)

@@ -67,6 +67,7 @@ class TestSolve:
         code, lines, err = invoke(["solve", str(path)])
         assert code == 1
         assert lines[-1]["infeasible"] is True
+        assert list(lines[-1]) == ["command", "nodes", "arcs", "elapsed_ms", "count", "infeasible"]
 
 
 class TestEnumerate:
@@ -348,6 +349,16 @@ class TestOracle:
         assert code == 0
         _, summary = flows_and_summary(lines)
         assert summary["count"] == 11
+
+    @pytest.mark.parametrize("mode", [["feasible"], ["optimal"], ["kbest", "--k", "2"]])
+    def test_infeasible_instance_exits_one(self, tmp_path, mode):
+        # Every mode lists at least one flow of a feasible instance; this one has none.
+        path = tmp_path / "infeasible.min"
+        path.write_text("p min 2 1\nn 1 1\nn 2 -1\na 1 2 0 0 1\n", encoding="utf-8")
+        code, lines, err = invoke(["oracle", str(path), "--mode", *mode])
+        assert code == 1 and err == "flowenum: the instance admits no feasible flow\n"
+        assert len(lines) == 1 and lines[0]["command"] == "oracle"
+        assert lines[0]["count"] == 0 and lines[0]["infeasible"] is True
 
     def test_kbest_mode_needs_k(self, tmp_path, chain3_network):
         path = write_instance(tmp_path, chain3_network)

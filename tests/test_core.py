@@ -1,6 +1,7 @@
 import dataclasses
 import pickle
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -82,6 +83,11 @@ class TestValidateNetwork:
         (True, (), (0,), "node_count must be an integer"),
         ("2", (Arc(0, 1, 0, 1, 0),), (0, 0), "node_count must be an integer"),
         (2, ((0, 1, 0, 1, 0),), (0, 0), "arcs must be Arc instances"),
+        (2, (Arc(0, 1, 0, 1, 0),), (1.0, -1.0), "balances must be integers, got 1.0"),
+        (2, (Arc(0, 1, 0, 1, 0),), (True, -1), "balances must be integers, got True"),
+        # A look-alike would skip every check `Arc.__init__` makes, here its inverted bounds.
+        (2, (SimpleNamespace(src=0, dst=1, lower=5, upper=1, cost=0),), (0, 0),
+         "arcs must be Arc instances"),
     ])
     def test_malformed_network_rejected(self, node_count, arcs, balances, message):
         with pytest.raises(NetworkValidationError, match=message):

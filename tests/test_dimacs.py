@@ -110,6 +110,26 @@ class TestParse:
         assert (caught.value.line, caught.value.column) == (2, column)
         assert str(caught.value) == f"line 2, column {column}: {message}"
 
+    # str.splitlines() ends a line at each of these too, which split one record in two.
+    @pytest.mark.parametrize("separator", ["\v", "\f", "\x1c", "\x1d", "\x1e", "\x85", "\u2028", "\u2029"])
+    def test_records_end_at_line_feeds_and_carriage_returns_only(self, separator):
+        with pytest.raises(DimacsSyntaxError) as caught:
+            parse_dimacs(f"p min 2 1\nn 1 1{separator}n 2 -1\na 1 2 0 1 0\n")
+        assert caught.value.line == 2
+
+    def test_a_form_feed_line_counts_once(self):
+        with pytest.raises(DimacsSyntaxError) as caught:
+            parse_dimacs("p min 2 1\nc page one\f\nn 1 1\na 1 2 0 x 0\n")
+        assert (caught.value.line, caught.value.column) == (4, 9)
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"])
+    def test_carriage_return_endings_parse(self, newline):
+        text = newline.join(["p min 2 1", "n 1 1", "n 2 -1", "a 1 2 0 1 0", ""])
+        assert parse_dimacs(text) == parse_dimacs(text.replace(newline, "\n"))
+        with pytest.raises(DimacsSyntaxError) as caught:
+            parse_dimacs(text.replace("a 1 2 0 1 0", "a 1 2 0 x 0"))
+        assert (caught.value.line, caught.value.column) == (4, 9)
+
     def test_signed_integers_still_parse(self):
         net = parse_dimacs("p min 2 1\nn 1 +1\nn 2 -1\na 1 2 0 +1 -3\n")
         assert net.balances == (1, -1)

@@ -454,6 +454,16 @@ class TestRejectedInputs:
             decompose_cycle(ts, walk)
         assert decompose_cycle(ts, [(arc, 1 if sign > 0 else -1) for arc, sign in walk])
 
+    # 1.0, -1.0 and True compare equal to 1 or -1, as float and bool arc ids do to ints.
+    @pytest.mark.parametrize("step, sign", [(0, 1.0), (2, -1.0), (1, True)])
+    def test_step_sign_must_be_an_int(self, eleven_optima_network, eleven_optima_flow, step, sign):
+        _, ts = to_tree_solution(eleven_optima_network, eleven_optima_flow)
+        walk = [(0, 1), (3, 1), (2, -1)]
+        assert decompose_cycle(ts, walk)
+        walk[step] = (walk[step][0], sign)
+        with pytest.raises(ValueError, match=f"step sign {sign} is not 1 or -1"):
+            decompose_cycle(ts, walk)
+
 class TestCycleCapacity:
     """The one capacity reader against the least headroom along each induced cycle."""
 
