@@ -186,7 +186,7 @@ class ResidualGraph:
 
 @dataclass
 class Frame:
-    """One instance's per-id views, built once, and per-arc bounds that callers narrow or swap."""
+    """One instance's per-id views, built once, and per-arc bounds that a search narrows in place."""
 
     node_count: int
     head: list[int]            # per residual id r, the node it enters

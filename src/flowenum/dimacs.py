@@ -81,7 +81,7 @@ def parse_dimacs(text: str) -> Network:
                 raise DimacsSyntaxError("node and arc counts out of range", line=line_no)
             try:
                 balances = [0] * node_count
-            except MemoryError:
+            except (MemoryError, OverflowError):  # the latter past `sys.maxsize`
                 raise DimacsSyntaxError(
                     f"{node_count} nodes do not fit in memory", line=line_no
                 ) from None

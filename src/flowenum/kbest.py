@@ -14,8 +14,8 @@ first, runs until no waiting candidate can beat the best cycle and pushes no
 label past that bound; only the winner's path is traced, once, by the
 solver's `_dijkstra` and read back by `core._path`.
 Regions are split as in the all-optimal search and ranked on a heap keyed by
-challenger cost.  They share the instance's one `core.Frame`, each heap entry
-holding its own `lower` and `upper` lists to swap in.
+challenger cost.  A waiting region is a tuple of `_split`'s `(arc, lo, hi)` narrowings,
+which an offer applies to the instance's one `core.Frame` in place and then undoes.
 """
 
 from __future__ import annotations
@@ -135,28 +135,26 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
     frame, best = _solve(net)
     costs = frame.cost[::2]  # per arc, as the CLI sums them
     yield best
-    if k == 1:
-        return
-    emitted = 1
-    ticket = count()
-    heap: list = []  # (challenger cost, ticket, region's lower, upper, best, challenger, cycle)
+    ticket, lower, upper = count(), frame.lower, frame.upper
+    heap: list = []  # (challenger cost, ticket, challenger, halves: (narrowings, best) each)
 
-    def offer(lower: list[int], upper: list[int], region_best) -> None:
-        frame.lower, frame.upper = lower, upper
+    def offer(narrowed: tuple, region_best) -> None:
+        for arc, lo, hi in narrowed:
+            lower[arc], upper[arc] = lo, hi
         challenger, cycle = _second_best(frame, region_best)
         if challenger is not None:
-            heappush(heap, (sum(map(mul, costs, challenger.values)), next(ticket), lower, upper,
-                            region_best, challenger, cycle))
+            arc, *halves = _split(region_best, cycle, lower, upper)
+            heappush(heap, (sum(map(mul, costs, challenger.values)), next(ticket), challenger,
+                            [(narrowed + ((arc, *half),), values)
+                             for half, values in zip(halves, (region_best, challenger.values))]))
+        for arc, _, _ in narrowed:
+            lower[arc], upper[arc] = net.arcs[arc].lower, net.arcs[arc].upper
 
-    offer(frame.lower, frame.upper, best.values)
-    while heap and emitted < k:
-        _, _, lower, upper, parent, challenger, cycle = heappop(heap)
-        yield challenger
-        emitted += 1
-        if emitted == k:
+    halves = [((), best.values)]  # the whole instance, narrowed nowhere
+    for _ in range(k - 1):  # the last flow's halves are never offered
+        for narrowed, region_best in halves:
+            offer(narrowed, region_best)
+        if not heap:
             return
-        arc, *halves = _split(parent, cycle, lower, upper)
-        for (lo, hi), region_best in zip(halves, (parent, challenger.values)):
-            half_lower, half_upper = lower[:], upper[:]
-            half_lower[arc], half_upper[arc] = lo, hi
-            offer(half_lower, half_upper, region_best)
+        _, _, challenger, halves = heappop(heap)
+        yield challenger

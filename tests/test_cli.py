@@ -640,12 +640,14 @@ class TestErrorPaths:
 
     @pytest.mark.parametrize("arcs", [0, 10**15])
     def test_huge_node_count_is_a_parse_error(self, tmp_path, arcs):
-        # A header alone; 10**15 balances cannot be allocated, so this fails at once.
-        path = tmp_path / "huge.min"
-        path.write_text(f"p min {10**15} {arcs}\n", encoding="utf-8")
-        code, lines, err = invoke(["solve", str(path)])
-        assert code == 2 and lines == []
-        assert err.startswith("flowenum: ") and f"line 1: {10**15} nodes do not fit" in err
+        # A header alone; 10**15 balances cannot be allocated and 10**20 is past
+        # `sys.maxsize`, so either fails at once.
+        for nodes in (10**15, 10**20):
+            path = tmp_path / "huge.min"
+            path.write_text(f"p min {nodes} {arcs}\n", encoding="utf-8")
+            code, lines, err = invoke(["solve", str(path)])
+            assert code == 2 and lines == []
+            assert err.startswith("flowenum: ") and f"line 1: {nodes} nodes do not fit" in err
 
     def test_undecodable_file(self, tmp_path):
         path = tmp_path / "binary.min"

@@ -668,6 +668,27 @@ class TestRegionsOnOneFrame:
         assert mine == list(reference_k_best_flows(net, 300))
         assert len(mine) == min(300, (span + 1) ** k)
 
+    def test_offers_narrow_the_frame_bounds_in_place(self, monkeypatch):
+        # Every offer gets the frame's own two bound lists, narrowed for its region,
+        # and every flow comes out with the instance's bounds back in them.
+        net = random_grid_network(random.Random(0), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+        instance = ([arc.lower for arc in net.arcs], [arc.upper for arc in net.arcs])
+        second_best, seen, narrowed = flowenum.kbest._second_best, [], [0]
+
+        def offer(region, values):
+            seen.append((region.lower, region.upper))
+            narrowed[0] += seen[-1] != instance
+            return second_best(region, values)
+
+        monkeypatch.setattr(flowenum.kbest, "_second_best", offer)
+        flows = 0
+        for _ in iter_k_best_flows(net, 40):
+            flows += 1
+            assert not seen or seen[-1] == instance
+        lower, upper = seen[0]
+        assert all(each[0] is lower and each[1] is upper for each in seen)
+        assert flows == 40 and len(seen) > 40 and narrowed[0] == len(seen) - 1
+
 
 def single_arc_restrictions(net, best):
     """Every flow other than `best` lies in one of these networks."""
