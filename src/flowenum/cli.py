@@ -1,7 +1,8 @@
 """Command line: solve, enumerate, rank, bound, and cross-check flow instances.
 
 Flows stream to stdout as JSON lines ({"cost": ..., "flow": [...]}) followed
-by one summary object; diagnostics go to stderr.  Exit codes: 0 success,
+by one summary object; diagnostics go to stderr.  Each line is one write, and a
+flow line joins decimal strings made once per stream.  Exit codes: 0 success,
 1 infeasible instance or failed verification, 2 usage or parse errors,
 3 a search budget exceeded, 130 interrupted, 141 stdout closed early.
 The argument parser is built once per process, on the first `run()`.  Each
@@ -98,19 +99,27 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     return parser, oracle
 
 
+class _Digits(dict):
+    """Decimal strings of ints, each made on its first lookup."""
+    def __missing__(self, value: int) -> str:
+        text = self[value] = str(value)
+        return text
+
+
 def _emit(out, payload) -> None:
-    print(json.dumps(payload), file=out)
+    out.write(json.dumps(payload) + "\n")
 
 
 def _stream(out, net: Network, flows) -> tuple[int, int | None]:
-    """Emit each flow as one JSON line; how many there were and the first one's cost."""
-    count, first_cost, costs = 0, None, [arc.cost for arc in net.arcs]
+    """Write each flow as one JSON line; how many there were and the first one's cost.
+    `Flow` holds exact ints, so their joined decimal strings are `json.dumps`'s bytes."""
+    count, first_cost, costs, digits = 0, None, [arc.cost for arc in net.arcs], _Digits()
     for count, flow in enumerate(flows, 1):
         _require_dimensions(net, flow)
         cost = sum(map(mul, costs, flow.values))
         if first_cost is None:
             first_cost = cost
-        _emit(out, {"cost": cost, "flow": list(flow.values)})
+        out.write('{"cost": %d, "flow": [%s]}\n' % (cost, ", ".join(map(digits.__getitem__, flow.values))))
     return count, first_cost
 
 
@@ -196,8 +205,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):  # --help writes to stdout
             args = parser.parse_args(argv)
-            if args.command == "oracle" and args.mode == "kbest" and args.k is None:
-                oracle.error("--mode kbest needs --k")
+            if args.command == "oracle" and (args.mode == "kbest") != (args.k is not None):
+                oracle.error("--mode kbest needs --k" if args.k is None else "--k needs --mode kbest")
     except SystemExit as exit_:  # argparse already printed its diagnostics
         code = exit_.code if isinstance(exit_.code, int) else 2
         return code

@@ -13,7 +13,8 @@ the forward ids and the cross ids whose head is in the tail's own tree (one
 into an earlier tree lies on no cycle, as all that tree reaches was discovered
 before it finished).  Scanning them by descending id, the order that fixes
 which cycle and so which flow comes next, either produces a proper cycle or
-proves none exists; only cross arcs need a lowest common ancestor.  A tree
+proves none exists.  Only a cross id needs a lowest common ancestor, and only when its
+head's SBAlow is below the head's own number, as that ancestor lies above the head.  A tree
 path is read up the parent ids by `core._path`, which takes `tail` per id.
 
 The kernel, `_search`, runs on a `core.Frame`, pushes one unit around the
@@ -200,6 +201,8 @@ def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list
 
     for index in sorted(forest.cross, reverse=True):
         u, v = tail[index], head[index]
+        if sbalow[v] == order[v]:  # the LCA is a proper ancestor of v, so the test below skips it
+            continue
         meet = _lca(forest, u, v)
         if sbalow[v] > order[meet]:
             continue
@@ -209,11 +212,11 @@ def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list
 
     # Parallel arcs: a short backward arc against a different-origin tree arc
     # closes a proper two-arc cycle that the three scans above cannot see.
+    parent_arc, short_back = forest.parent_arc, forest.short_back_arcs
     for node in reversed(forest.discovery):
-        tree_arc = forest.parent_arc[node]
-        for index in forest.short_back_arcs[node]:
-            if origin[index] != origin[tree_arc]:
-                return [tree_arc, index]
+        for index in short_back[node]:  # the tree arc is read only where a short one exists
+            if origin[index] != origin[parent_arc[node]]:
+                return [parent_arc[node], index]
     return None
 
 

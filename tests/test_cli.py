@@ -8,6 +8,7 @@ import subprocess
 import sys
 from dataclasses import replace
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 import flowenum.cli
 import flowenum.treebounds
 from flowenum.cli import DEFAULT_ENUMERATION_LIMIT, run
-from flowenum.core import Flow, check_feasible, flow_cost, frame_of, validate_network
+from flowenum.core import Arc, Flow, Network, check_feasible, flow_cost, frame_of, validate_network
 from flowenum.dimacs import serialize_dimacs
 from flowenum.errors import DimensionMismatchError
 
@@ -376,6 +377,16 @@ class TestOracle:
         assert err.startswith("usage: flowenum oracle")
         assert "flowenum oracle: error: --mode kbest needs --k" in err
 
+    @pytest.mark.parametrize("mode", ["feasible", "optimal"])
+    def test_k_without_kbest_mode_is_usage_error(self, tmp_path, mode):
+        # A 3-arc cycle has three feasible flows, all optimal: --k 1 must not list them.
+        path = tmp_path / "cycle.min"
+        path.write_text("p min 3 3\na 1 2 0 1 0\na 2 3 0 1 0\na 3 1 0 1 0\n", encoding="utf-8")
+        code, lines, err = invoke(["oracle", str(path), "--mode", mode, "--k", "1"])
+        assert code == 2 and lines == []
+        assert err.startswith("usage: flowenum oracle")
+        assert "flowenum oracle: error: --k needs --mode kbest" in err
+
     def test_nonpositive_budget_is_usage_error(self, tmp_path, chain3_network):
         path = write_instance(tmp_path, chain3_network)
         for argv in (["oracle", path, "--mode", "feasible", "--max-states", "0"],
@@ -562,6 +573,23 @@ class TestStream:
             out = io.StringIO()
             assert flowenum.cli._stream(out, net, [flow, flow]) == (2, flow_cost(net, flow))
             assert json.loads(out.getvalue().splitlines()[0])["cost"] == flow_cost(net, flow)
+
+    @pytest.mark.parametrize("arcs, flows", [
+        ([], [()]),
+        ([(0, 1, -5), (1, 0, -7)], [(2, 2), (0, 0), (1, 1)]),
+        ([(0, 1, 3 ** 41), (1, 0, -(2 ** 70))], [(2 ** 64, 2 ** 64), (2 ** 64 + 1, 2 ** 64 + 1)]),
+    ])
+    def test_each_flow_line_is_one_write_of_the_json_bytes(self, arcs, flows):
+        # Zero arcs, negative costs, values and costs past 2**63, and values that repeat
+        # within and across lines, so the decimal strings are looked up again.
+        net = Network(2, [Arc(src, dst, 0, 2 ** 65, cost) for src, dst, cost in arcs], [0, 0])
+        writes = []
+        out = SimpleNamespace(write=writes.append)
+        flows = [Flow(values) for values in flows]
+        count, _ = flowenum.cli._stream(out, net, flows)
+        assert count == len(writes) == len(flows)
+        for text, flow in zip(writes, flows):
+            assert text == json.dumps({"cost": flow_cost(net, flow), "flow": list(flow.values)}) + "\n"
 
     @pytest.mark.parametrize("values", [(1, 1), (1, 1, 0, 0)])
     def test_flow_of_the_wrong_length_raises(self, chain3_network, values):

@@ -514,3 +514,19 @@ def test_enumeration_and_kbest_build_no_residual_objects(monkeypatch, eleven_opt
     assert digest(iter_k_best_flows(eleven_optima_network, 15)) == HOT_PATH_GOLDEN["eleven"]
     assert digest(islice(iter_optimal_flows(grid), 150)) == HOT_PATH_GOLDEN["grid-enumerate"]
     assert digest(iter_k_best_flows(grid, 10)) == HOT_PATH_GOLDEN["grid-kbest"]
+
+
+def test_cross_ids_skip_the_lca_climb_when_sbalow_decides(monkeypatch):
+    # The 150 optima of the HOT_PATH_GOLDEN grid.  A cross id whose head's SBAlow is the
+    # head's own number fails the SBAlow test at every proper ancestor of the head, so the
+    # scan climbs to no LCA for it: 231 climbs, against 1,212 when every cross id climbed.
+    lca, calls = flowenum.dfs._lca, []
+
+    def counted(*args):
+        calls.append(args)
+        return lca(*args)
+
+    monkeypatch.setattr(flowenum.dfs, "_lca", counted)
+    grid = random_grid_network(random.Random(1), 6, 6, min_cost=0, max_cost=0, both_ways=True)
+    assert len(list(islice(iter_optimal_flows(grid), 150))) == 150
+    assert len(calls) == 231
