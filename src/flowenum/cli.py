@@ -60,8 +60,8 @@ def _positive_int(text: str) -> int:
 
 
 @cache  # parse_args builds a fresh Namespace per call and changes no parser state
-def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
-    """The command line parser, and its `oracle` subparser for the check argparse cannot express."""
+def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser, argparse.ArgumentParser]:
+    """The command line parser, and the subparsers of the checks argparse cannot express."""
     parser = argparse.ArgumentParser(
         prog="flowenum",
         description="Minimum-cost integer flows: one optimum, all optima, "
@@ -88,15 +88,16 @@ def _build_parser() -> tuple[argparse.ArgumentParser, argparse.ArgumentParser]:
     command("enumerate", _cmd_enumerate, [source, limited], "list every optimal integer flow")
     kbest = command("kbest", _cmd_kbest, [source], "list the K cheapest integer flows")
     kbest.add_argument("k", type=_positive_int)
-    bounds = command("bounds", _cmd_bounds, [source, limited],
-                     "bounds on the number of optimal and feasible flows")
+    bounds = command("bounds", _cmd_bounds, [source], "bounds on the number of optimal and feasible flows")
+    bounds.add_argument("--limit", type=_positive_int, help="with --exact, stop after this many "
+                        f"flows (default {DEFAULT_ENUMERATION_LIMIT})")  # none here: it needs --exact
     bounds.add_argument("--exact", action="store_true", help="also enumerate the exact count")
     oracle = command("oracle", _cmd_oracle, [source, budget], "brute-force reference enumeration")
     oracle.add_argument("--mode", choices=("feasible", "optimal", "kbest"), required=True)
     oracle.add_argument("--k", type=_positive_int, help="prefix length for --mode kbest")
     command("verify", _cmd_verify, [source, limited, budget],
             "diff the optimal-flow enumeration against the brute-force oracle")
-    return parser, oracle
+    return parser, oracle, bounds
 
 
 class _Digits(dict):
@@ -104,10 +105,6 @@ class _Digits(dict):
     def __missing__(self, value: int) -> str:
         text = self[value] = str(value)
         return text
-
-
-def _emit(out, payload) -> None:
-    out.write(json.dumps(payload) + "\n")
 
 
 def _stream(out, net: Network, flows) -> tuple[int, int | None]:
@@ -163,9 +160,10 @@ def _cmd_bounds(args, net, out) -> dict:
     }
     if args.exact:
         # As many flows past the first as the limit allows: one more shows it was reached.
-        rest = sum(1 for _ in islice(_flows_after(net, frame, flow), args.limit))
-        extra["exact_count"] = min(1 + rest, args.limit)
-        extra["limit_reached"] = rest == args.limit
+        limit = args.limit or DEFAULT_ENUMERATION_LIMIT
+        rest = sum(1 for _ in islice(_flows_after(net, frame, flow), limit))
+        extra["exact_count"] = min(1 + rest, limit)
+        extra["limit_reached"] = rest == limit
     return extra
 
 
@@ -201,15 +199,16 @@ def _cmd_verify(args, net, out) -> dict:
 def run(argv=None, stdout=None, stderr=None) -> int:
     out = stdout if stdout is not None else sys.stdout
     err = stderr if stderr is not None else sys.stderr
-    parser, oracle = _build_parser()
+    parser, oracle, bounds = _build_parser()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):  # --help writes to stdout
             args = parser.parse_args(argv)
             if args.command == "oracle" and (args.mode == "kbest") != (args.k is not None):
                 oracle.error("--mode kbest needs --k" if args.k is None else "--k needs --mode kbest")
+            if args.command == "bounds" and args.limit is not None and not args.exact:
+                bounds.error("--limit needs --exact")
     except SystemExit as exit_:  # argparse already printed its diagnostics
-        code = exit_.code if isinstance(exit_.code, int) else 2
-        return code
+        return exit_.code if isinstance(exit_.code, int) else 2
 
     started = time.perf_counter()
     try:
@@ -232,8 +231,8 @@ def run(argv=None, stdout=None, stderr=None) -> int:
         return 3
     # One summary line: instance size, timing, then the command's own fields.
     elapsed_ms = round((time.perf_counter() - started) * 1000.0, 3)
-    _emit(out, {"command": args.command, "nodes": net.node_count, "arcs": net.arc_count,
-                "elapsed_ms": elapsed_ms, **fields})
+    out.write(json.dumps({"command": args.command, "nodes": net.node_count, "arcs": net.arc_count,
+                          "elapsed_ms": elapsed_ms, **fields}) + "\n")
     return 1 if fields.get("infeasible") or fields.get("match") is False else 0
 
 

@@ -13,17 +13,17 @@ distance-only Dijkstra, `_search_back`, per head group, cheapest candidate
 first, runs until no waiting candidate can beat the best cycle and pushes no
 label past that bound; only the winner's path is traced, once, by the
 solver's `_dijkstra` and read back by `core._path`.
-Regions are split as in the all-optimal search and ranked on a heap keyed by
-challenger cost.  A waiting region is a tuple of `_split`'s `(arc, lo, hi)` narrowings,
-which an offer applies to the instance's one `core.Frame` in place and then undoes.
+Regions are split as in the all-optimal search.  A waiting region is one heap record: its
+challenger's cost above the optimum, a ticket, `_split`'s `(arc, lo, hi)` narrowings of the
+one `core.Frame`, its best flow and the cycle; its challenger is built only when popped.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from heapq import heappop, heappush
 from itertools import count
-from operator import mul
 from typing import Iterator
 
 from .core import Flow, Frame, Network, _path, _root, check_feasible, frame_of, push_unit, residual_room
@@ -37,12 +37,14 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     """The cheapest flow other than the optimal `flow`, ties first; raises InfeasibleFlowError."""
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot search from an infeasible flow")
-    return _second_best(frame_of(net), flow.values)[0]
+    frame = frame_of(net)
+    cycle = _second_best(frame, flow.values)
+    return None if cycle is None else push_unit(frame, flow.values, cycle)
 
 
-def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
-    """`find_second_best_flow` within the region's bounds, and the cycle it pushed `values`
-    around (None twice when there is none); `values` must be optimal there."""
+def _second_best(region: Frame, values) -> list[int] | None:
+    """The residual ids of the cycle that `find_second_best_flow` pushes `values` one unit
+    around within the region's bounds, or None if there is none; `values` must be optimal there."""
     head, cost, nodes = region.head, region.cost, region.node_count
     room = residual_room(region, values)
     potential = _potentials(region, room)
@@ -64,7 +66,7 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
         ids.sort()  # as `dfs._search` lists them; the order picks which tie comes next
     cycle = _proper_cycle(_forest(face, head), region.tail, region.origin)
     if cycle is not None:
-        return push_unit(region, values, cycle), cycle
+        return cycle
     # The flow is the unique optimum; the answer is the least (weight + dist[tail], id).
     # A free arc, with room both ways, weighs 0 both ways (both were checked above), so
     # distances are searched between the groups free arcs join.  An id between two groups
@@ -88,13 +90,12 @@ def _second_best(region: Frame, values) -> tuple[Flow | None, list[int] | None]:
             break
         best = _search_back(links, start, waiting, best)
     if best[1] < 0:
-        return None, None
+        return None
     index, dist, pred = best[1], [None] * nodes, [None] * nodes
     start, tail = head[index], region.tail[index]  # one trace: tail's path is final once it settles
     next(node for node in _dijkstra(head, cost, room, potential, region.incident, start, dist, pred)
          if node == tail)
-    cycle = [index, *reversed(_path(region.tail, pred, start, tail))]
-    return push_unit(region, values, cycle), cycle
+    return [index, *reversed(_path(region.tail, pred, start, tail))]
 
 
 def _search_back(links, start, waiting, best):
@@ -133,28 +134,32 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
     if type(k) is not int or k < 1:
         raise ValueError(f"k must be positive and an int, got {k!r}")
     frame, best = _solve(net)
-    costs = frame.cost[::2]  # per arc, as the CLI sums them
     yield best
-    ticket, lower, upper = count(), frame.lower, frame.upper
-    heap: list = []  # (challenger cost, ticket, challenger, halves: (narrowings, best) each)
+    ticket, lower, upper, cost = count(), frame.lower, frame.upper, frame.cost
+    heap: list = []  # (challenger cost above the optimum, ticket, narrowings, region best, cycle)
 
-    def offer(narrowed: tuple, region_best) -> None:
+    @contextmanager
+    def region(narrowed: tuple):  # the frame's bounds narrowed in place, then put back
         for arc, lo, hi in narrowed:
             lower[arc], upper[arc] = lo, hi
-        challenger, cycle = _second_best(frame, region_best)
-        if challenger is not None:
-            arc, *halves = _split(region_best, cycle, lower, upper)
-            heappush(heap, (sum(map(mul, costs, challenger.values)), next(ticket), challenger,
-                            [(narrowed + ((arc, *half),), values)
-                             for half, values in zip(halves, (region_best, challenger.values))]))
+        yield
         for arc, _, _ in narrowed:
             lower[arc], upper[arc] = net.arcs[arc].lower, net.arcs[arc].upper
 
-    halves = [((), best.values)]  # the whole instance, narrowed nowhere
+    halves = [((), best.values, 0)]  # (narrowings, region best, its cost above the optimum)
     for _ in range(k - 1):  # the last flow's halves are never offered
-        for narrowed, region_best in halves:
-            offer(narrowed, region_best)
+        for narrowed, region_best, above in halves:
+            with region(narrowed):
+                cycle = _second_best(frame, region_best)
+            if cycle is not None:
+                heappush(heap, (above + sum(cost[index] for index in cycle), next(ticket), narrowed,
+                                region_best, cycle))
         if not heap:
             return
-        _, _, challenger, halves = heappop(heap)
+        above, _, narrowed, region_best, cycle = heappop(heap)
+        with region(narrowed):  # `push_unit` checks the challenger against the region's bounds
+            challenger = push_unit(frame, region_best, cycle)
+            arc, keep, move = _split(region_best, cycle, lower, upper)
+        halves = [(narrowed + ((arc, *keep),), region_best, above - sum(cost[index] for index in cycle)),
+                  (narrowed + ((arc, *move),), challenger.values, above)]
         yield challenger

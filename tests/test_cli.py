@@ -294,6 +294,22 @@ class TestBounds:
         assert summary["exact_count"] == 11
         assert summary["feasible_upper_bound"] == 44
 
+    def test_limit_without_exact_is_usage_error(self, tmp_path):
+        # Only --exact counts flows, so a limit without it would be ignored.
+        path = tmp_path / "cycle.min"
+        path.write_text("p min 3 3\na 1 2 0 1 0\na 2 3 0 1 0\na 3 1 0 1 0\n", encoding="utf-8")
+        code, lines, err = invoke(["bounds", str(path), "--limit", "1"])
+        assert code == 2 and lines == []
+        assert err.startswith("usage: flowenum bounds")
+        assert "flowenum bounds: error: --limit needs --exact" in err
+
+    def test_exact_without_limit_stops_at_the_default(self, tmp_path, monkeypatch, eleven_optima_network):
+        path = write_instance(tmp_path, eleven_optima_network)
+        monkeypatch.setattr(flowenum.cli, "DEFAULT_ENUMERATION_LIMIT", 4)
+        code, lines, _ = invoke(["bounds", path, "--exact"])
+        assert code == 0
+        assert lines[-1]["exact_count"] == 4 and lines[-1]["limit_reached"] is True
+
     def test_each_cycle_capacity_is_read_once(self, tmp_path, monkeypatch, eleven_optima_network):
         # The tree arcs are (2, 3, 5, 6), so arcs 0, 1 and 4 close the induced cycles.
         read = []

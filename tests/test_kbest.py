@@ -689,6 +689,26 @@ class TestRegionsOnOneFrame:
         assert all(each[0] is lower and each[1] is upper for each in seen)
         assert flows == 40 and len(seen) > 40 and narrowed[0] == len(seen) - 1
 
+    def test_each_challenger_is_built_once_when_popped(self, monkeypatch):
+        # An offer keeps only its region's cycle, so `push_unit` runs once per flow after the first.
+        built = []
+        monkeypatch.setattr(flowenum.kbest, "push_unit", lambda *args: built.append(args) or push_unit(*args))
+        flows = list(iter_k_best_flows(random_grid_network(random.Random(3), 8, 8), 10))
+        assert len(flows) == 10 and len(built) == 9
+
+    def test_no_waiting_region_holds_a_flow(self, monkeypatch):
+        # A region record is (cost above the optimum, ticket, narrowings, best values, cycle);
+        # the group searches push two-field labels onto their own heaps.
+        entries = []
+        monkeypatch.setattr(flowenum.kbest, "heappush",
+                            lambda heap, entry: entries.append(entry) or heapq.heappush(heap, entry))
+        list(iter_k_best_flows(random_grid_network(random.Random(3), 8, 8), 10))
+        regions = [entry for entry in entries if len(entry) > 2]
+        assert len(regions) > 10
+        assert not any(isinstance(field, Flow) for entry in regions for field in entry)
+        assert all(len(entry) == 5 and all(len(narrowing) == 3 for narrowing in entry[2])
+                   for entry in regions)
+
 
 def single_arc_restrictions(net, best):
     """Every flow other than `best` lies in one of these networks."""
