@@ -199,8 +199,8 @@ class Frame:
 
 
 def frame_of(net: Network) -> Frame:
-    """`net`'s frame.  `incident` lists out-arcs' forward ids, then in-arcs' backward ids:
-    Dijkstra keeps the first of equally short paths, so every tie-break depends on this order."""
+    """`net`'s frame.  `incident` lists out-arcs' forward ids, then in-arcs' backward ids: the
+    Dijkstras keep the first of equally short paths, so their tie-breaks depend on this order."""
     arcs = net.arcs
     src, dst = [arc.src for arc in arcs], [arc.dst for arc in arcs]
     costs = [arc.cost for arc in arcs]

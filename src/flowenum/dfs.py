@@ -11,11 +11,12 @@ values (the shallowest dfs number reachable through short backward arcs
 alone) and the candidates a cycle scan reads: the greatest long backward id,
 the forward ids and the cross ids whose head is in the tail's own tree (one
 into an earlier tree lies on no cycle, as all that tree reaches was discovered
-before it finished).  Scanning them by descending id, the order that fixes
-which cycle and so which flow comes next, either produces a proper cycle or
-proves none exists.  Only a cross id needs a lowest common ancestor, and only when its
-head's SBAlow is below the head's own number, as that ancestor lies above the head.  A tree
-path is read up the parent ids by `core._path`, which takes `tail` per id.
+before it finished).  Scanning them, forward ids then cross ids, each by descending id,
+the order that fixes which cycle and so which flow comes next, either produces a proper
+cycle or proves none exists.  One rule reads both, as a forward id is a cross id whose LCA
+is its tail, with an empty tree path from it: an id into `v` climbs to its lowest common
+ancestor only when `v`'s SBAlow is below `v`'s own number.  A tree path is read up the
+parent ids by `core._path`, which takes `tail` per id.
 
 The kernel, `_search`, runs on a `core.Frame`, pushes one unit around the
 cycle it finds and returns the cycle and the forest, which holds its
@@ -30,6 +31,7 @@ arcs, and list out-arcs by (origin arc, forward first), so find the same cycle.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Sequence
 
 from .core import Cycle, Flow, Frame, Network, ResidualGraph, _path, check_feasible, frame_of, push_unit
@@ -162,7 +164,7 @@ def build_dfs_forest(rg: ResidualGraph) -> DfsForest:
 
 def _lca(forest: DfsForest, a: int, b: int) -> int:
     """Lowest common ancestor: the first node up from `a` whose discovery interval holds `b`.
-    Both nodes must be in one tree, as the ends of every id on `forest.cross` are."""
+    Both nodes must be in one tree, as the ends of every forward and listed cross id are."""
     order, size, parent = forest.order, forest.size, forest.parent_node
     while not order[a] <= order[b] < order[a] + size[a]:
         a = parent[a]
@@ -184,26 +186,19 @@ def _short_backward_path(forest: DfsForest, origin: list[int], start: int, goal:
 def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list[int] | None:
     """Residual ids of one proper cycle, in walk order, or None when there is none.
 
-    Reads the forest's candidates, each class by descending id: that order picks the cycle,
-    so the flow order the golden digests pin depends on it.  `tail` and `origin` are per id."""
+    Reads forward ids, then cross ids, each by descending id: that order picks the cycle, so
+    the flow order the golden digests pin depends on it.  `tail` and `origin` are per id."""
     order, head, sbalow = forest.order, forest.head, forest.sbalow
 
     index = forest.long_back
     if index >= 0:
         return [index, *reversed(_path(tail, forest.parent_arc, head[index], tail[index]))]
 
-    for index in sorted(forest.forward, reverse=True):
-        if sbalow[head[index]] > order[tail[index]]:
-            continue
-        path = _short_backward_path(forest, origin, head[index], tail[index], origin[index])
-        if path is not None:
-            return [index, *path]
-
-    for index in sorted(forest.cross, reverse=True):
+    for index in chain(sorted(forest.forward, reverse=True), sorted(forest.cross, reverse=True)):
         u, v = tail[index], head[index]
         if sbalow[v] == order[v]:  # the LCA is a proper ancestor of v, so the test below skips it
             continue
-        meet = _lca(forest, u, v)
+        meet = _lca(forest, u, v)  # u itself for a forward id, with no climb and no tree path
         if sbalow[v] > order[meet]:
             continue
         path = _short_backward_path(forest, origin, v, meet, origin[index])
@@ -211,7 +206,7 @@ def _proper_cycle(forest: DfsForest, tail: list[int], origin: list[int]) -> list
             return [index, *path, *reversed(_path(tail, forest.parent_arc, meet, u))]
 
     # Parallel arcs: a short backward arc against a different-origin tree arc
-    # closes a proper two-arc cycle that the three scans above cannot see.
+    # closes a proper two-arc cycle that the scans above cannot see.
     parent_arc, short_back = forest.parent_arc, forest.short_back_arcs
     for node in reversed(forest.discovery):
         for index in short_back[node]:  # the tree arc is read only where a short one exists

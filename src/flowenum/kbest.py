@@ -4,15 +4,15 @@ A second-best flow is either another optimum (another feasible flow of the
 optimal face) or one unit pushed around the cheapest proper cycle: a residual
 id `r` whose reverse `r ^ 1` has no room (its arc sits at a bound) plus the
 shortest way back from its head to its tail.  Each offer reads the residual
-ids once, checking every reduced weight, into per-node lists of the face's
-ids (weight 0) for the proper-cycle DFS and one list of candidate ids.  A
-free arc, with room both ways, weighs 0 both ways, so the nodes free arcs
-join (a `core._root` union-find group) lie at distance 0 from each other,
-and the candidates between groups are the `(weight, group)` links.  One
-distance-only Dijkstra, `_search_back`, per head group, cheapest candidate
-first, runs until no waiting candidate can beat the best cycle and pushes no
-label past that bound; only the winner's path is traced, once, by the
-solver's `_dijkstra` and read back by `core._path`.
+ids once, in id order, checking every reduced weight, into per-node lists of
+the face's ids (weight 0), ascending as `dfs._search` builds its out-lists, for
+the proper-cycle DFS and one list of candidate ids.  A free arc, with room both
+ways, weighs 0 both ways, so the nodes free arcs join (a `core._root` union-find
+group) lie at distance 0 from each other, and the candidates between groups are
+the `(weight, group)` links.  One distance-only Dijkstra, `_search_back`, per
+head group, cheapest candidate first, runs until no waiting candidate can beat
+the best cycle and pushes no label past that bound; only the winner's path is
+traced, once, by the solver's `_dijkstra` and read back by `core._path`.
 Regions are split as in the all-optimal search.  A waiting region is one heap record: its
 challenger's cost above the optimum, a ticket, `_split`'s `(arc, lo, hi)` narrowings of the
 one `core.Frame`, its best flow and the cycle; its challenger is built only when popped.
@@ -50,20 +50,17 @@ def _second_best(region: Frame, values) -> list[int] | None:
     potential = _potentials(region, room)
     # Pruned searches scan only part of the residual graph, so every weight is checked
     # here.  Each id whose reverse has no room starts a candidate cycle.
-    face: list[list] = [[] for _ in range(nodes)]  # weight-0 ids: the optimal face's
+    face: list[list] = [[] for _ in range(nodes)]  # weight-0 ids, whose order picks the next tie
     candidates = []  # (weight, id, tail)
-    for node, ids in enumerate(region.incident):
-        for index in ids:
-            if room[index]:
-                weight = cost[index] + potential[node] - potential[head[index]]
-                if weight < 0:
-                    raise InvariantError(f"negative residual reduced cost on arc {index >> 1}")
-                if not weight:
-                    face[node].append(index)
-                if not room[index ^ 1]:
-                    candidates.append((weight, index, node))
-    for ids in face:
-        ids.sort()  # as `dfs._search` lists them; the order picks which tie comes next
+    for index, node in enumerate(region.tail):  # by id, as `dfs._search` lists the face
+        if room[index]:
+            weight = cost[index] + potential[node] - potential[head[index]]
+            if weight < 0:
+                raise InvariantError(f"negative residual reduced cost on arc {index >> 1}")
+            if not weight:
+                face[node].append(index)
+            if not room[index ^ 1]:
+                candidates.append((weight, index, node))
     cycle = _proper_cycle(_forest(face, head), region.tail, region.origin)
     if cycle is not None:
         return cycle

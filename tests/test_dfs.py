@@ -520,11 +520,15 @@ def test_cross_ids_skip_the_lca_climb_when_sbalow_decides(monkeypatch):
     # The 150 optima of the HOT_PATH_GOLDEN grid.  A cross id whose head's SBAlow is the
     # head's own number fails the SBAlow test at every proper ancestor of the head, so the
     # scan climbs to no LCA for it: 231 climbs, against 1,212 when every cross id climbed.
+    # A forward id's tail is its head's ancestor, so `_lca` returns it without climbing;
+    # only the calls whose first node is no ancestor of the second are counted.
     lca, calls = flowenum.dfs._lca, []
 
-    def counted(*args):
-        calls.append(args)
-        return lca(*args)
+    def counted(forest, a, b):
+        order, size = forest.order, forest.size
+        if not order[a] <= order[b] < order[a] + size[a]:
+            calls.append((a, b))
+        return lca(forest, a, b)
 
     monkeypatch.setattr(flowenum.dfs, "_lca", counted)
     grid = random_grid_network(random.Random(1), 6, 6, min_cost=0, max_cost=0, both_ways=True)
