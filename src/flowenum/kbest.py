@@ -1,18 +1,18 @@
 """Ranked flow enumeration: K distinct flows in nondecreasing cost order.
 
-A second-best flow is either another optimum (another feasible flow of the
-optimal face) or one unit pushed around the cheapest proper cycle: a residual
-id `r` whose reverse `r ^ 1` has no room (its arc sits at a bound) plus the
-shortest way back from its head to its tail.  Each offer reads the residual
-ids once, in id order, checking every reduced weight, into per-node lists of
-the face's ids (weight 0), ascending as `dfs._search` builds its out-lists, for
-the proper-cycle DFS and one list of candidate ids.  A free arc, with room both
-ways, weighs 0 both ways, so the nodes free arcs join (a `core._root` union-find
-group) lie at distance 0 from each other, and the candidates between groups are
-the `(weight, group)` links.  One distance-only Dijkstra, `_search_back`, per
-head group, cheapest candidate first, runs until no waiting candidate can beat
-the best cycle and pushes no label past that bound; only the winner's path is
-traced, once, by the solver's `_dijkstra` and read back by `core._path`.
+A second-best flow is either another optimum (another feasible flow of the optimal face) or
+one unit pushed around the cheapest proper cycle: a residual id `r` whose reverse `r ^ 1` has
+no room (its arc sits at a bound) plus the shortest way back from its head to its tail.  Each
+offer reads the residual ids once, in id order, checking every reduced weight, into per-node
+lists of the face's ids (weight 0), ascending as `dfs._search` builds its out-lists, for the
+proper-cycle DFS and one list of candidate ids.  A free arc, with room both ways, weighs 0 both
+ways, so the nodes free arcs join (a `core._root` union-find group) lie at distance 0 from each
+other, and the candidates between groups are the `(weight, group)` links.  One distance-only
+Dijkstra, `_search_back`, per head group, cheapest candidate first, runs until no waiting
+candidate can beat the best cycle and pushes no label past that bound.  A group whose search
+found only keys above the best loses its links: no cycle through it can win or tie, so later
+searches neither wait on it nor pass through it.  Only the winner's path is traced, once, by
+the solver's `_dijkstra` and read back by `core._path`.
 Regions are split as in the all-optimal search.  A waiting region is one heap record: its
 challenger's cost above the optimum, a ticket, `_split`'s `(arc, lo, hi)` narrowings of the
 one `core.Frame`, its best flow and the cycle; its challenger is built only when popped.
@@ -34,7 +34,8 @@ from .solver import _dijkstra, _potentials, _solve
 
 
 def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
-    """The cheapest flow other than the optimal `flow`, ties first; raises InfeasibleFlowError."""
+    """The cheapest flow other than the optimal `flow`, ties first; raises InfeasibleFlowError
+    for an infeasible `flow` and NegativeCycleError for a feasible one that is not optimal."""
     if not check_feasible(net, flow):
         raise InfeasibleFlowError("cannot search from an infeasible flow")
     frame = frame_of(net)
@@ -85,7 +86,11 @@ def _second_best(region: Frame, values) -> list[int] | None:
     for start, waiting in offers.items():
         if next(iter(waiting.values()))[0] > best[0]:
             break
-        best = _search_back(links, start, waiting, best)
+        waiting = {tail: entry for tail, entry in waiting.items() if links[tail] or tail == start}
+        if waiting:
+            best, least = _search_back(links, start, waiting, best)
+            if least > best[0]:  # every cycle through `start` then costs more than `best`, which only falls
+                links[start] = ()
     if best[1] < 0:
         return None
     index, dist, pred = best[1], [None] * nodes, [None] * nodes
@@ -97,12 +102,15 @@ def _second_best(region: Frame, values) -> list[int] | None:
 
 def _search_back(links, start, waiting, best):
     """The least of `best` and each `waiting` tail group's (weight + distance from `start`,
-    id), by Dijkstra over per-group `(weight, group)` links; a tail group leaves `waiting`
-    once it settles.  It stops once none waits or none can reach the best key, ties
-    included, and pushes no label that could only be popped past that stop: over a
-    search `cheapest` only rises and `best` only falls."""
+    id), by Dijkstra over per-group `(weight, group)` links, and the least such key found; a
+    tail group leaves `waiting` once it settles.  It stops once none waits or none can reach
+    the best key, ties included, and pushes no label that could only be popped past that
+    stop (over a search `cheapest` only rises and `best` only falls), nor one into a group
+    with no links, which expands nothing and which the caller keeps in no `waiting` but its
+    own.  So each key it did not find exceeds the best it returns; if the least it found
+    does too, no cycle through `start` can reach the best, and the caller empties its links."""
     cheapest = next(iter(waiting.values()))[0]
-    dist, heap = {start: 0}, [(0, start)]
+    dist, heap, least = {start: 0}, [(0, start)], math.inf
     while heap:
         reached, node = heappop(heap)
         if reached > dist[node]:
@@ -111,18 +119,19 @@ def _search_back(links, start, waiting, best):
             break
         if node in waiting:
             weight, index = waiting.pop(node)
+            least = min(least, weight + reached)
             best = min(best, (weight + reached, index))
             if not waiting:
                 break
             cheapest = next(iter(waiting.values()))[0]
         slack = best[0] - cheapest - reached
         for weight, other in links[node]:
-            if weight <= slack:
+            if weight <= slack and links[other]:
                 label = reached + weight
                 if other not in dist or label < dist[other]:
                     dist[other] = label
                     heappush(heap, (label, other))
-    return best
+    return best, least
 
 
 def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:

@@ -482,9 +482,12 @@ class TestFindSecondBest:
 # (451, 6323): a group search crosses a zero-distance plateau in one step, stops
 # at its cheapest waiting candidate and traces no path.  Before the searches
 # pushed only labels that could still beat the best cycle, they read (509, 4890),
-# (465, 5140), (484, 5532), (616, 4751), (527, 5560) and (419, 2790).
-SEARCH_COUNTS = {0: (509, 4546), 1: (465, 4774), 2: (484, 5174), 3: (616, 4371),
-                 4: (527, 5174), 5: (419, 2504)}
+# (465, 5140), (484, 5532), (616, 4751), (527, 5560) and (419, 2790).  Before a
+# search that found only keys above the best emptied its head group's links, so
+# that later searches skip that group, they made (509, 4546), (465, 4774),
+# (484, 5174), (616, 4371), (527, 5174) and (419, 2504).
+SEARCH_COUNTS = {0: (474, 1850), 1: (449, 2378), 2: (441, 3032), 3: (574, 2663),
+                 4: (515, 2087), 5: (410, 1256)}
 
 
 class TestOfferLists:
@@ -580,6 +583,30 @@ class TestGroupSearch:
         nets = (random_grid_network(random.Random(seed), 8, 8) for seed in range(4))
         moved, grouped, stale = self.check_every_region(monkeypatch, nets, 10)
         assert moved > 50 and grouped > 50 and stale > 0
+
+    def test_a_tie_through_groups_searched_before_goes_to_the_smaller_id(self, monkeypatch):
+        # A region of a two-way 4x4 grid, cut down.  Free arc 2 joins nodes 0 and 2 into one
+        # group.  Two cycles cost one more than the optimum: ids 2 and 4 inside that group, and
+        # ids 0, 5, 8 and 7 through the groups of nodes 1 and 3.  The searches from those two
+        # groups run first and find only the second cycle, at the best key, so their links must
+        # stay: the search from nodes 0 and 2 reaches candidate id 0 only through them.
+        net = make_network(
+            4,
+            [(1, 0, 1, 2, 2), (0, 2, 2, 3, 1), (2, 0, 1, 3, 0), (1, 3, 0, 1, 1), (2, 3, 1, 2, 0)],
+            (-1, 2, 1, -2),
+        )
+        best = solve_min_cost_flow(net)
+        assert best == Flow((1, 2, 2, 1, 1))
+        frame, searches, search_back = frame_of(net), [], flowenum.kbest._search_back
+
+        def search(*args):  # logs (start group, (best, least found))
+            searches.append((args[1], search_back(*args)))
+            return searches[-1][1]
+
+        monkeypatch.setattr(flowenum.kbest, "_search_back", search)
+        assert flowenum.kbest._second_best(frame, best.values) == [0, 5, 8, 7]
+        assert sum(frame.cost[index] for index in (0, 5, 8, 7)) == sum(frame.cost[index] for index in (2, 4))
+        assert searches == [(1, ((1, 7), 1)), (3, ((1, 7), 1)), (2, ((1, 0), 1))]
 
     def test_costs_match_bruteforce_on_small_grids(self):
         ranked = 0
