@@ -41,7 +41,7 @@ from .errors import (
 )
 from .kbest import iter_k_best_flows
 from .solver import _solve, solve_min_cost_flow
-from .treebounds import _capacities, _tree_solution, count_upper_bound, zero_cost_nontree_set
+from .treebounds import _capacities, _certified_costs, _span_product, _tree_solution
 
 DEFAULT_ENUMERATION_LIMIT = 1_000_000
 
@@ -139,29 +139,30 @@ def _cmd_kbest(args, net, out) -> dict:
 
 
 def _cmd_bounds(args, net, out) -> dict:
-    # The solver checks the instance and its own optimum once; the tree and, for
-    # --exact, the enumeration counting on from that optimum run on its frame.
+    # The solver checks the instance and its own optimum once; the tree, its certificate and,
+    # for --exact, the count on the face of the tree's potentials run on the solver's frame.
     frame, flow = _solve(net)
     tree_flow, structure = _tree_solution(net, frame, flow)
-    zero_arcs = zero_cost_nontree_set(structure)
-    # Both readings of the lower bound and the feasible bounds, each cycle capacity read once.
+    reduced = _certified_costs(structure, frame, flow.values)
     nontree = sorted(structure.lower_set | structure.upper_set)
+    zero_arcs = [arc for arc in nontree if not reduced[arc]]
+    # Both readings of the lower bound and the feasible bounds, each cycle capacity read once.
     capacity = dict(zip(nontree, _capacities(structure, frame, tree_flow.values, nontree)))
     zero_total = sum(capacity[arc] for arc in zero_arcs)
     extra = {
         "count": 0,
         "optimal_cost": flow_cost(net, flow),
-        "upper_bound": count_upper_bound(structure, zero_arcs),
+        "upper_bound": _span_product(net, zero_arcs),
         "lower_bound": max(1, zero_total),
         "lower_bound_min_reading": min(1, zero_total),
         "feasible_lower_bound": max(1, sum(capacity.values())),
-        "feasible_upper_bound": count_upper_bound(structure, nontree),
-        "zero_cost_arcs": list(zero_arcs),
+        "feasible_upper_bound": _span_product(net, nontree),
+        "zero_cost_arcs": zero_arcs,
     }
     if args.exact:
         # As many flows past the first as the limit allows: one more shows it was reached.
         limit = args.limit or DEFAULT_ENUMERATION_LIMIT
-        rest = sum(1 for _ in islice(_flows_after(net, frame, flow), limit))
+        rest = sum(1 for _ in islice(_flows_after(frame, flow.values, reduced), limit))
         extra["exact_count"] = min(1 + rest, limit)
         extra["limit_reached"] = rest == limit
     return extra

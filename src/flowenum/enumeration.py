@@ -1,17 +1,16 @@
 """All-optimal-flow enumeration by binary partition of the solution space.
 
-Each flow found splits its search region into two disjoint halves on the
-first arc where it differs from the region's witness, so no flow comes
-twice.  All regions of one instance share one `core.Frame`: a region is the
-optimal face's bounds with some arcs narrowed in place.  The search is depth
-first, so one stack is also the undo trail: a split pushes the arc's bounds
-to restore, the half that moves to the new flow, and on top the half that
-keeps the witness.  A region differs from its parent on the split arc alone,
-so the witness stays feasible if it lies within that arc's new bounds.  The
-half that keeps the witness is searched straight after its parent, and its
-residual graph is the parent's less the cycle's id on the split arc, so it
-takes the parent's out-lists and forest with that id dropped.  Every other
-region builds both afresh.
+Each flow found splits its search region into two disjoint halves on the first arc where it
+differs from the region's witness, so no flow comes twice.  All regions of one instance share
+one `core.Frame`: a region is the optimal face's bounds with some arcs narrowed in place.  Any
+optimal potentials pin a face of the same flows: `iter_optimal_flows` takes Bellman-Ford's,
+whose pins fix its flow order, and `bounds --exact` counts on its tree's.  The search is depth
+first, so one stack is also the undo trail: a split pushes the arc's bounds to restore, the half
+that moves to the new flow, and on top the half that keeps the witness.  A region differs from
+its parent on the split arc alone, so the witness stays feasible if it lies within that arc's
+new bounds.  The half that keeps the witness is searched straight after its parent, and its
+residual graph is the parent's less the cycle's id on the split arc, so it takes the parent's
+out-lists and forest with that id dropped.  Every other region builds both afresh.
 """
 
 from __future__ import annotations
@@ -64,16 +63,16 @@ def iter_optimal_flows(net: Network, stats: EnumerationStats | None = None) -> I
     """
     frame, first = _solve(net)
     yield first
-    yield from _flows_after(net, frame, first, stats)
+    potentials = _potentials(frame, residual_room(frame, first.values))
+    yield from _flows_after(frame, first.values, compute_reduced_costs(net, potentials), stats)
 
 
-def _flows_after(net: Network, frame: Frame, first: Flow, stats: EnumerationStats | None = None):
-    """`iter_optimal_flows` after its first flow, the optimum `_solve` found on `frame`."""
-    reduced_costs = compute_reduced_costs(net, _potentials(frame, residual_room(frame, first.values)))
-    frame = optimal_face(frame, first.values, reduced_costs)
+def _flows_after(frame: Frame, first: Sequence[int], reduced_costs, stats: EnumerationStats | None = None):
+    """The optimal flows but `first`, each once, from the face that `reduced_costs` pin in `frame`."""
+    frame = optimal_face(frame, first, reduced_costs)
     # (witness, arc, lo, hi, reuse) searches with the arc narrowed; no witness restores
     # it.  The half that keeps the witness carries the parent's search as `reuse`.
-    pending: list = [(first.values, None, 0, 0, None)]
+    pending: list = [(first, None, 0, 0, None)]
     while pending:
         witness, arc, lo, hi, reuse = pending.pop()
         if arc is not None:

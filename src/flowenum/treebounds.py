@@ -5,24 +5,20 @@ non-tree arc then induces exactly one cycle through the tree.  The induced
 cycles with zero reduced cost form a basis for all optimal flows, which is
 what the count bounds and the coordinate extraction below exploit.
 
-The kernels read core's `Frame`, never an `Arc`: per arc its tail, head and
-cost as slices over the forward ids, bounds from the frame and headrooms from
-`residual_room`.  The CLI runs them on the frame the solver returns.
-`_walk`, depth-first with a check as each node pops, finds the free cycles to
-cancel; the node it meets twice fixes which cycle, and so which flow, comes
-out.  `_hang` roots the first tree at node 0 and, after each pivot, walks
-again only the smaller side of the leaving arc's cut, as subtree sizes tell
-(Ahuja, Magnanti and Orlin, Network Flows, ch. 11).  Pivots follow Bland's
-rule, the least violating arc id first, taken from a min-heap of violating
-arcs: a pivot shifts the potentials of the walked side by one constant, so
-only the arcs across the cut whose reduced cost moved toward a violation
-are tested again.  Cycles are read as core's residual ids (`2a` rides arc
-`a` forward, `2a + 1` against it), so that a headroom is one read of a
-`core.residual_room` list.  `_cycle` climbs the parent links and lists the
-ids, for free-cycle cancellation and `_induced_cycles`, which the cycle
-decomposition and the basis code read; a pivot's leaving arc
-(`_least_blocking`) and a cycle capacity (`_least_room`) are read by climbs
-that list none.
+The kernels read core's `Frame`, never an `Arc`: per arc its tail, head and cost as slices over
+the forward ids, bounds from the frame and headrooms from `residual_room`.  The CLI's `bounds`
+runs them on the frame the solver returns and reads every answer off the one tree:
+`_certified_costs` lists each arc's reduced cost, checking that the tree potentials certify the
+solver's optimum, for the zero-cost basis and the face `--exact` counts on; both upper bounds
+are `_span_product`s over the ids `_capacities` checked.  `_walk`, depth first with a check as
+each node pops, finds the free cycles to cancel; the node it meets twice fixes which cycle, and
+so which flow, comes out.  `_hang` roots the first tree at node 0 and, after each pivot, walks
+again only the smaller side of the leaving arc's cut (Ahuja, Magnanti and Orlin, Network Flows,
+ch. 11); pivots follow Bland's rule.  Cycles are read as core's residual ids (`2a` rides arc `a`
+forward, `2a + 1` against it), so that a headroom is one read of a `residual_room` list.
+`_cycle` climbs the parent links and lists the ids, for free-cycle cancellation and
+`_induced_cycles`, which the cycle decomposition and the basis code read; a pivot's leaving arc
+(`_least_blocking`) and a cycle capacity (`_least_room`) are read by climbs that list none.
 """
 
 from __future__ import annotations
@@ -248,10 +244,10 @@ def _cancel_free_cycles(frame: Frame, arcs, values) -> list[int]:
 
 
 def _initial_tree(frame: Frame, arcs, free: list[int]) -> list[int]:
-    """Free arcs first, then tight arcs by (span, id), merged Kruskal-style."""
-    src, dst, lower, upper = arcs[0], arcs[1], frame.lower, frame.upper
+    """Free arcs first, then tight arcs by (span, id), merged Kruskal-style; the sort is stable."""
+    src, dst, span = arcs[0], arcs[1], [hi - lo for lo, hi in zip(frame.lower, frame.upper)]
     leader, tree, free_set = list(range(frame.node_count)), [], set(free)
-    rest = sorted((a for a in range(len(src)) if a not in free_set), key=lambda a: (upper[a] - lower[a], a))
+    rest = sorted((a for a in range(len(src)) if a not in free_set), key=span.__getitem__)
     for arc_id in free + rest:
         x, y = _root(leader, src[arc_id]), _root(leader, dst[arc_id])
         if x != y:
@@ -265,39 +261,38 @@ def _initial_tree(frame: Frame, arcs, free: list[int]) -> list[int]:
 def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
     """Degenerate simplex pivots (Bland's rule) until no sign condition fails.
 
-    Only zero-headroom swaps happen, so the flow never changes; a violating
-    arc whose cycle still has headroom means the flow was not optimal, and
-    those are left alone.  Returns the tree's parent links, depths and
-    potentials, rooted at node 0.
+    Only zero-headroom swaps happen, so the flow never changes, the headrooms are one
+    `residual_room` list and each movable arc off the tree stays at its bound, `at`.  A violating
+    arc whose cycle still has headroom means the flow was not optimal, and those are left alone.
+    Returns the tree's parent links, depths and potentials, rooted at node 0.
 
-    Bland's rule enters the least arc id that violates its sign condition
-    and whose cycle has zero headroom.  Rather than rescan every arc after
-    each pivot, a min-heap holds the non-tree arcs that violated when last
-    tested (`queued` marks them), so that every violating non-tree arc is
-    in it.  Pops come in ascending id order and are tested again when
-    popped; the first that still violates and has zero headroom is Bland's
-    choice.  A pivot walks again only the smaller side of the leaving arc's
-    cut, as the subtree sizes in `size` tell, hung from the entering arc;
-    if that side holds the root, the other side's top becomes the root.
-    The walked side's potentials shift by one constant and its depths are
-    renumbered, both consistent along parent links; a tree fixes its cycles
-    and its potentials up to a constant, so the rooting changes neither
-    reduced costs nor Bland's choices.  An arc can start to violate, or see
-    its cycle change, only when it has one end on each side, the leaving arc
-    included.  Every other arc keeps its reduced cost and its cycle, so a
-    popped arc that no longer violates or still has headroom can be dropped.
-    Seen from the walked side, a crossing arc's reduced cost moves by the
-    shift, toward a violation in exactly one of the node's two `at` lists;
-    only that list is tested again.  An unqueued arc of the other list
-    violates afterward only if it already did, so it was popped violating
-    with headroom, which only a flow that is not optimal allows.  Its cycle
-    is unchanged since, as a cycle changes only when its arc crosses a cut
-    and this argument then applies.  That cycle rode the leaving arc the way
-    it has room, against the entering cycle, so the new one is the sum of two
-    negative cycles: the arc moved toward a violation after all.  The final
-    tree is rooted at node 0 again.  No flow value moves, so the headrooms
-    are one `residual_room` list and each movable arc off the tree stays at
-    its bound, `at`.
+    A min-heap holds the non-tree arcs that violated when last tested (`queued` marks them), so
+    every violating one is in it; pops, in ascending id order, are tested again, and the first that
+    still violates with zero headroom enters.  A pivot walks again only the smaller side of the
+    leaving arc's cut (`size` holds subtree sizes), hung from the entering arc.  Its potentials
+    shift by one constant and its depths are renumbered; a tree fixes its cycles, and its potentials
+    up to a constant, so the rooting changes no reduced cost and no choice.  Only an arc with one
+    end on each side, the leaving arc included, can start to violate or see its cycle change, so a
+    popped arc that no longer violates or still has headroom is dropped.  Seen from the walked side,
+    a crossing arc's reduced cost moves by the shift, toward a violation in exactly one of the
+    node's two `at` lists; only that list is tested again.  An unqueued arc of the other list
+    violates afterward only if it already did, so it was popped violating with headroom, which only
+    a flow that is not optimal allows.  Its cycle is unchanged since, as a cycle changes only when
+    its arc crosses a cut and this argument then applies.  That cycle rode the leaving arc the way
+    it has room, against the entering cycle, so the new one is the sum of two negative cycles: the
+    arc moved toward a violation after all.
+
+    Why the loop ends: shift each arc to `0 <= x <= span` and add a slack, `x + s = span`.  A tree
+    arc has both basic; an arc at its lower bound has `x` nonbasic, one at its upper bound `s`, the
+    complemented variable, and either's reduced cost is `at` times the arc's.  Of a blocking tree
+    arc's pair the one that falls is 0 and leaves, so every pivot is degenerate; the entering arc's
+    own slack falls from its span, never 0, as a fixed arc (`at` 0) never enters.  So an arc gives
+    at most one entering and one leaving candidate, and with the variables ranked by arc id the
+    least violating and least blocking ids are the choices of Bland ("New finite pivoting rules for
+    the simplex method", 1977): no basis repeats, and there are finitely many.  His proof applies
+    the entering rule only to variables that enter within a cycle of bases, never a fixed arc, and
+    needs every violator eligible, as on an optimal flow, where no violator's cycle has headroom.
+    Otherwise those with headroom are skipped, the proof fails there, and `_PIVOT_CAP` ends the loop.
     """
     src, dst, cost = arcs
     n, m, lower, upper = frame.node_count, len(src), frame.lower, frame.upper
@@ -459,6 +454,16 @@ def _capacities(ts: TreeStructure, frame: Frame, values, arc_ids) -> list[int]:
             for arc_id in _nontree_ids(ts, arc_ids)]
 
 
+def _certified_costs(ts: TreeStructure, frame: Frame, values) -> list[int]:
+    """Each arc's reduced cost under the tree potentials, checked to certify `values` optimal."""
+    potentials, reduced = ts.potentials, []
+    for arc, (tail, head, cost) in enumerate(zip(frame.tail[::2], frame.head[::2], frame.cost[::2])):
+        reduced.append(cost + potentials[tail] - potentials[head])
+        if reduced[arc] and values[arc] != (frame.lower if reduced[arc] > 0 else frame.upper)[arc]:
+            raise InvariantError(f"the tree potentials do not certify the flow optimal on arc {arc}")
+    return reduced
+
+
 def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:
     """Non-tree arcs with zero reduced cost under the tree potentials."""
     return tuple(
@@ -468,9 +473,14 @@ def zero_cost_nontree_set(ts: TreeStructure) -> tuple[int, ...]:
 
 def count_upper_bound(ts: TreeStructure, zero_arcs) -> int:
     """max(1, product of (span + 1)) over the basis arcs, capped at 2**63 - 1."""
+    return _span_product(ts.network, _nontree_ids(ts, zero_arcs))
+
+
+def _span_product(net: Network, arc_ids) -> int:
+    """`count_upper_bound` over ids already checked."""
     total = 1
-    for arc_id in _nontree_ids(ts, zero_arcs):
-        total *= ts.network.arcs[arc_id].span + 1
+    for arc_id in arc_ids:
+        total *= net.arcs[arc_id].span + 1
         if total > COUNT_CAP:
             return COUNT_CAP
     return total

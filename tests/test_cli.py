@@ -6,7 +6,9 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import replace
+from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -19,7 +21,10 @@ import flowenum.treebounds
 from flowenum.cli import DEFAULT_ENUMERATION_LIMIT, run
 from flowenum.core import Arc, Flow, Network, check_feasible, flow_cost, frame_of, validate_network
 from flowenum.dimacs import serialize_dimacs
-from flowenum.errors import DimensionMismatchError
+from flowenum.enumeration import _flows_after, iter_optimal_flows
+from flowenum.errors import DimensionMismatchError, InvariantError
+from flowenum.solver import _solve
+from flowenum.treebounds import _certified_costs, _tree_solution, zero_cost_nontree_set
 
 from helpers import random_feasible_network, random_grid_network
 
@@ -348,6 +353,96 @@ class TestBounds:
         code = run(["bounds", write_instance(tmp_path, eleven_optima_network)], stdout=out, stderr=err)
         assert code == 3 and out.getvalue() == ""
         assert err.getvalue() == "flowenum: tree pivoting did not terminate within 0 pivots\n"
+
+    def test_a_potential_that_does_not_certify_the_optimum_stops_before_counting(
+            self, tmp_path, monkeypatch, eleven_optima_network):
+        # Arc 0 (cost 20) sits at its lower bound 0 of span 1 in every optimum, priced above
+        # zero; raising its head's potential past that price turns the sign while the arc stays.
+        tree_solution = flowenum.cli._tree_solution
+
+        def shifted(net, frame, flow):
+            tree_flow, ts = tree_solution(net, frame, flow)
+            potentials = list(ts.potentials)
+            assert flow.values[0] == 0 and ts.reduced_cost(0) > 0
+            potentials[net.arcs[0].dst] += ts.reduced_cost(0) + 1
+            return tree_flow, replace(ts, potentials=tuple(potentials))
+
+        counted = []
+        monkeypatch.setattr(flowenum.cli, "_tree_solution", shifted)
+        monkeypatch.setattr(flowenum.cli, "_flows_after", lambda *args: counted.append(args) or iter(()))
+        with pytest.raises(InvariantError, match="do not certify the flow optimal on arc 0"):
+            run(["bounds", write_instance(tmp_path, eleven_optima_network), "--exact"],
+                stdout=io.StringIO(), stderr=io.StringIO())
+        assert counted == []
+
+    def test_exact_count_runs_no_bellman_ford_and_checks_each_id_once(
+            self, tmp_path, monkeypatch, eleven_optima_network):
+        import flowenum.enumeration
+        import flowenum.kbest
+        import flowenum.solver
+
+        calls = Counter()
+
+        def counted(module, name):
+            function = getattr(module, name)
+
+            def wrapper(*args):
+                calls[name] += 1
+                return function(*args)
+            monkeypatch.setattr(module, name, wrapper)
+
+        for module in (flowenum.solver, flowenum.enumeration, flowenum.kbest):
+            counted(module, "_potentials")
+        counted(flowenum.treebounds, "_nontree_ids")
+        nets = [eleven_optima_network, zero_cost_grid(1),
+                random_grid_network(random.Random(3), 12, 12, min_cost=-50, max_cost=200, both_ways=True)]
+        for net in nets:
+            calls.clear()
+            code, lines, _ = invoke(["bounds", write_instance(tmp_path, net), "--exact", "--limit", "50"])
+            assert code == 0
+            assert calls == {"_nontree_ids": 1}
+            calls.clear()
+            assert list(islice(iter_optimal_flows(net), 50))
+            assert calls == {"_potentials": 1}
+
+
+class TestTreeFace:
+    """`bounds --exact` counts on the face its tree's potentials pin; `enumerate` on Bellman-Ford's."""
+
+    @staticmethod
+    def instances(grid_seeds=range(8)):
+        # Low-cost two-way grids, with up to 5,888 optima, and small random networks with ties.
+        for seed in grid_seeds:
+            yield random_grid_network(random.Random(seed), 4, 4, min_cost=-1, max_cost=1, max_span=2,
+                                      both_ways=True)
+        yield random_grid_network(random.Random(4), 4, 4, min_cost=0, max_cost=1, both_ways=True)
+        for seed in range(40):
+            yield random_feasible_network(random.Random(seed), max_nodes=7, max_arcs=14, max_cost=1)[0]
+
+    def test_both_faces_hold_the_optimal_flows_once_each(self):
+        sizes = []
+        for net in self.instances():
+            frame, flow = _solve(net)
+            _, ts = _tree_solution(net, frame, flow)
+            reduced = _certified_costs(ts, frame, flow.values)
+            nontree = sorted(ts.lower_set | ts.upper_set)
+            assert tuple(arc for arc in nontree if not reduced[arc]) == zero_cost_nontree_set(ts)
+            on_tree_face = [flow.values, *(other.values for other in _flows_after(frame, flow.values, reduced))]
+            on_bellman_ford_face = [other.values for other in iter_optimal_flows(net)]
+            assert len(set(on_tree_face)) == len(on_tree_face) == len(on_bellman_ford_face)
+            assert set(on_tree_face) == set(on_bellman_ford_face)
+            sizes.append(len(on_tree_face))
+        assert max(sizes) > 5000 and sum(size > 1 for size in sizes) > 20
+
+    def test_exact_count_is_the_enumerated_count(self, tmp_path):
+        for net in self.instances(grid_seeds=range(4)):  # up to 2,272 optima
+            path = write_instance(tmp_path, net)
+            code, enumerated, _ = invoke(["enumerate", path])
+            assert code == 0
+            code, bounds, _ = invoke(["bounds", path, "--exact"])
+            assert code == 0
+            assert bounds[-1]["exact_count"] == enumerated[-1]["count"] == len(enumerated) - 1
+            assert bounds[-1]["limit_reached"] is enumerated[-1]["limit_reached"] is False
 
 
 class TestOracle:
