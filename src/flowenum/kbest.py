@@ -7,15 +7,18 @@ offer reads the residual ids once, in id order, checking every reduced weight, i
 lists of the face's ids (weight 0), ascending as `dfs._search` builds its out-lists, for the
 proper-cycle DFS and one list of candidate ids.  A free arc, with room both ways, weighs 0 both
 ways, so the nodes free arcs join (a `core._root` union-find group) lie at distance 0 from each
-other, and the candidates between groups are the `(weight, group)` links.  One distance-only
-Dijkstra, `_search_back`, per head group, cheapest candidate first, runs until no waiting
-candidate can beat the best cycle and pushes no label past that bound.  A group whose search
-found only keys above the best loses its links: no cycle through it can win or tie, so later
-searches neither wait on it nor pass through it.  Only the winner's path is traced, once, by
-the solver's `_dijkstra` and read back by `core._path`.
+other, and the candidates between groups are the `(weight, group)` links.  The face holds a
+proper cycle exactly when free arcs close one, a weight-0 candidate lies inside a group or the
+weight-0 links close one between groups; the DFS runs only once `_groups` proves one.  Else one
+distance-only Dijkstra, `_search_back`, per head group, cheapest candidate first, runs until no
+waiting candidate can beat the best cycle and pushes no label past that bound.  A group whose
+search found only keys above the best loses its links: no cycle through it can win or tie, so
+later searches neither wait on it nor pass through it.  Only the winner's path is traced, once,
+by the solver's `_dijkstra` and read back by `core._path`.
 Regions are split as in the all-optimal search.  A waiting region is one heap record: its
 challenger's cost above the optimum, a ticket, `_split`'s `(arc, lo, hi)` narrowings of the
-one `core.Frame`, its best flow and the cycle; its challenger is built only when popped.
+one `core.Frame`, its best flow and the cycle; its challenger is built only when popped, and
+its Bellman–Ford sentinel is the instance's less each arc's share at its last narrowing.
 """
 
 from __future__ import annotations
@@ -43,12 +46,12 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
     return None if cycle is None else push_unit(frame, flow.values, cycle)
 
 
-def _second_best(region: Frame, values) -> list[int] | None:
+def _second_best(region: Frame, values, big=None) -> list[int] | None:
     """The residual ids of the cycle that `find_second_best_flow` pushes `values` one unit
     around within the region's bounds, or None if there is none; `values` must be optimal there."""
     head, cost, nodes = region.head, region.cost, region.node_count
     room = residual_room(region, values)
-    potential = _potentials(region, room)
+    potential = _potentials(region, room, big)
     # Pruned searches scan only part of the residual graph, so every weight is checked
     # here.  Each id whose reverse has no room starts a candidate cycle.
     face: list[list] = [[] for _ in range(nodes)]  # weight-0 ids, whose order picks the next tie
@@ -62,23 +65,14 @@ def _second_best(region: Frame, values) -> list[int] | None:
                 face[node].append(index)
             if not room[index ^ 1]:
                 candidates.append((weight, index, node))
-    cycle = _proper_cycle(_forest(face, head), region.tail, region.origin)
-    if cycle is not None:
+    grouped = _groups(head, room, candidates, nodes)
+    if grouped is None:
+        cycle = _proper_cycle(_forest(face, head), region.tail, region.origin)
+        if cycle is None:
+            raise InvariantError("the tie search found no cycle in a face proven to hold one")
         return cycle
     # The flow is the unique optimum; the answer is the least (weight + dist[tail], id).
-    # A free arc, with room both ways, weighs 0 both ways (both were checked above), so
-    # distances are searched between the groups free arcs join.  An id between two groups
-    # is not free, so it is a candidate: the candidates are the links.
-    group = list(range(nodes))
-    for index in range(0, len(room), 2):
-        if room[index] and room[index + 1]:
-            group[_root(group, head[index])] = _root(group, head[index + 1])
-    group = [_root(group, node) for node in range(nodes)]
-    links: list[list] = [[] for _ in range(nodes)]  # per group, (weight, group) leaving it
-    for weight, index, tail in candidates:
-        own, other = group[tail], group[head[index]]
-        if own != other:
-            links[own].append((weight, other))
+    group, links = grouped
     offers: dict[int, dict] = {}  # per head group, cheapest first: tail group -> (weight, id)
     for weight, index, tail in sorted(candidates):
         offers.setdefault(group[head[index]], {}).setdefault(group[tail], (weight, index))
@@ -98,6 +92,37 @@ def _second_best(region: Frame, values) -> list[int] | None:
     next(node for node in _dijkstra(head, cost, room, potential, region.incident, start, dist, pred)
          if node == tail)
     return [index, *reversed(_path(region.tail, pred, start, tail))]
+
+
+def _groups(head, room, candidates, nodes):
+    """Per node its free-arc group's root and per group its `(weight, group)` links, the
+    candidates leaving it; or None once free arcs close a cycle, a weight-0 candidate lies
+    inside a group or Kahn's peel leaves a cycle of weight-0 links between groups."""
+    group = list(range(nodes))
+    for index in range(0, len(room), 2):
+        if room[index] and room[index + 1]:
+            own, other = _root(group, head[index]), _root(group, head[index + 1])
+            if own == other:
+                return None
+            group[own] = other
+    group = [_root(group, node) for node in range(nodes)]
+    links: list[list] = [[] for _ in range(nodes)]
+    entering = [0] * nodes  # per group, the weight-0 links into it not yet peeled
+    for weight, index, tail in candidates:
+        own, other = group[tail], group[head[index]]
+        if own != other:
+            links[own].append((weight, other))
+            entering[other] += not weight
+        elif not weight:
+            return None
+    peeled = [node for node in range(nodes) if not entering[node]]
+    for node in peeled:
+        for weight, other in links[node]:
+            if not weight:
+                entering[other] -= 1
+                if not entering[other]:
+                    peeled.append(other)
+    return (group, links) if len(peeled) == nodes else None
 
 
 def _search_back(links, start, waiting, best):
@@ -143,20 +168,23 @@ def iter_k_best_flows(net: Network, k: int) -> Iterator[Flow]:
     yield best
     ticket, lower, upper, cost = count(), frame.lower, frame.upper, frame.cost
     heap: list = []  # (challenger cost above the optimum, ticket, narrowings, region best, cycle)
+    big = 1 + sum(abs(weight) * max(1, hi) for weight, hi in zip(cost[::2], upper))
 
     @contextmanager
     def region(narrowed: tuple):  # the frame's bounds narrowed in place, then put back
         for arc, lo, hi in narrowed:
             lower[arc], upper[arc] = lo, hi
-        yield
+        # `_potentials`' sentinel, less what each arc's last narrowing took off its sum
+        yield big - sum(abs(cost[2 * arc]) * (max(1, net.arcs[arc].upper) - max(1, upper[arc]))
+                        for arc in {arc for arc, _, _ in narrowed})
         for arc, _, _ in narrowed:
             lower[arc], upper[arc] = net.arcs[arc].lower, net.arcs[arc].upper
 
     halves = [((), best.values, 0)]  # (narrowings, region best, its cost above the optimum)
     for _ in range(k - 1):  # the last flow's halves are never offered
         for narrowed, region_best, above in halves:
-            with region(narrowed):
-                cycle = _second_best(frame, region_best)
+            with region(narrowed) as sentinel:
+                cycle = _second_best(frame, region_best, sentinel)
             if cycle is not None:
                 heappush(heap, (above + sum(cost[index] for index in cycle), next(ticket), narrowed,
                                 region_best, cycle))

@@ -130,16 +130,18 @@ def _dijkstra(head, cost, room, potential, incident, source, dist, pred):
                     heapq.heappush(heap, (candidate, next(tick), other))
 
 
-def _potentials(frame: Frame, room) -> tuple[int, ...]:
+def _potentials(frame: Frame, room, big=None) -> tuple[int, ...]:
     """Shortest-path distances from node 0 over `room`, the `residual_room` of a flow feasible in
     the frame; a node 0 cannot reach sits at `big`, as if an arc too dear to shadow any real path
     led there.  Bellman-Ford from node 0 at 0 and every other node at `big` queues a node again
     when its distance drops; a distance set through n arcs walked a cycle, so a negative one.
     Node 0's reach is scanned first, then that of each lowest node never scanned (it still holds
     `big`): distances over the `big` arcs are unique and labels follow walks, so any order that
-    scans each node after its last drop gives the same tuple, and the same NegativeCycleError."""
+    scans each node after its last drop gives the same tuple, and the same NegativeCycleError.
+    K-best passes `big` for its region, from its narrowings; other callers leave it to be summed."""
     n, head, cost, incident = frame.node_count, frame.head, frame.cost, frame.incident
-    big = 1 + sum(abs(weight) * max(1, hi) for weight, hi in zip(cost[::2], frame.upper))
+    if big is None:
+        big = 1 + sum(abs(weight) * max(1, hi) for weight, hi in zip(cost[::2], frame.upper))
     dist, arcs = [0] + [big] * (n - 1), [0] * n  # arcs: how many the path to each distance took
     queue, queued = deque(), [False] * n
     for start in range(n):

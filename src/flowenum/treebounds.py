@@ -385,7 +385,7 @@ def _pivot_to_optimal(frame: Frame, arcs, values, tree: list[int]):
                         and arc_at * (arc_cost + potential - potentials[other]) < 0):
                     heappush(heap, arc_id)
                     queued[arc_id] = True
-    raise PivotLimitError(f"tree pivoting did not terminate within {_PIVOT_CAP} pivots")
+    raise PivotLimitError(f"tree pivoting passed its budget of {_PIVOT_CAP} pivots")
 
 
 def to_tree_solution(net: Network, flow: Flow) -> tuple[Flow, TreeStructure]:

@@ -352,7 +352,7 @@ class TestBounds:
         out, err = io.StringIO(), io.StringIO()
         code = run(["bounds", write_instance(tmp_path, eleven_optima_network)], stdout=out, stderr=err)
         assert code == 3 and out.getvalue() == ""
-        assert err.getvalue() == "flowenum: tree pivoting did not terminate within 0 pivots\n"
+        assert err.getvalue() == "flowenum: tree pivoting passed its budget of 0 pivots\n"
 
     def test_a_potential_that_does_not_certify_the_optimum_stops_before_counting(
             self, tmp_path, monkeypatch, eleven_optima_network):

@@ -1,6 +1,7 @@
 import hashlib
 import heapq
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -118,10 +119,10 @@ def watch_searches(monkeypatch):
     offers = []
     second_best = flowenum.kbest._second_best
 
-    def offer(region, values):
+    def offer(region, values, big=None):
         searches, traces = [], []
         offers.append((searches, traces))
-        found = second_best(region, values)
+        found = second_best(region, values, big)
         reach = group_reach(region, values)
         searches[:] = [(start, list(dict.fromkeys(group for _, group in pops)), reach(start))
                        for start, pops, _ in searches]
@@ -135,6 +136,56 @@ def watch_searches(monkeypatch):
     watch_reads(monkeypatch, lambda: offers[-1][0])
     monkeypatch.setattr(flowenum.kbest, "_dijkstra", traced)
     return offers
+
+
+def tie_case(frame, room, potential):
+    """Which reason, read by brute force, gives an offer's face (its weight-0 ids with room) a
+    proper cycle: free arcs closing one, a weight-0 one-way id inside one free-arc group, or
+    weight-0 one-way ids closing one between groups; "acyclic" when none holds."""
+    head, tail, nodes = frame.head, frame.tail, frame.node_count
+    free = [index for index in range(0, len(room), 2) if room[index] and room[index + 1]]
+    group = list(range(nodes))
+    for index in free:
+        old, new = group[head[index]], group[head[index + 1]]
+        group = [new if label == old else label for label in group]
+    if len(free) > nodes - len(set(group)):  # more free arcs than a forest on these groups has
+        return "free cycle"
+    links = {(group[tail[index]], group[head[index]]) for index in range(len(room))
+             if room[index] and not room[index ^ 1]
+             and not frame.cost[index] + potential[tail[index]] - potential[head[index]]}
+    if any(own == other for own, other in links):
+        return "inside a group"
+    while links:  # drop the links out of groups no link enters
+        sources = {own for own, _ in links} - {other for _, other in links}
+        if not sources:
+            return "between groups"
+        links = {link for link in links if link[0] not in sources}
+    return "acyclic"
+
+
+def watch_proofs(monkeypatch):
+    """Per offer, (tie_case, whether kbest's proof found a cycle, whether the tie DFS finds one)."""
+    proofs, offer = [], []
+    potentials, groups = flowenum.kbest._potentials, flowenum.kbest._groups
+
+    def kept(frame, room, big=None):
+        offer[:] = [frame, potentials(frame, room, big)]
+        return offer[1]
+
+    def proved(head, room, candidates, nodes):
+        frame, potential = offer
+        face: list[list] = [[] for _ in range(nodes)]
+        for index, node in enumerate(frame.tail):
+            if room[index] and not frame.cost[index] + potential[node] - potential[head[index]]:
+                face[node].append(index)
+        found = _proper_cycle(_forest(face, head), frame.tail, frame.origin) is not None
+        grouped = groups(head, room, candidates, nodes)
+        proofs.append((tie_case(frame, room, potential), grouped is None, found))
+        return grouped
+
+    monkeypatch.setattr(flowenum.kbest, "_potentials", kept)
+    monkeypatch.setattr(flowenum.kbest, "_groups", proved)
+    return proofs
 
 
 def free_groups(net, flow):
@@ -411,7 +462,7 @@ class TestFindSecondBest:
         )
         best = Flow((1, 0, 0, 1))
         assert best == solve_min_cost_flow(net)
-        monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room: (0, 1, 0, 200))
+        monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room, big=None: (0, 1, 0, 200))
         with pytest.raises(InvariantError):
             find_second_best_flow(net, best)
 
@@ -427,7 +478,7 @@ class TestFindSecondBest:
         potential = list(node_potentials(net, best))
         potential[2] += shift
         calls = []
-        monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room: potential)
+        monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room, big=None: potential)
         for name in ("_root", "_search_back", "_dijkstra"):
             monkeypatch.setattr(flowenum.kbest, name, lambda *args, name=name: calls.append(name))
         with pytest.raises(InvariantError, match="negative residual reduced cost on arc 2$"):
@@ -536,6 +587,45 @@ class TestOfferLists:
         assert (len(searches), sum(len(read) for _, read, _ in searches)) == SEARCH_COUNTS[seed]
         # One trace per offer that searched (each found a cycle here), none for the others.
         assert [len(traces) for _, traces in offers] == [min(1, len(found)) for found, _ in offers]
+
+
+class TestTieProof:
+    """The proof that an offer's face holds a proper cycle, which alone lets the tie DFS run."""
+
+    def test_the_proof_matches_the_tie_dfs_on_every_offer(self, monkeypatch):
+        proofs = watch_proofs(monkeypatch)
+        for seed in range(8):
+            for min_cost, max_cost, both_ways in ((0, 0, True), (0, 1, False), (0, 1, True), (-2, 3, True)):
+                net = random_grid_network(random.Random(seed), 5, 5, min_cost=min_cost,
+                                          max_cost=max_cost, both_ways=both_ways)
+                list(iter_k_best_flows(net, 30))
+        assert all(proven == found == (case != "acyclic") for case, proven, found in proofs)
+        cases = Counter(case for case, _, _ in proofs)
+        assert min(cases[case] for case in ("free cycle", "inside a group", "between groups", "acyclic")) > 0
+
+    def test_a_one_way_tie_inside_a_free_group(self, monkeypatch):
+        # p min 3 3 / n 1 1 / n 3 -1 / a 1 2 0 2 0 / a 2 3 0 2 0 / a 3 1 0 1 0: arcs 0 and 1
+        # are free and join all three nodes, and the only tie is arc 2's one-way zero id.
+        net = make_network(3, [(0, 1, 0, 2, 0), (1, 2, 0, 2, 0), (2, 0, 0, 1, 0)], (1, 0, -1))
+        proofs = watch_proofs(monkeypatch)
+        assert list(iter_k_best_flows(net, 3)) == [Flow((1, 1, 0)), Flow((2, 2, 1))]
+        assert proofs[0] == ("inside a group", True, True)
+
+    def test_the_tie_dfs_runs_on_few_offers_of_the_search_count_grids(self, monkeypatch):
+        offers, forests = [], []
+        second_best, forest = flowenum.kbest._second_best, flowenum.kbest._forest
+        monkeypatch.setattr(flowenum.kbest, "_second_best", lambda *args: offers.append(args) or second_best(*args))
+        monkeypatch.setattr(flowenum.kbest, "_forest", lambda *args: forests.append(args) or forest(*args))
+        for seed in sorted(SEARCH_COUNTS):
+            list(iter_k_best_flows(random_grid_network(random.Random(seed), 8, 8), 10))
+        assert (len(forests), len(offers)) == (3, 102)
+
+    def test_a_proven_tie_the_dfs_misses_is_an_invariant_error(self, monkeypatch):
+        # The zero-cost triangle's three one-way zero ids close a cycle between its three groups.
+        net = make_network(3, [(0, 1, 0, 1, 0), (1, 2, 0, 1, 0), (2, 0, 0, 1, 0)], (0, 0, 0))
+        monkeypatch.setattr(flowenum.kbest, "_proper_cycle", lambda *args: None)
+        with pytest.raises(InvariantError, match="proven to hold one"):
+            find_second_best_flow(net, Flow((0, 0, 0)))
 
 
 class TestGroupSearch:
@@ -702,10 +792,10 @@ class TestRegionsOnOneFrame:
         instance = ([arc.lower for arc in net.arcs], [arc.upper for arc in net.arcs])
         second_best, seen, narrowed = flowenum.kbest._second_best, [], [0]
 
-        def offer(region, values):
+        def offer(region, values, big=None):
             seen.append((region.lower, region.upper))
             narrowed[0] += seen[-1] != instance
-            return second_best(region, values)
+            return second_best(region, values, big)
 
         monkeypatch.setattr(flowenum.kbest, "_second_best", offer)
         flows = 0
@@ -715,6 +805,35 @@ class TestRegionsOnOneFrame:
         lower, upper = seen[0]
         assert all(each[0] is lower and each[1] is upper for each in seen)
         assert flows == 40 and len(seen) > 40 and narrowed[0] == len(seen) - 1
+
+    def test_each_offer_passes_the_sentinel_of_its_region(self, monkeypatch):
+        # The sentinel is the instance's sum less each narrowed arc's share at its last
+        # narrowing; a record narrowing one arc twice tells that from counting every narrowing.
+        net = random_grid_network(random.Random(1), 4, 4, min_cost=-5, max_cost=5, max_span=4,
+                                  both_ways=True)
+        potentials, passed, records = flowenum.kbest._potentials, [], []
+
+        def checked(frame, room, big=None):
+            passed.append((big, 1 + sum(abs(cost) * max(1, hi) for cost, hi in zip(frame.cost[::2], frame.upper))))
+            return potentials(frame, room, big)
+
+        monkeypatch.setattr(flowenum.kbest, "_potentials", checked)
+        monkeypatch.setattr(flowenum.kbest, "heappush",
+                            lambda heap, entry: records.append(entry) or heapq.heappush(heap, entry))
+        assert len(list(iter_k_best_flows(net, 60))) == 60
+        assert len(passed) > 60 and all(big == full for big, full in passed)
+
+        def every_narrowing(narrowed):  # the slip: each narrowing of an arc taken off again
+            return sum(abs(net.arcs[arc].cost) * (max(1, net.arcs[arc].upper) - max(1, hi))
+                       for arc, _, hi in narrowed)
+
+        def last_narrowings(narrowed):
+            last = {arc: hi for arc, _, hi in narrowed}
+            return sum(abs(net.arcs[arc].cost) * (max(1, net.arcs[arc].upper) - max(1, hi))
+                       for arc, hi in last.items())
+
+        assert any(every_narrowing(entry[2]) != last_narrowings(entry[2])
+                   for entry in records if len(entry) == 5)
 
     def test_each_challenger_is_built_once_when_popped(self, monkeypatch):
         # An offer keeps only its region's cycle, so `push_unit` runs once per flow after the first.

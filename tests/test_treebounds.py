@@ -105,7 +105,7 @@ class TestToTreeSolution:
     def test_pivot_cap_is_a_budget_error(self, monkeypatch, eleven_optima_network, eleven_optima_flow):
         # A valid input can reach the cap, so it is a budget, not a bug in this package.
         monkeypatch.setattr(treebounds, "_PIVOT_CAP", 0)
-        with pytest.raises(BudgetExceededError, match="did not terminate") as caught:
+        with pytest.raises(BudgetExceededError, match="passed its budget of 0 pivots") as caught:
             to_tree_solution(eleven_optima_network, eleven_optima_flow)
         assert not isinstance(caught.value, InvariantError)
 
