@@ -3,18 +3,19 @@
 A second-best flow is either another optimum (another feasible flow of the optimal face) or
 one unit pushed around the cheapest proper cycle: a residual id `r` whose reverse `r ^ 1` has
 no room (its arc sits at a bound) plus the shortest way back from its head to its tail.  Each
-offer reads the residual ids once, in id order, checking every reduced weight, into per-node
-lists of the face's ids (weight 0), ascending as `dfs._search` builds its out-lists, for the
-proper-cycle DFS and one list of candidate ids.  A free arc, with room both ways, weighs 0 both
-ways, so the nodes free arcs join (a `core._root` union-find group) lie at distance 0 from each
-other, and the candidates between groups are the `(weight, group)` links.  The face holds a
-proper cycle exactly when free arcs close one, a weight-0 candidate lies inside a group or the
-weight-0 links close one between groups; the DFS runs only once `_groups` proves one.  Else one
-distance-only Dijkstra, `_search_back`, per head group, cheapest candidate first, runs until no
-waiting candidate can beat the best cycle and pushes no label past that bound.  A group whose
-search found only keys above the best loses its links: no cycle through it can win or tie, so
-later searches neither wait on it nor pass through it.  Only the winner's path is traced, once,
-by the solver's `_dijkstra` and read back by `core._path`.
+offer reads each arc once, in arc order: from its two ids' room and one reduced weight it checks
+both weights, appends the face's ids (weight 0) to per-node lists, ascending as `dfs._search`
+builds its out-lists, for the proper-cycle DFS, lists the candidate ids and joins the ends of
+free arcs.  A free arc, with room both ways, weighs 0 both ways, so the nodes free arcs join (a
+`core._root` union-find group) lie at distance 0 from each other, and the candidates between
+groups are the `(weight, group)` links.  The face holds a proper cycle exactly when free arcs
+close one, a weight-0 candidate lies inside a group or the weight-0 links close one between
+groups; the DFS runs only once the pass or `_groups` proves one.  Else one distance-only
+Dijkstra, `_search_back`, per head group, cheapest candidate first, runs until no waiting
+candidate can beat the best cycle and pushes no label past that bound.  A group whose search
+found only keys above the best loses its links: no cycle through it can win or tie, so later
+searches neither wait on it (`_live` drops it) nor pass through it.  Only the winner's path is
+traced, once, by the solver's `_dijkstra` and read back by `core._path`.
 Regions are split as in the all-optimal search.  A waiting region is one heap record: its
 challenger's cost above the optimum, a ticket, `_split`'s `(arc, lo, hi)` narrowings of the
 one `core.Frame`, its best flow and the cycle; its challenger is built only when popped, and
@@ -49,65 +50,66 @@ def find_second_best_flow(net: Network, flow: Flow) -> Flow | None:
 def _second_best(region: Frame, values, big=None) -> list[int] | None:
     """The residual ids of the cycle that `find_second_best_flow` pushes `values` one unit
     around within the region's bounds, or None if there is none; `values` must be optimal there."""
-    head, cost, nodes = region.head, region.cost, region.node_count
+    head, tail, cost, nodes = region.head, region.tail, region.cost, region.node_count
     room = residual_room(region, values)
     potential = _potentials(region, room, big)
     # Pruned searches scan only part of the residual graph, so every weight is checked
     # here.  Each id whose reverse has no room starts a candidate cycle.
     face: list[list] = [[] for _ in range(nodes)]  # weight-0 ids, whose order picks the next tie
     candidates = []  # (weight, id, tail)
-    for index, node in enumerate(region.tail):  # by id, as `dfs._search` lists the face
-        if room[index]:
-            weight = cost[index] + potential[node] - potential[head[index]]
-            if weight < 0:
-                raise InvariantError(f"negative residual reduced cost on arc {index >> 1}")
-            if not weight:
+    group, free_cycle = list(range(nodes)), False  # union-find over the free arcs' ends
+    for index, node, other, ahead, back in zip(count(0, 2), tail[::2], head[::2], room[::2], room[1::2]):
+        weight = cost[index] + potential[node] - potential[other]  # the backward id's is -weight
+        if not weight:  # by id, as `dfs._search` lists the face
+            if ahead:
                 face[node].append(index)
-            if not room[index ^ 1]:
-                candidates.append((weight, index, node))
-    grouped = _groups(head, room, candidates, nodes)
+            if back:
+                face[other].append(index + 1)
+        elif ahead if weight < 0 else back:
+            raise InvariantError(f"negative residual reduced cost on arc {index >> 1}")
+        if ahead and back:
+            if not free_cycle:  # once free arcs close a cycle, the tie DFS needs no groups
+                own, joined = _root(group, other), _root(group, node)
+                free_cycle, group[own] = own == joined, joined
+        elif ahead:
+            candidates.append((weight, index, node))
+        elif back:
+            candidates.append((-weight, index + 1, other))
+    grouped = None if free_cycle else _groups(head, group, candidates, nodes)
     if grouped is None:
-        cycle = _proper_cycle(_forest(face, head), region.tail, region.origin)
+        cycle = _proper_cycle(_forest(face, head), tail, region.origin)
         if cycle is None:
             raise InvariantError("the tie search found no cycle in a face proven to hold one")
         return cycle
     # The flow is the unique optimum; the answer is the least (weight + dist[tail], id).
-    group, links = grouped
-    offers: dict[int, dict] = {}  # per head group, cheapest first: tail group -> (weight, id)
-    for weight, index, tail in sorted(candidates):
-        offers.setdefault(group[head[index]], {}).setdefault(group[tail], (weight, index))
+    links, offers = grouped
     best = (math.inf, -1)
-    for start, waiting in offers.items():
+    for start, waiting in offers.items():  # per head group, cheapest first: tail group -> (weight, id)
         if next(iter(waiting.values()))[0] > best[0]:
             break
-        waiting = {tail: entry for tail, entry in waiting.items() if links[tail] or tail == start}
-        if waiting:
+        if _live(waiting, links, start):
             best, least = _search_back(links, start, waiting, best)
             if least > best[0]:  # every cycle through `start` then costs more than `best`, which only falls
                 links[start] = ()
     if best[1] < 0:
         return None
     index, dist, pred = best[1], [None] * nodes, [None] * nodes
-    start, tail = head[index], region.tail[index]  # one trace: tail's path is final once it settles
+    start, end = head[index], tail[index]  # one trace: end's path is final once it settles
     next(node for node in _dijkstra(head, cost, room, potential, region.incident, start, dist, pred)
-         if node == tail)
-    return [index, *reversed(_path(region.tail, pred, start, tail))]
+         if node == end)
+    return [index, *reversed(_path(tail, pred, start, end))]
 
 
-def _groups(head, room, candidates, nodes):
-    """Per node its free-arc group's root and per group its `(weight, group)` links, the
-    candidates leaving it; or None once free arcs close a cycle, a weight-0 candidate lies
+def _groups(head, group, candidates, nodes):
+    """Sorts `candidates`; per group of the free-arc union-find `group`, its `(weight, group)`
+    links, the candidates leaving it, cheapest first, and per head group, in order of its cheapest
+    candidate, each tail group's cheapest `(weight, id)`; or None once a weight-0 candidate lies
     inside a group or Kahn's peel leaves a cycle of weight-0 links between groups."""
-    group = list(range(nodes))
-    for index in range(0, len(room), 2):
-        if room[index] and room[index + 1]:
-            own, other = _root(group, head[index]), _root(group, head[index + 1])
-            if own == other:
-                return None
-            group[own] = other
     group = [_root(group, node) for node in range(nodes)]
+    candidates.sort()
     links: list[list] = [[] for _ in range(nodes)]
     entering = [0] * nodes  # per group, the weight-0 links into it not yet peeled
+    offers: dict[int, dict] = {}
     for weight, index, tail in candidates:
         own, other = group[tail], group[head[index]]
         if own != other:
@@ -115,25 +117,35 @@ def _groups(head, room, candidates, nodes):
             entering[other] += not weight
         elif not weight:
             return None
+        offers.setdefault(other, {}).setdefault(own, (weight, index))
     peeled = [node for node in range(nodes) if not entering[node]]
     for node in peeled:
         for weight, other in links[node]:
-            if not weight:
-                entering[other] -= 1
-                if not entering[other]:
-                    peeled.append(other)
-    return (group, links) if len(peeled) == nodes else None
+            if weight:  # links come cheapest first, so no weight-0 link follows
+                break
+            entering[other] -= 1
+            if not entering[other]:
+                peeled.append(other)
+    return (links, offers) if len(peeled) == nodes else None
+
+
+def _live(waiting, links, start):
+    """`waiting` less its leading tail groups other than `start` with no links, which no search
+    enters: its first entry is then the cheapest one a search from `start` can settle."""
+    while waiting and not (links[first := next(iter(waiting))] or first == start):
+        del waiting[first]
+    return waiting
 
 
 def _search_back(links, start, waiting, best):
     """The least of `best` and each `waiting` tail group's (weight + distance from `start`,
-    id), by Dijkstra over per-group `(weight, group)` links, and the least such key found; a
-    tail group leaves `waiting` once it settles.  It stops once none waits or none can reach
-    the best key, ties included, and pushes no label that could only be popped past that
-    stop (over a search `cheapest` only rises and `best` only falls), nor one into a group
-    with no links, which expands nothing and which the caller keeps in no `waiting` but its
-    own.  So each key it did not find exceeds the best it returns; if the least it found
-    does too, no cycle through `start` can reach the best, and the caller empties its links."""
+    id), by Dijkstra over per-group `(weight, group)` links, cheapest first, and the least such
+    key found; a tail group leaves `waiting` once it settles, as do those `_live` drops.  It
+    stops once none waits or none can reach the best key, ties included, and pushes no label
+    that could only be popped past that stop (over a search `cheapest` only rises and `best`
+    only falls), nor one into a group with no links, which expands nothing.  So each key it did
+    not find exceeds the best it returns; if the least it found does too, no cycle through
+    `start` can reach the best, and the caller empties its links."""
     cheapest = next(iter(waiting.values()))[0]
     dist, heap, least = {start: 0}, [(0, start)], math.inf
     while heap:
@@ -146,12 +158,14 @@ def _search_back(links, start, waiting, best):
             weight, index = waiting.pop(node)
             least = min(least, weight + reached)
             best = min(best, (weight + reached, index))
-            if not waiting:
+            if not _live(waiting, links, start):
                 break
             cheapest = next(iter(waiting.values()))[0]
         slack = best[0] - cheapest - reached
         for weight, other in links[node]:
-            if weight <= slack and links[other]:
+            if weight > slack:
+                break
+            if links[other]:
                 label = reached + weight
                 if other not in dist or label < dist[other]:
                     dist[other] = label

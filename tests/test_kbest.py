@@ -164,27 +164,33 @@ def tie_case(frame, room, potential):
 
 
 def watch_proofs(monkeypatch):
-    """Per offer, (tie_case, whether kbest's proof found a cycle, whether the tie DFS finds one)."""
-    proofs, offer = [], []
-    potentials, groups = flowenum.kbest._potentials, flowenum.kbest._groups
+    """Per offer, (tie_case, whether kbest's proof found a cycle, whether the tie DFS finds one).
+
+    The proof found one when the offer builds a DFS forest: kbest runs the tie DFS only then.
+    """
+    proofs, offer, forests = [], [], []
+    second_best, potentials, forest = (flowenum.kbest._second_best, flowenum.kbest._potentials,
+                                       flowenum.kbest._forest)
 
     def kept(frame, room, big=None):
-        offer[:] = [frame, potentials(frame, room, big)]
-        return offer[1]
+        offer[:] = [frame, room, potentials(frame, room, big)]
+        return offer[2]
 
-    def proved(head, room, candidates, nodes):
-        frame, potential = offer
-        face: list[list] = [[] for _ in range(nodes)]
+    def proved(region, values, big=None):
+        built = len(forests)
+        cycle = second_best(region, values, big)
+        frame, room, potential = offer
+        face: list[list] = [[] for _ in range(frame.node_count)]
         for index, node in enumerate(frame.tail):
-            if room[index] and not frame.cost[index] + potential[node] - potential[head[index]]:
+            if room[index] and not frame.cost[index] + potential[node] - potential[frame.head[index]]:
                 face[node].append(index)
-        found = _proper_cycle(_forest(face, head), frame.tail, frame.origin) is not None
-        grouped = groups(head, room, candidates, nodes)
-        proofs.append((tie_case(frame, room, potential), grouped is None, found))
-        return grouped
+        found = _proper_cycle(_forest(face, frame.head), frame.tail, frame.origin) is not None
+        proofs.append((tie_case(frame, room, potential), len(forests) > built, found))
+        return cycle
 
     monkeypatch.setattr(flowenum.kbest, "_potentials", kept)
-    monkeypatch.setattr(flowenum.kbest, "_groups", proved)
+    monkeypatch.setattr(flowenum.kbest, "_forest", lambda *args: forests.append(args) or forest(*args))
+    monkeypatch.setattr(flowenum.kbest, "_second_best", proved)
     return proofs
 
 
@@ -466,22 +472,34 @@ class TestFindSecondBest:
         with pytest.raises(InvariantError):
             find_second_best_flow(net, best)
 
-    @pytest.mark.parametrize("shift", [1, -1])
-    def test_a_free_arc_of_nonzero_weight_raises_before_any_union(self, monkeypatch, shift):
-        # Arc 2 lies strictly inside its bounds, so it is free and weighs 0 both ways.
-        # Shifting the potential of its leaf end makes it weigh +-1 instead, and the
-        # check of its ids must stop the offer before any group is formed or searched.
+    @pytest.mark.parametrize("node, shift, arc", [
+        pytest.param(2, 1, 2, id="1"), pytest.param(2, -1, 2, id="-1"),
+        pytest.param(0, -1, 1, id="forward-only"), pytest.param(0, 2, 0, id="backward-only"),
+    ])
+    def test_a_free_arc_of_nonzero_weight_raises_before_any_union(self, monkeypatch, node, shift, arc):
+        # Arc 0 sits at its upper bound, so only its backward id has room; arc 1 sits at its
+        # lower bound, so only its forward id has room; arc 2 lies strictly inside its bounds,
+        # so it is free and weighs 0 both ways.  Shifting one potential gives a roomy id of
+        # `arc` a negative weight, or makes free arc 2 weigh +-1, and the pass over the arcs
+        # must stop the offer on the arc where a check of each roomy id in id order stops,
+        # before any group is searched or any path traced.  Here no free arc comes before
+        # it, so nothing is joined either; on other networks earlier free arcs may be.
         net = make_network(3, [(0, 1, 0, 1, 1), (0, 1, 0, 1, 2), (1, 2, 0, 2, 3)], (1, 0, -1))
         best = solve_min_cost_flow(net)
         assert best == Flow((1, 0, 1))
         assert find_second_best_flow(net, best) == Flow((0, 1, 1))
         potential = list(node_potentials(net, best))
-        potential[2] += shift
+        potential[node] += shift
+        frame = frame_of(net)
+        room = residual_room(frame, best.values)
+        first = next(index for index in range(len(room)) if room[index] and frame.cost[index]
+                     + potential[frame.tail[index]] - potential[frame.head[index]] < 0)
+        assert first >> 1 == arc
         calls = []
         monkeypatch.setattr(flowenum.kbest, "_potentials", lambda frame, room, big=None: potential)
         for name in ("_root", "_search_back", "_dijkstra"):
             monkeypatch.setattr(flowenum.kbest, name, lambda *args, name=name: calls.append(name))
-        with pytest.raises(InvariantError, match="negative residual reduced cost on arc 2$"):
+        with pytest.raises(InvariantError, match=f"negative residual reduced cost on arc {arc}$"):
             find_second_best_flow(net, best)
         assert calls == []
 
@@ -697,6 +715,17 @@ class TestGroupSearch:
         assert flowenum.kbest._second_best(frame, best.values) == [0, 5, 8, 7]
         assert sum(frame.cost[index] for index in (0, 5, 8, 7)) == sum(frame.cost[index] for index in (2, 4))
         assert searches == [(1, ((1, 7), 1)), (3, ((1, 7), 1)), (2, ((1, 0), 1))]
+
+    def test_live_drops_only_leading_tails_with_no_links(self):
+        # Group 3 lost its links and groups 1 and 2 never had any; group 2 is the start.
+        links, start = [[(1, 2)], [], [], ()], 2
+        waiting = {3: (1, 7), 0: (2, 5), 1: (3, 9), 2: (4, 1)}
+        assert flowenum.kbest._live(waiting, links, start) is waiting
+        assert list(waiting) == [0, 1, 2]  # a dead tail in the middle stays until it leads
+        del waiting[0]
+        assert list(flowenum.kbest._live(waiting, links, start)) == [2]  # the start's own entry stays
+        del waiting[2]
+        assert flowenum.kbest._live(waiting, links, start) == {}
 
     def test_costs_match_bruteforce_on_small_grids(self):
         ranked = 0
