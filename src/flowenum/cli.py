@@ -2,11 +2,11 @@
 
 Flows stream to stdout as JSON lines ({"cost": ..., "flow": [...]}) followed
 by one summary object; diagnostics go to stderr.  Each line is one write, and a
-flow line joins decimal strings made once per stream.  Exit codes: 0 success,
-1 infeasible instance or failed verification, 2 usage or parse errors,
-3 a search budget exceeded, 130 interrupted, 141 stdout closed early.
-The argument parser is built once per process, on the first `run()`.  Each
-subparser names its handler, which streams the flows and returns the
+flow line joins decimal strings made once per stream and sums its cost over the
+nonzero-cost arcs alone.  Exit codes: 0 success, 1 infeasible instance or failed
+verification, 2 usage or parse errors, 3 a search budget exceeded, 130 interrupted,
+141 stdout closed early.  The argument parser is built once per process, on the first
+`run()`.  Each subparser names its handler, which streams the flows and returns the
 summary's own fields; `run()` writes every summary line.
 """
 
@@ -20,7 +20,7 @@ import re
 import sys
 import time
 from functools import cache
-from itertools import islice
+from itertools import compress, islice
 from operator import mul
 from pathlib import Path
 
@@ -108,12 +108,14 @@ class _Digits(dict):
 
 
 def _stream(out, net: Network, flows) -> tuple[int, int | None]:
-    """Write each flow as one JSON line; how many there were and the first one's cost.
-    `Flow` holds exact ints, so their joined decimal strings are `json.dumps`'s bytes."""
-    count, first_cost, costs, digits = 0, None, [arc.cost for arc in net.arcs], _Digits()
+    """Write each flow as one JSON line; how many there were and the first one's cost.  A cost
+    sums the nonzero-cost arcs alone, and `Flow` holds exact ints, so the lines are `json.dumps`'s."""
+    count, first_cost, digits = 0, None, _Digits()
+    mask = [bool(arc.cost) for arc in net.arcs]
+    nonzero = [arc.cost for arc in net.arcs if arc.cost]
     for count, flow in enumerate(flows, 1):
         _require_dimensions(net, flow)
-        cost = sum(map(mul, costs, flow.values))
+        cost = sum(map(mul, nonzero, compress(flow.values, mask)))
         if first_cost is None:
             first_cost = cost
         out.write('{"cost": %d, "flow": [%s]}\n' % (cost, ", ".join(map(digits.__getitem__, flow.values))))

@@ -7,13 +7,13 @@ unambiguous: a cycle is "proper" exactly when it never uses both residual
 directions of one original arc.  Every layer reads the residual graph
 through these ids and one `Frame` per instance, which `frame_of` builds
 once: per id its head, tail, arc and cost, per node the ids leaving it, and per
-arc the bounds a search region narrows.  The solver, Bellman-Ford, the searches
-and the tree code share the solver's frame; `residual_room` reads
-a flow's spare units within its bounds and `push_unit` moves one unit around
-a cycle of ids.  `_root` is the one union-find (K-best's free-arc groups, the
-tree code's Kruskal start) and `_path` the one walk back along predecessor ids
-(the solver's augmenting paths, K-best's traced cycle, the DFS tree paths).
-`ResidualGraph` spells the same graph out as objects.
+arc the bounds a search region narrows.  The solver, Bellman-Ford, the searches and
+the tree code share the solver's frame; `residual_room` reads a flow's spare units
+within its bounds and `push_unit` moves one unit around a cycle of ids, checking the
+cycle but not the values' types, which their `Flow` checked.  `_root` is the one union-find
+(K-best's free-arc groups, the tree code's Kruskal start) and `_path` the one walk back
+along predecessor ids (the solver's augmenting paths, K-best's traced cycle, the DFS
+tree paths).  `ResidualGraph` spells the same graph out as objects.
 """
 
 from __future__ import annotations
@@ -138,6 +138,12 @@ class Flow:
         if not set(map(type, self.values)) <= {int}:
             raise InfeasibleFlowError(f"flow values must be integers, got {self.values}")
 
+    @classmethod
+    def _of(cls, values: tuple[int, ...]) -> Flow:
+        """`Flow(values)` without the check: `values` must be a tuple of exact ints."""
+        object.__setattr__(flow := object.__new__(cls), "values", values)
+        return flow
+
 
 def _require_dimensions(net: Network, flow: Flow) -> None:
     if len(flow.values) != net.arc_count:
@@ -224,7 +230,9 @@ def residual_room(frame: Frame, values) -> list[int]:
 
 
 def push_unit(frame: Frame, values, ids: list[int]) -> Flow:
-    """`values` plus one unit around a closed cycle of residual ids, each arc used once."""
+    """`values` plus one unit around a closed cycle of residual ids, each arc used once.  It checks
+    the cycle, not the types: `values` must be a `Flow`'s exact ints, as every caller's are, and
+    ±1 keeps them exact, so `Flow._of` builds the result unchecked."""
     head, lower, upper = frame.head, frame.lower, frame.upper
     if not ids or len({index >> 1 for index in ids}) < len(ids):
         raise InvariantError(f"the cycle {ids} is empty or uses an arc twice")
@@ -236,7 +244,7 @@ def push_unit(frame: Frame, values, ids: list[int]) -> Flow:
         values[arc] += -1 if index & 1 else 1
         if not lower[arc] <= values[arc] <= upper[arc]:
             raise InvariantError(f"the cycle pushes arc {arc} past its bounds")
-    return Flow(values)
+    return Flow._of(tuple(values))
 
 
 def _root(leader: list[int], node: int) -> int:

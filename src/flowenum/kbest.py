@@ -13,9 +13,9 @@ close one, a weight-0 candidate lies inside a group or the weight-0 links close 
 groups; the DFS runs only once the pass or `_groups` proves one.  Else one distance-only
 Dijkstra, `_search_back`, per head group, cheapest candidate first, runs until no waiting
 candidate can beat the best cycle and pushes no label past that bound.  A group whose search
-found only keys above the best loses its links: no cycle through it can win or tie, so later
-searches neither wait on it (`_live` drops it) nor pass through it.  Only the winner's path is
-traced, once, by the solver's `_dijkstra` and read back by `core._path`.
+found only keys above the best, or whose first live tail outweighs the best, loses its links: no
+cycle through it can win or tie, so later searches neither wait on it (`_live` drops it) nor pass
+through it.  The winner's path alone is traced, once, by the solver's `_dijkstra` for `core._path`.
 Regions are split as in the all-optimal search.  A waiting region is one heap record: its
 challenger's cost above the optimum, a ticket, `_split`'s `(arc, lo, hi)` narrowings of the
 one `core.Frame`, its best flow and the cycle; its challenger is built only when popped, and
@@ -88,7 +88,9 @@ def _second_best(region: Frame, values, big=None) -> list[int] | None:
         if next(iter(waiting.values()))[0] > best[0]:
             break
         if _live(waiting, links, start):
-            best, least = _search_back(links, start, waiting, best)
+            least = next(iter(waiting.values()))[0]  # no key from `start` is below it
+            if least <= best[0]:
+                best, least = _search_back(links, start, waiting, best)
             if least > best[0]:  # every cycle through `start` then costs more than `best`, which only falls
                 links[start] = ()
     if best[1] < 0:

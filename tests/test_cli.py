@@ -689,10 +689,14 @@ class TestStream:
         ([], [()]),
         ([(0, 1, -5), (1, 0, -7)], [(2, 2), (0, 0), (1, 1)]),
         ([(0, 1, 3 ** 41), (1, 0, -(2 ** 70))], [(2 ** 64, 2 ** 64), (2 ** 64 + 1, 2 ** 64 + 1)]),
+        ([(0, 1, 0), (1, 0, -7), (0, 1, 0), (1, 0, 5)], [(3, 1, 4, 2), (1, 5, 9, 2), (0, 0, 6, 0)]),
+        ([(0, 1, 0), (1, 0, 0), (0, 1, 0)], [(2, 2, 0), (1, 3, 2)]),
     ])
     def test_each_flow_line_is_one_write_of_the_json_bytes(self, arcs, flows):
         # Zero arcs, negative costs, values and costs past 2**63, and values that repeat
-        # within and across lines, so the decimal strings are looked up again.
+        # within and across lines, so the decimal strings are looked up again.  Costs are
+        # summed over the nonzero-cost arcs alone: zero costs between nonzero ones, where a
+        # mask one arc off gives another cost, and a network whose every arc costs 0.
         net = Network(2, [Arc(src, dst, 0, 2 ** 65, cost) for src, dst, cost in arcs], [0, 0])
         writes = []
         out = SimpleNamespace(write=writes.append)

@@ -279,6 +279,18 @@ class TestAugment:
         pushed = push_unit(frame_of(zerocycle_network), zerocycle_flow.values, [8, 12, 11])
         assert pushed == zerocycle_augmented_flow
 
+    @pytest.mark.parametrize("bad", [0.5, True])
+    def test_pushed_flow_skips_only_the_type_check(self, zerocycle_network, zerocycle_flow, bad):
+        # `push_unit` builds its flow unchecked: it must still hold a tuple of exact ints, equal
+        # and hash alike to the checked `Flow`, and `replace` must run the checked constructor.
+        pushed = push_unit(frame_of(zerocycle_network), list(zerocycle_flow.values), [8, 12, 11])
+        assert type(pushed) is Flow and type(pushed.values) is tuple
+        assert all(type(value) is int for value in pushed.values)
+        checked = Flow(pushed.values)
+        assert pushed == checked and checked == pushed and hash(pushed) == hash(checked)
+        with pytest.raises(InfeasibleFlowError, match="must be integers"):
+            dataclasses.replace(pushed, values=(bad,) * len(pushed.values))
+
 
 class TestRandomizedInvariants:
     def test_augmentation_cost_law_and_residual_reconstruction(self):

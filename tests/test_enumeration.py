@@ -166,6 +166,15 @@ class TestEnumerateAllOptimal:
         second = [flow.values for flow in iter_optimal_flows(eleven_optima_network)]
         assert first == second
 
+    def test_every_flow_holds_a_tuple_of_exact_ints(self):
+        # Pushed flows skip `Flow`'s type check, so both searches' flows are checked here.
+        grid = random_grid_network(random.Random(2), 6, 6, min_cost=0, max_cost=2, both_ways=True)
+        for flows in (islice(iter_optimal_flows(grid), 300), iter_k_best_flows(grid, 60)):
+            flows = list(flows)
+            assert len(flows) > 1
+            for flow in flows:
+                assert type(flow.values) is tuple and set(map(type, flow.values)) == {int}
+
     def test_matches_oracle_with_call_budget(self):
         rng = random.Random(987)
         for _ in range(120):
